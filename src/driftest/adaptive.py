@@ -20,8 +20,8 @@ import numpy as np
 
 from .dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical,
                    support_and_mass, tv_distance)
-from .windows import (UNION_BOUND_CONSTANT, as_stream, build_ladder,
-                      union_log_weight, xi_bound)
+from .windows import (UNION_BOUND_CONSTANT, DyadicLadder, as_stream,
+                      build_ladder, ladder_xis, union_log_weight)
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,23 @@ class EstimateResult:
 def adaptive_estimate(stream, delta: float) -> EstimateResult:
     """Estimate the current distribution of a drifting stream.
 
-    Deterministic in (stream, delta).  The candidate list starts at window
-    index 0; index j is considered only when its bound is strictly below
-    every accepted bound; the stop test uses >= so boundary equality stops.
+    Deterministic in (stream, delta): builds the dyadic ladder of the
+    stream and walks it (see ``walk_ladder``).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    ladder = build_ladder(stream)
-    xis = [xi_bound(w, j, delta) for j, w in enumerate(ladder.windows)]
+    return walk_ladder(build_ladder(stream), delta)
+
+
+def walk_ladder(ladder: DyadicLadder, delta: float) -> EstimateResult:
+    """Run the adaptive window selection over an already built ladder.
+
+    The candidate list starts at window index 0; index j is considered only
+    when its bound is strictly below every accepted bound (accepted bounds
+    strictly decrease, so the last one is the smallest); the stop test uses
+    >= so boundary equality stops.
+    """
+    xis = ladder_xis(ladder, delta)
 
     def record(j: int) -> CandidateRecord:
         return CandidateRecord(j, 2**j, phi_empirical(ladder[j]), xis[j])
@@ -107,7 +116,7 @@ def adaptive_estimate(stream, delta: float) -> EstimateResult:
     stop = StopReason("exhausted")
 
     for j in range(1, ladder.depth + 1):
-        if not xis[j] < min(c.xi for c in accepted):
+        if not xis[j] < accepted[-1].xi:
             continue
         violated = False
         for cand in accepted:
@@ -192,12 +201,16 @@ def q_curve(truth: Sequence[Pmf], delta: float) -> np.ndarray:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    t = len(truth)
-    rs = np.arange(1, t + 1, dtype=np.float64)
-    lam = lambda_curve(truth[-1], rs)
+    return q_from_drift(truth[-1], drift_sequence(truth), delta)
+
+
+def q_from_drift(current: Pmf, drift: np.ndarray, delta: float) -> np.ndarray:
+    """``q_curve`` from the final pmf and an already computed drift sequence."""
+    rs = np.arange(1, drift.size + 1, dtype=np.float64)
+    lam = lambda_curve(current, rs)
     lg = np.log2(rs)
     log_weights = np.log(UNION_BOUND_CONSTANT * (lg * lg + 1.0) / delta)
-    return lam + np.sqrt(log_weights / rs) + drift_sequence(truth)
+    return lam + np.sqrt(log_weights / rs) + drift
 
 
 def q_value(r: int, truth: Sequence[Pmf], delta: float) -> float:
@@ -212,28 +225,33 @@ def q_value(r: int, truth: Sequence[Pmf], delta: float) -> float:
 def q_argmin(truth: Sequence[Pmf], delta: float) -> tuple[int, float]:
     """Minimizer of the selection objective; ties go to the larger window."""
     q = q_curve(truth, delta)
-    best = len(q) - 1 - int(np.argmin(q[::-1]))
+    best = argmin_prefer_large(q)
     return best + 1, float(q[best])
 
 
+def argmin_prefer_large(values: np.ndarray) -> int:
+    """Index of the minimum, ties resolved toward the largest index."""
+    return values.size - 1 - int(np.argmin(values[::-1]))
+
+
 def realized_error_curve(stream, target: Pmf) -> np.ndarray:
-    """TV distance from target to every suffix-window estimate, r = 1..T."""
+    """TV distance from target to every suffix-window estimate, r = 1..T.
+
+    Uses TV(p, f) = sum over s of (p_s - f_s)^+: target atoms never observed
+    contribute their mass at every window size, and each observed target
+    atom adds one running count, so the cost is O(T * min(|supp target|, K))
+    for K distinct stream symbols.
+    """
     arr = as_stream(stream)
-    t = arr.size
-    rev = arr[::-1]
+    rs = np.arange(1, arr.size + 1, dtype=np.float64)
     target_syms, target_probs = support_and_mass(target)
-    stream_syms = np.unique(rev)
-    # target atoms never observed contribute their mass at every window size
-    observed = np.isin(target_syms, stream_syms)
-    absent_mass = float(np.sum(target_probs[~observed]))
-    rs = np.arange(1, t + 1, dtype=np.float64)
-    errs = np.full(t, absent_mass)
-    lookup = np.searchsorted(target_syms, stream_syms)
-    for i, sym in enumerate(stream_syms):
-        k = lookup[i]
-        p = float(target_probs[k]) if k < target_syms.size and target_syms[k] == sym else 0.0
-        errs += np.abs(np.cumsum(rev == sym) / rs - p)
-    return 0.5 * errs
+    stream_syms, codes = np.unique(arr[::-1], return_inverse=True)
+    pos = np.minimum(np.searchsorted(stream_syms, target_syms), stream_syms.size - 1)
+    observed = stream_syms[pos] == target_syms
+    errs = np.full(arr.size, float(np.sum(target_probs[~observed])))
+    for code, p in zip(pos[observed], target_probs[observed]):
+        errs += np.maximum(p - np.cumsum(codes == code) / rs, 0.0)
+    return errs
 
 
 def oracle_best_window(stream, truth: Sequence[Pmf]) -> tuple[int, float]:
@@ -246,5 +264,5 @@ def oracle_best_window(stream, truth: Sequence[Pmf]) -> tuple[int, float]:
     if len(truth) != arr.size:
         raise ValueError("truth length must match stream length")
     errs = realized_error_curve(arr, truth[-1])
-    best = errs.size - 1 - int(np.argmin(errs[::-1]))
+    best = argmin_prefer_large(errs)
     return best + 1, float(errs[best])

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import driftgen, harness
-from .adaptive import adaptive_estimate
+from .adaptive import adaptive_estimate, walk_ladder
 from .driftgen import DriftScenario, load_scenario
 from .windows import build_ladder, load_stream
 
@@ -137,7 +137,7 @@ def cmd_bench(args) -> int:
     stream = driftgen.sample_stream(scenario, trial=0)
     start = time.perf_counter()
     ladder = build_ladder(stream)
-    result = adaptive_estimate(stream, args.delta)
+    result = walk_ladder(ladder, args.delta)
     elapsed = time.perf_counter() - start
     supports = [w.symbols.size for w in ladder.windows]
     print(f"bench: T={args.t} elapsed={elapsed:.4f}s "

@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .adaptive import drift_sequence
 from .dist import Pmf
@@ -154,6 +153,9 @@ def _geometric_pmf(p: float) -> Pmf:
 
 @lru_cache(maxsize=4096)
 def _zipf_pmf(s: float) -> Pmf:
+    # imported here so that importing the CLI does not load scipy
+    from scipy.special import zeta as _hurwitz_zeta
+
     total = float(_hurwitz_zeta(s, 1))
     # smallest n with relative tail mass below TAIL_TOL, by doubling + bisect
     lo, hi = 1, 2
@@ -286,15 +288,75 @@ def _trial_rng(scenario: DriftScenario, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _inverse_cdf(pmf: Pmf, u: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(pmf.probs)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, u, side="right")
-    return pmf.symbols[np.minimum(idx, pmf.symbols.size - 1)]
+@dataclass(frozen=True, eq=False)
+class _Shape:
+    """Steps that share one probability vector, sampled by one inverse CDF.
+
+    ``steps`` is a slice when the shape covers a single segment, else the
+    step indices of all its segments.  ``offsets`` is None for a single
+    segment; otherwise it holds, per step, where that step's segment starts
+    in ``symbols``, the concatenated symbols of the shape's distinct pmfs.
+    """
+
+    probs: np.ndarray
+    steps: slice | np.ndarray
+    symbols: np.ndarray
+    offsets: np.ndarray | None
+
+
+@lru_cache(maxsize=32)
+def _sampling_plan(scenario: DriftScenario) -> tuple[_Shape, ...]:
+    """Group the segments of a scenario by identical probability vector.
+
+    Holds references and index arrays only, O(T + atoms of shared shapes):
+    no CDF is cached and no symbol array is copied for a single segment.
+    """
+    # bucket by a hash of the bytes, confirmed by an exact comparison
+    buckets: dict[int, list[list[tuple[int, int, Pmf]]]] = {}
+    pos = 0
+    for count, pmf in segments(scenario):
+        bucket = buckets.setdefault(hash(pmf.probs.tobytes()), [])
+        group = next((g for g in bucket if np.array_equal(g[0][2].probs, pmf.probs)), None)
+        if group is None:
+            group = []
+            bucket.append(group)
+        group.append((pos, count, pmf))
+        pos += count
+    return tuple(_shape(group) for bucket in buckets.values() for group in bucket)
+
+
+def _shape(group: list[tuple[int, int, Pmf]]) -> _Shape:
+    """One shape from its (first step, step count, pmf) segments."""
+    first = group[0][2]
+    if len(group) == 1:
+        pos, count, _ = group[0]
+        return _Shape(first.probs, slice(pos, pos + count), first.symbols, None)
+    # family pmfs are cached, so one pmf object can recur across segments;
+    # its symbols enter the pool once
+    starts: dict[int, int] = {}
+    pool = []
+    size = 0
+    for _, _, pmf in group:
+        if id(pmf) not in starts:
+            starts[id(pmf)] = size
+            pool.append(pmf.symbols)
+            size += pmf.symbols.size
+    steps = np.concatenate([np.arange(pos, pos + count) for pos, count, _ in group])
+    offsets = np.repeat([starts[id(pmf)] for _, _, pmf in group],
+                        [count for _, count, _ in group])
+    symbols = np.concatenate(pool)
+    # the plan is cached and shared by every caller, like the pmfs it indexes
+    for arr in (steps, offsets, symbols):
+        arr.setflags(write=False)
+    return _Shape(first.probs, steps, symbols, offsets)
 
 
 def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
-    """Draw one sample per step, oldest first; reproducible from (seed, trial)."""
+    """Draw one sample per step, oldest first; reproducible from (seed, trial).
+
+    Inverse CDF over each step's sorted symbols: one CDF and one
+    ``searchsorted`` per distinct probability vector.
+    """
     rng = _trial_rng(scenario, trial)
     u = rng.random(scenario.t)
     if scenario.kind == "linear_drift":
@@ -308,10 +370,14 @@ def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
         block = 1 + np.minimum(offset, k - 1).astype(np.int64)
         return np.where(u < alpha, 0, block).astype(np.int64)
     out = np.empty(scenario.t, dtype=np.int64)
-    pos = 0
-    for count, pmf in segments(scenario):
-        out[pos:pos + count] = _inverse_cdf(pmf, u[pos:pos + count])
-        pos += count
+    for shape in _sampling_plan(scenario):
+        cdf = np.cumsum(shape.probs)
+        cdf[-1] = 1.0
+        idx = np.minimum(np.searchsorted(cdf, u[shape.steps], side="right"),
+                         shape.probs.size - 1)
+        if shape.offsets is not None:
+            idx += shape.offsets
+        out[shape.steps] = shape.symbols[idx]
     return out
 
 

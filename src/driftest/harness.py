@@ -14,6 +14,7 @@ depend on worker parallelism, and aggregation preserves trial order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,7 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import driftgen
-from .adaptive import adaptive_estimate, q_curve, realized_error_curve
+from .adaptive import (adaptive_estimate, argmin_prefer_large, q_from_drift,
+                       realized_error_curve, walk_ladder)
 from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity,
                    phi_empirical, tv_distance)
 from .driftgen import (DriftScenario, linear_drift, sample_stream,
@@ -171,16 +173,16 @@ class _TruthSide:
 
 @lru_cache(maxsize=32)
 def _truth_side(scenario: DriftScenario, delta: float) -> _TruthSide:
-    truth = truth_pmfs(scenario)
+    current = segments(scenario)[-1][1]
     depth = dyadic_depth(scenario.t)
     averages = tuple(_suffix_average(scenario, 2**j) for j in range(depth + 1))
     lambdas = tuple(lambda_complexity(averages[j], 2**j) for j in range(depth + 1))
     delta_curve = scenario_delta_curve(scenario)
     window_deltas = tuple(float(delta_curve[2**j - 1]) for j in range(depth + 1))
-    q = q_curve(truth, delta)
-    r_star = len(q) - int(np.argmin(q[::-1]))
-    return _TruthSide(truth[-1], depth, averages, lambdas, window_deltas,
-                      float(q[r_star - 1]), r_star)
+    q = q_from_drift(current, delta_curve, delta)
+    best = argmin_prefer_large(q)
+    return _TruthSide(current, depth, averages, lambdas, window_deltas,
+                      float(q[best]), best + 1)
 
 
 def _prop3_held(ladder, delta: float, side: _TruthSide) -> tuple[bool, bool]:
@@ -199,11 +201,6 @@ def _prop3_held(ladder, delta: float, side: _TruthSide) -> tuple[bool, bool]:
     return emp_ok, true_ok
 
 
-def _argmin_prefer_large(values: np.ndarray) -> int:
-    """Index of the minimum, ties resolved toward the largest index."""
-    return values.size - 1 - int(np.argmin(values[::-1]))
-
-
 # --- trial runs -------------------------------------------------------------
 
 
@@ -213,10 +210,10 @@ def _metrics_block(scenario: DriftScenario, delta: float,
     out = []
     for trial in range(lo, hi):
         stream = sample_stream(scenario, trial)
-        result = adaptive_estimate(stream, delta)
-        errs = realized_error_curve(stream, side.current)
-        r_oracle = _argmin_prefer_large(errs) + 1
         ladder = build_ladder(stream)
+        result = walk_ladder(ladder, delta)
+        errs = realized_error_curve(stream, side.current)
+        r_oracle = argmin_prefer_large(errs) + 1
         emp_ok, true_ok = _prop3_held(ladder, delta, side)
         out.append(TrialMetrics(
             trial=trial,
@@ -374,14 +371,13 @@ def _prop45_block(scenario: DriftScenario, delta: float, tol: float,
     skipped = 0
     max_slack = -math.inf
     for trial in range(lo, hi):
-        stream = sample_stream(scenario, trial)
-        ladder = build_ladder(stream)
+        ladder = build_ladder(sample_stream(scenario, trial))
         emp_ok, true_ok = _prop3_held(ladder, delta, side)
         if not (emp_ok and true_ok):
             skipped += 1
             continue
         xis = ladder_xis(ladder, delta)
-        result = adaptive_estimate(stream, delta)
+        result = walk_ladder(ladder, delta)
         bounds = [xis[j] + side.window_deltas[j] for j in range(side.depth + 1)]
         # continue condition: every accepted window beyond the first is
         # within five times the best bound among the earlier accepted ones
@@ -610,11 +606,18 @@ def write_scaling_data(result: ScalingResult, fh) -> None:
 # --- worker fan-out ---------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fan_out(fn: Callable, common: tuple, trials: int, workers: int) -> list:
     """Split trials [0, n) into contiguous blocks, preserving block order."""
+    workers = min(workers, trials, _usable_cpus())
     if workers <= 1:
         return [fn(*common, 0, trials)]
-    workers = min(workers, trials)
     edges = np.linspace(0, trials, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *common, int(lo), int(hi))

@@ -10,7 +10,9 @@ from driftest import (Pmf, adaptive_estimate, build_ladder, drift_sequence,
                       q_value, tv_distance, u_bound)
 from driftest.adaptive import lambda_curve, q_curve, realized_error_curve
 from driftest.dist import lambda_complexity
-from driftest.driftgen import abrupt, iid, sample_stream
+from driftest.driftgen import (abrupt, iid, rotating_support, sample_stream,
+                               truth_pmfs, zipf_drift)
+from driftest.harness import random_pmf
 from driftest.windows import ladder_xis
 
 UNION_C = 4.0 * math.pi**2 / 3.0
@@ -203,6 +205,43 @@ def test_realized_error_curve_matches_fixed_windows():
     for r in (1, 2, 3, 17, 100, 200):
         expected = tv_distance(target, fixed_window_estimate(stream, r))
         assert curve[r - 1] == pytest.approx(expected, abs=1e-12)
+
+
+def _brute_force_error_curve(stream, target):
+    return np.array([tv_distance(target, fixed_window_estimate(stream, r))
+                     for r in range(1, len(stream) + 1)])
+
+
+def test_realized_error_curve_equals_brute_force_small_target():
+    # target support smaller than the stream's symbols
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        target = random_pmf(rng, max_support=8)
+        stream = rng.integers(0, 64, size=int(rng.integers(1, 300)))
+        stream[-3:] = rng.choice(target.symbols, size=min(3, stream.size))
+        curve = realized_error_curve(stream, target)
+        assert np.all(np.abs(curve - _brute_force_error_curve(stream, target)) <= 1e-12)
+
+
+def test_realized_error_curve_equals_brute_force_large_target():
+    # zipf target with thousands of atoms, most of them never observed
+    target = truth_pmfs(zipf_drift(4.0, 4.0, t=1, seed=0))[-1]
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        stream = rng.integers(0, 40, size=int(rng.integers(1, 300)))
+        assert np.unique(stream).size < target.support_size
+        curve = realized_error_curve(stream, target)
+        assert np.all(np.abs(curve - _brute_force_error_curve(stream, target)) <= 1e-12)
+
+
+def test_realized_error_curve_exact_tie_goes_to_larger_window():
+    # every step draws from a fresh block of 8 symbols, so a window of
+    # r <= 8 holds one sample of the target's block: error 7/8 exactly
+    scenario = rotating_support(k=8, period=1, t=8192, seed=0)
+    stream = sample_stream(scenario, 0)
+    curve = realized_error_curve(stream, truth_pmfs(scenario)[-1])
+    assert curve[:8].tolist() == [0.875] * 8
+    assert oracle_best_window(stream, truth_pmfs(scenario)) == (8, 0.875)
 
 
 def test_oracle_single_sample():

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -142,6 +143,32 @@ def test_bench_tiny(capsys):
     assert run_cli("bench", "--t", "1") == 0
     out = capsys.readouterr().out
     assert "elapsed=" in out and "T=1" in out
+
+
+def test_bench_builds_one_ladder(capsys, monkeypatch):
+    from driftest import adaptive, cli
+    calls = []
+    for module in (cli, adaptive):
+        original = module.build_ladder
+
+        def counted(stream, original=original):
+            calls.append(len(stream))
+            return original(stream)
+        monkeypatch.setattr(module, "build_ladder", counted)
+    assert run_cli("bench", "--t", "64") == 0
+    assert calls == [64]
+    assert "chosen_window=" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_scipy():
+    import driftest
+    src = os.path.dirname(os.path.dirname(driftest.__file__))
+    code = ("import sys, driftest.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

@@ -1,14 +1,16 @@
 """Scenario generators: truth sequences, samplers, and the config format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from driftest import (DriftScenario, Pmf, mean_pmf, parse_scenario_config,
                       sample_stream, scenario_delta, true_pmf, tv_distance)
-from driftest.driftgen import (TAIL_TOL, abrupt, geometric_drift, iid,
-                               linear_drift, rotating_support,
-                               scenario_delta_curve, segments, truth_pmfs,
-                               zipf_drift)
+from driftest.driftgen import (TAIL_TOL, _sampling_plan, _trial_rng, abrupt,
+                               geometric_drift, iid, linear_drift,
+                               rotating_support, scenario_delta_curve,
+                               segments, truth_pmfs, zipf_drift)
 
 ALL_FAMILIES = [
     iid(k=4, t=64, seed=1),
@@ -174,6 +176,72 @@ def test_sampler_frequencies_within_four_sigma(scenario, slice_len):
         ok += abs(counts.get(sym, 0) / slice_len - p) <= 4 * sigma
     assert checked > 0
     assert ok / checked >= 0.99
+
+
+def _reference_sample_stream(scenario, trial):
+    """Per-segment inverse CDF over sorted symbols, one segment at a time."""
+    u = _trial_rng(scenario, trial).random(scenario.t)
+    out = np.empty(scenario.t, dtype=np.int64)
+    pos = 0
+    for count, pmf in segments(scenario):
+        cdf = np.cumsum(pmf.probs)
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, u[pos:pos + count], side="right")
+        out[pos:pos + count] = pmf.symbols[np.minimum(idx, pmf.symbols.size - 1)]
+        pos += count
+    return out
+
+
+@pytest.mark.parametrize("scenario", [
+    iid(k=20, t=2048, seed=31),
+    linear_drift(k=10, step_delta=1e-3, t=1024, seed=32),
+    # shared shapes: every segment has the same probability vector
+    abrupt(k=10, change_point=300, t=4096, seed=33),
+    rotating_support(k=8, period=300, t=2048, seed=34),
+    rotating_support(k=5, period=7, t=1000, seed=35),
+    rotating_support(k=8, period=1, t=4096, seed=36),
+    # all-distinct shapes: one probability vector per step
+    geometric_drift(0.3, 0.45, t=512, seed=37),
+    zipf_drift(5.0, 4.5, t=256, seed=38),
+    # flat schedules collapse to a single segment
+    geometric_drift(0.3, 0.3, t=700, seed=39),
+    zipf_drift(4.0, 4.0, t=900, seed=40),
+])
+def test_sampler_matches_per_segment_reference(scenario):
+    for trial in range(4):
+        assert np.array_equal(sample_stream(scenario, trial),
+                              _reference_sample_stream(scenario, trial))
+
+
+def test_sampling_plan_groups_shared_shapes():
+    # 2048 steps / period 300 = 7 segments sharing one uniform shape
+    plan = _sampling_plan(rotating_support(k=8, period=300, t=2048, seed=0))
+    assert len(plan) == 1
+    assert plan[0].symbols.size == 7 * 8
+    assert plan[0].steps.tolist() == list(range(2048))
+    # a single segment keeps a slice and the pmf's own symbols
+    (shape,) = _sampling_plan(iid(k=4, t=64, seed=0))
+    assert shape.steps == slice(0, 64) and shape.offsets is None
+    assert shape.symbols is segments(iid(k=4, t=64, seed=0))[0][1].symbols
+
+
+def test_sampling_plan_retains_linear_memory():
+    # every step of a zipf drift has its own shape with thousands of atoms;
+    # the plan must reference them, not copy them or cache their CDFs
+    scenario = zipf_drift(5.0, 4.5, t=512, seed=41)
+    segs = segments(scenario)
+    atoms = sum(pmf.symbols.size for _, pmf in segs)
+    assert atoms > 1000 * scenario.t
+    _sampling_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = _sampling_plan(scenario)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == scenario.t
+    assert retained < 1024 * scenario.t
+    assert retained < atoms  # one byte per atom; a copy would take eight
 
 
 def test_true_pmf_range_validation():

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from driftest import Pmf, run_trials, tv_distance, write_trials_csv
+from driftest import Pmf, harness, run_trials, tv_distance, write_trials_csv
 from driftest.adaptive import adaptive_estimate
-from driftest.driftgen import (abrupt, iid, linear_drift, sample_stream,
-                               truth_pmfs)
+from driftest.driftgen import (abrupt, iid, linear_drift, rotating_support,
+                               sample_stream, truth_pmfs)
 from driftest.harness import (CSV_HEADER, CoverageReport, SuiteReport,
                               _suffix_average, random_pmf, scaling_experiment,
                               scaling_horizon, verify_lambda_bounds,
@@ -48,6 +48,87 @@ def test_adaptive_error_matches_direct_tv():
         assert m.chosen_r == result.chosen_window
         assert m.err_adaptive == pytest.approx(
             tv_distance(current, result.estimate), abs=1e-12)
+
+
+def test_oracle_ties_go_to_larger_window():
+    # the exact realized error is 7/8 for every window r <= 8
+    rows = run_trials(rotating_support(k=8, period=1, t=8192, seed=0), 2, 0.05)
+    assert [(m.r_oracle, m.err_oracle) for m in rows] == [(8, 0.875)] * 2
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_ladder_per_trial(monkeypatch):
+    from driftest import adaptive
+    counts = [_count_calls(monkeypatch, module, "build_ladder")
+              for module in (harness, adaptive)]
+    run_trials(LINEAR, 5, 0.05)
+    assert sum(len(calls) for calls in counts) == 5
+    report = verify_prop45(abrupt(k=10, change_point=64, t=512, seed=3), 6, 0.05)
+    assert report.skipped < 6
+    assert sum(len(calls) for calls in counts) == 5 + 6
+
+
+def test_drift_sequence_runs_once_per_scenario(monkeypatch):
+    from driftest import adaptive, driftgen
+    counts = [_count_calls(monkeypatch, module, "drift_sequence")
+              for module in (driftgen, adaptive)]
+    scenario = rotating_support(k=3, period=5, t=128, seed=424242)
+    run_trials(scenario, 3, 0.05)
+    run_trials(scenario, 2, 0.1)
+    assert sum(len(calls) for calls in counts) == 1
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that runs each block inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        result = fn(*args)
+
+        class Done:
+            def result(self):
+                return result
+        return Done()
+
+
+def test_fan_out_caps_workers_at_usable_cpus(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    # the affinity mask counts, not the host's CPU count
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 128)
+    _RecordingPool.sizes.clear()
+    blocks = harness._fan_out(lambda lo, hi: (lo, hi), (), 2000, 2000)
+    assert _RecordingPool.sizes == [3]
+    assert blocks == [(0, 666), (666, 1333), (1333, 2000)]
+    # without an affinity mask the CPU count caps; one core, or an unknown
+    # count, runs inline without a pool
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+    assert harness._usable_cpus() == 128
+    for cores in (1, None):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        assert harness._fan_out(lambda lo, hi: (lo, hi), (), 10, 8) == [(0, 10)]
+    assert _RecordingPool.sizes == [3]
 
 
 def test_run_trials_deterministic_across_workers():
