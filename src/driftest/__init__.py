@@ -6,38 +6,13 @@ suffix windows under data-dependent statistical-error bounds, with no
 prior knowledge of the drift, the support, or its size.
 """
 
-from .adaptive import (CandidateRecord, Comparison, EstimateResult,
-                       StopReason, adaptive_estimate, drift_sequence,
-                       fixed_window_estimate, oracle_best_window, q_argmin,
-                       q_value, u_bound)
-from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity,
-                   mean_pmf, phi_empirical, tv_distance)
-from .driftgen import (DriftScenario, abrupt, geometric_drift, iid,
-                       linear_drift, load_scenario, parse_scenario_config,
-                       rotating_support, sample_stream, scenario_delta,
-                       true_pmf, zipf_drift)
-from .harness import (CoverageReport, ScalingResult, SuiteReport,
-                      TrialMetrics, run_trials, scaling_experiment,
-                      verify_lambda_bounds, verify_metric, verify_prop1,
-                      verify_prop2, verify_prop3, verify_prop45,
-                      verify_prop6, write_trials_csv)
-from .windows import (DyadicLadder, build_ladder, dump_stream, load_stream,
-                      parse_stream_text, xi_bound)
+from .adaptive import adaptive_estimate, fixed_window_estimate
+from .dist import Pmf, tv_distance
+from .harness import run_trials, write_trials_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateRecord", "Comparison", "CoverageReport", "DriftScenario",
-    "DyadicLadder", "EmpiricalWindow", "EstimateResult", "Pmf",
-    "ScalingResult", "StopReason", "SuiteReport", "TrialMetrics",
-    "abrupt", "adaptive_estimate", "build_ladder", "drift_sequence",
-    "dump_stream", "fixed_window_estimate", "geometric_drift", "half_norm",
-    "iid", "lambda_complexity", "linear_drift", "load_scenario",
-    "load_stream", "mean_pmf", "oracle_best_window", "parse_scenario_config",
-    "parse_stream_text", "phi_empirical", "q_argmin", "q_value",
-    "rotating_support", "run_trials", "sample_stream", "scaling_experiment",
-    "scenario_delta", "true_pmf", "tv_distance", "u_bound",
-    "verify_lambda_bounds", "verify_metric", "verify_prop1", "verify_prop2",
-    "verify_prop3", "verify_prop45", "verify_prop6", "write_trials_csv",
-    "xi_bound", "zipf_drift",
+    "Pmf", "adaptive_estimate", "fixed_window_estimate", "run_trials",
+    "tv_distance", "write_trials_csv",
 ]

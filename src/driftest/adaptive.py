@@ -12,7 +12,6 @@ returned estimate is always the largest accepted window.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,8 +19,7 @@ import numpy as np
 
 from .dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical,
                    support_and_mass, tv_distance)
-from .windows import (UNION_BOUND_CONSTANT, DyadicLadder, as_stream,
-                      build_ladder, ladder_xis, union_log_weight)
+from .windows import as_stream, build_ladder, ladder_xis, union_log_weight
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def adaptive_estimate(stream, delta: float) -> EstimateResult:
     return walk_ladder(build_ladder(stream), delta)
 
 
-def walk_ladder(ladder: DyadicLadder, delta: float) -> EstimateResult:
+def walk_ladder(ladder: Sequence[EmpiricalWindow], delta: float) -> EstimateResult:
     """Run the adaptive window selection over an already built ladder.
 
     The candidate list starts at window index 0; index j is considered only
@@ -115,7 +113,7 @@ def walk_ladder(ladder: DyadicLadder, delta: float) -> EstimateResult:
     comparisons: list[Comparison] = []
     stop = StopReason("exhausted")
 
-    for j in range(1, ladder.depth + 1):
+    for j in range(1, len(ladder)):
         if not xis[j] < accepted[-1].xi:
             continue
         violated = False
@@ -172,61 +170,16 @@ def drift_sequence(truth: Sequence[Pmf]) -> np.ndarray:
     return deltas
 
 
-def u_bound(j: int, xi: float, truth: Sequence[Pmf]) -> float:
-    """Estimation-error bound of dyadic window j: its xi plus its drift error."""
-    r = 2**j
-    if len(truth) < r:
-        raise ValueError(f"truth covers {len(truth)} steps, window needs {r}")
-    return xi + float(drift_sequence(truth)[r - 1])
+def q_curve(current: Pmf, drift: np.ndarray, delta: float) -> np.ndarray:
+    """Idealized selection objective over all window sizes 1..len(drift).
 
-
-def lambda_curve(p: Pmf, rs: np.ndarray) -> np.ndarray:
-    """lambda_complexity(p, r) evaluated for every r in rs, vectorized."""
-    rs = np.asarray(rs, dtype=np.float64)
-    order = np.argsort(p.probs, kind="stable")
-    w = p.probs[order]
-    prefix_mass = np.concatenate([[0.0], np.cumsum(w)])
-    sqrt_w = np.sqrt(w)
-    suffix_root = np.concatenate([[0.0], np.cumsum(sqrt_w[::-1])])[::-1]
-    # first index whose mass is >= 1/r
-    idx = np.searchsorted(w, 1.0 / rs, side="left")
-    return prefix_mass[idx] + suffix_root[idx] / np.sqrt(rs)
-
-
-def q_curve(truth: Sequence[Pmf], delta: float) -> np.ndarray:
-    """Idealized selection objective over all window sizes 1..T.
-
-    Complexity of the final distribution at budget r, plus the
-    union-weighted deviation term, plus the drift error at r.
+    Complexity of the current distribution at budget r, plus the
+    union-weighted deviation term, plus the drift error at r (``drift`` is
+    the ``drift_sequence`` of the truth).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    return q_from_drift(truth[-1], drift_sequence(truth), delta)
-
-
-def q_from_drift(current: Pmf, drift: np.ndarray, delta: float) -> np.ndarray:
-    """``q_curve`` from the final pmf and an already computed drift sequence."""
     rs = np.arange(1, drift.size + 1, dtype=np.float64)
-    lam = lambda_curve(current, rs)
-    lg = np.log2(rs)
-    log_weights = np.log(UNION_BOUND_CONSTANT * (lg * lg + 1.0) / delta)
-    return lam + np.sqrt(log_weights / rs) + drift
-
-
-def q_value(r: int, truth: Sequence[Pmf], delta: float) -> float:
-    """One point of the selection objective."""
-    if not 1 <= r <= len(truth):
-        raise ValueError(f"window size {r} outside [1, {len(truth)}]")
-    lam = lambda_complexity(truth[-1], r)
-    dev = math.sqrt(union_log_weight(r, delta) / r)
-    return lam + dev + float(drift_sequence(truth)[r - 1])
-
-
-def q_argmin(truth: Sequence[Pmf], delta: float) -> tuple[int, float]:
-    """Minimizer of the selection objective; ties go to the larger window."""
-    q = q_curve(truth, delta)
-    best = argmin_prefer_large(q)
-    return best + 1, float(q[best])
+    deviation = np.sqrt(union_log_weight(rs, delta) / rs)
+    return lambda_complexity(current, rs) + deviation + drift
 
 
 def argmin_prefer_large(values: np.ndarray) -> int:

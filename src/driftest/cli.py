@@ -139,7 +139,7 @@ def cmd_bench(args) -> int:
     ladder = build_ladder(stream)
     result = walk_ladder(ladder, args.delta)
     elapsed = time.perf_counter() - start
-    supports = [w.symbols.size for w in ladder.windows]
+    supports = [w.symbols.size for w in ladder]
     print(f"bench: T={args.t} elapsed={elapsed:.4f}s "
           f"chosen_window={result.chosen_window} "
           f"peak_window_support={max(supports)} "

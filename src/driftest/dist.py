@@ -172,18 +172,25 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.sum(np.abs(a - b)))
 
 
-def lambda_complexity(p: Distribution, r: int) -> float:
+def lambda_complexity(p: Distribution, r):
     """Learning-complexity functional at sample budget r.
 
     Atoms below mass 1/r contribute linearly; atoms at or above the
     threshold contribute sqrt(mass)/sqrt(r).  The tight rate for
-    estimating the distribution from r samples.
+    estimating the distribution from r samples.  Vectorized over ``r``: a
+    scalar budget gives a float, an array of budgets an array, each from
+    prefix sums over the masses in ascending order.
     """
-    if r < 1:
+    rs = np.asarray(r, dtype=np.float64)
+    if rs.min() < 1:
         raise ValueError("sample budget r must be >= 1")
-    _, w = support_and_mass(p)
-    heavy = w >= 1.0 / r
-    return float(np.sum(w[~heavy]) + np.sum(np.sqrt(w[heavy])) / math.sqrt(r))
+    w = np.sort(support_and_mass(p)[1])
+    prefix_mass = np.concatenate([[0.0], np.cumsum(w)])
+    suffix_root = np.concatenate([[0.0], np.cumsum(np.sqrt(w)[::-1])])[::-1]
+    # first index whose mass is >= 1/r
+    idx = np.searchsorted(w, 1.0 / rs, side="left")
+    lam = prefix_mass[idx] + suffix_root[idx] / np.sqrt(rs)
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def half_norm(p: Distribution) -> float:
@@ -203,16 +210,22 @@ def phi_empirical(w: EmpiricalWindow) -> float:
     return float(np.sum(np.sqrt(w.counts / float(r))) / math.sqrt(r))
 
 
+def mixture(parts: Sequence[tuple[float, Pmf]]) -> Pmf:
+    """Sum of weight * pmf over (weight, pmf) parts, added in the given order.
+
+    The support is the union of the parts' supports; the weights must sum
+    to 1.
+    """
+    union = np.unique(np.concatenate([p.symbols for _, p in parts]))
+    acc = np.zeros(union.size)
+    for weight, p in parts:
+        acc[np.searchsorted(union, p.symbols)] += weight * p.probs
+    return Pmf(union, acc)
+
+
 def mean_pmf(seq: Sequence[Pmf]) -> Pmf:
     """Entrywise arithmetic mean of pmfs; support is the union of supports."""
     if len(seq) == 0:
         raise ValueError("cannot average an empty sequence of pmfs")
-    # Repeated objects are common (piecewise-constant truth sequences), so
-    # collapse them to weighted atoms first.
-    groups = Counter(seq)
-    n = len(seq)
-    union = np.unique(np.concatenate([p.symbols for p in groups]))
-    acc = np.zeros(union.size)
-    for p, count in groups.items():
-        acc[np.searchsorted(union, p.symbols)] += (count / n) * p.probs
-    return Pmf(union, acc)
+    # repeated pmf objects (piecewise-constant truth) become one weighted part
+    return mixture([(count / len(seq), p) for p, count in Counter(seq).items()])

@@ -259,23 +259,19 @@ def true_pmf(scenario: DriftScenario, t: int) -> Pmf:
     return truth_pmfs(scenario)[t - 1]
 
 
-@lru_cache(maxsize=32)
-def _delta_curve(scenario: DriftScenario) -> np.ndarray:
-    curve = drift_sequence(truth_pmfs(scenario))
-    curve.setflags(write=False)
-    return curve
-
-
 def scenario_delta(scenario: DriftScenario, r: int) -> float:
     """Exact drift error of the most recent r steps, from the true pmfs."""
     if not 1 <= r <= scenario.t:
         raise ValueError(f"window size {r} outside [1, {scenario.t}]")
-    return float(_delta_curve(scenario)[r - 1])
+    return float(scenario_delta_curve(scenario)[r - 1])
 
 
+@lru_cache(maxsize=32)
 def scenario_delta_curve(scenario: DriftScenario) -> np.ndarray:
     """Drift errors for every window size 1..t (read-only array)."""
-    return _delta_curve(scenario)
+    curve = drift_sequence(truth_pmfs(scenario))
+    curve.setflags(write=False)
+    return curve
 
 
 # --- sampling --------------------------------------------------------------

@@ -23,9 +23,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import driftgen
-from .adaptive import (adaptive_estimate, argmin_prefer_large, q_from_drift,
+from .adaptive import (adaptive_estimate, argmin_prefer_large, q_curve,
                        realized_error_curve, walk_ladder)
-from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity,
+from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity, mixture,
                    phi_empirical, tv_distance)
 from .driftgen import (DriftScenario, linear_drift, sample_stream,
                        scenario_delta_curve, segments, truth_pmfs)
@@ -146,18 +146,14 @@ def default_families(seed: int = 0) -> list[DriftScenario]:
 def _suffix_average(scenario: DriftScenario, r: int) -> Pmf:
     """Mean of the most recent r true pmfs, via the run-length segments."""
     remaining = r
-    parts: list[tuple[int, Pmf]] = []
+    parts: list[tuple[float, Pmf]] = []
     for count, pmf in reversed(segments(scenario)):
         take = min(count, remaining)
-        parts.append((take, pmf))
+        parts.append((take / r, pmf))
         remaining -= take
         if remaining == 0:
             break
-    union = np.unique(np.concatenate([p.symbols for _, p in parts]))
-    acc = np.zeros(union.size)
-    for take, pmf in parts:
-        acc[np.searchsorted(union, pmf.symbols)] += (take / r) * pmf.probs
-    return Pmf(union, acc)
+    return mixture(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +175,7 @@ def _truth_side(scenario: DriftScenario, delta: float) -> _TruthSide:
     lambdas = tuple(lambda_complexity(averages[j], 2**j) for j in range(depth + 1))
     delta_curve = scenario_delta_curve(scenario)
     window_deltas = tuple(float(delta_curve[2**j - 1]) for j in range(depth + 1))
-    q = q_from_drift(current, delta_curve, delta)
+    q = q_curve(current, delta_curve, delta)
     best = argmin_prefer_large(q)
     return _TruthSide(current, depth, averages, lambdas, window_deltas,
                       float(q[best]), best + 1)
@@ -189,7 +185,7 @@ def _prop3_held(ladder, delta: float, side: _TruthSide) -> tuple[bool, bool]:
     """Whether each simultaneous inequality held for every dyadic window."""
     emp_ok = True
     true_ok = True
-    for j, w in enumerate(ladder.windows):
+    for j, w in enumerate(ladder):
         radius = concentration_radius(j, delta)
         phi = phi_empirical(w)
         if tv_distance(w, side.window_averages[j]) > phi + radius:
@@ -233,8 +229,6 @@ def _metrics_block(scenario: DriftScenario, delta: float,
 def run_trials(scenario: DriftScenario, trials: int, delta: float,
                workers: int = 1) -> list[TrialMetrics]:
     """Run seeded trials of the estimator with all baselines and diagnostics."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     blocks = _fan_out(_metrics_block, (scenario, delta), trials, workers)
     return [m for block in blocks for m in block]
 
@@ -323,7 +317,7 @@ def _prop1_block(scenario: DriftScenario, tol: float,
     max_slack = -math.inf
     for trial in range(lo, hi):
         ladder = build_ladder(sample_stream(scenario, trial))
-        for j, w in enumerate(ladder.windows):
+        for j, w in enumerate(ladder):
             lhs = tv_distance(side.current, w)
             rhs = tv_distance(side.window_averages[j], w) + side.window_deltas[j]
             slack = lhs - rhs
@@ -580,8 +574,6 @@ def scaling_experiment(k: int, deltas: Sequence[float], trials: int,
     the ideal window sits well inside the ladder while the drift is still
     active at estimation time.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if len(deltas) < 2:
         raise ValueError("need at least two drift rates to fit a slope")
     points = []
@@ -615,6 +607,8 @@ def _usable_cpus() -> int:
 
 def _fan_out(fn: Callable, common: tuple, trials: int, workers: int) -> list:
     """Split trials [0, n) into contiguous blocks, preserving block order."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     workers = min(workers, trials, _usable_cpus())
     if workers <= 1:
         return [fn(*common, 0, trials)]

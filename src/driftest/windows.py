@@ -10,8 +10,7 @@ weight over all dyadic sizes so that it holds for all of them at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,36 +41,14 @@ def as_stream(samples) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicLadder:
-    """Empirical windows of sizes 1, 2, 4, ... over a stream's suffixes."""
-
-    windows: tuple[EmpiricalWindow, ...]
-
-    def __post_init__(self):
-        for j, w in enumerate(self.windows):
-            if w.size != 2**j:
-                raise ValueError(f"window {j} has size {w.size}, expected {2**j}")
-
-    @property
-    def depth(self) -> int:
-        """Largest window index."""
-        return len(self.windows) - 1
-
-    def __len__(self) -> int:
-        return len(self.windows)
-
-    def __getitem__(self, j: int) -> EmpiricalWindow:
-        return self.windows[j]
-
-
-def build_ladder(stream) -> DyadicLadder:
+def build_ladder(stream) -> tuple[EmpiricalWindow, ...]:
     """Count the dyadic suffix windows of a stream in one backward pass.
 
     Scans the most recent 2^floor(log2 T) samples from newest to oldest in
     doubling blocks, merging sorted (symbol, count) runs and snapshotting
-    each time the scanned length reaches a power of two.  Samples older
-    than the largest dyadic window are never touched.
+    each time the scanned length reaches a power of two.  Window j holds
+    the most recent 2^j samples.  Samples older than the largest dyadic
+    window are never touched.
     """
     arr = as_stream(stream)
     t = arr.size
@@ -88,27 +65,30 @@ def build_ladder(stream) -> DyadicLadder:
         merged[np.searchsorted(union, block_syms)] += block_counts
         syms, counts = union, merged
         windows.append(EmpiricalWindow(syms, counts, 2**j))
-    return DyadicLadder(tuple(windows))
+    return tuple(windows)
 
 
-def union_log_weight(r: float, delta: float) -> float:
-    """log(C * (log2(r)^2 + 1) / delta), the union-bound log factor at size r."""
+def union_log_weight(r, delta: float):
+    """log(C * (log2(r)^2 + 1) / delta), the union-bound log factor at size r.
+
+    Vectorized over ``r``: a scalar size gives a float, an array of sizes
+    an array.
+    """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    if r < 1:
+    r = np.asarray(r, dtype=np.float64)
+    if r.min() < 1:
         raise ValueError("window size must be >= 1")
-    lg = math.log2(r)
-    return math.log(UNION_BOUND_CONSTANT * (lg * lg + 1.0) / delta)
+    lg = np.log2(r)
+    weight = np.log(UNION_BOUND_CONSTANT * (lg * lg + 1.0) / delta)
+    return float(weight) if weight.ndim == 0 else weight
 
 
 def concentration_radius(j: int, delta: float) -> float:
     """Deviation term of the dyadic window bound: 3 sqrt(log-weight / 2^j)."""
     if j < 0:
         raise ValueError("window index must be >= 0")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
-    log_weight = math.log(UNION_BOUND_CONSTANT * (j * j + 1.0) / delta)
-    return 3.0 * math.sqrt(log_weight / 2**j)
+    return 3.0 * math.sqrt(union_log_weight(2**j, delta) / 2**j)
 
 
 def xi_bound(w: EmpiricalWindow, j: int, delta: float) -> float:
@@ -124,9 +104,9 @@ def xi_bound(w: EmpiricalWindow, j: int, delta: float) -> float:
     return phi_empirical(w) + concentration_radius(j, delta)
 
 
-def ladder_xis(ladder: DyadicLadder, delta: float) -> list[float]:
+def ladder_xis(ladder: Sequence[EmpiricalWindow], delta: float) -> list[float]:
     """The statistical-error bound of every window in the ladder."""
-    return [xi_bound(w, j, delta) for j, w in enumerate(ladder.windows)]
+    return [xi_bound(w, j, delta) for j, w in enumerate(ladder)]
 
 
 # --- sample stream text format -------------------------------------------

@@ -1,19 +1,19 @@
 """Adaptive window selection: traces, baselines, and the bound diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from driftest import (Pmf, adaptive_estimate, build_ladder, drift_sequence,
-                      fixed_window_estimate, oracle_best_window, q_argmin,
-                      q_value, tv_distance, u_bound)
-from driftest.adaptive import lambda_curve, q_curve, realized_error_curve
-from driftest.dist import lambda_complexity
+from driftest import Pmf, adaptive_estimate, fixed_window_estimate, tv_distance
+from driftest.adaptive import (argmin_prefer_large, drift_sequence,
+                               oracle_best_window, q_curve,
+                               realized_error_curve)
 from driftest.driftgen import (abrupt, iid, rotating_support, sample_stream,
                                truth_pmfs, zipf_drift)
 from driftest.harness import random_pmf
-from driftest.windows import ladder_xis
+from driftest.windows import build_ladder, ladder_xis
 
 UNION_C = 4.0 * math.pi**2 / 3.0
 
@@ -144,37 +144,41 @@ def test_drift_sequence_is_running_max():
     assert deltas[2] == pytest.approx(0.1, abs=1e-15)
 
 
-def test_u_bound():
+def q_of(truth, delta):
+    """The selection objective of a truth sequence."""
+    return q_curve(truth[-1], drift_sequence(truth), delta)
+
+
+def test_drift_term_of_window_bound():
+    # a dyadic window's error bound is its xi plus this entry at r = 2^j
     p = Pmf.uniform(range(4))
     truth = [p] * 8
-    assert u_bound(2, 0.4, truth) == pytest.approx(0.4)
+    assert 0.4 + drift_sequence(truth)[2**2 - 1] == pytest.approx(0.4)
     pre, post = Pmf.point_mass(0), Pmf.point_mass(1)
     truth = [pre] * 4 + [post] * 4
-    assert u_bound(3, 0.4, truth) == pytest.approx(1.4)
-    with pytest.raises(ValueError):
-        u_bound(4, 0.1, truth)
+    assert 0.4 + drift_sequence(truth)[2**3 - 1] == pytest.approx(1.4)
 
 
 def test_q_value_point_mass_example():
     truth = [Pmf.point_mass(1)] * 8
     expected = 0.5 + math.sqrt(math.log(UNION_C * 5 / 0.05) / 4)
-    assert q_value(4, truth, 0.05) == pytest.approx(expected, abs=1e-12)
+    assert q_of(truth, 0.05)[4 - 1] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(1.8399918, abs=1e-6)
 
 
 def test_q_nonincreasing_for_point_mass_truth():
     truth = [Pmf.point_mass(1)] * 64
-    values = q_curve(truth, 0.05)
+    values = q_of(truth, 0.05)
     assert np.all(np.diff(values) <= 1e-12)
 
 
 def test_q_jumps_at_change_point():
     m = 4
     truth = [Pmf.point_mass(0)] * 12 + [Pmf.point_mass(1)] * m
-    values = q_curve(truth, 0.05)
+    values = q_of(truth, 0.05)
     # the drift component steps from 0 to 1 exactly at r = m + 1; the jump in
     # the objective is that unit step minus the smooth terms' decrease
-    smooth = [q_value(r, truth[-m:] * 4, 0.05) for r in (m, m + 1)]
+    smooth = [q_of(truth[-m:] * 4, 0.05)[r - 1] for r in (m, m + 1)]
     jump = values[m] - values[m - 1]
     assert jump == pytest.approx(1.0 + (smooth[1] - smooth[0]), abs=1e-12)
     assert drift_sequence(truth)[m] - drift_sequence(truth)[m - 1] == pytest.approx(
@@ -183,18 +187,19 @@ def test_q_jumps_at_change_point():
 
 def test_q_argmin_prefers_larger_window_on_ties():
     truth = [Pmf.point_mass(1)] * 16
-    r_star, q_star = q_argmin(truth, 0.05)
-    assert r_star == 16
-    assert q_star == pytest.approx(q_value(16, truth, 0.05), abs=1e-15)
+    q = q_of(truth, 0.05)
+    best = argmin_prefer_large(q)
+    assert best + 1 == 16
+    assert q[best] == pytest.approx(q[16 - 1], abs=1e-15)
 
 
-def test_lambda_curve_matches_pointwise():
-    rng = np.random.default_rng(8)
-    p = Pmf.from_dict({0: 0.5, 3: 0.3, 9: 0.15, 20: 0.05 - 1e-5, 21: 1e-5})
-    rs = np.concatenate([np.arange(1, 50), rng.integers(50, 10**5, size=30)])
-    curve = lambda_curve(p, rs)
-    for r, value in zip(rs, curve):
-        assert value == pytest.approx(lambda_complexity(p, int(r)), abs=1e-13)
+def test_q_curve_rejects_bad_delta():
+    # rejected before any numpy arithmetic, so no RuntimeWarning either
+    drift = drift_sequence([Pmf.point_mass(1)] * 4)
+    for delta in (0.0, -1.0, 1.0, float("nan")):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="delta"):
+            warnings.simplefilter("error")
+            q_curve(Pmf.point_mass(1), drift, delta)
 
 
 def test_realized_error_curve_matches_fixed_windows():

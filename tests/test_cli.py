@@ -122,6 +122,31 @@ def test_verify_prop2_small(capsys, monkeypatch):
     assert "coverage=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suite", ["metric", "prop1", "prop2", "prop3",
+                                   "prop45", "prop6", "all"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_without_trials_is_usage_error(suite, trials, capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    assert run_cli("verify", "--suite", suite, "--trials", trials) == 2
+    captured = capsys.readouterr()
+    assert "verify: PASS" not in captured.out
+    assert captured.err.startswith("driftest: error:")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("delta", ["0", "-1", "nan"])
+def test_simulate_bad_delta_prints_one_error_line(tmp_path, delta):
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text(IID_CFG)
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftest.cli", "simulate", "--scenario", str(cfg),
+         "--trials", "2", "--delta", delta, "--output", "-"],
+        capture_output=True, text=True, env=dict(os.environ, DRIFTEST_THREADS="1"))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as err:
         run_cli("verify", "--suite", "prop99")

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from driftest import (EmpiricalWindow, Pmf, half_norm, lambda_complexity,
-                      mean_pmf, phi_empirical, tv_distance)
+from driftest.dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity,
+                           mean_pmf, phi_empirical, support_and_mass,
+                           tv_distance)
 from driftest.harness import random_pmf
 
 
@@ -26,6 +27,13 @@ def brute_lambda(p, r):
         else:
             total += prob
     return total
+
+
+def reference_lambda(p, r):
+    """Scalar complexity: masked sums over the light and the heavy atoms."""
+    _, w = support_and_mass(p)
+    heavy = w >= 1.0 / r
+    return float(np.sum(w[~heavy]) + np.sum(np.sqrt(w[heavy])) / math.sqrt(r))
 
 
 def test_tv_identity():
@@ -87,6 +95,50 @@ def test_lambda_matches_brute_force():
         assert lambda_complexity(p, r) == pytest.approx(brute_lambda(p, r), abs=1e-13)
 
 
+def test_lambda_matches_reference_on_pmfs_and_windows():
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            p = random_pmf(rng)
+        else:
+            p = EmpiricalWindow.from_samples(
+                rng.integers(0, 30, size=int(rng.integers(1, 400))))
+        rs = rng.integers(1, 2**16 + 1, size=8)
+        curve = lambda_complexity(p, rs)
+        assert curve.shape == rs.shape
+        for r, value in zip(rs, curve):
+            want = reference_lambda(p, int(r))
+            assert lambda_complexity(p, int(r)) == pytest.approx(want, abs=1e-12)
+            assert value == pytest.approx(want, abs=1e-12)
+
+
+def test_lambda_at_threshold_budget_matches_reference():
+    # 1/r equal to an atom's mass, for a pmf and for a window's frequency
+    cases = [(Pmf.uniform(range(4)), 4), (Pmf.from_dict({0: 0.25, 1: 0.75}), 4),
+             (Pmf.from_dict({0: 0.5, 3: 0.375, 9: 0.125}), 8),
+             (EmpiricalWindow.from_samples([1, 1, 2, 3, 3, 3, 3, 3]), 4),
+             (EmpiricalWindow.from_samples([5] * 3 + [6]), 4)]
+    for p, r in cases:
+        _, w = support_and_mass(p)
+        assert np.any(w == 1.0 / r)
+        want = reference_lambda(p, r)
+        assert lambda_complexity(p, r) == pytest.approx(want, abs=1e-12)
+        assert lambda_complexity(p, np.array([r]))[0] == pytest.approx(want, abs=1e-12)
+        assert lambda_complexity(p, np.array([1, r, 2 * r]))[1] == pytest.approx(
+            want, abs=1e-12)
+
+
+def test_lambda_array_budget_matches_pointwise():
+    rng = np.random.default_rng(8)
+    p = Pmf.from_dict({0: 0.5, 3: 0.3, 9: 0.15, 20: 0.05 - 1e-5, 21: 1e-5})
+    rs = np.concatenate([np.arange(1, 50), rng.integers(50, 10**5, size=30)])
+    curve = lambda_complexity(p, rs)
+    for r, value in zip(rs, curve):
+        assert value == pytest.approx(reference_lambda(p, int(r)), abs=1e-13)
+        # one arithmetic for both forms of the budget
+        assert value == lambda_complexity(p, int(r))
+
+
 def test_lambda_always_at_most_one():
     rng = np.random.default_rng(2)
     for _ in range(200):
@@ -97,6 +149,8 @@ def test_lambda_always_at_most_one():
 def test_lambda_rejects_bad_budget():
     with pytest.raises(ValueError):
         lambda_complexity(Pmf.point_mass(0), 0)
+    with pytest.raises(ValueError):
+        lambda_complexity(Pmf.point_mass(0), np.array([4, 0]))
 
 
 def test_half_norm_point_mass():

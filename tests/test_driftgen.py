@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driftest import (DriftScenario, Pmf, mean_pmf, parse_scenario_config,
-                      sample_stream, scenario_delta, true_pmf, tv_distance)
-from driftest.driftgen import (TAIL_TOL, _sampling_plan, _trial_rng, abrupt,
-                               geometric_drift, iid, linear_drift,
-                               rotating_support, scenario_delta_curve,
-                               segments, truth_pmfs, zipf_drift)
+from driftest.dist import Pmf, mean_pmf, tv_distance
+from driftest.driftgen import (TAIL_TOL, DriftScenario, _sampling_plan,
+                               _trial_rng, abrupt, geometric_drift, iid,
+                               linear_drift, parse_scenario_config,
+                               rotating_support, sample_stream,
+                               scenario_delta, scenario_delta_curve, segments,
+                               true_pmf, truth_pmfs, zipf_drift)
 
 ALL_FAMILIES = [
     iid(k=4, t=64, seed=1),

@@ -259,7 +259,7 @@ def test_random_pmf_is_valid():
 
 
 def test_suffix_average_equals_explicit_mean():
-    from driftest import mean_pmf
+    from driftest.dist import mean_pmf
     truth = list(truth_pmfs(LINEAR))
     for r in (1, 7, 256, 1024):
         assert tv_distance(_suffix_average(LINEAR, r),

@@ -6,10 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from driftest import EmpiricalWindow, build_ladder, xi_bound
-from driftest.windows import (UNION_BOUND_CONSTANT, concentration_radius,
-                              dump_stream, dyadic_depth, ladder_xis,
-                              load_stream, parse_stream_text)
+from driftest.dist import EmpiricalWindow
+from driftest.windows import (UNION_BOUND_CONSTANT, build_ladder,
+                              concentration_radius, dump_stream, dyadic_depth,
+                              ladder_xis, load_stream, parse_stream_text,
+                              union_log_weight, xi_bound)
 
 
 def brute_ladder(stream):
@@ -24,7 +25,7 @@ def brute_ladder(stream):
 
 
 def ladder_as_dicts(ladder):
-    return [dict(zip(w.symbols.tolist(), w.counts.tolist())) for w in ladder.windows]
+    return [dict(zip(w.symbols.tolist(), w.counts.tolist())) for w in ladder]
 
 
 def test_ladder_hand_example():
@@ -109,6 +110,31 @@ def test_concentration_degenerates_at_j0():
         assert concentration_radius(0, delta) == pytest.approx(expected, abs=1e-15)
 
 
+def test_union_log_weight_is_vectorized_and_validated():
+    rs = np.array([1, 2, 3, 8, 1000, 2**20])
+    weights = union_log_weight(rs, 0.05)
+    assert weights.shape == rs.shape
+    for r, weight in zip(rs.tolist(), weights):
+        lg = math.log2(r)
+        assert weight == pytest.approx(
+            math.log(UNION_BOUND_CONSTANT * (lg * lg + 1.0) / 0.05), abs=1e-12)
+        assert union_log_weight(r, 0.05) == weight
+    for delta in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="delta"):
+            union_log_weight(rs, delta)
+    for bad in (0, np.array([4, 0])):
+        with pytest.raises(ValueError, match="window size"):
+            union_log_weight(bad, 0.05)
+
+
+def test_concentration_radius_is_the_dyadic_log_weight_bit_for_bit():
+    # log2(2^j) = j exactly, so the weight at size 2^j is log(C (j^2+1) / delta)
+    for delta in (1e-6, 0.01, 0.05, 0.1, 0.5, 0.9):
+        for j in range(40):
+            weight = math.log(UNION_BOUND_CONSTANT * (j * j + 1.0) / delta)
+            assert concentration_radius(j, delta) == 3.0 * math.sqrt(weight / 2**j)
+
+
 def test_xi_validation():
     w = EmpiricalWindow.from_samples([1, 2])
     with pytest.raises(ValueError):
@@ -122,7 +148,7 @@ def test_xi_validation():
 def test_ladder_xis_align_with_windows():
     ladder = build_ladder([1, 1, 2, 3, 1, 2, 1, 1])
     xis = ladder_xis(ladder, 0.1)
-    assert len(xis) == len(ladder.windows)
+    assert len(xis) == len(ladder)
     for j, value in enumerate(xis):
         assert value == xi_bound(ladder[j], j, 0.1)
 
