@@ -17,7 +17,7 @@ import time
 
 from . import driftgen, harness
 from .adaptive import adaptive_estimate, walk_ladder
-from .driftgen import DriftScenario, load_scenario
+from .driftgen import load_scenario
 from .windows import build_ladder, load_stream
 
 _SUITES = ("metric", "prop1", "prop2", "prop3", "prop45", "prop6", "all")
@@ -70,10 +70,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _coverage_scenario(seed: int) -> DriftScenario:
-    return driftgen.linear_drift(k=10, step_delta=1e-3, t=1024, seed=seed)
-
-
 def _print_suite(report: harness.SuiteReport) -> bool:
     detail = " ".join(f"{name}={count}" for name, count in report.per_inequality)
     skipped = f" skipped={report.skipped}" if report.skipped else ""
@@ -100,23 +96,21 @@ def _run_suite(suite: str, trials: int | None, delta: float, seed: int) -> bool:
     if suite == "prop6":
         ok = _print_suite(harness.verify_prop6(n, seed=seed))
         return _print_suite(harness.verify_lambda_bounds(n, seed=seed)) and ok
-    if suite == "prop2":
-        report = harness.verify_prop2(_coverage_scenario(seed), 256, n, delta,
-                                      workers=workers)
-        return _print_coverage("prop2", report, delta)
-    if suite == "prop3":
-        report = harness.verify_prop3(_coverage_scenario(seed), n, delta,
-                                      workers=workers)
-        return _print_coverage("prop3", report, delta)
+    if suite in ("prop2", "prop3"):
+        # prop2 and prop3 share this scenario, and with it the cached truth side
+        scenario = driftgen.linear_drift(k=10, step_delta=1e-3, t=1024, seed=seed)
+        if suite == "prop2":
+            report = harness.verify_prop2(scenario, 256, n, delta, workers=workers)
+        else:
+            report = harness.verify_prop3(scenario, n, delta, workers=workers)
+        return _print_coverage(suite, report, delta)
     ok = True
     for scenario in harness.default_families(seed):
         if suite == "prop1":
             report = harness.verify_prop1(scenario, n, workers=workers)
         else:
             report = harness.verify_prop45(scenario, n, delta, workers=workers)
-        report = harness.SuiteReport(
-            f"{suite}:{scenario.kind}", report.checks, report.violations,
-            report.max_slack, report.per_inequality, report.skipped)
+        report = dataclasses.replace(report, name=f"{suite}:{scenario.kind}")
         ok = _print_suite(report) and ok
     return ok
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,7 +30,10 @@ KINDS = ("iid", "linear_drift", "abrupt", "rotating_support",
 # abrupt scenarios place the post-change support at this offset
 ABRUPT_POST_OFFSET = 100
 
+# bound on the summed atoms of a scenario's distinct truth pmfs, and on t
 _MAX_TRUNCATED_SUPPORT = 20_000_000
+# a Pmf object's fixed memory (about 400 bytes), in 16-byte atoms
+_PMF_OVERHEAD_ATOMS = 24
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,8 @@ class DriftScenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
+        if not 1 <= self.t <= _MAX_TRUNCATED_SUPPORT:
+            raise ValueError(f"t must lie in [1, {_MAX_TRUNCATED_SUPPORT}]")
         need = {
             "iid": ("k",),
             "linear_drift": ("k", "step_delta"),
@@ -82,8 +86,8 @@ class DriftScenario:
         for key in need:
             if getattr(self, key) is None:
                 raise ValueError(f"{self.kind} requires key '{key}'")
-        if self.k is not None and self.k < 1:
-            raise ValueError("key 'k': support size must be >= 1")
+        if self.k is not None and not 1 <= self.k <= _MAX_TRUNCATED_SUPPORT:
+            raise ValueError(f"key 'k': must lie in [1, {_MAX_TRUNCATED_SUPPORT}]")
         if self.kind == "linear_drift" and self.step_delta < 0:
             raise ValueError("key 'step_delta': must be >= 0")
         if self.kind == "abrupt":
@@ -141,18 +145,26 @@ def _absorb_remainder(symbols: np.ndarray, probs: np.ndarray) -> Pmf:
     return Pmf(symbols, probs)
 
 
+def _geometric_atoms(p: float) -> int:
+    """Atoms of the truncated geometric pmf, counted before it is built."""
+    if p >= 1.0:
+        return 1
+    # capped, so that a vanishing p cannot overflow the count
+    return math.ceil(min(math.log(TAIL_TOL) / math.log1p(-p), _MAX_TRUNCATED_SUPPORT + 1))
+
+
 @lru_cache(maxsize=4096)
 def _geometric_pmf(p: float) -> Pmf:
     if p >= 1.0:
         return Pmf.point_mass(0)
-    n = max(1, math.ceil(math.log(TAIL_TOL) / math.log1p(-p)))
-    i = np.arange(n, dtype=np.int64)
+    i = np.arange(_geometric_atoms(p), dtype=np.int64)
     probs = p * np.power(1.0 - p, i, dtype=np.float64)
     return _absorb_remainder(i, probs)
 
 
 @lru_cache(maxsize=4096)
-def _zipf_pmf(s: float) -> Pmf:
+def _zipf_atoms(s: float) -> int:
+    """Atoms of the truncated zipf pmf, counted before it is built."""
     # imported here so that importing the CLI does not load scipy
     from scipy.special import zeta as _hurwitz_zeta
 
@@ -171,9 +183,15 @@ def _zipf_pmf(s: float) -> Pmf:
             hi = mid
         else:
             lo = mid + 1
-    n = hi
-    i = np.arange(1, n + 1, dtype=np.int64)
-    probs = np.power(i, -s, dtype=np.float64) / total
+    return hi
+
+
+@lru_cache(maxsize=4096)
+def _zipf_pmf(s: float) -> Pmf:
+    from scipy.special import zeta as _hurwitz_zeta
+
+    i = np.arange(1, _zipf_atoms(s) + 1, dtype=np.int64)
+    probs = np.power(i, -s, dtype=np.float64) / float(_hurwitz_zeta(s, 1))
     return _absorb_remainder(i, probs)
 
 
@@ -198,6 +216,16 @@ def _linear_pmf(scenario: DriftScenario, t: int) -> Pmf:
     return Pmf(symbols, probs)
 
 
+def _check_truth_size(pmf_atoms: Iterable[int]) -> None:
+    """Running total over the atom counts of a truth's distinct pmfs, before any is built."""
+    total = 0
+    for atoms in pmf_atoms:
+        total += atoms + _PMF_OVERHEAD_ATOMS
+        if total > _MAX_TRUNCATED_SUPPORT:
+            raise ValueError(f"the truth's distinct pmfs need more than {_MAX_TRUNCATED_SUPPORT}"
+                             f" atoms, counting {_PMF_OVERHEAD_ATOMS} per pmf")
+
+
 @lru_cache(maxsize=64)
 def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
     """Run-length encoding of the truth sequence, oldest first."""
@@ -210,6 +238,7 @@ def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
         m = scenario.change_point
         return ((t_max - m, pre), (m, post))
     if scenario.kind == "rotating_support":
+        _check_truth_size(repeat(scenario.k, -(-t_max // scenario.period)))
         out = []
         t = 1
         while t <= t_max:
@@ -227,6 +256,8 @@ def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
                 frozen += 1
             else:
                 break
+        # the frozen point mass is charged as one more drifting pmf
+        _check_truth_size(repeat(scenario.k + 1, t_max - frozen + bool(frozen)))
         if frozen:
             out.append((frozen, Pmf.point_mass(0)))
         for t in range(frozen + 1, t_max + 1):
@@ -234,13 +265,18 @@ def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
         return tuple(out)
     # schedule-driven families; a flat schedule collapses to one segment
     if scenario.kind == "geometric_drift":
-        start, end, family = scenario.geo_p_start, scenario.geo_p_end, _geometric_pmf
+        start, end = scenario.geo_p_start, scenario.geo_p_end
+        atoms, family = _geometric_atoms, _geometric_pmf
     else:
-        start, end, family = scenario.zipf_s_start, scenario.zipf_s_end, _zipf_pmf
+        start, end = scenario.zipf_s_start, scenario.zipf_s_end
+        atoms, family = _zipf_atoms, _zipf_pmf
     if start == end or t_max == 1:
+        _check_truth_size([atoms(start)])
         return ((t_max, family(start)),)
     ramp = (end - start) / (t_max - 1)
-    return tuple((1, family(start + ramp * (t - 1))) for t in range(1, t_max + 1))
+    params = [start + ramp * (t - 1) for t in range(1, t_max + 1)]
+    _check_truth_size(atoms(x) for x in dict.fromkeys(params))
+    return tuple((1, family(x)) for x in params)
 
 
 @lru_cache(maxsize=32)

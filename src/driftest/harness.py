@@ -17,8 +17,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import lru_cache, reduce
+from itertools import chain
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -250,18 +251,26 @@ def write_trials_csv(rows: Sequence[TrialMetrics], scenario: DriftScenario,
 # --- coverage suites --------------------------------------------------------
 
 
+def _coverage_report(blocks: list[np.ndarray], trials: int) -> CoverageReport:
+    """Sum the per-block (deviation, complexity, either) failure counts."""
+    fails = np.sum(blocks, axis=0)
+    return CoverageReport(trials, int(fails[2]), (
+        ("deviation_bound", int(fails[0])),
+        ("complexity_bound", int(fails[1])),
+    ))
+
+
 def _prop2_block(scenario: DriftScenario, r: int, delta: float,
                  lo: int, hi: int) -> np.ndarray:
-    average = _suffix_average(scenario, r)
-    lam_avg = lambda_complexity(average, r)
+    side = _truth_side(scenario, delta)
+    j = r.bit_length() - 1
     bound1_extra = 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
-    bound2 = 4.0 * lam_avg + math.sqrt(math.log(4.0 / delta) / r)
+    bound2 = 4.0 * side.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
     fails = np.zeros(3, dtype=np.int64)  # ineq1, ineq2, conjunction
     for trial in range(lo, hi):
-        stream = sample_stream(scenario, trial)
-        window = EmpiricalWindow.from_samples(stream[scenario.t - r:])
+        window = EmpiricalWindow.from_samples(sample_stream(scenario, trial)[-r:])
         phi = phi_empirical(window)
-        bad1 = tv_distance(window, average) > phi + bound1_extra
+        bad1 = tv_distance(window, side.window_averages[j]) > phi + bound1_extra
         bad2 = phi > bound2
         fails += (bad1, bad2, bad1 or bad2)
     return fails
@@ -275,11 +284,7 @@ def verify_prop2(scenario: DriftScenario, r: int, trials: int, delta: float,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     blocks = _fan_out(_prop2_block, (scenario, r, delta), trials, workers)
-    fails = np.sum(blocks, axis=0)
-    return CoverageReport(trials, int(fails[2]), (
-        ("deviation_bound", int(fails[0])),
-        ("complexity_bound", int(fails[1])),
-    ))
+    return _coverage_report(blocks, trials)
 
 
 def _prop3_block(scenario: DriftScenario, delta: float,
@@ -299,33 +304,36 @@ def verify_prop3(scenario: DriftScenario, trials: int, delta: float,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     blocks = _fan_out(_prop3_block, (scenario, delta), trials, workers)
-    fails = np.sum(blocks, axis=0)
-    return CoverageReport(trials, int(fails[2]), (
-        ("deviation_bound", int(fails[0])),
-        ("complexity_bound", int(fails[1])),
-    ))
+    return _coverage_report(blocks, trials)
 
 
 # --- exact-inequality campaigns ---------------------------------------------
 
 
-def _prop1_block(scenario: DriftScenario, tol: float,
-                 lo: int, hi: int) -> tuple[int, int, float]:
+def _suite_report(name: str, slacks: Mapping[str, Sequence[float]], tol: float,
+                  skipped: int = 0) -> SuiteReport:
+    """The verdict of an exact suite from each named inequality's slacks.
+
+    Every slack is one check; a slack above ``tol`` violates its inequality.
+    ``max_slack`` is the running max over all checks, -inf when there are none.
+    """
+    per_inequality = tuple((ineq, sum(1 for slack in values if slack > tol))
+                           for ineq, values in slacks.items())
+    max_slack = reduce(max, chain.from_iterable(slacks.values()), -math.inf)
+    return SuiteReport(name, sum(map(len, slacks.values())),
+                       sum(count for _, count in per_inequality), max_slack,
+                       per_inequality, skipped)
+
+
+def _prop1_block(scenario: DriftScenario, lo: int, hi: int) -> list[float]:
     side = _truth_side(scenario, 0.5)
-    checks = 0
-    violations = 0
-    max_slack = -math.inf
+    slacks = []
     for trial in range(lo, hi):
         ladder = build_ladder(sample_stream(scenario, trial))
-        for j, w in enumerate(ladder):
-            lhs = tv_distance(side.current, w)
-            rhs = tv_distance(side.window_averages[j], w) + side.window_deltas[j]
-            slack = lhs - rhs
-            checks += 1
-            max_slack = max(max_slack, slack)
-            if slack > tol:
-                violations += 1
-    return checks, violations, max_slack
+        slacks += [tv_distance(side.current, w)
+                   - (tv_distance(side.window_averages[j], w) + side.window_deltas[j])
+                   for j, w in enumerate(ladder)]
+    return slacks
 
 
 def verify_prop1(scenario: DriftScenario, trials: int,
@@ -336,34 +344,20 @@ def verify_prop1(scenario: DriftScenario, trials: int,
     of the current pmf), which depends only on the truth sequence.
     """
     side = _truth_side(scenario, 0.5)
-    avg_checks = 0
-    avg_violations = 0
-    max_slack = -math.inf
-    for j in range(side.depth + 1):
-        slack = tv_distance(side.window_averages[j], side.current) - side.window_deltas[j]
-        avg_checks += 1
-        max_slack = max(max_slack, slack)
-        if slack > tol:
-            avg_violations += 1
-    blocks = _fan_out(_prop1_block, (scenario, tol), trials, workers)
-    checks = avg_checks + sum(b[0] for b in blocks)
-    decomp_violations = sum(b[1] for b in blocks)
-    max_slack = max(max_slack, max(b[2] for b in blocks))
-    return SuiteReport("prop1", checks, decomp_violations + avg_violations,
-                       max_slack, (
-                           ("decomposition", decomp_violations),
-                           ("averaging", avg_violations),
-                       ))
+    blocks = _fan_out(_prop1_block, (scenario,), trials, workers)
+    return _suite_report("prop1", {
+        "decomposition": [slack for block in blocks for slack in block],
+        "averaging": [tv_distance(average, side.current) - drift for average, drift
+                      in zip(side.window_averages, side.window_deltas)],
+    }, tol)
 
 
-def _prop45_block(scenario: DriftScenario, delta: float, tol: float,
-                  lo: int, hi: int) -> tuple[int, int, int, int, float]:
+def _prop45_block(scenario: DriftScenario, delta: float,
+                  lo: int, hi: int) -> tuple[list[float], list[float], int]:
     side = _truth_side(scenario, delta)
-    checks = 0
-    viol4 = 0
-    viol5 = 0
+    continue_slacks: list[float] = []
+    stop_slacks: list[float] = []
     skipped = 0
-    max_slack = -math.inf
     for trial in range(lo, hi):
         ladder = build_ladder(sample_stream(scenario, trial))
         emp_ok, true_ok = _prop3_held(ladder, delta, side)
@@ -378,24 +372,16 @@ def _prop45_block(scenario: DriftScenario, delta: float, tol: float,
         best = math.inf
         for cand in result.accepted:
             if best < math.inf:
-                lhs = tv_distance(side.current, ladder[cand.index])
-                slack = lhs - 5.0 * best
-                checks += 1
-                max_slack = max(max_slack, slack)
-                if slack > tol:
-                    viol4 += 1
+                continue_slacks.append(
+                    tv_distance(side.current, ladder[cand.index]) - 5.0 * best)
             best = min(best, bounds[cand.index])
         # stop condition: the flagged accepted window stays within twice the
         # bound of every window at least as large as the rejected candidate
         if result.stop.kind == "violation":
             u_l = bounds[result.stop.l]
-            for n in range(result.stop.j, side.depth + 1):
-                slack = u_l - 2.0 * bounds[n]
-                checks += 1
-                max_slack = max(max_slack, slack)
-                if slack > tol:
-                    viol5 += 1
-    return checks, viol4, viol5, skipped, max_slack
+            stop_slacks += [u_l - 2.0 * bounds[n]
+                            for n in range(result.stop.j, side.depth + 1)]
+    return continue_slacks, stop_slacks, skipped
 
 
 def verify_prop45(scenario: DriftScenario, trials: int, delta: float,
@@ -405,16 +391,11 @@ def verify_prop45(scenario: DriftScenario, trials: int, delta: float,
     Trials where the simultaneous-bounds event failed are excluded, since
     both guarantees are conditional on it.
     """
-    blocks = _fan_out(_prop45_block, (scenario, delta, tol), trials, workers)
-    checks = sum(b[0] for b in blocks)
-    viol4 = sum(b[1] for b in blocks)
-    viol5 = sum(b[2] for b in blocks)
-    skipped = sum(b[3] for b in blocks)
-    max_slack = max(b[4] for b in blocks)
-    return SuiteReport("prop45", checks, viol4 + viol5, max_slack, (
-        ("continue_factor5", viol4),
-        ("stop_factor2", viol5),
-    ), skipped=skipped)
+    blocks = _fan_out(_prop45_block, (scenario, delta), trials, workers)
+    return _suite_report("prop45", {
+        "continue_factor5": [slack for block in blocks for slack in block[0]],
+        "stop_factor2": [slack for block in blocks for slack in block[1]],
+    }, tol, skipped=sum(block[2] for block in blocks))
 
 
 def random_pmf(rng: np.random.Generator, max_support: int = 64) -> Pmf:
@@ -452,6 +433,24 @@ def _perturbed_pair(rng: np.random.Generator) -> tuple[Pmf, Pmf]:
     return p, Pmf(p.symbols.copy(), weights)
 
 
+def _campaign(name: str, names: tuple[str, ...], n: int, seed: int, tol: float,
+              slacks: Callable[[np.random.Generator], tuple[float, ...]]) -> SuiteReport:
+    """Draw n instances from one seeded generator, one slack per named inequality."""
+    if n < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    draws = [slacks(rng) for _ in range(n)]
+    return _suite_report(name, dict(zip(names, zip(*draws))), tol)
+
+
+def _prop6_slacks(rng: np.random.Generator) -> tuple[float, float]:
+    p, q = _perturbed_pair(rng)
+    r, s = sorted(int(x) for x in rng.integers(1, 2**16 + 1, size=2))
+    lam_pr = lambda_complexity(p, r)
+    return (abs(lam_pr - lambda_complexity(q, r)) - 2.0 * tv_distance(p, q),
+            lam_pr - math.sqrt(s / r) * lambda_complexity(p, s))
+
+
 def verify_prop6(pairs: int, seed: int = 0, tol: float = 1e-12) -> SuiteReport:
     """Random-pmf campaign for the two complexity-functional inequalities.
 
@@ -459,83 +458,39 @@ def verify_prop6(pairs: int, seed: int = 0, tol: float = 1e-12) -> SuiteReport:
     2-Lipschitz in total variation, and shrinking the budget from s to r
     inflates it by at most sqrt(s/r).
     """
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    viol_lipschitz = 0
-    viol_ratio = 0
-    max_slack = -math.inf
-    for _ in range(pairs):
-        p, q = _perturbed_pair(rng)
-        r, s = np.sort(rng.integers(1, 2**16 + 1, size=2))
-        r, s = int(r), int(s)
-        slack = (abs(lambda_complexity(p, r) - lambda_complexity(q, r))
-                 - 2.0 * tv_distance(p, q))
-        max_slack = max(max_slack, slack)
-        if slack > tol:
-            viol_lipschitz += 1
-        slack = lambda_complexity(p, r) - math.sqrt(s / r) * lambda_complexity(p, s)
-        max_slack = max(max_slack, slack)
-        if slack > tol:
-            viol_ratio += 1
-    return SuiteReport("prop6", 2 * pairs, viol_lipschitz + viol_ratio, max_slack, (
-        ("tv_lipschitz", viol_lipschitz),
-        ("budget_ratio", viol_ratio),
-    ))
+    return _campaign("prop6", ("tv_lipschitz", "budget_ratio"), pairs, seed, tol,
+                     _prop6_slacks)
+
+
+def _lambda_slacks(rng: np.random.Generator) -> tuple[float, float, float]:
+    p = random_pmf(rng)
+    r, s = sorted(int(x) for x in rng.integers(1, 2**16 + 1, size=2))
+    lam_s = lambda_complexity(p, s)
+    return (lam_s - math.sqrt(p.support_size / s),
+            lam_s - math.sqrt(half_norm(p) / s),
+            lam_s - lambda_complexity(p, r))
 
 
 def verify_lambda_bounds(instances: int, seed: int = 0,
                          tol: float = 1e-12) -> SuiteReport:
     """Support bound, half-norm bound, and monotonicity of the complexity."""
-    if instances < 1:
-        raise ValueError("instances must be >= 1")
-    rng = np.random.default_rng(seed)
-    names = ("support_bound", "half_norm_bound", "monotone")
-    viols = [0, 0, 0]
-    max_slack = -math.inf
-    for _ in range(instances):
-        p = random_pmf(rng)
-        r, s = np.sort(rng.integers(1, 2**16 + 1, size=2))
-        r, s = int(r), int(s)
-        lam_s = lambda_complexity(p, s)
-        slacks = (
-            lam_s - math.sqrt(p.support_size / s),
-            lam_s - math.sqrt(half_norm(p) / s),
-            lam_s - lambda_complexity(p, r),
-        )
-        for i, slack in enumerate(slacks):
-            max_slack = max(max_slack, slack)
-            if slack > tol:
-                viols[i] += 1
-    return SuiteReport("lambda_bounds", 3 * instances, sum(viols), max_slack,
-                       tuple(zip(names, viols)))
+    return _campaign("lambda_bounds", ("support_bound", "half_norm_bound", "monotone"),
+                     instances, seed, tol, _lambda_slacks)
+
+
+def _metric_slacks(rng: np.random.Generator) -> tuple[float, float, float, float]:
+    p, q, m = (random_pmf(rng) for _ in range(3))
+    pq = tv_distance(p, q)
+    return (tv_distance(p, p),
+            abs(pq - tv_distance(q, p)),
+            pq - (tv_distance(p, m) + tv_distance(m, q)),
+            max(-pq, pq - 1.0))
 
 
 def verify_metric(triples: int, seed: int = 0, tol: float = 1e-12) -> SuiteReport:
     """Total variation is a metric: identity, symmetry, triangle, range."""
-    if triples < 1:
-        raise ValueError("triples must be >= 1")
-    rng = np.random.default_rng(seed)
-    names = ("identity", "symmetry", "triangle", "range")
-    viols = [0, 0, 0, 0]
-    max_slack = -math.inf
-    for _ in range(triples):
-        p = random_pmf(rng)
-        q = random_pmf(rng)
-        m = random_pmf(rng)
-        pq = tv_distance(p, q)
-        slacks = (
-            tv_distance(p, p),
-            abs(pq - tv_distance(q, p)),
-            pq - (tv_distance(p, m) + tv_distance(m, q)),
-            max(-pq, pq - 1.0),
-        )
-        for i, slack in enumerate(slacks):
-            max_slack = max(max_slack, slack)
-            if slack > tol:
-                viols[i] += 1
-    return SuiteReport("metric", 4 * triples, sum(viols), max_slack,
-                       tuple(zip(names, viols)))
+    return _campaign("metric", ("identity", "symmetry", "triangle", "range"),
+                     triples, seed, tol, _metric_slacks)
 
 
 # --- scaling study ----------------------------------------------------------

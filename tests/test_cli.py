@@ -44,6 +44,17 @@ def test_estimate_negative_sample_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_estimate_sample_beyond_int64_names_line(tmp_path):
+    stream = tmp_path / "s.txt"
+    stream.write_text("3\n# comment\n99999999999999999999\n4\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftest.cli", "estimate", "--input", str(stream),
+         "--output", "-"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "driftest: error: line 3: sample 99999999999999999999 exceeds the int64 range"]
+
+
 def test_estimate_bad_delta(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     stream.write_text("1\n")
@@ -145,6 +156,35 @@ def test_simulate_bad_delta_prints_one_error_line(tmp_path, delta):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
+
+
+# stdout of `driftest verify --suite all --trials 5 --seed 0`
+VERIFY_ALL_5_SEED_0 = """\
+[metric] checks=20 violations=0 max_slack=0.000e+00 identity=0 symmetry=0 triangle=0 range=0 -> PASS
+[prop1:iid] checks=72 violations=0 max_slack=0.000e+00 decomposition=0 averaging=0 -> PASS
+[prop1:linear_drift] checks=66 violations=0 max_slack=0.000e+00 decomposition=0 averaging=0 -> PASS
+[prop1:abrupt] checks=96 violations=0 max_slack=0.000e+00 decomposition=0 averaging=0 -> PASS
+[prop1:rotating_support] checks=72 violations=0 max_slack=0.000e+00 decomposition=0 averaging=0 -> PASS
+[prop1:geometric_drift] checks=60 violations=0 max_slack=0.000e+00 decomposition=0 averaging=0 -> PASS
+[prop1:zipf_drift] checks=60 violations=0 max_slack=0.000e+00 decomposition=0 averaging=0 -> PASS
+[prop2] trials=5 coverage=1.0000 threshold=0.6576 deviation_bound=0 complexity_bound=0 -> PASS
+[prop3] trials=5 coverage=1.0000 threshold=0.6576 deviation_bound=0 complexity_bound=0 -> PASS
+[prop45:iid] checks=55 violations=0 max_slack=-2.149e+00 continue_factor5=0 stop_factor2=0 -> PASS
+[prop45:linear_drift] checks=50 violations=0 max_slack=-4.710e+00 continue_factor5=0 stop_factor2=0 -> PASS
+[prop45:abrupt] checks=75 violations=0 max_slack=-2.170e-01 continue_factor5=0 stop_factor2=0 -> PASS
+[prop45:rotating_support] checks=55 violations=0 max_slack=-4.436e+00 continue_factor5=0 stop_factor2=0 -> PASS
+[prop45:geometric_drift] checks=45 violations=0 max_slack=-4.042e+00 continue_factor5=0 stop_factor2=0 -> PASS
+[prop45:zipf_drift] checks=45 violations=0 max_slack=-3.325e+00 continue_factor5=0 stop_factor2=0 -> PASS
+[prop6] checks=10 violations=0 max_slack=0.000e+00 tv_lipschitz=0 budget_ratio=0 -> PASS
+[lambda_bounds] checks=15 violations=0 max_slack=3.469e-18 support_bound=0 half_norm_bound=0 monotone=0 -> PASS
+verify: PASS
+"""
+
+
+def test_verify_all_output_is_stable(capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    assert run_cli("verify", "--suite", "all", "--trials", "5", "--seed", "0") == 0
+    assert capsys.readouterr().out == VERIFY_ALL_5_SEED_0
 
 
 def test_verify_unknown_suite_is_usage_error():

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from driftest import Pmf, harness, run_trials, tv_distance, write_trials_csv
-from driftest.adaptive import adaptive_estimate
+from driftest.adaptive import adaptive_estimate, walk_ladder
 from driftest.driftgen import (abrupt, iid, linear_drift, rotating_support,
                                sample_stream, truth_pmfs)
+from driftest.windows import build_ladder
 from driftest.harness import (CSV_HEADER, CoverageReport, SuiteReport,
                               _suffix_average, random_pmf, scaling_experiment,
                               scaling_horizon, verify_lambda_bounds,
@@ -306,3 +307,77 @@ def test_suite_report_json():
     assert obj == {"name": "x", "checks": 10, "violations": 1,
                    "max_slack": 2.5e-3, "per_inequality": {"a": 1}, "skipped": 2}
     assert not report.passed
+
+
+# --- the one tally behind every exact suite ---------------------------------
+
+STOPPER = abrupt(k=10, change_point=8192, t=32768, seed=14)
+
+
+def test_suite_report_tallies_named_slacks():
+    report = harness._suite_report("x", {"a": [0.5, -1.0, 2e-12], "b": [], "c": [1e-12]},
+                                   1e-12, skipped=3)
+    assert report == SuiteReport("x", 4, 2, 0.5, (("a", 2), ("b", 0), ("c", 0)), 3)
+    empty = harness._suite_report("y", {"a": []}, 1e-12)
+    assert (empty.checks, empty.violations, empty.max_slack) == (0, 0, -math.inf)
+
+
+def _prop45_evaluations(scenario, trials, delta):
+    """Continue and stop evaluations, replayed from the decision traces."""
+    side = harness._truth_side(scenario, delta)
+    continued = stopped = 0
+    for trial in range(trials):
+        ladder = build_ladder(sample_stream(scenario, trial))
+        if not all(harness._prop3_held(ladder, delta, side)):
+            continue
+        result = walk_ladder(ladder, delta)
+        continued += max(0, len(result.accepted) - 1)
+        if result.stop.kind == "violation":
+            stopped += side.depth + 1 - result.stop.j
+    return {"continue_factor5": continued, "stop_factor2": stopped}
+
+
+def test_every_evaluation_is_one_check():
+    # at tol = -inf every finite slack is a violation, so each inequality's
+    # count is its number of evaluations
+    n = 9
+    expected = [
+        (verify_metric(n, seed=1, tol=-math.inf),
+         dict.fromkeys(("identity", "symmetry", "triangle", "range"), n)),
+        (verify_prop6(n, seed=1, tol=-math.inf),
+         dict.fromkeys(("tv_lipschitz", "budget_ratio"), n)),
+        (verify_lambda_bounds(n, seed=1, tol=-math.inf),
+         dict.fromkeys(("support_bound", "half_norm_bound", "monotone"), n)),
+        (verify_prop1(LINEAR, 4, tol=-math.inf),
+         {"decomposition": 4 * 11, "averaging": 11}),
+        (verify_prop45(STOPPER, 4, 0.05, tol=-math.inf),
+         _prop45_evaluations(STOPPER, 4, 0.05)),
+    ]
+    assert expected[-1][1]["stop_factor2"] > 0
+    for report, counts in expected:
+        assert dict(report.per_inequality) == counts
+        assert report.violations == report.checks == sum(counts.values())
+        assert report.max_slack > -math.inf
+
+
+@pytest.mark.parametrize("suite", ["metric", "prop6", "lambda_bounds"])
+def test_campaigns_reject_zero_trials(suite):
+    verify = getattr(harness, f"verify_{suite}")
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify(0)
+
+
+def test_prop1_and_prop45_independent_of_workers():
+    for scenario in (LINEAR, STOPPER):
+        assert verify_prop1(scenario, 6, workers=1) == verify_prop1(scenario, 6, workers=3)
+        assert (verify_prop45(scenario, 6, 0.05, workers=1)
+                == verify_prop45(scenario, 6, 0.05, workers=3))
+
+
+def test_coverage_suites_share_one_truth_side(monkeypatch):
+    calls = _count_calls(monkeypatch, harness, "_suffix_average")
+    scenario = linear_drift(k=10, step_delta=1e-3, t=1024, seed=31337)
+    verify_prop2(scenario, 256, 3, 0.05)
+    verify_prop3(scenario, 3, 0.05)
+    # one average per dyadic window size, for both suites together
+    assert len(calls) == 11

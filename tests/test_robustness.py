@@ -1,0 +1,53 @@
+"""Well-formed scenario configs too large to build are rejected up front.
+
+Each config runs ``driftest simulate`` in a child process whose address
+space is capped, so a scenario that tried to build its truth would die
+with a MemoryError traceback (or be killed) instead of exiting 2.
+"""
+
+import os
+import subprocess
+import sys
+import time
+
+import pytest
+
+resource = pytest.importorskip("resource")
+
+ADDRESS_SPACE_LIMIT = 1536 * 2**20
+
+CONFIGS = {
+    "iid": "kind = iid\nt = 16\nk = 100000000000000000000\n",
+    "iid_horizon": "kind = iid\nt = 100000000000\nk = 4\n",
+    "linear_drift": "kind = linear_drift\nt = 64\nk = 3000000\nstep_delta = 1e-9\n",
+    "abrupt": "kind = abrupt\nt = 100000000000\nk = 10\nchange_point = 1000\n",
+    "rotating_support": "kind = rotating_support\nt = 4\nk = 30000000\nperiod = 1\n",
+    "rotating_support_many_pmfs":
+        "kind = rotating_support\nt = 20000000\nk = 1\nperiod = 1\n",
+    "geometric_drift":
+        "kind = geometric_drift\nt = 16\ngeo_p_start = 1e-7\ngeo_p_end = 1e-7\n",
+    "zipf_drift": "kind = zipf_drift\nt = 4096\nzipf_s_start = 3.0\nzipf_s_end = 2.8\n",
+}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_oversized_scenario_exits_two(name, tmp_path):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(CONFIGS[name] + "seed = 0\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftest.cli", "simulate", "--scenario", str(cfg),
+         "--trials", "1", "--output", "-"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 20.0
