@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical,
-                   support_and_mass, tv_distance)
+                   tv_distance)
 from .windows import as_stream, build_ladder, ladder_xis, union_log_weight
 
 
@@ -147,27 +147,19 @@ def fixed_window_estimate(stream, r: int) -> Pmf:
     return EmpiricalWindow.from_samples(arr[arr.size - r:]).to_pmf()
 
 
-def drift_sequence(truth: Sequence[Pmf]) -> np.ndarray:
+def drift_sequence(runs: Sequence[tuple[int, Pmf]]) -> np.ndarray:
     """Drift-error sequence of a truth sequence, one value per window size.
 
+    ``runs`` is the truth as run-length (count, pmf) pairs, oldest first.
     Entry r-1 is the largest total variation distance from the final
     distribution to any of the r most recent ones; starts at 0 and never
-    decreases.  Repeated pmf objects (piecewise-constant sequences) are
-    measured once.
+    decreases.  Each run is measured once.
     """
-    if len(truth) == 0:
+    if len(runs) == 0:
         raise ValueError("truth sequence must be non-empty")
-    current = truth[-1]
-    cache: dict[int, float] = {}
-    deltas = np.empty(len(truth))
-    running = 0.0
-    for age, pmf in enumerate(reversed(truth)):
-        key = id(pmf)
-        if key not in cache:
-            cache[key] = tv_distance(current, pmf)
-        running = max(running, cache[key])
-        deltas[age] = running
-    return deltas
+    counts, pmfs = zip(*reversed(runs))
+    gaps = [tv_distance(runs[-1][1], pmf) for pmf in pmfs]
+    return np.maximum.accumulate(np.repeat(gaps, counts))
 
 
 def q_curve(current: Pmf, drift: np.ndarray, delta: float) -> np.ndarray:
@@ -197,12 +189,11 @@ def realized_error_curve(stream, target: Pmf) -> np.ndarray:
     """
     arr = as_stream(stream)
     rs = np.arange(1, arr.size + 1, dtype=np.float64)
-    target_syms, target_probs = support_and_mass(target)
     stream_syms, codes = np.unique(arr[::-1], return_inverse=True)
-    pos = np.minimum(np.searchsorted(stream_syms, target_syms), stream_syms.size - 1)
-    observed = stream_syms[pos] == target_syms
-    errs = np.full(arr.size, float(np.sum(target_probs[~observed])))
-    for code, p in zip(pos[observed], target_probs[observed]):
+    pos = np.minimum(np.searchsorted(stream_syms, target.symbols), stream_syms.size - 1)
+    observed = stream_syms[pos] == target.symbols
+    errs = np.full(arr.size, float(np.sum(target.probs[~observed])))
+    for code, p in zip(pos[observed], target.probs[observed]):
         errs += np.maximum(p - np.cumsum(codes == code) / rs, 0.0)
     return errs
 

@@ -28,15 +28,21 @@ _SUITE_TRIALS = {"metric": 10000, "prop1": 200, "prop2": 2000,
 
 def _workers() -> int:
     raw = os.environ.get("DRIFTEST_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return os.cpu_count() or 1
+    try:
+        return max(1, int(raw)) if raw else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"DRIFTEST_THREADS must be an integer, got {raw!r}") from None
 
 
 def _open_out(path: str):
     if path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
+
+
+def _summary(line: str, output: str) -> None:
+    """Print a command's summary; to stderr when stdout carries the output."""
+    print(line, file=sys.stderr if output == "-" else sys.stdout)
 
 
 def cmd_estimate(args) -> int:
@@ -48,8 +54,8 @@ def cmd_estimate(args) -> int:
     finally:
         if close:
             fh.close()
-    print(f"estimate: T={stream.size} chosen_window={result.chosen_window} "
-          f"stop={result.stop.kind}")
+    _summary(f"estimate: T={stream.size} chosen_window={result.chosen_window} "
+             f"stop={result.stop.kind}", args.output)
     return 0
 
 
@@ -65,8 +71,8 @@ def cmd_simulate(args) -> int:
     finally:
         if close:
             fh.close()
-    print(f"simulate: kind={scenario.kind} T={scenario.t} trials={args.trials} "
-          f"seed={scenario.seed} -> {args.output}")
+    _summary(f"simulate: kind={scenario.kind} T={scenario.t} trials={args.trials} "
+             f"seed={scenario.seed} -> {args.output}", args.output)
     return 0
 
 
@@ -116,6 +122,9 @@ def _run_suite(suite: str, trials: int | None, delta: float, seed: int) -> bool:
 
 
 def cmd_verify(args) -> int:
+    # checked before any suite runs; the campaigns do not use delta
+    if not 0.0 < args.delta < 1.0:
+        raise ValueError("delta must lie strictly between 0 and 1")
     suites = [s for s in _SUITES if s != "all"] if args.suite == "all" else [args.suite]
     ok = True
     for suite in suites:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -124,6 +124,7 @@ class EmpiricalWindow:
     symbols: np.ndarray
     counts: np.ndarray
     size: int
+    probs: np.ndarray = field(init=False, repr=False)  # counts / size
 
     def __post_init__(self):
         syms, counts = _sorted_atoms(self.symbols, self.counts, "count")
@@ -132,6 +133,9 @@ class EmpiricalWindow:
         object.__setattr__(self, "size", int(self.size))
         if int(np.sum(counts)) != self.size:
             raise ValueError("window counts must sum to the window size")
+        probs = counts / float(self.size)
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalWindow":
@@ -141,34 +145,20 @@ class EmpiricalWindow:
         syms, counts = np.unique(arr, return_counts=True)
         return cls(syms, counts, int(arr.size))
 
-    @property
-    def freqs(self) -> np.ndarray:
-        """Induced probabilities counts / size."""
-        return self.counts / float(self.size)
-
     def to_pmf(self) -> Pmf:
-        return Pmf(self.symbols.copy(), self.freqs)
+        return Pmf(self.symbols.copy(), self.probs)
 
 
-Distribution = Union[Pmf, EmpiricalWindow]
-
-
-def support_and_mass(d: Distribution) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted symbols and their probabilities, for a pmf or a window."""
-    if isinstance(d, EmpiricalWindow):
-        return d.symbols, d.freqs
-    return d.symbols, d.probs
+Distribution = Union[Pmf, EmpiricalWindow]  # both carry sorted symbols and their probs
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance: half the L1 distance over the union support."""
-    ps, pw = support_and_mass(p)
-    qs, qw = support_and_mass(q)
-    union = np.union1d(ps, qs)
+    union = np.union1d(p.symbols, q.symbols)
     a = np.zeros(union.size)
     b = np.zeros(union.size)
-    a[np.searchsorted(union, ps)] = pw
-    b[np.searchsorted(union, qs)] = qw
+    a[np.searchsorted(union, p.symbols)] = p.probs
+    b[np.searchsorted(union, q.symbols)] = q.probs
     return 0.5 * float(np.sum(np.abs(a - b)))
 
 
@@ -184,7 +174,7 @@ def lambda_complexity(p: Distribution, r):
     rs = np.asarray(r, dtype=np.float64)
     if rs.min() < 1:
         raise ValueError("sample budget r must be >= 1")
-    w = np.sort(support_and_mass(p)[1])
+    w = np.sort(p.probs)
     prefix_mass = np.concatenate([[0.0], np.cumsum(w)])
     suffix_root = np.concatenate([[0.0], np.cumsum(np.sqrt(w)[::-1])])[::-1]
     # first index whose mass is >= 1/r
@@ -195,8 +185,7 @@ def lambda_complexity(p: Distribution, r):
 
 def half_norm(p: Distribution) -> float:
     """Squared sum of root masses; lies in [1, support size]."""
-    _, w = support_and_mass(p)
-    s = float(np.sum(np.sqrt(w)))
+    s = float(np.sum(np.sqrt(p.probs)))
     return s * s
 
 
@@ -206,8 +195,7 @@ def phi_empirical(w: EmpiricalWindow) -> float:
     Equals sqrt(half_norm(w) / r); computable from the samples alone and
     upper-bounds the statistical error of the window's estimate.
     """
-    r = w.size
-    return float(np.sum(np.sqrt(w.counts / float(r))) / math.sqrt(r))
+    return float(np.sum(np.sqrt(w.probs)) / math.sqrt(w.size))
 
 
 def mixture(parts: Sequence[tuple[float, Pmf]]) -> Pmf:

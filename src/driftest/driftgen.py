@@ -88,8 +88,8 @@ class DriftScenario:
                 raise ValueError(f"{self.kind} requires key '{key}'")
         if self.k is not None and not 1 <= self.k <= _MAX_TRUNCATED_SUPPORT:
             raise ValueError(f"key 'k': must lie in [1, {_MAX_TRUNCATED_SUPPORT}]")
-        if self.kind == "linear_drift" and self.step_delta < 0:
-            raise ValueError("key 'step_delta': must be >= 0")
+        if self.kind == "linear_drift" and not 0 <= self.step_delta < math.inf:
+            raise ValueError("key 'step_delta': must be finite and >= 0")
         if self.kind == "abrupt":
             if not 1 <= self.change_point < self.t:
                 raise ValueError("key 'change_point': must lie in [1, t-1]")
@@ -305,7 +305,7 @@ def scenario_delta(scenario: DriftScenario, r: int) -> float:
 @lru_cache(maxsize=32)
 def scenario_delta_curve(scenario: DriftScenario) -> np.ndarray:
     """Drift errors for every window size 1..t (read-only array)."""
-    curve = drift_sequence(truth_pmfs(scenario))
+    curve = drift_sequence(segments(scenario))
     curve.setflags(write=False)
     return curve
 

@@ -164,30 +164,25 @@ class _TruthSide:
     window_averages: tuple[Pmf, ...]
     window_lambdas: tuple[float, ...]
     window_deltas: tuple[float, ...]
-    q_star: float
-    r_star: int
 
 
 @lru_cache(maxsize=32)
-def _truth_side(scenario: DriftScenario, delta: float) -> _TruthSide:
+def _truth_side(scenario: DriftScenario) -> _TruthSide:
     current = segments(scenario)[-1][1]
     depth = dyadic_depth(scenario.t)
     averages = tuple(_suffix_average(scenario, 2**j) for j in range(depth + 1))
     lambdas = tuple(lambda_complexity(averages[j], 2**j) for j in range(depth + 1))
     delta_curve = scenario_delta_curve(scenario)
     window_deltas = tuple(float(delta_curve[2**j - 1]) for j in range(depth + 1))
-    q = q_curve(current, delta_curve, delta)
-    best = argmin_prefer_large(q)
-    return _TruthSide(current, depth, averages, lambdas, window_deltas,
-                      float(q[best]), best + 1)
+    return _TruthSide(current, depth, averages, lambdas, window_deltas)
 
 
 def _prop3_held(ladder, delta: float, side: _TruthSide) -> tuple[bool, bool]:
     """Whether each simultaneous inequality held for every dyadic window."""
     emp_ok = True
     true_ok = True
-    for j, w in enumerate(ladder):
-        radius = concentration_radius(j, delta)
+    radii = concentration_radius(np.arange(len(ladder)), delta)
+    for j, (w, radius) in enumerate(zip(ladder, radii.tolist())):
         phi = phi_empirical(w)
         if tv_distance(w, side.window_averages[j]) > phi + radius:
             emp_ok = False
@@ -203,7 +198,9 @@ def _prop3_held(ladder, delta: float, side: _TruthSide) -> tuple[bool, bool]:
 
 def _metrics_block(scenario: DriftScenario, delta: float,
                    lo: int, hi: int) -> list[TrialMetrics]:
-    side = _truth_side(scenario, delta)
+    side = _truth_side(scenario)
+    q = q_curve(side.current, scenario_delta_curve(scenario), delta)
+    r_star = argmin_prefer_large(q) + 1
     out = []
     for trial in range(lo, hi):
         stream = sample_stream(scenario, trial)
@@ -220,8 +217,8 @@ def _metrics_block(scenario: DriftScenario, delta: float,
             r_oracle=r_oracle,
             err_full_window=float(errs[-1]),
             err_last_sample=float(errs[0]),
-            q_star=side.q_star,
-            r_star=side.r_star,
+            q_star=float(q[r_star - 1]),
+            r_star=r_star,
             prop3_held=emp_ok and true_ok,
         ))
     return out
@@ -262,7 +259,7 @@ def _coverage_report(blocks: list[np.ndarray], trials: int) -> CoverageReport:
 
 def _prop2_block(scenario: DriftScenario, r: int, delta: float,
                  lo: int, hi: int) -> np.ndarray:
-    side = _truth_side(scenario, delta)
+    side = _truth_side(scenario)
     j = r.bit_length() - 1
     bound1_extra = 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
     bound2 = 4.0 * side.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
@@ -289,7 +286,7 @@ def verify_prop2(scenario: DriftScenario, r: int, trials: int, delta: float,
 
 def _prop3_block(scenario: DriftScenario, delta: float,
                  lo: int, hi: int) -> np.ndarray:
-    side = _truth_side(scenario, delta)
+    side = _truth_side(scenario)
     fails = np.zeros(3, dtype=np.int64)
     for trial in range(lo, hi):
         ladder = build_ladder(sample_stream(scenario, trial))
@@ -326,7 +323,7 @@ def _suite_report(name: str, slacks: Mapping[str, Sequence[float]], tol: float,
 
 
 def _prop1_block(scenario: DriftScenario, lo: int, hi: int) -> list[float]:
-    side = _truth_side(scenario, 0.5)
+    side = _truth_side(scenario)
     slacks = []
     for trial in range(lo, hi):
         ladder = build_ladder(sample_stream(scenario, trial))
@@ -343,7 +340,7 @@ def verify_prop1(scenario: DriftScenario, trials: int,
     Also checks the averaging inequality (window average within drift error
     of the current pmf), which depends only on the truth sequence.
     """
-    side = _truth_side(scenario, 0.5)
+    side = _truth_side(scenario)
     blocks = _fan_out(_prop1_block, (scenario,), trials, workers)
     return _suite_report("prop1", {
         "decomposition": [slack for block in blocks for slack in block],
@@ -354,7 +351,7 @@ def verify_prop1(scenario: DriftScenario, trials: int,
 
 def _prop45_block(scenario: DriftScenario, delta: float,
                   lo: int, hi: int) -> tuple[list[float], list[float], int]:
-    side = _truth_side(scenario, delta)
+    side = _truth_side(scenario)
     continue_slacks: list[float] = []
     stop_slacks: list[float] = []
     skipped = 0

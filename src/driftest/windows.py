@@ -84,29 +84,24 @@ def union_log_weight(r, delta: float):
     return float(weight) if weight.ndim == 0 else weight
 
 
-def concentration_radius(j: int, delta: float) -> float:
-    """Deviation term of the dyadic window bound: 3 sqrt(log-weight / 2^j)."""
-    if j < 0:
+def concentration_radius(j, delta: float):
+    """Window j's deviation term 3 sqrt(log-weight / 2^j), vectorized over ``j``."""
+    j = np.asarray(j)
+    if j.min() < 0:
         raise ValueError("window index must be >= 0")
-    return 3.0 * math.sqrt(union_log_weight(2**j, delta) / 2**j)
-
-
-def xi_bound(w: EmpiricalWindow, j: int, delta: float) -> float:
-    """Data-dependent statistical-error bound for dyadic window j.
-
-    Sum of the window's empirical complexity and the union-weighted
-    concentration radius.  Not clamped to 1: small windows legitimately
-    yield vacuous values, and downstream comparisons rely on the exact
-    arithmetic.
-    """
-    if w.size != 2**j:
-        raise ValueError(f"window size {w.size} does not match index {j}")
-    return phi_empirical(w) + concentration_radius(j, delta)
+    r = 2.0**j
+    radius = 3.0 * np.sqrt(union_log_weight(r, delta) / r)
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def ladder_xis(ladder: Sequence[EmpiricalWindow], delta: float) -> list[float]:
-    """The statistical-error bound of every window in the ladder."""
-    return [xi_bound(w, j, delta) for j, w in enumerate(ladder)]
+    """Statistical-error bound of every window: its phi plus the radius at 2^j.
+
+    Not clamped to 1: small windows legitimately yield vacuous values, and
+    downstream comparisons rely on the exact arithmetic.
+    """
+    radii = concentration_radius(np.arange(len(ladder)), delta)
+    return [phi_empirical(w) + radius for w, radius in zip(ladder, radii.tolist())]
 
 
 # --- sample stream text format -------------------------------------------

@@ -125,11 +125,12 @@ def test_fixed_window_examples():
 
 def test_drift_sequence_no_drift():
     p = Pmf.uniform(range(3))
-    assert drift_sequence([p, p, p]).tolist() == [0.0, 0.0, 0.0]
+    assert drift_sequence([(3, p)]).tolist() == [0.0, 0.0, 0.0]
+    assert drift_sequence([(1, p)] * 3).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_drift_sequence_disjoint_pair():
-    deltas = drift_sequence([Pmf.point_mass(1), Pmf.point_mass(2)])
+    deltas = drift_sequence([(1, Pmf.point_mass(1)), (1, Pmf.point_mass(2))])
     assert deltas.tolist() == [0.0, 1.0]
 
 
@@ -138,25 +139,28 @@ def test_drift_sequence_is_running_max():
     p3 = Pmf.from_dict({0: 0.5, 1: 0.5})
     p2 = Pmf.from_dict({0: 0.4, 1: 0.6})
     p1 = Pmf.from_dict({0: 0.45, 1: 0.55})
-    deltas = drift_sequence([p1, p2, p3])
+    deltas = drift_sequence([(1, p1), (1, p2), (1, p3)])
     assert deltas[0] == 0.0
     assert deltas[1] == pytest.approx(0.1, abs=1e-15)
     assert deltas[2] == pytest.approx(0.1, abs=1e-15)
 
 
+def runs(truth):
+    """A per-step truth sequence as one-step runs."""
+    return [(1, p) for p in truth]
+
+
 def q_of(truth, delta):
     """The selection objective of a truth sequence."""
-    return q_curve(truth[-1], drift_sequence(truth), delta)
+    return q_curve(truth[-1], drift_sequence(runs(truth)), delta)
 
 
 def test_drift_term_of_window_bound():
     # a dyadic window's error bound is its xi plus this entry at r = 2^j
     p = Pmf.uniform(range(4))
-    truth = [p] * 8
-    assert 0.4 + drift_sequence(truth)[2**2 - 1] == pytest.approx(0.4)
+    assert 0.4 + drift_sequence([(8, p)])[2**2 - 1] == pytest.approx(0.4)
     pre, post = Pmf.point_mass(0), Pmf.point_mass(1)
-    truth = [pre] * 4 + [post] * 4
-    assert 0.4 + drift_sequence(truth)[2**3 - 1] == pytest.approx(1.4)
+    assert 0.4 + drift_sequence([(4, pre), (4, post)])[2**3 - 1] == pytest.approx(1.4)
 
 
 def test_q_value_point_mass_example():
@@ -181,8 +185,8 @@ def test_q_jumps_at_change_point():
     smooth = [q_of(truth[-m:] * 4, 0.05)[r - 1] for r in (m, m + 1)]
     jump = values[m] - values[m - 1]
     assert jump == pytest.approx(1.0 + (smooth[1] - smooth[0]), abs=1e-12)
-    assert drift_sequence(truth)[m] - drift_sequence(truth)[m - 1] == pytest.approx(
-        1.0, abs=1e-12)
+    drift = drift_sequence(runs(truth))
+    assert drift[m] - drift[m - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_q_argmin_prefers_larger_window_on_ties():
@@ -195,7 +199,7 @@ def test_q_argmin_prefers_larger_window_on_ties():
 
 def test_q_curve_rejects_bad_delta():
     # rejected before any numpy arithmetic, so no RuntimeWarning either
-    drift = drift_sequence([Pmf.point_mass(1)] * 4)
+    drift = drift_sequence([(4, Pmf.point_mass(1))])
     for delta in (0.0, -1.0, 1.0, float("nan")):
         with warnings.catch_warnings(), pytest.raises(ValueError, match="delta"):
             warnings.simplefilter("error")

@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from driftest.cli import main
+from driftest.driftgen import abrupt, sample_stream
+from driftest.windows import dump_stream
 
 IID_CFG = "kind = iid\nt = 256\nseed = 9\nk = 5\n"
+LINEAR_CFG = "kind = linear_drift\nt = 1024\nseed = 0\nk = 10\nstep_delta = 0.001\n"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -185,6 +190,88 @@ def test_verify_all_output_is_stable(capsys, monkeypatch):
     monkeypatch.setenv("DRIFTEST_THREADS", "1")
     assert run_cli("verify", "--suite", "all", "--trials", "5", "--seed", "0") == 0
     assert capsys.readouterr().out == VERIFY_ALL_5_SEED_0
+
+
+def test_estimate_golden_json_where_the_stop_test_fires(tmp_path, capsys):
+    # the README's quick-start stream, pinned byte for byte
+    stream = tmp_path / "s.txt"
+    scenario = abrupt(k=10, change_point=8192, t=32768, seed=7)
+    dump_stream(sample_stream(scenario, 0), stream)
+    out = tmp_path / "est.json"
+    assert run_cli("estimate", "--input", str(stream), "--output", str(out)) == 0
+    golden = GOLDEN / "estimate_abrupt_k10_cp8192_t32768_seed7.json"
+    assert out.read_bytes() == golden.read_bytes()
+    assert json.loads(out.read_text())["stop"]["kind"] == "violation"
+    summary = "estimate: T=32768 chosen_window=16384 stop=violation\n"
+    assert capsys.readouterr().out == summary
+
+
+def test_simulate_golden_csv(tmp_path, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text(LINEAR_CFG)
+    out = tmp_path / "trials.csv"
+    assert run_cli("simulate", "--scenario", str(cfg), "--trials", "3",
+                   "--output", str(out)) == 0
+    golden = GOLDEN / "simulate_linear_k10_step1e-3_t1024_seed0.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_estimate_to_stdout_is_only_the_json(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("1\n2\n1\n2\n2\n1\n1\n2\n")
+    out = tmp_path / "est.json"
+    assert run_cli("estimate", "--input", str(stream), "--output", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("estimate", "--input", str(stream), "--output", "-") == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == json.loads(out.read_text())
+    assert captured.out == out.read_text()
+    assert captured.err == "estimate: T=8 chosen_window=8 stop=exhausted\n"
+
+
+def test_simulate_to_stdout_is_only_the_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text(IID_CFG)
+    out = tmp_path / "trials.csv"
+    assert run_cli("simulate", "--scenario", str(cfg), "--trials", "3",
+                   "--output", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("simulate", "--scenario", str(cfg), "--trials", "3",
+                   "--output", "-") == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("trial,") and len(lines) == 1 + 3
+    assert captured.err == "simulate: kind=iid T=256 trials=3 seed=9 -> -\n"
+
+
+@pytest.mark.parametrize("suite", ["metric", "prop1", "prop2", "prop3",
+                                   "prop45", "prop6", "all"])
+@pytest.mark.parametrize("delta", ["1.5", "0", "nan"])
+def test_verify_rejects_delta_before_any_suite_runs(suite, delta, capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    assert run_cli("verify", "--suite", suite, "--trials", "2", "--delta", delta) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "driftest: error: delta must lie strictly between 0 and 1"]
+
+
+@pytest.mark.parametrize("argv", [("verify", "--suite", "metric", "--trials", "2"),
+                                  ("simulate", "--trials", "2", "--output", "-")])
+def test_bad_thread_count_names_the_variable(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "abc")
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text(IID_CFG)
+    if argv[0] == "simulate":
+        argv += ("--scenario", str(cfg))
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "driftest: error: DRIFTEST_THREADS must be an integer, got 'abc'"]
 
 
 def test_verify_unknown_suite_is_usage_error():

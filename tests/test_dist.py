@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from driftest.dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity,
-                           mean_pmf, phi_empirical, support_and_mass,
-                           tv_distance)
+                           mean_pmf, phi_empirical, tv_distance)
 from driftest.harness import random_pmf
+from driftest.windows import build_ladder
 
 
 def brute_tv(p, q):
@@ -31,7 +31,7 @@ def brute_lambda(p, r):
 
 def reference_lambda(p, r):
     """Scalar complexity: masked sums over the light and the heavy atoms."""
-    _, w = support_and_mass(p)
+    w = p.probs
     heavy = w >= 1.0 / r
     return float(np.sum(w[~heavy]) + np.sum(np.sqrt(w[heavy])) / math.sqrt(r))
 
@@ -119,8 +119,7 @@ def test_lambda_at_threshold_budget_matches_reference():
              (EmpiricalWindow.from_samples([1, 1, 2, 3, 3, 3, 3, 3]), 4),
              (EmpiricalWindow.from_samples([5] * 3 + [6]), 4)]
     for p, r in cases:
-        _, w = support_and_mass(p)
-        assert np.any(w == 1.0 / r)
+        assert np.any(p.probs == 1.0 / r)
         want = reference_lambda(p, r)
         assert lambda_complexity(p, r) == pytest.approx(want, abs=1e-12)
         assert lambda_complexity(p, np.array([r]))[0] == pytest.approx(want, abs=1e-12)
@@ -167,6 +166,18 @@ def test_half_norm_two_atoms():
     assert half_norm(Pmf.from_dict({1: 0.25, 2: 0.75})) == pytest.approx(
         expected, abs=1e-15)
     assert expected == pytest.approx(1.8660254037844386, abs=1e-12)
+
+
+def test_window_probs_are_counts_over_size():
+    rng = np.random.default_rng(12)
+    windows = [EmpiricalWindow.from_samples(rng.integers(0, k, size=n))
+               for k, n in ((1, 1), (3, 7), (40, 500), (1000, 333))]
+    windows += build_ladder(rng.integers(0, 9, size=300))
+    for w in windows:
+        assert w.probs.dtype == np.float64
+        assert np.array_equal(w.probs, w.counts / w.size)
+        assert not w.probs.flags.writeable
+        assert np.array_equal(w.to_pmf().probs, w.probs)
 
 
 def test_phi_single_symbol():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from driftest.adaptive import drift_sequence
 from driftest.dist import Pmf, mean_pmf, tv_distance
 from driftest.driftgen import (TAIL_TOL, DriftScenario, _sampling_plan,
                                _trial_rng, abrupt, geometric_drift, iid,
@@ -193,7 +194,7 @@ def _reference_sample_stream(scenario, trial):
     return out
 
 
-@pytest.mark.parametrize("scenario", [
+SAMPLED = [
     iid(k=20, t=2048, seed=31),
     linear_drift(k=10, step_delta=1e-3, t=1024, seed=32),
     # shared shapes: every segment has the same probability vector
@@ -207,11 +208,37 @@ def _reference_sample_stream(scenario, trial):
     # flat schedules collapse to a single segment
     geometric_drift(0.3, 0.3, t=700, seed=39),
     zipf_drift(4.0, 4.0, t=900, seed=40),
-])
+]
+
+
+@pytest.mark.parametrize("scenario", SAMPLED)
 def test_sampler_matches_per_segment_reference(scenario):
     for trial in range(4):
         assert np.array_equal(sample_stream(scenario, trial),
                               _reference_sample_stream(scenario, trial))
+
+
+def _reference_drift_sequence(truth):
+    """Per-step drift curve over the expanded truth, each pmf object measured once."""
+    current = truth[-1]
+    cache = {}
+    deltas = np.empty(len(truth))
+    running = 0.0
+    for age, pmf in enumerate(reversed(truth)):
+        key = id(pmf)
+        if key not in cache:
+            cache[key] = tv_distance(current, pmf)
+        running = max(running, cache[key])
+        deltas[age] = running
+    return deltas
+
+
+@pytest.mark.parametrize("scenario", SAMPLED + ALL_FAMILIES)
+def test_drift_curve_matches_per_step_reference(scenario):
+    want = _reference_drift_sequence(truth_pmfs(scenario))
+    got = drift_sequence(segments(scenario))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(scenario_delta_curve(scenario), want)
 
 
 def test_sampling_plan_groups_shared_shapes():
@@ -270,6 +297,16 @@ def test_scenario_validation():
         zipf_drift(3.0, 1.0, t=8)
     with pytest.raises(ValueError, match="period"):
         rotating_support(k=4, period=0, t=8)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.1"])
+def test_step_delta_must_be_finite_and_nonnegative(value):
+    message = "key 'step_delta': must be finite and >= 0"
+    with pytest.raises(ValueError, match=message):
+        linear_drift(k=4, step_delta=float(value), t=8)
+    with pytest.raises(ValueError, match=message):
+        parse_scenario_config(f"kind = linear_drift\nt = 8\nseed = 0\nk = 4\n"
+                              f"step_delta = {value}\n")
 
 
 def test_config_parsing():

@@ -324,7 +324,7 @@ def test_suite_report_tallies_named_slacks():
 
 def _prop45_evaluations(scenario, trials, delta):
     """Continue and stop evaluations, replayed from the decision traces."""
-    side = harness._truth_side(scenario, delta)
+    side = harness._truth_side(scenario)
     continued = stopped = 0
     for trial in range(trials):
         ladder = build_ladder(sample_stream(scenario, trial))
@@ -381,3 +381,21 @@ def test_coverage_suites_share_one_truth_side(monkeypatch):
     verify_prop3(scenario, 3, 0.05)
     # one average per dyadic window size, for both suites together
     assert len(calls) == 11
+
+
+def test_prop1_and_prop45_share_one_truth_side(monkeypatch):
+    calls = _count_calls(monkeypatch, harness, "_suffix_average")
+    scenario = iid(k=5, t=300, seed=271828)
+    verify_prop1(scenario, 2)
+    verify_prop45(scenario, 2, 0.05)
+    # one average per dyadic window size, 2^0 .. 2^8
+    assert len(calls) == 8 + 1
+
+
+def test_truth_side_is_shared_across_deltas(monkeypatch):
+    calls = _count_calls(monkeypatch, harness, "_suffix_average")
+    scenario = linear_drift(k=10, step_delta=1e-3, t=512, seed=161803)
+    loose, tight = run_trials(scenario, 1, 0.05), run_trials(scenario, 1, 0.2)
+    assert len(calls) == 9 + 1
+    # the objective q still depends on delta: a larger delta lowers it
+    assert tight[0].q_star < loose[0].q_star

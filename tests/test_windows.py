@@ -6,11 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from driftest.dist import EmpiricalWindow
+from driftest.dist import phi_empirical
 from driftest.windows import (UNION_BOUND_CONSTANT, build_ladder,
                               concentration_radius, dump_stream, dyadic_depth,
                               ladder_xis, load_stream, parse_stream_text,
-                              union_log_weight, xi_bound)
+                              union_log_weight)
 
 
 def brute_ladder(stream):
@@ -76,31 +76,32 @@ def xi_oracle(phi, j, delta):
     return phi + 3.0 * math.sqrt(math.log(c * (j * j + 1) / delta) / 2**j)
 
 
+def xi_of(samples, j, delta):
+    """The bound of window j, the most recent 2^j samples."""
+    return ladder_xis(build_ladder(samples), delta)[j]
+
+
 def test_xi_point_mass_j0():
-    w = EmpiricalWindow.from_samples([3])
-    value = xi_bound(w, 0, 0.05)
+    value = xi_of([3], 0, 0.05)
     assert value == pytest.approx(xi_oracle(1.0, 0, 0.05), abs=1e-12)
     assert value == pytest.approx(8.0820807, abs=1e-6)
 
 
 def test_xi_mixed_window_j2():
-    w = EmpiricalWindow.from_samples([0, 0, 1, 2])
     phi = (math.sqrt(0.5) + 0.5 + 0.5) / 2
-    value = xi_bound(w, 2, 0.05)
+    value = xi_of([0, 0, 1, 2], 2, 0.05)
     assert value == pytest.approx(xi_oracle(phi, 2, 0.05), abs=1e-12)
     assert value == pytest.approx(4.8735288, abs=1e-6)
 
 
 def test_xi_large_constant_window_j10():
-    w = EmpiricalWindow.from_samples([7] * 1024)
-    value = xi_bound(w, 10, 0.05)
+    value = xi_of([7] * 1024, 10, 0.05)
     assert value == pytest.approx(xi_oracle(1.0 / 32.0, 10, 0.05), abs=1e-12)
     assert value == pytest.approx(0.3304872, abs=1e-6)
 
 
 def test_xi_strictly_decreasing_in_delta():
-    w = EmpiricalWindow.from_samples([0, 1, 2, 3])
-    values = [xi_bound(w, 2, d) for d in (0.01, 0.05, 0.2, 0.5, 0.9)]
+    values = [xi_of([0, 1, 2, 3], 2, d) for d in (0.01, 0.05, 0.2, 0.5, 0.9)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -135,14 +136,28 @@ def test_concentration_radius_is_the_dyadic_log_weight_bit_for_bit():
             assert concentration_radius(j, delta) == 3.0 * math.sqrt(weight / 2**j)
 
 
+def scalar_radius(j, delta):
+    """The radius of one window index, in the scalar arithmetic."""
+    return 3.0 * math.sqrt(union_log_weight(2**j, delta) / 2**j)
+
+
+def test_vector_radius_equals_scalar_radius_bit_for_bit():
+    for delta in (1e-6, 0.01, 0.05, 0.1, 0.5, 0.9):
+        radii = concentration_radius(np.arange(40), delta)
+        assert radii.shape == (40,)
+        for j, radius in enumerate(radii.tolist()):
+            assert radius == scalar_radius(j, delta)
+            assert concentration_radius(j, delta) == radius
+    with pytest.raises(ValueError, match="window index"):
+        concentration_radius(np.array([3, -1]), 0.05)
+
+
 def test_xi_validation():
-    w = EmpiricalWindow.from_samples([1, 2])
+    ladder = build_ladder([1, 2])
     with pytest.raises(ValueError):
-        xi_bound(w, 2, 0.05)  # size mismatch
+        ladder_xis(ladder, 0.0)
     with pytest.raises(ValueError):
-        xi_bound(w, 1, 0.0)
-    with pytest.raises(ValueError):
-        xi_bound(w, 1, 1.0)
+        ladder_xis(ladder, 1.0)
 
 
 def test_ladder_xis_align_with_windows():
@@ -150,7 +165,8 @@ def test_ladder_xis_align_with_windows():
     xis = ladder_xis(ladder, 0.1)
     assert len(xis) == len(ladder)
     for j, value in enumerate(xis):
-        assert value == xi_bound(ladder[j], j, 0.1)
+        assert type(value) is float
+        assert value == phi_empirical(ladder[j]) + scalar_radius(j, 0.1)
 
 
 def test_parse_stream_text():
