@@ -93,19 +93,19 @@ def adaptive_estimate(stream, delta: float) -> EstimateResult:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    return walk_ladder(build_ladder(stream), delta)
+    ladder = build_ladder(stream)
+    return walk_ladder(ladder, ladder_xis(ladder, delta))
 
 
-def walk_ladder(ladder: Sequence[EmpiricalWindow], delta: float) -> EstimateResult:
+def walk_ladder(ladder: Sequence[EmpiricalWindow], xis: Sequence[float]) -> EstimateResult:
     """Run the adaptive window selection over an already built ladder.
 
-    The candidate list starts at window index 0; index j is considered only
-    when its bound is strictly below every accepted bound (accepted bounds
-    strictly decrease, so the last one is the smallest); the stop test uses
-    >= so boundary equality stops.
+    ``xis`` are the windows' statistical-error bounds, ``ladder_xis(ladder,
+    delta)``.  The candidate list starts at window index 0; index j is
+    considered only when its bound is strictly below every accepted bound
+    (accepted bounds strictly decrease, so the last one is the smallest);
+    the stop test uses >= so boundary equality stops.
     """
-    xis = ladder_xis(ladder, delta)
-
     def record(j: int) -> CandidateRecord:
         return CandidateRecord(j, 2**j, phi_empirical(ladder[j]), xis[j])
 

@@ -18,7 +18,7 @@ import time
 from . import driftgen, harness
 from .adaptive import adaptive_estimate, walk_ladder
 from .driftgen import load_scenario
-from .windows import build_ladder, load_stream
+from .windows import build_ladder, ladder_xis, load_stream
 
 _SUITES = ("metric", "prop1", "prop2", "prop3", "prop45", "prop6", "all")
 
@@ -140,7 +140,7 @@ def cmd_bench(args) -> int:
     stream = driftgen.sample_stream(scenario, trial=0)
     start = time.perf_counter()
     ladder = build_ladder(stream)
-    result = walk_ladder(ladder, args.delta)
+    result = walk_ladder(ladder, ladder_xis(ladder, args.delta))
     elapsed = time.perf_counter() - start
     supports = [w.symbols.size for w in ladder]
     print(f"bench: T={args.t} elapsed={elapsed:.4f}s "

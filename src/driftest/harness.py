@@ -205,7 +205,7 @@ def _metrics_block(scenario: DriftScenario, delta: float,
     for trial in range(lo, hi):
         stream = sample_stream(scenario, trial)
         ladder = build_ladder(stream)
-        result = walk_ladder(ladder, delta)
+        result = walk_ladder(ladder, ladder_xis(ladder, delta))
         errs = realized_error_curve(stream, side.current)
         r_oracle = argmin_prefer_large(errs) + 1
         emp_ok, true_ok = _prop3_held(ladder, delta, side)
@@ -362,7 +362,7 @@ def _prop45_block(scenario: DriftScenario, delta: float,
             skipped += 1
             continue
         xis = ladder_xis(ladder, delta)
-        result = walk_ladder(ladder, delta)
+        result = walk_ladder(ladder, xis)
         bounds = [xis[j] + side.window_deltas[j] for j in range(side.depth + 1)]
         # continue condition: every accepted window beyond the first is
         # within five times the best bound among the earlier accepted ones

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dist import EmpiricalWindow, phi_empirical
+from .dist import EmpiricalWindow, phi_empirical, sorted_union
 
 # Union-bound weight constant: 4 * pi^2 / 3.  With per-size failure shares
 # delta * (6/pi^2) / (j+1)^2 this makes the simultaneous bound hold with
@@ -59,7 +59,7 @@ def build_ladder(stream) -> tuple[EmpiricalWindow, ...]:
     for j in range(1, depth + 1):
         lo, hi = t - 2**j, t - 2 ** (j - 1)
         block_syms, block_counts = np.unique(arr[lo:hi], return_counts=True)
-        union = np.union1d(syms, block_syms)
+        union = sorted_union(syms, block_syms)
         merged = np.zeros(union.size, dtype=np.int64)
         merged[np.searchsorted(union, syms)] += counts
         merged[np.searchsorted(union, block_syms)] += block_counts

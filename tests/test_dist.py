@@ -1,13 +1,18 @@
 """Distribution arithmetic: worked examples plus randomized cross-checks."""
 
+import ast
 import json
 import math
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from driftest.dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity,
-                           mean_pmf, phi_empirical, tv_distance)
+from driftest import dist
+from driftest.dist import (EmpiricalWindow, Pmf, _sorted_atoms, half_norm,
+                           lambda_complexity, mean_pmf, phi_empirical, sorted_union,
+                           tv_distance)
 from driftest.harness import random_pmf
 from driftest.windows import build_ladder
 
@@ -271,3 +276,129 @@ def test_arrays_are_read_only():
     p = Pmf.from_dict({0: 1.0})
     with pytest.raises(ValueError):
         p.probs[0] = 0.5
+
+
+def _reference_sorted_atoms(symbols, weights, weight_kind):
+    """Atom validation that argsorts every input, as it was before the sorted check."""
+    syms = np.asarray(symbols, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64 if weight_kind == "prob" else np.int64)
+    if syms.ndim != 1 or w.ndim != 1 or syms.shape != w.shape:
+        raise ValueError("symbols and weights must be 1-D arrays of equal length")
+    if syms.size == 0:
+        raise ValueError("support must be non-empty")
+    if np.any(syms < 0):
+        raise ValueError("symbols must be nonnegative integers")
+    order = np.argsort(syms, kind="stable")
+    syms = syms[order]
+    w = w[order]
+    if np.any(syms[1:] == syms[:-1]):
+        raise ValueError("duplicate symbols in support")
+    if weight_kind == "prob":
+        if not np.all(np.isfinite(w)):
+            raise ValueError("probabilities must be finite")
+        if np.any(w < 0.0):
+            raise ValueError("probabilities must be nonnegative")
+        keep = w > 0.0
+        syms, w = syms[keep], w[keep]
+        if syms.size == 0:
+            raise ValueError("pmf has no positive-mass atoms")
+    else:
+        if np.any(w <= 0):
+            raise ValueError("counts must be positive integers")
+    syms.setflags(write=False)
+    w.setflags(write=False)
+    return syms, w
+
+
+def _sorted_support(rng, high, size):
+    return np.sort(rng.choice(high, size=size, replace=False)).astype(np.int64)
+
+
+def test_sorted_union_matches_union1d():
+    rng = np.random.default_rng(6)
+    pairs = [(_sorted_support(rng, 200, rng.integers(1, 60)),
+              _sorted_support(rng, 200, rng.integers(1, 60))) for _ in range(40)]
+    evens, odds = np.arange(0, 40, 2), np.arange(1, 41, 2)
+    pairs += [
+        (evens, odds),                         # disjoint, interleaved
+        (np.arange(5), np.arange(10, 15)),     # disjoint, one after the other
+        (evens, evens.copy()),                 # identical
+        (np.arange(100), np.arange(20, 30)),   # nested
+        (np.array([7]), np.array([7])),        # single atoms, equal
+        (np.array([9]), np.array([3])),        # single atoms, distinct
+    ]
+    for a, b in pairs:
+        got = sorted_union(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.union1d(a, b))
+    parts = [_sorted_support(rng, 1000, size) for size in (1, 3, 40, 300, 300)]
+    got = sorted_union(*parts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reduce(np.union1d, parts))
+
+
+@pytest.mark.parametrize("symbols, weights, kind", [
+    ([1, 4, 9], [0.2, 0.3, 0.5], "prob"),
+    ([9, 1, 4], [0.5, 0.2, 0.3], "prob"),
+    ([0, 3, 5, 8], [0.5, 0.0, 0.5, 0.0], "prob"),
+    ([8, 0, 5, 3], [0.0, 0.5, 0.5, -0.0], "prob"),
+    ([2, 3, 11], [4, 1, 2], "count"),
+    ([11, 3, 2], [2, 1, 4], "count"),
+], ids=["sorted", "unsorted", "zero_mass", "unsorted_zero_mass", "counts", "unsorted_counts"])
+def test_sorted_atoms_matches_reference(symbols, weights, kind):
+    syms_in = np.array(symbols, dtype=np.int64)
+    w_in = np.array(weights, dtype=np.float64 if kind == "prob" else np.int64)
+    got = _sorted_atoms(syms_in, w_in, kind)
+    want = _reference_sorted_atoms(syms_in.copy(), w_in.copy(), kind)
+    for out, ref, caller in zip(got, want, (syms_in, w_in)):
+        assert out.dtype == ref.dtype and np.array_equal(out, ref)
+        assert not out.flags.writeable
+        assert not np.shares_memory(out, caller)
+        assert caller.flags.writeable
+
+
+@pytest.mark.parametrize("symbols, weights, kind", [
+    ([], [], "prob"),
+    ([1, 2], [1.0], "prob"),
+    ([[1, 2]], [[0.5, 0.5]], "prob"),
+    ([-1, 2], [0.5, 0.5], "prob"),
+    ([3, -1, 3], [0.2, 0.3, 0.5], "prob"),
+    ([-1, -1], [0.5, 0.5], "prob"),
+    ([1, 1, 2], [0.2, 0.3, 0.5], "prob"),
+    ([2, 1, 2], [0.2, 0.3, 0.5], "prob"),
+    ([1, 1], [math.nan, 1.0], "prob"),
+    ([1, 2], [math.nan, 1.0], "prob"),
+    ([2, 1], [math.inf, 0.0], "prob"),
+    ([1, 2, 3], [math.nan, -0.5, 0.0], "prob"),
+    ([1, 2], [-0.1, 1.1], "prob"),
+    ([1, 2], [-0.1, 0.0], "prob"),
+    ([1, 2], [0.0, -0.0], "prob"),
+    ([1, 2], [0, 3], "count"),
+    ([2, 1], [3, -1], "count"),
+], ids=["empty", "shape_mismatch", "two_d", "negative", "negative_unsorted_duplicate",
+        "negative_sorted_duplicate", "duplicate_sorted", "duplicate_unsorted",
+        "duplicate_before_nan", "nan", "inf", "nan_before_negative_prob",
+        "negative_prob", "negative_prob_before_all_zero", "all_zero", "zero_count",
+        "negative_count"])
+def test_sorted_atoms_rejects_like_reference(symbols, weights, kind):
+    with pytest.raises(ValueError) as want:
+        _reference_sorted_atoms(symbols, weights, kind)
+    with pytest.raises(ValueError) as got:
+        _sorted_atoms(symbols, weights, kind)
+    assert str(got.value) == str(want.value)
+
+
+def test_src_takes_no_hashing_unique():
+    # numpy >= 2.3 runs np.union1d and np.unique without a return_* argument
+    # through a hash table, several times slower than sorted_union on large
+    # supports
+    offenders = []
+    for path in sorted(Path(dist.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "union1d":
+                offenders.append(f"{path.name}:{node.lineno}: union1d")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and not any((k.arg or "").startswith("return_") for k in node.keywords)):
+                offenders.append(f"{path.name}:{node.lineno}: unique")
+    assert offenders == []

@@ -11,7 +11,7 @@ from driftest import Pmf, harness, run_trials, tv_distance, write_trials_csv
 from driftest.adaptive import adaptive_estimate, walk_ladder
 from driftest.driftgen import (abrupt, iid, linear_drift, rotating_support,
                                sample_stream, truth_pmfs)
-from driftest.windows import build_ladder
+from driftest.windows import build_ladder, ladder_xis
 from driftest.harness import (CSV_HEADER, CoverageReport, SuiteReport,
                               _suffix_average, random_pmf, scaling_experiment,
                               scaling_horizon, verify_lambda_bounds,
@@ -330,7 +330,7 @@ def _prop45_evaluations(scenario, trials, delta):
         ladder = build_ladder(sample_stream(scenario, trial))
         if not all(harness._prop3_held(ladder, delta, side)):
             continue
-        result = walk_ladder(ladder, delta)
+        result = walk_ladder(ladder, ladder_xis(ladder, delta))
         continued += max(0, len(result.accepted) - 1)
         if result.stop.kind == "violation":
             stopped += side.depth + 1 - result.stop.j
