@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical,
-                   tv_distance)
+                   sorted_union, tv_distance)
 from .windows import as_stream, build_ladder, ladder_xis, union_log_weight
 
 
@@ -185,28 +185,16 @@ def realized_error_curve(stream, target: Pmf) -> np.ndarray:
     Uses TV(p, f) = sum over s of (p_s - f_s)^+: target atoms never observed
     contribute their mass at every window size, and each observed target
     atom adds one running count, so the cost is O(T * min(|supp target|, K))
-    for K distinct stream symbols.
+    for K distinct stream symbols.  The oracle window against the true
+    current pmf is ``argmin_prefer_large(curve) + 1``.
     """
     arr = as_stream(stream)
     rs = np.arange(1, arr.size + 1, dtype=np.float64)
-    stream_syms, codes = np.unique(arr[::-1], return_inverse=True)
+    stream_syms = sorted_union(arr)
     pos = np.minimum(np.searchsorted(stream_syms, target.symbols), stream_syms.size - 1)
     observed = stream_syms[pos] == target.symbols
     errs = np.full(arr.size, float(np.sum(target.probs[~observed])))
-    for code, p in zip(pos[observed], target.probs[observed]):
-        errs += np.maximum(p - np.cumsum(codes == code) / rs, 0.0)
+    newest_first = arr[::-1]
+    for symbol, p in zip(target.symbols[observed], target.probs[observed]):
+        errs += np.maximum(p - np.cumsum(newest_first == symbol) / rs, 0.0)
     return errs
-
-
-def oracle_best_window(stream, truth: Sequence[Pmf]) -> tuple[int, float]:
-    """Window size minimizing the realized error against the true current pmf.
-
-    Computable only when the truth sequence is known (simulation); ties are
-    broken toward the larger window.
-    """
-    arr = as_stream(stream)
-    if len(truth) != arr.size:
-        raise ValueError("truth length must match stream length")
-    errs = realized_error_curve(arr, truth[-1])
-    best = argmin_prefer_large(errs)
-    return best + 1, float(errs[best])

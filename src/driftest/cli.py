@@ -1,4 +1,4 @@
-"""Command-line surface: estimate from a file, simulate, verify, benchmark.
+"""Command-line surface: estimate from a file, simulate, verify.
 
 Exit codes are a stable scripting contract: 0 success, 1 verification
 failure, 2 usage or input error.  Every randomized command accepts --seed
@@ -13,12 +13,11 @@ import argparse
 import dataclasses
 import os
 import sys
-import time
 
 from . import driftgen, harness
-from .adaptive import adaptive_estimate, walk_ladder
+from .adaptive import adaptive_estimate
 from .driftgen import load_scenario
-from .windows import build_ladder, ladder_xis, load_stream
+from .windows import load_stream
 
 _SUITES = ("metric", "prop1", "prop2", "prop3", "prop45", "prop6", "all")
 
@@ -122,32 +121,12 @@ def _run_suite(suite: str, trials: int | None, delta: float, seed: int) -> bool:
 
 
 def cmd_verify(args) -> int:
-    # checked before any suite runs; the campaigns do not use delta
-    if not 0.0 < args.delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
     suites = [s for s in _SUITES if s != "all"] if args.suite == "all" else [args.suite]
     ok = True
     for suite in suites:
         ok = _run_suite(suite, args.trials, args.delta, args.seed) and ok
     print("verify: PASS" if ok else "verify: FAIL")
     return 0 if ok else 1
-
-
-def cmd_bench(args) -> int:
-    if args.t < 1:
-        raise ValueError("--t must be >= 1")
-    scenario = driftgen.zipf_drift(3.0, 3.0, t=args.t, seed=args.seed)
-    stream = driftgen.sample_stream(scenario, trial=0)
-    start = time.perf_counter()
-    ladder = build_ladder(stream)
-    result = walk_ladder(ladder, ladder_xis(ladder, args.delta))
-    elapsed = time.perf_counter() - start
-    supports = [w.symbols.size for w in ladder]
-    print(f"bench: T={args.t} elapsed={elapsed:.4f}s "
-          f"chosen_window={result.chosen_window} "
-          f"peak_window_support={max(supports)} "
-          f"ladder_supports={supports}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("bench", help="time the estimator on a long stream")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 
@@ -190,6 +163,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked before any input is read or truth side built, and for
+        # suites whose campaigns do not use delta
+        if not 0.0 < args.delta < 1.0:
+            raise ValueError("delta must lie strictly between 0 and 1")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"driftest: error: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ from .adaptive import (adaptive_estimate, argmin_prefer_large, q_curve,
 from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity, mixture,
                    phi_empirical, tv_distance)
 from .driftgen import (DriftScenario, linear_drift, sample_stream,
-                       scenario_delta_curve, segments, truth_pmfs)
+                       scenario_delta_curve, segments)
 from .windows import (build_ladder, concentration_radius, dyadic_depth,
                       ladder_xis)
 
@@ -508,7 +508,7 @@ def scaling_horizon(k: int, step_delta: float) -> int:
 
 def _scaling_block(scenario: DriftScenario, delta: float,
                    lo: int, hi: int) -> float:
-    current = truth_pmfs(scenario)[-1]
+    current = segments(scenario)[-1][1]
     total = 0.0
     for trial in range(lo, hi):
         stream = sample_stream(scenario, trial)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from driftest import Pmf, adaptive_estimate, fixed_window_estimate, tv_distance
-from driftest.adaptive import (argmin_prefer_large, drift_sequence,
-                               oracle_best_window, q_curve,
+from driftest.adaptive import (argmin_prefer_large, drift_sequence, q_curve,
                                realized_error_curve)
-from driftest.driftgen import (abrupt, iid, rotating_support, sample_stream,
+from driftest.driftgen import (abrupt, geometric_drift, iid, linear_drift,
+                               rotating_support, sample_stream, segments,
                                truth_pmfs, zipf_drift)
 from driftest.harness import random_pmf
 from driftest.windows import build_ladder, ladder_xis
@@ -243,6 +243,55 @@ def test_realized_error_curve_equals_brute_force_large_target():
         assert np.all(np.abs(curve - _brute_force_error_curve(stream, target)) <= 1e-12)
 
 
+def _reference_error_curve(stream, target):
+    """The curve over dense codes of the reversed stream, before it compared
+    the stream's own symbols."""
+    arr = np.asarray(stream, dtype=np.int64)
+    rs = np.arange(1, arr.size + 1, dtype=np.float64)
+    stream_syms, codes = np.unique(arr[::-1], return_inverse=True)
+    pos = np.minimum(np.searchsorted(stream_syms, target.symbols), stream_syms.size - 1)
+    observed = stream_syms[pos] == target.symbols
+    errs = np.full(arr.size, float(np.sum(target.probs[~observed])))
+    for code, p in zip(pos[observed], target.probs[observed]):
+        errs += np.maximum(p - np.cumsum(codes == code) / rs, 0.0)
+    return errs
+
+
+@pytest.mark.parametrize("scenario", [
+    iid(k=20, t=2048, seed=1),
+    linear_drift(k=10, step_delta=1e-3, t=1024, seed=2),
+    abrupt(k=10, change_point=256, t=4096, seed=3),
+    rotating_support(k=8, period=1, t=8192, seed=0),
+    rotating_support(k=8, period=300, t=2048, seed=4),
+    geometric_drift(0.3, 0.45, t=512, seed=5),
+    zipf_drift(5.0, 4.5, t=512, seed=6),
+], ids=lambda s: f"{s.kind}-t{s.t}")
+def test_realized_error_curve_equals_reference_on_scenarios(scenario):
+    current = segments(scenario)[-1][1]
+    for trial in range(3):
+        stream = sample_stream(scenario, trial)
+        assert np.array_equal(realized_error_curve(stream, current),
+                              _reference_error_curve(stream, current))
+
+
+def test_realized_error_curve_equals_reference_on_random_targets():
+    # zipf target far larger than the stream's alphabet, and small random
+    # targets that share only some symbols with the stream
+    rng = np.random.default_rng(12)
+    zipf_target = segments(zipf_drift(4.0, 4.0, t=1, seed=0))[-1][1]
+    for _ in range(20):
+        stream = rng.integers(0, 40, size=int(rng.integers(1, 2000)))
+        for target in (zipf_target, random_pmf(rng, max_support=8)):
+            assert np.array_equal(realized_error_curve(stream, target),
+                                  _reference_error_curve(stream, target))
+
+
+def _oracle(stream, current):
+    errs = realized_error_curve(stream, current)
+    best = argmin_prefer_large(errs)
+    return best + 1, float(errs[best])
+
+
 def test_realized_error_curve_exact_tie_goes_to_larger_window():
     # every step draws from a fresh block of 8 symbols, so a window of
     # r <= 8 holds one sample of the target's block: error 7/8 exactly
@@ -250,28 +299,26 @@ def test_realized_error_curve_exact_tie_goes_to_larger_window():
     stream = sample_stream(scenario, 0)
     curve = realized_error_curve(stream, truth_pmfs(scenario)[-1])
     assert curve[:8].tolist() == [0.875] * 8
-    assert oracle_best_window(stream, truth_pmfs(scenario)) == (8, 0.875)
+    assert _oracle(stream, truth_pmfs(scenario)[-1]) == (8, 0.875)
 
 
 def test_oracle_single_sample():
-    truth = [Pmf.from_dict({0: 0.5, 1: 0.5})]
-    r_best, err_best = oracle_best_window([0], truth)
+    r_best, err_best = _oracle([0], Pmf.from_dict({0: 0.5, 1: 0.5}))
     assert r_best == 1
     assert err_best == pytest.approx(0.5)
 
 
 def test_oracle_prefers_larger_window_on_ties():
-    truth = [Pmf.point_mass(4)] * 16
-    r_best, err_best = oracle_best_window([4] * 16, truth)
+    r_best, err_best = _oracle([4] * 16, Pmf.point_mass(4))
     assert (r_best, err_best) == (16, 0.0)
 
 
 def test_oracle_tracks_change_point():
     scenario = abrupt(k=10, change_point=256, t=4096, seed=21)
-    truth = [Pmf.uniform(range(10))] * 3840 + [Pmf.uniform(range(100, 110))] * 256
+    current = Pmf.uniform(range(100, 110))
     for trial in range(3):
         stream = sample_stream(scenario, trial)
-        r_best, err_best = oracle_best_window(stream, truth)
+        r_best, err_best = _oracle(stream, current)
         assert 100 <= r_best <= 320
         assert err_best < 0.12
 
@@ -280,12 +327,6 @@ def test_oracle_iid_favors_large_windows():
     # with a 20-symbol alphabet no tiny window gets lucky, so the realized
     # minimum sits in the large-window region in nearly every trial
     scenario = iid(k=20, t=1024, seed=3)
-    truth = [Pmf.uniform(range(20))] * 1024
-    rs = [oracle_best_window(sample_stream(scenario, trial), truth)[0]
-          for trial in range(10)]
+    current = Pmf.uniform(range(20))
+    rs = [_oracle(sample_stream(scenario, trial), current)[0] for trial in range(10)]
     assert sum(r >= 512 for r in rs) >= 9
-
-
-def test_oracle_validates_lengths():
-    with pytest.raises(ValueError):
-        oracle_best_window([1, 2], [Pmf.point_mass(1)])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,33 @@ def test_simulate_bad_delta_prints_one_error_line(tmp_path, delta):
     assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
 
 
+def test_simulate_bad_delta_exits_before_the_truth_side_is_built(tmp_path):
+    # this truth side takes seconds to build; delta is rejected first
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text("kind = geometric_drift\nt = 100000\nseed = 0\n"
+                   "geo_p_start = 0.3\ngeo_p_end = 0.45\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftest.cli", "simulate", "--scenario", str(cfg),
+         "--trials", "2", "--delta", "0", "--output", "-"],
+        capture_output=True, text=True, env=dict(os.environ, DRIFTEST_THREADS="2"))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "driftest: error: delta must lie strictly between 0 and 1"]
+    assert elapsed < 2.0
+
+
+def test_estimate_bad_delta_is_reported_before_a_missing_input(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftest.cli", "estimate",
+         "--input", str(tmp_path / "nope.txt"), "--output", "-", "--delta", "2"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "driftest: error: delta must lie strictly between 0 and 1"]
+
+
 # stdout of `driftest verify --suite all --trials 5 --seed 0`
 VERIFY_ALL_5_SEED_0 = """\
 [metric] checks=20 violations=0 max_slack=0.000e+00 identity=0 symmetry=0 triangle=0 range=0 -> PASS
@@ -291,27 +319,6 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     assert "verify: FAIL" in capsys.readouterr().out
 
 
-def test_bench_tiny(capsys):
-    assert run_cli("bench", "--t", "1") == 0
-    out = capsys.readouterr().out
-    assert "elapsed=" in out and "T=1" in out
-
-
-def test_bench_builds_one_ladder(capsys, monkeypatch):
-    from driftest import adaptive, cli
-    calls = []
-    for module in (cli, adaptive):
-        original = module.build_ladder
-
-        def counted(stream, original=original):
-            calls.append(len(stream))
-            return original(stream)
-        monkeypatch.setattr(module, "build_ladder", counted)
-    assert run_cli("bench", "--t", "64") == 0
-    assert calls == [64]
-    assert "chosen_window=" in capsys.readouterr().out
-
-
 def test_cli_import_does_not_load_scipy():
     import driftest
     src = os.path.dirname(os.path.dirname(driftest.__file__))
@@ -324,7 +331,15 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "driftest.cli", "bench", "--t", "16"],
+    proc = subprocess.run([sys.executable, "-m", "driftest.cli", "verify",
+                           "--suite", "metric", "--trials", "5"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "elapsed=" in proc.stdout
+    assert "verify: PASS" in proc.stdout
+
+
+def test_bench_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli("bench", "--t", "16")
+    assert err.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
