@@ -18,6 +18,22 @@ import numpy as np
 # |sum of probabilities - 1| allowed for a valid pmf
 MASS_TOL = 1e-9
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def int64_values(values, what: str, copy: bool = False) -> np.ndarray:
+    """``values`` as an int64 array, copied only if ``copy`` is set or the dtype differs.
+
+    Only integer input is accepted: float, bool, string and object input
+    (such as Python ints beyond int64) raises instead of being truncated.
+    """
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "iu"
+                     or (arr.dtype.kind == "u" and arr.max() > _INT64_MAX)):
+        raise ValueError(f"{what} must be integers within the int64 range, "
+                         f"got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=copy)
+
 
 def _sorted_atoms(symbols, weights, weight_kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Normalize (symbols, weights) into sorted, validated, read-only atom copies.
@@ -25,8 +41,11 @@ def _sorted_atoms(symbols, weights, weight_kind: str) -> tuple[np.ndarray, np.nd
     Atoms that arrive sorted cost one linear check; only other input is
     argsorted and searched for duplicates.
     """
-    syms = np.array(symbols, dtype=np.int64)
-    w = np.array(weights, dtype=np.float64 if weight_kind == "prob" else np.int64)
+    syms = int64_values(symbols, "symbols", copy=True)
+    if weight_kind == "prob":
+        w = np.array(weights, dtype=np.float64)
+    else:
+        w = int64_values(weights, "counts", copy=True)
     if syms.ndim != 1 or w.ndim != 1 or syms.shape != w.shape:
         raise ValueError("symbols and weights must be 1-D arrays of equal length")
     if syms.size == 0:
@@ -93,16 +112,16 @@ class Pmf:
     @classmethod
     def from_dict(cls, atoms: Mapping[int, float]) -> "Pmf":
         items = sorted(atoms.items())
-        return cls(np.array([s for s, _ in items], dtype=np.int64),
+        return cls(np.array([s for s, _ in items]),
                    np.array([p for _, p in items], dtype=np.float64))
 
     @classmethod
     def point_mass(cls, symbol: int) -> "Pmf":
-        return cls(np.array([symbol], dtype=np.int64), np.array([1.0]))
+        return cls(np.array([symbol]), np.array([1.0]))
 
     @classmethod
     def uniform(cls, symbols: Iterable[int]) -> "Pmf":
-        syms = np.asarray(sorted(set(int(s) for s in symbols)), dtype=np.int64)
+        syms = np.array(sorted(set(symbols)))
         return cls(syms, np.full(syms.size, 1.0 / syms.size))
 
     @property
@@ -126,7 +145,7 @@ class Pmf:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Pmf":
         atoms = obj["atoms"]
-        return cls(np.array([a["symbol"] for a in atoms], dtype=np.int64),
+        return cls(np.array([a["symbol"] for a in atoms]),
                    np.array([a["prob"] for a in atoms], dtype=np.float64))
 
     def to_json(self) -> str:
@@ -159,7 +178,7 @@ class EmpiricalWindow:
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalWindow":
-        arr = np.asarray(samples, dtype=np.int64)
+        arr = int64_values(samples, "samples")
         if arr.size == 0:
             raise ValueError("empty sample window")
         syms, counts = np.unique(arr, return_counts=True)

@@ -12,7 +12,7 @@ the largest atom absorbs the remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -86,6 +86,9 @@ class DriftScenario:
         for key in need:
             if getattr(self, key) is None:
                 raise ValueError(f"{self.kind} requires key '{key}'")
+        for param in dataclass_fields(self)[3:]:  # the kind-specific parameters
+            if param.name not in need and getattr(self, param.name) is not None:
+                raise ValueError(f"{self.kind} does not use key '{param.name}'")
         if self.k is not None and not 1 <= self.k <= _MAX_TRUNCATED_SUPPORT:
             raise ValueError(f"key 'k': must lie in [1, {_MAX_TRUNCATED_SUPPORT}]")
         if self.kind == "linear_drift" and not 0 <= self.step_delta < math.inf:
@@ -279,9 +282,11 @@ def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
     return tuple((1, family(x)) for x in params)
 
 
-@lru_cache(maxsize=32)
 def truth_pmfs(scenario: DriftScenario) -> tuple[Pmf, ...]:
-    """The full truth sequence, index t-1 holding the distribution of step t."""
+    """The full truth sequence, index t-1 holding the distribution of step t.
+
+    O(T) references; ``true_pmf`` reads one step from the segments instead.
+    """
     out: list[Pmf] = []
     for count, pmf in segments(scenario):
         out.extend([pmf] * count)
@@ -289,10 +294,13 @@ def truth_pmfs(scenario: DriftScenario) -> tuple[Pmf, ...]:
 
 
 def true_pmf(scenario: DriftScenario, t: int) -> Pmf:
-    """True distribution at step t (1-based)."""
+    """True distribution at step t (1-based), found by walking the segments."""
     if not 1 <= t <= scenario.t:
         raise ValueError(f"time step {t} outside [1, {scenario.t}]")
-    return truth_pmfs(scenario)[t - 1]
+    for count, pmf in segments(scenario):
+        t -= count
+        if t <= 0:
+            return pmf
 
 
 def scenario_delta(scenario: DriftScenario, r: int) -> float:
@@ -432,6 +440,8 @@ def parse_scenario_config(text: str) -> DriftScenario:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key in fields:
+            raise ValueError(f"line {lineno}: repeated key '{key}'")
         if key == "kind":
             fields["kind"] = value
         elif key in _INT_KEYS:

@@ -7,8 +7,9 @@ estimator against fixed-window baselines and the simulation-only oracle;
 the scaling study fits the error-vs-drift-rate exponent.
 
 Everything is deterministic given (scenario, seed, trials, delta): trials
-derive their generator state from the trial index alone, so results do not
-depend on worker parallelism, and aggregation preserves trial order.
+derive their generator state from the trial index alone.  Every suite
+supplies a per-trial function and aggregates the trial-ordered list that
+``_fan_out`` returns, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -196,39 +197,36 @@ def _prop3_held(ladder, delta: float, side: _TruthSide) -> tuple[bool, bool]:
 # --- trial runs -------------------------------------------------------------
 
 
-def _metrics_block(scenario: DriftScenario, delta: float,
-                   lo: int, hi: int) -> list[TrialMetrics]:
+def _trial_metrics(scenario: DriftScenario, delta: float, q_star: float,
+                   r_star: int, trial: int) -> TrialMetrics:
     side = _truth_side(scenario)
-    q = q_curve(side.current, scenario_delta_curve(scenario), delta)
-    r_star = argmin_prefer_large(q) + 1
-    out = []
-    for trial in range(lo, hi):
-        stream = sample_stream(scenario, trial)
-        ladder = build_ladder(stream)
-        result = walk_ladder(ladder, ladder_xis(ladder, delta))
-        errs = realized_error_curve(stream, side.current)
-        r_oracle = argmin_prefer_large(errs) + 1
-        emp_ok, true_ok = _prop3_held(ladder, delta, side)
-        out.append(TrialMetrics(
-            trial=trial,
-            chosen_r=result.chosen_window,
-            err_adaptive=float(errs[result.chosen_window - 1]),
-            err_oracle=float(errs[r_oracle - 1]),
-            r_oracle=r_oracle,
-            err_full_window=float(errs[-1]),
-            err_last_sample=float(errs[0]),
-            q_star=float(q[r_star - 1]),
-            r_star=r_star,
-            prop3_held=emp_ok and true_ok,
-        ))
-    return out
+    stream = sample_stream(scenario, trial)
+    ladder = build_ladder(stream)
+    result = walk_ladder(ladder, ladder_xis(ladder, delta))
+    errs = realized_error_curve(stream, side.current)
+    r_oracle = argmin_prefer_large(errs) + 1
+    emp_ok, true_ok = _prop3_held(ladder, delta, side)
+    return TrialMetrics(
+        trial=trial,
+        chosen_r=result.chosen_window,
+        err_adaptive=float(errs[result.chosen_window - 1]),
+        err_oracle=float(errs[r_oracle - 1]),
+        r_oracle=r_oracle,
+        err_full_window=float(errs[-1]),
+        err_last_sample=float(errs[0]),
+        q_star=q_star,
+        r_star=r_star,
+        prop3_held=emp_ok and true_ok,
+    )
 
 
 def run_trials(scenario: DriftScenario, trials: int, delta: float,
                workers: int = 1) -> list[TrialMetrics]:
     """Run seeded trials of the estimator with all baselines and diagnostics."""
-    blocks = _fan_out(_metrics_block, (scenario, delta), trials, workers)
-    return [m for block in blocks for m in block]
+    q = q_curve(_truth_side(scenario).current, scenario_delta_curve(scenario), delta)
+    r_star = argmin_prefer_large(q) + 1
+    return _fan_out(_trial_metrics, (scenario, delta, float(q[r_star - 1]), r_star),
+                    trials, workers)
 
 
 def write_trials_csv(rows: Sequence[TrialMetrics], scenario: DriftScenario,
@@ -248,29 +246,24 @@ def write_trials_csv(rows: Sequence[TrialMetrics], scenario: DriftScenario,
 # --- coverage suites --------------------------------------------------------
 
 
-def _coverage_report(blocks: list[np.ndarray], trials: int) -> CoverageReport:
-    """Sum the per-block (deviation, complexity, either) failure counts."""
-    fails = np.sum(blocks, axis=0)
-    return CoverageReport(trials, int(fails[2]), (
-        ("deviation_bound", int(fails[0])),
-        ("complexity_bound", int(fails[1])),
+def _coverage_report(rows: list[tuple[bool, bool]]) -> CoverageReport:
+    """Tally per-trial (deviation_failed, complexity_failed) pairs."""
+    return CoverageReport(len(rows), sum(dev or cx for dev, cx in rows), (
+        ("deviation_bound", sum(dev for dev, _ in rows)),
+        ("complexity_bound", sum(cx for _, cx in rows)),
     ))
 
 
-def _prop2_block(scenario: DriftScenario, r: int, delta: float,
-                 lo: int, hi: int) -> np.ndarray:
+def _prop2_trial(scenario: DriftScenario, r: int, delta: float,
+                 trial: int) -> tuple[bool, bool]:
     side = _truth_side(scenario)
     j = r.bit_length() - 1
-    bound1_extra = 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
-    bound2 = 4.0 * side.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
-    fails = np.zeros(3, dtype=np.int64)  # ineq1, ineq2, conjunction
-    for trial in range(lo, hi):
-        window = EmpiricalWindow.from_samples(sample_stream(scenario, trial)[-r:])
-        phi = phi_empirical(window)
-        bad1 = tv_distance(window, side.window_averages[j]) > phi + bound1_extra
-        bad2 = phi > bound2
-        fails += (bad1, bad2, bad1 or bad2)
-    return fails
+    window = EmpiricalWindow.from_samples(sample_stream(scenario, trial)[-r:])
+    phi = phi_empirical(window)
+    deviation_bound = phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
+    complexity_bound = 4.0 * side.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
+    return (tv_distance(window, side.window_averages[j]) > deviation_bound,
+            phi > complexity_bound)
 
 
 def verify_prop2(scenario: DriftScenario, r: int, trials: int, delta: float,
@@ -280,19 +273,13 @@ def verify_prop2(scenario: DriftScenario, r: int, trials: int, delta: float,
         raise ValueError("r must be a power of two within the horizon")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    blocks = _fan_out(_prop2_block, (scenario, r, delta), trials, workers)
-    return _coverage_report(blocks, trials)
+    return _coverage_report(_fan_out(_prop2_trial, (scenario, r, delta), trials, workers))
 
 
-def _prop3_block(scenario: DriftScenario, delta: float,
-                 lo: int, hi: int) -> np.ndarray:
-    side = _truth_side(scenario)
-    fails = np.zeros(3, dtype=np.int64)
-    for trial in range(lo, hi):
-        ladder = build_ladder(sample_stream(scenario, trial))
-        emp_ok, true_ok = _prop3_held(ladder, delta, side)
-        fails += (not emp_ok, not true_ok, not (emp_ok and true_ok))
-    return fails
+def _prop3_trial(scenario: DriftScenario, delta: float, trial: int) -> tuple[bool, bool]:
+    ladder = build_ladder(sample_stream(scenario, trial))
+    emp_ok, true_ok = _prop3_held(ladder, delta, _truth_side(scenario))
+    return not emp_ok, not true_ok
 
 
 def verify_prop3(scenario: DriftScenario, trials: int, delta: float,
@@ -300,8 +287,7 @@ def verify_prop3(scenario: DriftScenario, trials: int, delta: float,
     """Coverage of the all-windows-simultaneously statistical-error bounds."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
-    blocks = _fan_out(_prop3_block, (scenario, delta), trials, workers)
-    return _coverage_report(blocks, trials)
+    return _coverage_report(_fan_out(_prop3_trial, (scenario, delta), trials, workers))
 
 
 # --- exact-inequality campaigns ---------------------------------------------
@@ -322,15 +308,12 @@ def _suite_report(name: str, slacks: Mapping[str, Sequence[float]], tol: float,
                        per_inequality, skipped)
 
 
-def _prop1_block(scenario: DriftScenario, lo: int, hi: int) -> list[float]:
+def _prop1_trial(scenario: DriftScenario, trial: int) -> list[float]:
     side = _truth_side(scenario)
-    slacks = []
-    for trial in range(lo, hi):
-        ladder = build_ladder(sample_stream(scenario, trial))
-        slacks += [tv_distance(side.current, w)
-                   - (tv_distance(side.window_averages[j], w) + side.window_deltas[j])
-                   for j, w in enumerate(ladder)]
-    return slacks
+    ladder = build_ladder(sample_stream(scenario, trial))
+    return [tv_distance(side.current, w)
+            - (tv_distance(side.window_averages[j], w) + side.window_deltas[j])
+            for j, w in enumerate(ladder)]
 
 
 def verify_prop1(scenario: DriftScenario, trials: int,
@@ -341,44 +324,41 @@ def verify_prop1(scenario: DriftScenario, trials: int,
     of the current pmf), which depends only on the truth sequence.
     """
     side = _truth_side(scenario)
-    blocks = _fan_out(_prop1_block, (scenario,), trials, workers)
+    per_trial = _fan_out(_prop1_trial, (scenario,), trials, workers)
     return _suite_report("prop1", {
-        "decomposition": [slack for block in blocks for slack in block],
+        "decomposition": list(chain.from_iterable(per_trial)),
         "averaging": [tv_distance(average, side.current) - drift for average, drift
                       in zip(side.window_averages, side.window_deltas)],
     }, tol)
 
 
-def _prop45_block(scenario: DriftScenario, delta: float,
-                  lo: int, hi: int) -> tuple[list[float], list[float], int]:
+def _prop45_trial(scenario: DriftScenario, delta: float,
+                  trial: int) -> tuple[list[float], list[float]] | None:
+    """One trial's (continue, stop) slacks; None outside the simultaneous-bounds event."""
     side = _truth_side(scenario)
-    continue_slacks: list[float] = []
-    stop_slacks: list[float] = []
-    skipped = 0
-    for trial in range(lo, hi):
-        ladder = build_ladder(sample_stream(scenario, trial))
-        emp_ok, true_ok = _prop3_held(ladder, delta, side)
-        if not (emp_ok and true_ok):
-            skipped += 1
-            continue
-        xis = ladder_xis(ladder, delta)
-        result = walk_ladder(ladder, xis)
-        bounds = [xis[j] + side.window_deltas[j] for j in range(side.depth + 1)]
-        # continue condition: every accepted window beyond the first is
-        # within five times the best bound among the earlier accepted ones
-        best = math.inf
-        for cand in result.accepted:
-            if best < math.inf:
-                continue_slacks.append(
-                    tv_distance(side.current, ladder[cand.index]) - 5.0 * best)
-            best = min(best, bounds[cand.index])
-        # stop condition: the flagged accepted window stays within twice the
-        # bound of every window at least as large as the rejected candidate
-        if result.stop.kind == "violation":
-            u_l = bounds[result.stop.l]
-            stop_slacks += [u_l - 2.0 * bounds[n]
-                            for n in range(result.stop.j, side.depth + 1)]
-    return continue_slacks, stop_slacks, skipped
+    ladder = build_ladder(sample_stream(scenario, trial))
+    emp_ok, true_ok = _prop3_held(ladder, delta, side)
+    if not (emp_ok and true_ok):
+        return None
+    xis = ladder_xis(ladder, delta)
+    result = walk_ladder(ladder, xis)
+    bounds = [xis[j] + side.window_deltas[j] for j in range(side.depth + 1)]
+    # continue condition: every accepted window beyond the first is
+    # within five times the best bound among the earlier accepted ones
+    continue_slacks = []
+    best = math.inf
+    for cand in result.accepted:
+        if best < math.inf:
+            continue_slacks.append(
+                tv_distance(side.current, ladder[cand.index]) - 5.0 * best)
+        best = min(best, bounds[cand.index])
+    # stop condition: the flagged accepted window stays within twice the
+    # bound of every window at least as large as the rejected candidate
+    stop_slacks = []
+    if result.stop.kind == "violation":
+        u_l = bounds[result.stop.l]
+        stop_slacks = [u_l - 2.0 * bounds[n] for n in range(result.stop.j, side.depth + 1)]
+    return continue_slacks, stop_slacks
 
 
 def verify_prop45(scenario: DriftScenario, trials: int, delta: float,
@@ -388,11 +368,12 @@ def verify_prop45(scenario: DriftScenario, trials: int, delta: float,
     Trials where the simultaneous-bounds event failed are excluded, since
     both guarantees are conditional on it.
     """
-    blocks = _fan_out(_prop45_block, (scenario, delta), trials, workers)
+    kept = [slacks for slacks in _fan_out(_prop45_trial, (scenario, delta), trials, workers)
+            if slacks is not None]
     return _suite_report("prop45", {
-        "continue_factor5": [slack for block in blocks for slack in block[0]],
-        "stop_factor2": [slack for block in blocks for slack in block[1]],
-    }, tol, skipped=sum(block[2] for block in blocks))
+        "continue_factor5": [slack for cont, _ in kept for slack in cont],
+        "stop_factor2": [slack for _, stop in kept for slack in stop],
+    }, tol, skipped=trials - len(kept))
 
 
 def random_pmf(rng: np.random.Generator, max_support: int = 64) -> Pmf:
@@ -506,15 +487,9 @@ def scaling_horizon(k: int, step_delta: float) -> int:
     return horizon
 
 
-def _scaling_block(scenario: DriftScenario, delta: float,
-                   lo: int, hi: int) -> float:
-    current = segments(scenario)[-1][1]
-    total = 0.0
-    for trial in range(lo, hi):
-        stream = sample_stream(scenario, trial)
-        result = adaptive_estimate(stream, delta)
-        total += tv_distance(current, result.estimate)
-    return total
+def _scaling_error(scenario: DriftScenario, delta: float, trial: int) -> float:
+    result = adaptive_estimate(sample_stream(scenario, trial), delta)
+    return tv_distance(segments(scenario)[-1][1], result.estimate)
 
 
 def scaling_experiment(k: int, deltas: Sequence[float], trials: int,
@@ -532,8 +507,8 @@ def scaling_experiment(k: int, deltas: Sequence[float], trials: int,
     for step_delta in deltas:
         horizon = scaling_horizon(k, step_delta)
         scenario = linear_drift(k, step_delta, horizon, seed=seed)
-        blocks = _fan_out(_scaling_block, (scenario, delta), trials, workers)
-        points.append(ScalingPoint(step_delta, horizon, sum(blocks) / trials))
+        errors = _fan_out(_scaling_error, (scenario, delta), trials, workers)
+        points.append(ScalingPoint(step_delta, horizon, sum(errors) / trials))
     xs = np.log10([p.step_delta for p in points])
     ys = np.log10([p.mean_error for p in points])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -557,15 +532,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _trial_block(fn: Callable, common: tuple, lo: int, hi: int) -> list:
+    return [fn(*common, trial) for trial in range(lo, hi)]
+
+
 def _fan_out(fn: Callable, common: tuple, trials: int, workers: int) -> list:
-    """Split trials [0, n) into contiguous blocks, preserving block order."""
+    """``[fn(*common, trial) for trial in range(trials)]``, in trial order.
+
+    Workers take contiguous blocks of trials; their results are concatenated.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     workers = min(workers, trials, _usable_cpus())
     if workers <= 1:
-        return [fn(*common, 0, trials)]
+        return _trial_block(fn, common, 0, trials)
     edges = np.linspace(0, trials, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *common, int(lo), int(hi))
+        futures = [pool.submit(_trial_block, fn, common, int(lo), int(hi))
                    for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-        return [f.result() for f in futures]
+        return [out for f in futures for out in f.result()]

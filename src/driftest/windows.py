@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dist import EmpiricalWindow, phi_empirical, sorted_union
+from .dist import EmpiricalWindow, int64_values, phi_empirical, sorted_union
 
 # Union-bound weight constant: 4 * pi^2 / 3.  With per-size failure shares
 # delta * (6/pi^2) / (j+1)^2 this makes the simultaneous bound hold with
@@ -31,7 +31,7 @@ def dyadic_depth(t: int) -> int:
 
 def as_stream(samples) -> np.ndarray:
     """Validate a sample stream (oldest first) into an int64 array."""
-    arr = np.asarray(samples, dtype=np.int64)
+    arr = int64_values(samples, "samples")
     if arr.ndim != 1:
         raise ValueError("a sample stream must be one-dimensional")
     if arr.size == 0:

@@ -330,3 +330,9 @@ def test_oracle_iid_favors_large_windows():
     current = Pmf.uniform(range(20))
     rs = [_oracle(sample_stream(scenario, trial), current)[0] for trial in range(10)]
     assert sum(r >= 512 for r in rs) >= 9
+
+
+def test_estimate_rejects_non_integer_samples():
+    # truncation would have read these as the stream [0, 0, 1, 1]
+    with pytest.raises(ValueError, match="samples must be integers"):
+        adaptive_estimate(np.array([0.9, 0.9, 1.5, 1.5]), 0.05)

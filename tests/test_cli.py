@@ -122,6 +122,23 @@ def test_simulate_unknown_key(tmp_path, capsys):
     assert "unknown key 'mystery'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (IID_CFG + "k = 9\n", "line 5: repeated key 'k'"),
+    (IID_CFG + "period = 3\n", "iid does not use key 'period'"),
+    ("kind = geometric_drift\nt = 64\nseed = 0\ngeo_p_start = 0.3\ngeo_p_end = 0.4\n"
+     "k = 5\n", "geometric_drift does not use key 'k'"),
+], ids=["repeated_k", "iid_period", "geometric_k"])
+def test_simulate_repeated_or_unused_key_prints_one_error_line(tmp_path, text, message):
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftest.cli", "simulate", "--scenario", str(cfg),
+         "--trials", "2", "--output", "-"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"driftest: error: {message}"]
+
+
 def test_verify_prop6_passes(capsys):
     assert run_cli("verify", "--suite", "prop6", "--trials", "400") == 0
     out = capsys.readouterr().out

@@ -402,3 +402,44 @@ def test_src_takes_no_hashing_unique():
                     and not any((k.arg or "").startswith("return_") for k in node.keywords)):
                 offenders.append(f"{path.name}:{node.lineno}: unique")
     assert offenders == []
+
+
+NON_INTEGER_SYMBOLS = {
+    "float": [0.5, 1.5],
+    "whole_float": [0.0, 1.0],
+    "bool": [False, True],
+    "numeric_string": ["0", "1"],
+    "beyond_int64": [0, 2**70],
+    "uint64_beyond_int64": np.array([0, 2**63], dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_SYMBOLS))
+def test_non_integer_symbols_are_rejected_not_truncated(name):
+    symbols = NON_INTEGER_SYMBOLS[name]
+    with pytest.raises(ValueError, match="must be integers within the int64 range"):
+        Pmf(symbols, [0.5, 0.5])
+    with pytest.raises(ValueError, match="must be integers within the int64 range"):
+        EmpiricalWindow(symbols, [1, 1], 2)
+    with pytest.raises(ValueError, match="must be integers within the int64 range"):
+        EmpiricalWindow.from_samples(symbols)
+
+
+def test_non_integer_counts_and_constructor_symbols_are_rejected():
+    with pytest.raises(ValueError, match="counts must be integers"):
+        EmpiricalWindow([0, 1], [1.5, 0.5], 2)
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        Pmf.from_dict({0.5: 1.0})
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        Pmf.point_mass(0.5)
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        Pmf.uniform([0.5, 1.5])
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        Pmf.from_json('{"atoms": [{"symbol": 0.5, "prob": 1.0}]}')
+
+
+def test_integer_symbols_of_any_width_are_accepted():
+    for dtype in (np.int8, np.int32, np.uint16, np.uint64):
+        p = Pmf(np.array([3, 1], dtype=dtype), [0.25, 0.75])
+        assert p.symbols.dtype == np.int64
+        assert p.as_dict() == {1: 0.75, 3: 0.25}

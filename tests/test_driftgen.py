@@ -272,6 +272,28 @@ def test_sampling_plan_retains_linear_memory():
     assert retained < atoms  # one byte per atom; a copy would take eight
 
 
+@pytest.mark.parametrize("scenario", ALL_FAMILIES, ids=lambda s: s.kind)
+def test_true_pmf_is_the_truth_sequence_entry(scenario):
+    truth = truth_pmfs(scenario)
+    assert len(truth) == scenario.t
+    for t in range(1, scenario.t + 1):
+        assert true_pmf(scenario, t) is truth[t - 1]
+
+
+def test_true_pmf_does_not_build_the_truth_sequence():
+    scenario = iid(k=4, t=4_000_000, seed=0)
+    tracemalloc.start()
+    try:
+        current = true_pmf(scenario, scenario.t)
+        first = true_pmf(scenario, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current is first
+    # a T-length tuple of references alone would take 32 MB
+    assert peak < 2 * 2**20
+
+
 def test_true_pmf_range_validation():
     s = iid(k=2, t=8, seed=0)
     with pytest.raises(ValueError):
@@ -313,6 +335,30 @@ def test_config_parsing():
     scenario = parse_scenario_config(
         "# demo\nkind = linear_drift\nt = 128\nseed = 9\nk = 10\nstep_delta = 0.001\n")
     assert scenario == linear_drift(k=10, step_delta=1e-3, t=128, seed=9)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind = iid\nt = 8\nseed = 0\nk = 4\nk = 9\n", "line 5: repeated key 'k'"),
+    ("kind = iid\nt = 8\n# comment\nt = 8\nseed = 0\nk = 4\n", "line 4: repeated key 't'"),
+    ("kind = iid\nkind = abrupt\nt = 8\nseed = 0\nk = 4\n",
+     "line 2: repeated key 'kind'"),
+    ("kind = geometric_drift\nt = 8\nseed = 0\ngeo_p_start = 0.3\ngeo_p_end = 0.4\nk = 5\n",
+     "geometric_drift does not use key 'k'"),
+    ("kind = iid\nt = 8\nseed = 0\nk = 4\nperiod = 3\n", "iid does not use key 'period'"),
+    ("kind = abrupt\nt = 8\nseed = 0\nk = 4\nchange_point = 2\nstep_delta = 0.1\n",
+     "abrupt does not use key 'step_delta'"),
+], ids=["repeated_k", "repeated_t", "repeated_kind", "geometric_k", "iid_period",
+        "abrupt_step_delta"])
+def test_config_rejects_repeated_and_unused_keys(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_scenario_config(text)
+
+
+def test_constructors_reject_keys_the_kind_does_not_use():
+    with pytest.raises(ValueError, match="iid does not use key 'period'"):
+        DriftScenario("iid", 8, 0, k=4, period=3)
+    with pytest.raises(ValueError, match="zipf_drift does not use key 'geo_p_end'"):
+        DriftScenario("zipf_drift", 8, 0, zipf_s_start=3.0, zipf_s_end=3.0, geo_p_end=0.5)
 
 
 def test_config_errors():

@@ -93,6 +93,7 @@ class _RecordingPool:
     """Stand-in for ProcessPoolExecutor that runs each block inline."""
 
     sizes = []
+    submits = []
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -104,6 +105,7 @@ class _RecordingPool:
         return False
 
     def submit(self, fn, *args):
+        self.submits.append(args)
         result = fn(*args)
 
         class Done:
@@ -112,24 +114,50 @@ class _RecordingPool:
         return Done()
 
 
-def test_fan_out_caps_workers_at_usable_cpus(monkeypatch):
+def _record_pool(monkeypatch, cpus):
+    """Run pools inline through _RecordingPool, with the affinity mask `cpus`."""
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
-    # the affinity mask counts, not the host's CPU count
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 5, 7},
-                        raising=False)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 128)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: cpus, raising=False)
     _RecordingPool.sizes.clear()
-    blocks = harness._fan_out(lambda lo, hi: (lo, hi), (), 2000, 2000)
+    _RecordingPool.submits.clear()
+
+
+def test_fan_out_caps_workers_at_usable_cpus(monkeypatch):
+    _record_pool(monkeypatch, {0, 5, 7})
+    # the affinity mask counts, not the host's CPU count
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 128)
+    out = harness._fan_out(lambda trial: trial, (), 2000, 2000)
     assert _RecordingPool.sizes == [3]
-    assert blocks == [(0, 666), (666, 1333), (1333, 2000)]
+    assert [(lo, hi) for _, _, lo, hi in _RecordingPool.submits] == [
+        (0, 666), (666, 1333), (1333, 2000)]
+    assert out == list(range(2000))
     # without an affinity mask the CPU count caps; one core, or an unknown
     # count, runs inline without a pool
     monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     assert harness._usable_cpus() == 128
     for cores in (1, None):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
-        assert harness._fan_out(lambda lo, hi: (lo, hi), (), 10, 8) == [(0, 10)]
+        assert harness._fan_out(lambda trial: trial, (), 10, 8) == list(range(10))
     assert _RecordingPool.sizes == [3]
+    assert len(_RecordingPool.submits) == 3
+
+
+def test_scaling_experiment_independent_of_workers(monkeypatch):
+    _record_pool(monkeypatch, {0, 1})
+    serial = scaling_experiment(k=3, deltas=[1e-3, 1e-2], trials=7, seed=0, workers=1)
+    assert _RecordingPool.sizes == []
+    split = scaling_experiment(k=3, deltas=[1e-3, 1e-2], trials=7, seed=0, workers=2)
+    assert _RecordingPool.sizes == [2, 2]
+    # the mean is summed over trials in order, not over per-worker totals
+    assert split == serial
+
+
+def test_prop2_independent_of_workers(monkeypatch):
+    _record_pool(monkeypatch, {0, 1})
+    serial = verify_prop2(LINEAR, 256, 9, 0.1, workers=1)
+    split = verify_prop2(LINEAR, 256, 9, 0.1, workers=3)
+    assert _RecordingPool.sizes == [2]
+    assert split == serial
 
 
 def test_run_trials_deterministic_across_workers():

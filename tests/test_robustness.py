@@ -16,17 +16,23 @@ resource = pytest.importorskip("resource")
 
 ADDRESS_SPACE_LIMIT = 1536 * 2**20
 
+# each config with the fragment of the error that must reject it, so that an
+# earlier, unrelated rejection cannot pass for it
 CONFIGS = {
-    "iid": "kind = iid\nt = 16\nk = 100000000000000000000\n",
-    "iid_horizon": "kind = iid\nt = 100000000000\nk = 4\n",
-    "linear_drift": "kind = linear_drift\nt = 64\nk = 3000000\nstep_delta = 1e-9\n",
-    "abrupt": "kind = abrupt\nt = 100000000000\nk = 10\nchange_point = 1000\n",
-    "rotating_support": "kind = rotating_support\nt = 4\nk = 30000000\nperiod = 1\n",
+    "iid": ("kind = iid\nt = 16\nk = 100000000000000000000\n", "key 'k': must lie in"),
+    "iid_horizon": ("kind = iid\nt = 100000000000\nk = 4\n", "t must lie in"),
+    "linear_drift": ("kind = linear_drift\nt = 64\nk = 3000000\nstep_delta = 1e-9\n",
+                     "atoms"),
+    "abrupt": ("kind = abrupt\nt = 100000000000\nk = 10\nchange_point = 1000\n",
+               "t must lie in"),
+    "rotating_support": ("kind = rotating_support\nt = 4\nk = 30000000\nperiod = 1\n",
+                         "key 'k': must lie in"),
     "rotating_support_many_pmfs":
-        "kind = rotating_support\nt = 20000000\nk = 1\nperiod = 1\n",
+        ("kind = rotating_support\nt = 20000000\nk = 1\nperiod = 1\n", "atoms"),
     "geometric_drift":
-        "kind = geometric_drift\nt = 16\ngeo_p_start = 1e-7\ngeo_p_end = 1e-7\n",
-    "zipf_drift": "kind = zipf_drift\nt = 4096\nzipf_s_start = 3.0\nzipf_s_end = 2.8\n",
+        ("kind = geometric_drift\nt = 16\ngeo_p_start = 1e-7\ngeo_p_end = 1e-7\n", "atoms"),
+    "zipf_drift":
+        ("kind = zipf_drift\nt = 4096\nzipf_s_start = 3.0\nzipf_s_end = 2.8\n", "atoms"),
 }
 
 
@@ -37,7 +43,8 @@ def _limit_address_space():
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_oversized_scenario_exits_two(name, tmp_path):
     cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(CONFIGS[name] + "seed = 0\n")
+    text, reason = CONFIGS[name]
+    cfg.write_text(text + "seed = 0\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
     start = time.monotonic()
     proc = subprocess.run(
@@ -49,5 +56,6 @@ def test_oversized_scenario_exits_two(name, tmp_path):
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
+    assert reason in lines[0], proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 20.0

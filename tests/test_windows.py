@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from driftest.dist import phi_empirical
-from driftest.windows import (UNION_BOUND_CONSTANT, build_ladder,
+from driftest.windows import (UNION_BOUND_CONSTANT, as_stream, build_ladder,
                               concentration_radius, dump_stream, dyadic_depth,
                               ladder_xis, load_stream, parse_stream_text,
                               union_log_weight)
@@ -187,3 +187,21 @@ def test_stream_file_round_trip(tmp_path):
     path = tmp_path / "stream.txt"
     dump_stream([3, 1, 4, 1, 5], path)
     assert load_stream(path).tolist() == [3, 1, 4, 1, 5]
+
+
+@pytest.mark.parametrize("samples", [
+    [0.9, 1.7, 2.2], np.array([0.9, 0.9, 1.5, 1.5]), [True, False], ["1", "2"],
+    [2**70], np.array([2**63], dtype=np.uint64),
+], ids=["float_list", "float_array", "bool", "numeric_string", "beyond_int64",
+        "uint64_beyond_int64"])
+def test_streams_must_hold_int64_range_integers(samples):
+    with pytest.raises(ValueError, match="samples must be integers within the int64 range"):
+        as_stream(samples)
+    with pytest.raises(ValueError, match="samples must be integers within the int64 range"):
+        build_ladder(samples)
+
+
+def test_int64_stream_is_not_copied():
+    stream = np.arange(16, dtype=np.int64)
+    assert as_stream(stream) is stream
+    assert as_stream(np.arange(4, dtype=np.int32)).dtype == np.int64
