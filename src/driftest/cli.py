@@ -167,6 +167,10 @@ def main(argv=None) -> int:
         # suites whose campaigns do not use delta
         if not 0.0 < args.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
+        # numpy's seeding rejects a negative seed without naming it, and
+        # only in some suites
+        if args.command == "verify" and args.seed < 0:
+            raise ValueError("--seed must be a nonnegative integer")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"driftest: error: {exc}", file=sys.stderr)

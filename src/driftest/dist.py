@@ -121,7 +121,12 @@ class Pmf:
 
     @classmethod
     def uniform(cls, symbols: Iterable[int]) -> "Pmf":
-        syms = np.array(sorted(set(symbols)))
+        if isinstance(symbols, range):
+            # distinct already, and built without one Python int per symbol;
+            # the constructor sorts a descending range
+            syms = np.arange(symbols.start, symbols.stop, symbols.step)
+        else:
+            syms = sorted_union(int64_values(np.array(list(symbols)), "symbols"))
         return cls(syms, np.full(syms.size, 1.0 / syms.size))
 
     @property

@@ -4,9 +4,12 @@ Each scenario describes a sequence of true distributions, one per time
 step, together with a sampler drawing one independent sample per step.
 Sampling is inverse-CDF over sorted symbols, seeded from (scenario seed,
 trial index), so identical inputs reproduce identical streams on any
-platform.  Infinite-support families (geometric, zipf) are truncated to
-exact finite pmfs: a tail of total mass below ``TAIL_TOL`` is dropped and
-the largest atom absorbs the remainder.
+platform.  The sampler reads the run-length ``segments`` of the truth and
+keeps nothing between calls: the uniform kinds (iid, abrupt, rotating)
+share one CDF, and geometric and zipf take one per segment.
+Infinite-support families (geometric, zipf) are truncated to exact finite
+pmfs: a tail of total mass below ``TAIL_TOL`` is dropped and the largest
+atom absorbs the remainder.
 """
 
 from __future__ import annotations
@@ -328,74 +331,19 @@ def _trial_rng(scenario: DriftScenario, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-@dataclass(frozen=True, eq=False)
-class _Shape:
-    """Steps that share one probability vector, sampled by one inverse CDF.
-
-    ``steps`` is a slice when the shape covers a single segment, else the
-    step indices of all its segments.  ``offsets`` is None for a single
-    segment; otherwise it holds, per step, where that step's segment starts
-    in ``symbols``, the concatenated symbols of the shape's distinct pmfs.
-    """
-
-    probs: np.ndarray
-    steps: slice | np.ndarray
-    symbols: np.ndarray
-    offsets: np.ndarray | None
-
-
-@lru_cache(maxsize=32)
-def _sampling_plan(scenario: DriftScenario) -> tuple[_Shape, ...]:
-    """Group the segments of a scenario by identical probability vector.
-
-    Holds references and index arrays only, O(T + atoms of shared shapes):
-    no CDF is cached and no symbol array is copied for a single segment.
-    """
-    # bucket by a hash of the bytes, confirmed by an exact comparison
-    buckets: dict[int, list[list[tuple[int, int, Pmf]]]] = {}
-    pos = 0
-    for count, pmf in segments(scenario):
-        bucket = buckets.setdefault(hash(pmf.probs.tobytes()), [])
-        group = next((g for g in bucket if np.array_equal(g[0][2].probs, pmf.probs)), None)
-        if group is None:
-            group = []
-            bucket.append(group)
-        group.append((pos, count, pmf))
-        pos += count
-    return tuple(_shape(group) for bucket in buckets.values() for group in bucket)
-
-
-def _shape(group: list[tuple[int, int, Pmf]]) -> _Shape:
-    """One shape from its (first step, step count, pmf) segments."""
-    first = group[0][2]
-    if len(group) == 1:
-        pos, count, _ = group[0]
-        return _Shape(first.probs, slice(pos, pos + count), first.symbols, None)
-    # family pmfs are cached, so one pmf object can recur across segments;
-    # its symbols enter the pool once
-    starts: dict[int, int] = {}
-    pool = []
-    size = 0
-    for _, _, pmf in group:
-        if id(pmf) not in starts:
-            starts[id(pmf)] = size
-            pool.append(pmf.symbols)
-            size += pmf.symbols.size
-    steps = np.concatenate([np.arange(pos, pos + count) for pos, count, _ in group])
-    offsets = np.repeat([starts[id(pmf)] for _, _, pmf in group],
-                        [count for _, count, _ in group])
-    symbols = np.concatenate(pool)
-    # the plan is cached and shared by every caller, like the pmfs it indexes
-    for arr in (steps, offsets, symbols):
-        arr.setflags(write=False)
-    return _Shape(first.probs, steps, symbols, offsets)
+def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the atom each uniform draw in ``u`` falls on, one ``searchsorted`` call."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return np.minimum(np.searchsorted(cdf, u, side="right"), probs.size - 1)
 
 
 def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
     """Draw one sample per step, oldest first; reproducible from (seed, trial).
 
-    Inverse CDF over each step's sorted symbols: one CDF and one
-    ``searchsorted`` per distinct probability vector.
+    Inverse CDF over each step's sorted symbols, read from ``segments``:
+    linear drift by a closed form across all steps, the uniform kinds by one
+    CDF for the whole stream, geometric and zipf by one CDF per segment.
     """
     rng = _trial_rng(scenario, trial)
     u = rng.random(scenario.t)
@@ -409,15 +357,17 @@ def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
         offset = np.floor((u - alpha) / block_mass * k)
         block = 1 + np.minimum(offset, k - 1).astype(np.int64)
         return np.where(u < alpha, 0, block).astype(np.int64)
+    segs = segments(scenario)
+    if scenario.kind in ("iid", "abrupt", "rotating_support"):
+        # every segment is uniform over k consecutive symbols, so a step's
+        # sample is its segment's first symbol plus a rank shared by all
+        starts = np.array([pmf.symbols[0] for _, pmf in segs], dtype=np.int64)
+        return _inverse_cdf(segs[0][1].probs, u) + np.repeat(starts, [c for c, _ in segs])
     out = np.empty(scenario.t, dtype=np.int64)
-    for shape in _sampling_plan(scenario):
-        cdf = np.cumsum(shape.probs)
-        cdf[-1] = 1.0
-        idx = np.minimum(np.searchsorted(cdf, u[shape.steps], side="right"),
-                         shape.probs.size - 1)
-        if shape.offsets is not None:
-            idx += shape.offsets
-        out[shape.steps] = shape.symbols[idx]
+    pos = 0
+    for count, pmf in segs:
+        out[pos:pos + count] = pmf.symbols[_inverse_cdf(pmf.probs, u[pos:pos + count])]
+        pos += count
     return out
 
 

@@ -304,6 +304,17 @@ def test_verify_rejects_delta_before_any_suite_runs(suite, delta, capsys, monkey
         "driftest: error: delta must lie strictly between 0 and 1"]
 
 
+@pytest.mark.parametrize("suite", ["metric", "prop1", "prop2", "prop3",
+                                   "prop45", "prop6", "all"])
+def test_verify_rejects_a_negative_seed_before_any_suite_runs(suite, capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    assert run_cli("verify", "--suite", suite, "--trials", "2", "--seed", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "driftest: error: --seed must be a nonnegative integer"]
+
+
 @pytest.mark.parametrize("argv", [("verify", "--suite", "metric", "--trials", "2"),
                                   ("simulate", "--trials", "2", "--output", "-")])
 def test_bad_thread_count_names_the_variable(argv, tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -155,6 +156,29 @@ def test_lambda_rejects_bad_budget():
         lambda_complexity(Pmf.point_mass(0), 0)
     with pytest.raises(ValueError):
         lambda_complexity(Pmf.point_mass(0), np.array([4, 0]))
+
+
+@pytest.mark.parametrize("lo, k", [(0, 1), (0, 4), (100, 99), (7, 1000)])
+def test_uniform_equals_the_arange_pmf(lo, k):
+    want = Pmf(np.arange(lo, lo + k), np.full(k, 1.0 / k))
+    for symbols in (range(lo, lo + k), range(lo + k - 1, lo - 1, -1),
+                    list(range(lo + k - 1, lo - 1, -1)) * 2, set(range(lo, lo + k))):
+        got = Pmf.uniform(symbols)
+        assert np.array_equal(got.symbols, want.symbols)
+        assert np.array_equal(got.probs, want.probs)
+
+
+def test_uniform_over_two_million_symbols_keeps_memory_low():
+    k = 2_000_000
+    tracemalloc.start()
+    try:
+        pmf = Pmf.uniform(range(k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pmf.support_size == k
+    # the kept symbols and probs take 32 MB; a Python int per symbol took 140 MB
+    assert peak < 96 * 2**20
 
 
 def test_half_norm_point_mass():

@@ -7,12 +7,12 @@ import pytest
 
 from driftest.adaptive import drift_sequence
 from driftest.dist import Pmf, mean_pmf, tv_distance
-from driftest.driftgen import (TAIL_TOL, DriftScenario, _sampling_plan,
-                               _trial_rng, abrupt, geometric_drift, iid,
-                               linear_drift, parse_scenario_config,
-                               rotating_support, sample_stream,
-                               scenario_delta, scenario_delta_curve, segments,
-                               true_pmf, truth_pmfs, zipf_drift)
+from driftest.driftgen import (TAIL_TOL, DriftScenario, _trial_rng, abrupt,
+                               geometric_drift, iid, linear_drift,
+                               parse_scenario_config, rotating_support,
+                               sample_stream, scenario_delta,
+                               scenario_delta_curve, segments, true_pmf,
+                               truth_pmfs, zipf_drift)
 
 ALL_FAMILIES = [
     iid(k=4, t=64, seed=1),
@@ -197,25 +197,47 @@ def _reference_sample_stream(scenario, trial):
 SAMPLED = [
     iid(k=20, t=2048, seed=31),
     linear_drift(k=10, step_delta=1e-3, t=1024, seed=32),
-    # shared shapes: every segment has the same probability vector
+    # uniform kinds: every segment has the same probability vector
     abrupt(k=10, change_point=300, t=4096, seed=33),
     rotating_support(k=8, period=300, t=2048, seed=34),
     rotating_support(k=5, period=7, t=1000, seed=35),
     rotating_support(k=8, period=1, t=4096, seed=36),
-    # all-distinct shapes: one probability vector per step
+    # one probability vector per step
     geometric_drift(0.3, 0.45, t=512, seed=37),
     zipf_drift(5.0, 4.5, t=256, seed=38),
     # flat schedules collapse to a single segment
     geometric_drift(0.3, 0.3, t=700, seed=39),
     zipf_drift(4.0, 4.0, t=900, seed=40),
+    # edges of the uniform kinds: a one-step segment at either end, the
+    # widest abrupt block, a last block cut to 5 of its 10 steps, one symbol
+    abrupt(k=7, change_point=1, t=50, seed=42),
+    abrupt(k=7, change_point=49, t=50, seed=43),
+    abrupt(k=99, change_point=500, t=2000, seed=44),
+    rotating_support(k=3, period=10, t=95, seed=45),
+    iid(k=1, t=64, seed=46),
+    rotating_support(k=1, period=3, t=64, seed=47),
 ]
 
 
 @pytest.mark.parametrize("scenario", SAMPLED)
 def test_sampler_matches_per_segment_reference(scenario):
     for trial in range(4):
-        assert np.array_equal(sample_stream(scenario, trial),
-                              _reference_sample_stream(scenario, trial))
+        got = sample_stream(scenario, trial)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_sample_stream(scenario, trial))
+
+
+@pytest.mark.parametrize("scenario", [s for s in SAMPLED
+                                      if s.kind in ("iid", "abrupt", "rotating_support")])
+def test_uniform_kinds_share_one_probability_vector(scenario):
+    # the sampler ranks every step of these kinds by one CDF and adds the
+    # segment's first symbol, which needs consecutive symbols and equal probs
+    segs = segments(scenario)
+    first_probs = segs[0][1].probs
+    for _, pmf in segs:
+        s0 = pmf.symbols[0]
+        assert np.array_equal(pmf.symbols, np.arange(s0, s0 + scenario.k))
+        assert np.array_equal(pmf.probs, first_probs)
 
 
 def _reference_drift_sequence(truth):
@@ -241,35 +263,24 @@ def test_drift_curve_matches_per_step_reference(scenario):
     assert np.array_equal(scenario_delta_curve(scenario), want)
 
 
-def test_sampling_plan_groups_shared_shapes():
-    # 2048 steps / period 300 = 7 segments sharing one uniform shape
-    plan = _sampling_plan(rotating_support(k=8, period=300, t=2048, seed=0))
-    assert len(plan) == 1
-    assert plan[0].symbols.size == 7 * 8
-    assert plan[0].steps.tolist() == list(range(2048))
-    # a single segment keeps a slice and the pmf's own symbols
-    (shape,) = _sampling_plan(iid(k=4, t=64, seed=0))
-    assert shape.steps == slice(0, 64) and shape.offsets is None
-    assert shape.symbols is segments(iid(k=4, t=64, seed=0))[0][1].symbols
-
-
-def test_sampling_plan_retains_linear_memory():
-    # every step of a zipf drift has its own shape with thousands of atoms;
-    # the plan must reference them, not copy them or cache their CDFs
+def test_sample_stream_keeps_no_atom_copy():
+    # every step of a zipf drift has its own pmf with thousands of atoms;
+    # sampling must read them, not copy them or cache their CDFs
     scenario = zipf_drift(5.0, 4.5, t=512, seed=41)
     segs = segments(scenario)
     atoms = sum(pmf.symbols.size for _, pmf in segs)
     assert atoms > 1000 * scenario.t
-    _sampling_plan.cache_clear()
+    sample_stream(scenario, 0)  # first-call allocations stay out of the count
     tracemalloc.start()
     try:
-        plan = _sampling_plan(scenario)
-        retained, _ = tracemalloc.get_traced_memory()
+        stream = sample_stream(scenario, 1)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(plan) == scenario.t
-    assert retained < 1024 * scenario.t
-    assert retained < atoms  # one byte per atom; a copy would take eight
+    assert peak < atoms  # one byte per atom; a copy would take eight
+    # numpy keeps a few small freed blocks for reuse; a cached CDF of all
+    # segments would take 8 bytes per atom
+    assert retained < stream.nbytes + 16 * 1024
 
 
 @pytest.mark.parametrize("scenario", ALL_FAMILIES, ids=lambda s: s.kind)
