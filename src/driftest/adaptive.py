@@ -19,7 +19,7 @@ import numpy as np
 
 from .dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical,
                    sorted_union, tv_distance)
-from .windows import as_stream, build_ladder, ladder_xis, union_log_weight
+from .windows import as_stream, build_ladder, check_delta, ladder_xis, union_log_weight
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def adaptive_estimate(stream, delta: float) -> EstimateResult:
     Deterministic in (stream, delta): builds the dyadic ladder of the
     stream and walks it (see ``walk_ladder``).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
+    check_delta(delta)
     ladder = build_ladder(stream)
     return walk_ladder(ladder, ladder_xis(ladder, delta))
 

@@ -17,7 +17,7 @@ import sys
 from . import driftgen, harness
 from .adaptive import adaptive_estimate
 from .driftgen import load_scenario
-from .windows import load_stream
+from .windows import check_delta, load_stream
 
 _SUITES = ("metric", "prop1", "prop2", "prop3", "prop45", "prop6", "all")
 
@@ -165,8 +165,7 @@ def main(argv=None) -> int:
     try:
         # checked before any input is read or truth side built, and for
         # suites whose campaigns do not use delta
-        if not 0.0 < args.delta < 1.0:
-            raise ValueError("delta must lie strictly between 0 and 1")
+        check_delta(args.delta)
         # numpy's seeding rejects a negative seed without naming it, and
         # only in some suites
         if args.command == "verify" and args.seed < 0:

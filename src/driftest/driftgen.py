@@ -15,10 +15,11 @@ atom absorbs the remainder.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import lru_cache
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import groupby, repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -159,25 +160,67 @@ def _geometric_atoms(p: float) -> int:
     return math.ceil(min(math.log(TAIL_TOL) / math.log1p(-p), _MAX_TRUNCATED_SUPPORT + 1))
 
 
-@lru_cache(maxsize=4096)
-def _geometric_pmf(p: float) -> Pmf:
+def _geometric_pmf(p: float, atoms: int) -> Pmf:
     if p >= 1.0:
         return Pmf.point_mass(0)
-    i = np.arange(_geometric_atoms(p), dtype=np.int64)
+    i = np.arange(atoms, dtype=np.int64)
     probs = p * np.power(1.0 - p, i, dtype=np.float64)
     return _absorb_remainder(i, probs)
 
 
-@lru_cache(maxsize=4096)
+# MACHEP (the double rounding unit) and the Euler-Maclaurin coefficients of Cephes zeta(x, q)
+_MACHEP = 2.0**-53
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta sum over n >= 0 of (q + n)**-x, for x > 1 and 1 <= q <= 1e8.
+
+    A statement-for-statement port of the Cephes ``zeta(x, q)`` routine
+    (Euler-Maclaurin summation), so it returns the same bits as the C code.
+    Cephes answers q > 1e8 by an asymptotic expansion instead; the zipf
+    truncation search stops at q = 20,000,001 and never needs it.  Where
+    the terms underflow, C's ``0.0 / 0.0`` is NaN and fails the stopping
+    test, so a zero sum skips that test here.
+    """
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if s != 0.0 and abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coeff in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s += t
+        if s != 0.0 and abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 def _zipf_atoms(s: float) -> int:
     """Atoms of the truncated zipf pmf, counted before it is built."""
-    # imported here so that importing the CLI does not load scipy
-    from scipy.special import zeta as _hurwitz_zeta
-
-    total = float(_hurwitz_zeta(s, 1))
+    total = _hurwitz_zeta(s, 1)
     # smallest n with relative tail mass below TAIL_TOL, by doubling + bisect
     lo, hi = 1, 2
-    while float(_hurwitz_zeta(s, hi + 1)) / total >= TAIL_TOL:
+    while _hurwitz_zeta(s, hi + 1) / total >= TAIL_TOL:
         lo, hi = hi, hi * 2
         if hi > _MAX_TRUNCATED_SUPPORT:
             raise ValueError(
@@ -185,28 +228,25 @@ def _zipf_atoms(s: float) -> int:
                 f"to reach tail mass {TAIL_TOL}; use a larger exponent")
     while lo < hi:
         mid = (lo + hi) // 2
-        if float(_hurwitz_zeta(s, mid + 1)) / total < TAIL_TOL:
+        if _hurwitz_zeta(s, mid + 1) / total < TAIL_TOL:
             hi = mid
         else:
             lo = mid + 1
     return hi
 
 
-@lru_cache(maxsize=4096)
-def _zipf_pmf(s: float) -> Pmf:
-    from scipy.special import zeta as _hurwitz_zeta
-
-    i = np.arange(1, _zipf_atoms(s) + 1, dtype=np.int64)
-    probs = np.power(i, -s, dtype=np.float64) / float(_hurwitz_zeta(s, 1))
+def _zipf_pmf(s: float, atoms: int) -> Pmf:
+    i = np.arange(1, atoms + 1, dtype=np.int64)
+    probs = np.power(i, -s, dtype=np.float64) / _hurwitz_zeta(s, 1)
     return _absorb_remainder(i, probs)
 
 
 # --- truth sequences -------------------------------------------------------
 
 
-def _linear_alpha(scenario: DriftScenario, t: int) -> float:
-    """Source-symbol mass at step t: drains to zero exactly at the horizon."""
-    return min((scenario.t - t) * scenario.step_delta, 1.0)
+def _linear_alpha(scenario: DriftScenario, t: int | np.ndarray):
+    """Source-symbol mass at step t (or an array of steps): drains to zero at the horizon."""
+    return np.minimum((scenario.t - t) * scenario.step_delta, 1.0)
 
 
 def _linear_pmf(scenario: DriftScenario, t: int) -> Pmf:
@@ -222,14 +262,27 @@ def _linear_pmf(scenario: DriftScenario, t: int) -> Pmf:
     return Pmf(symbols, probs)
 
 
-def _check_truth_size(pmf_atoms: Iterable[int]) -> None:
-    """Running total over the atom counts of a truth's distinct pmfs, before any is built."""
-    total = 0
-    for atoms in pmf_atoms:
-        total += atoms + _PMF_OVERHEAD_ATOMS
-        if total > _MAX_TRUNCATED_SUPPORT:
-            raise ValueError(f"the truth's distinct pmfs need more than {_MAX_TRUNCATED_SUPPORT}"
-                             f" atoms, counting {_PMF_OVERHEAD_ATOMS} per pmf")
+def _ramp_runs(start: float, end: float, t_max: int) -> Iterator[tuple[float, int]]:
+    """Each distinct parameter of a linear schedule with its number of steps, oldest first.
+
+    Generated lazily; the schedule is monotone, so equal parameters are consecutive.
+    """
+    ramp = (end - start) / (t_max - 1)
+    for x, run in groupby(start + ramp * (t - 1) for t in range(1, t_max + 1)):
+        yield x, sum(1 for _ in run)
+
+
+def _charge_truth_size(total: int, atoms: int, pmfs: int = 1) -> int:
+    """Add ``pmfs`` distinct pmfs of ``atoms`` atoms each to a truth's running atom total.
+
+    Raises past the bound.  Counts come before any pmf is built, so an
+    oversized truth is never built.
+    """
+    total += pmfs * (atoms + _PMF_OVERHEAD_ATOMS)
+    if total > _MAX_TRUNCATED_SUPPORT:
+        raise ValueError(f"the truth's distinct pmfs need more than {_MAX_TRUNCATED_SUPPORT}"
+                         f" atoms, counting {_PMF_OVERHEAD_ATOMS} per pmf")
+    return total
 
 
 @lru_cache(maxsize=64)
@@ -244,7 +297,7 @@ def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
         m = scenario.change_point
         return ((t_max - m, pre), (m, post))
     if scenario.kind == "rotating_support":
-        _check_truth_size(repeat(scenario.k, -(-t_max // scenario.period)))
+        _charge_truth_size(0, scenario.k, -(-t_max // scenario.period))
         out = []
         t = 1
         while t <= t_max:
@@ -255,17 +308,12 @@ def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
             t += span
         return tuple(out)
     if scenario.kind == "linear_drift":
-        out = []
-        frozen = 0
-        for t in range(1, t_max + 1):
-            if _linear_alpha(scenario, t) >= 1.0:
-                frozen += 1
-            else:
-                break
+        # alpha never grows with t, so the saturated steps are a prefix
+        frozen = bisect_left(range(1, t_max + 1), True,
+                             key=lambda t: _linear_alpha(scenario, t) < 1.0)
         # the frozen point mass is charged as one more drifting pmf
-        _check_truth_size(repeat(scenario.k + 1, t_max - frozen + bool(frozen)))
-        if frozen:
-            out.append((frozen, Pmf.point_mass(0)))
+        _charge_truth_size(0, scenario.k + 1, t_max - frozen + bool(frozen))
+        out = [(frozen, Pmf.point_mass(0))] if frozen else []
         for t in range(frozen + 1, t_max + 1):
             out.append((1, _linear_pmf(scenario, t)))
         return tuple(out)
@@ -277,12 +325,17 @@ def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
         start, end = scenario.zipf_s_start, scenario.zipf_s_end
         atoms, family = _zipf_atoms, _zipf_pmf
     if start == end or t_max == 1:
-        _check_truth_size([atoms(start)])
-        return ((t_max, family(start)),)
-    ramp = (end - start) / (t_max - 1)
-    params = [start + ramp * (t - 1) for t in range(1, t_max + 1)]
-    _check_truth_size(atoms(x) for x in dict.fromkeys(params))
-    return tuple((1, family(x)) for x in params)
+        n = atoms(start)
+        _charge_truth_size(0, n)
+        return ((t_max, family(start, n)),)
+    runs = []  # (parameter, steps, atoms) of each distinct parameter, oldest first
+    total = 0
+    for x, steps in _ramp_runs(start, end, t_max):
+        n = atoms(x)
+        total = _charge_truth_size(total, n)
+        runs.append((x, steps, n))
+    # each distinct pmf is built once, but every step keeps its own segment
+    return tuple(seg for x, steps, n in runs for seg in repeat((1, family(x, n)), steps))
 
 
 def truth_pmfs(scenario: DriftScenario) -> tuple[Pmf, ...]:
@@ -350,8 +403,7 @@ def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
     if scenario.kind == "linear_drift":
         # inverse CDF over sorted symbols [0, 1..k], vectorized across steps;
         # steps with a saturated source always emit symbol 0
-        ts = np.arange(1, scenario.t + 1)
-        alpha = np.minimum((scenario.t - ts) * scenario.step_delta, 1.0)
+        alpha = _linear_alpha(scenario, np.arange(1, scenario.t + 1))
         k = scenario.k
         block_mass = np.where(alpha < 1.0, 1.0 - alpha, 1.0)
         offset = np.floor((u - alpha) / block_mass * k)

@@ -31,7 +31,7 @@ from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity, mixture,
                    phi_empirical, tv_distance)
 from .driftgen import (DriftScenario, linear_drift, sample_stream,
                        scenario_delta_curve, segments)
-from .windows import (build_ladder, concentration_radius, dyadic_depth,
+from .windows import (build_ladder, check_delta, concentration_radius, dyadic_depth,
                       ladder_xis)
 
 CSV_HEADER = ("trial,scenario,T,delta,chosen_r,err_adaptive,err_oracle,"
@@ -220,9 +220,17 @@ def _trial_metrics(scenario: DriftScenario, delta: float, q_star: float,
     )
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def run_trials(scenario: DriftScenario, trials: int, delta: float,
                workers: int = 1) -> list[TrialMetrics]:
     """Run seeded trials of the estimator with all baselines and diagnostics."""
+    # both checked before the truth side is built
+    check_delta(delta)
+    _check_trials(trials)
     q = q_curve(_truth_side(scenario).current, scenario_delta_curve(scenario), delta)
     r_star = argmin_prefer_large(q) + 1
     return _fan_out(_trial_metrics, (scenario, delta, float(q[r_star - 1]), r_star),
@@ -271,8 +279,7 @@ def verify_prop2(scenario: DriftScenario, r: int, trials: int, delta: float,
     """Coverage of the single-window statistical-error bounds at size r."""
     if r < 1 or r > scenario.t or (r & (r - 1)) != 0:
         raise ValueError("r must be a power of two within the horizon")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
+    check_delta(delta)
     return _coverage_report(_fan_out(_prop2_trial, (scenario, r, delta), trials, workers))
 
 
@@ -285,8 +292,7 @@ def _prop3_trial(scenario: DriftScenario, delta: float, trial: int) -> tuple[boo
 def verify_prop3(scenario: DriftScenario, trials: int, delta: float,
                  workers: int = 1) -> CoverageReport:
     """Coverage of the all-windows-simultaneously statistical-error bounds."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
+    check_delta(delta)
     return _coverage_report(_fan_out(_prop3_trial, (scenario, delta), trials, workers))
 
 
@@ -323,8 +329,8 @@ def verify_prop1(scenario: DriftScenario, trials: int,
     Also checks the averaging inequality (window average within drift error
     of the current pmf), which depends only on the truth sequence.
     """
-    side = _truth_side(scenario)
     per_trial = _fan_out(_prop1_trial, (scenario,), trials, workers)
+    side = _truth_side(scenario)
     return _suite_report("prop1", {
         "decomposition": list(chain.from_iterable(per_trial)),
         "averaging": [tv_distance(average, side.current) - drift for average, drift
@@ -368,6 +374,7 @@ def verify_prop45(scenario: DriftScenario, trials: int, delta: float,
     Trials where the simultaneous-bounds event failed are excluded, since
     both guarantees are conditional on it.
     """
+    check_delta(delta)
     kept = [slacks for slacks in _fan_out(_prop45_trial, (scenario, delta), trials, workers)
             if slacks is not None]
     return _suite_report("prop45", {
@@ -414,8 +421,7 @@ def _perturbed_pair(rng: np.random.Generator) -> tuple[Pmf, Pmf]:
 def _campaign(name: str, names: tuple[str, ...], n: int, seed: int, tol: float,
               slacks: Callable[[np.random.Generator], tuple[float, ...]]) -> SuiteReport:
     """Draw n instances from one seeded generator, one slack per named inequality."""
-    if n < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(n)
     rng = np.random.default_rng(seed)
     draws = [slacks(rng) for _ in range(n)]
     return _suite_report(name, dict(zip(names, zip(*draws))), tol)
@@ -541,8 +547,7 @@ def _fan_out(fn: Callable, common: tuple, trials: int, workers: int) -> list:
 
     Workers take contiguous blocks of trials; their results are concatenated.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     workers = min(workers, trials, _usable_cpus())
     if workers <= 1:
         return _trial_block(fn, common, 0, trials)

@@ -68,14 +68,19 @@ def build_ladder(stream) -> tuple[EmpiricalWindow, ...]:
     return tuple(windows)
 
 
+def check_delta(delta: float) -> None:
+    """Reject a confidence parameter outside (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie strictly between 0 and 1")
+
+
 def union_log_weight(r, delta: float):
     """log(C * (log2(r)^2 + 1) / delta), the union-bound log factor at size r.
 
     Vectorized over ``r``: a scalar size gives a float, an array of sizes
     an array.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
+    check_delta(delta)
     r = np.asarray(r, dtype=np.float64)
     if r.min() < 1:
         raise ValueError("window size must be >= 1")

@@ -350,12 +350,20 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
 def test_cli_import_does_not_load_scipy():
     import driftest
     src = os.path.dirname(os.path.dirname(driftest.__file__))
+    env = dict(os.environ, PYTHONPATH=src, DRIFTEST_THREADS="1")
     code = ("import sys, driftest.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # every suite, zipf included, with scipy made unimportable
+    code = ("import sys; sys.modules['scipy'] = None; from driftest.cli import main; "
+            "sys.exit(main(['verify', '--suite', 'all', '--trials', '5', '--seed', '0']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == VERIFY_ALL_5_SEED_0
 
 
 def test_console_entry_point():

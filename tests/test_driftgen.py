@@ -1,10 +1,12 @@
 """Scenario generators: truth sequences, samplers, and the config format."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from driftest import driftgen
 from driftest.adaptive import drift_sequence
 from driftest.dist import Pmf, mean_pmf, tv_distance
 from driftest.driftgen import (TAIL_TOL, DriftScenario, _trial_rng, abrupt,
@@ -395,3 +397,80 @@ def test_window_average_matches_mean_of_truth():
             got = _suffix_average(scenario, r)
             want = mean_pmf(truth[len(truth) - r:])
             assert tv_distance(got, want) < 1e-12
+
+
+def _frozen_prefix_by_walk(scenario):
+    """Saturated steps counted one at a time, oldest first."""
+    frozen = 0
+    for t in range(1, scenario.t + 1):
+        if min((scenario.t - t) * scenario.step_delta, 1.0) < 1.0:
+            break
+        frozen += 1
+    return frozen
+
+
+@pytest.mark.parametrize("step_delta", [0.0, 1e-9, 1 / 3, 0.5, 1.0, 2.5])
+@pytest.mark.parametrize("t", [1, 2, 3, 7, 1000])
+def test_linear_frozen_prefix_matches_the_step_walk(step_delta, t):
+    scenario = linear_drift(k=3, step_delta=step_delta, t=t, seed=0)
+    segs = segments(scenario)
+    frozen = _frozen_prefix_by_walk(scenario)
+    assert sum(count for count, _ in segs) == t
+    if frozen:
+        assert segs[0][0] == frozen and segs[0][1].as_dict() == {0: 1.0}
+        assert all(count == 1 for count, _ in segs[1:])
+    else:
+        assert all(count == 1 for count, _ in segs)
+    assert len(segs) == t - frozen + bool(frozen)
+
+
+def test_linear_frozen_prefix_takes_logarithmic_predicate_calls(monkeypatch):
+    calls = []
+    alpha = driftgen._linear_alpha
+
+    def counted(scenario, t):
+        calls.append(t)
+        return alpha(scenario, t)
+
+    monkeypatch.setattr(driftgen, "_linear_alpha", counted)
+    t = 20_000_000
+    segs = segments(linear_drift(k=1, step_delta=0.5, t=t, seed=314159))
+    assert [count for count, _ in segs] == [t - 2, 1, 1]
+    assert len(calls) <= 2 * math.ceil(math.log2(t))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(driftgen, name)
+
+    def counted(param, *rest):
+        calls.append(param)
+        return fn(param, *rest)
+
+    monkeypatch.setattr(driftgen, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, atoms, scenario", [
+    ("_geometric_pmf", "_geometric_atoms", geometric_drift(0.3, 0.45, t=512, seed=271)),
+    ("_zipf_pmf", "_zipf_atoms", zipf_drift(5.0, 4.5, t=512, seed=272)),
+    # a ramp slower than the float spacing: 24 parameters over 4096 steps
+    ("_zipf_pmf", "_zipf_atoms", zipf_drift(5.0, 5.0 + 2e-14, t=4096, seed=273)),
+])
+def test_each_distinct_pmf_is_counted_and_built_once(family, atoms, scenario, monkeypatch):
+    counted = _count_calls(monkeypatch, atoms)
+    built = _count_calls(monkeypatch, family)
+    segs = segments(scenario)
+    distinct = {id(pmf) for _, pmf in segs}
+    assert all(count == 1 for count, _ in segs) and len(segs) == scenario.t
+    assert len(counted) == len(built) == len(distinct)
+    assert len(set(counted)) == len(counted)
+
+
+@pytest.mark.parametrize("scenario", [zipf_drift(1000.0, 1000.0, t=4, seed=0),
+                                      zipf_drift(1000.0, 900.0, t=4, seed=0)])
+def test_zipf_with_underflowing_tail_is_a_point_mass_at_one(scenario):
+    segs = segments(scenario)
+    assert sum(count for count, _ in segs) == scenario.t
+    assert all(pmf.as_dict() == {1: 1.0} for _, pmf in segs)
+    assert sample_stream(scenario, 0).tolist() == [1] * scenario.t

@@ -427,3 +427,32 @@ def test_truth_side_is_shared_across_deltas(monkeypatch):
     assert len(calls) == 9 + 1
     # the objective q still depends on delta: a larger delta lowers it
     assert tight[0].q_star < loose[0].q_star
+
+
+@pytest.mark.parametrize("suite, trials, delta, message", [
+    ("run_trials", 5, 1.5, "delta must lie"),
+    ("run_trials", 0, 0.05, "trials must be >= 1"),
+    ("prop2", 5, 0.0, "delta must lie"),
+    ("prop2", 0, 0.05, "trials must be >= 1"),
+    ("prop3", 5, 1.0, "delta must lie"),
+    ("prop3", -1, 0.05, "trials must be >= 1"),
+    ("prop45", 5, -0.5, "delta must lie"),
+    ("prop45", 0, 0.05, "trials must be >= 1"),
+    ("prop1", 0, 0.05, "trials must be >= 1"),
+])
+def test_bad_arguments_are_rejected_before_the_truth_side(suite, trials, delta, message,
+                                                          monkeypatch):
+    def built(scenario):
+        raise AssertionError("the truth side was built")
+
+    monkeypatch.setattr(harness, "_truth_side", built)
+    scenario = harness.default_families(0)[5]
+    call = {
+        "run_trials": lambda: run_trials(scenario, trials, delta),
+        "prop2": lambda: verify_prop2(scenario, 64, trials, delta),
+        "prop3": lambda: verify_prop3(scenario, trials, delta),
+        "prop45": lambda: verify_prop45(scenario, trials, delta),
+        "prop1": lambda: verify_prop1(scenario, trials),
+    }[suite]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -31,6 +31,10 @@ CONFIGS = {
         ("kind = rotating_support\nt = 20000000\nk = 1\nperiod = 1\n", "atoms"),
     "geometric_drift":
         ("kind = geometric_drift\nt = 16\ngeo_p_start = 1e-7\ngeo_p_end = 1e-7\n", "atoms"),
+    # every step its own parameter; the schedule is counted lazily, not listed
+    "geometric_drift_long_ramp":
+        ("kind = geometric_drift\nt = 20000000\ngeo_p_start = 0.9\ngeo_p_end = 0.8\n",
+         "atoms"),
     "zipf_drift":
         ("kind = zipf_drift\nt = 4096\nzipf_s_start = 3.0\nzipf_s_end = 2.8\n", "atoms"),
 }
