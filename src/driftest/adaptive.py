@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical,
-                   sorted_union, tv_distance)
+                   rows_tv, sorted_union, tv_distance)
 from .windows import as_stream, build_ladder, check_delta, ladder_xis, union_log_weight
 
 
@@ -146,19 +146,17 @@ def fixed_window_estimate(stream, r: int) -> Pmf:
     return EmpiricalWindow.from_samples(arr[arr.size - r:]).to_pmf()
 
 
-def drift_sequence(runs: Sequence[tuple[int, Pmf]]) -> np.ndarray:
+def drift_sequence(truth) -> np.ndarray:
     """Drift-error sequence of a truth sequence, one value per window size.
 
-    ``runs`` is the truth as run-length (count, pmf) pairs, oldest first.
-    Entry r-1 is the largest total variation distance from the final
-    distribution to any of the r most recent ones; starts at 0 and never
-    decreases.  Each run is measured once.
+    ``truth`` is a columnar ``driftgen.Truth``: run counts oldest first,
+    each run's row, and the distinct pmfs as row blocks.  Entry r-1 is the
+    largest total variation distance from the final distribution to any of
+    the r most recent ones; starts at 0 and never decreases.  Each distinct
+    pmf is measured once, a block of them at a time (``rows_tv``).
     """
-    if len(runs) == 0:
-        raise ValueError("truth sequence must be non-empty")
-    counts, pmfs = zip(*reversed(runs))
-    gaps = [tv_distance(runs[-1][1], pmf) for pmf in pmfs]
-    return np.maximum.accumulate(np.repeat(gaps, counts))
+    gaps = np.concatenate([rows_tv(block, truth.current) for block in truth.blocks])
+    return np.maximum.accumulate(np.repeat(gaps[truth.rows[::-1]], truth.counts[::-1]))
 
 
 def q_curve(current: Pmf, drift: np.ndarray, delta: float) -> np.ndarray:

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -156,9 +155,49 @@ class Pmf:
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
 
-    @classmethod
-    def from_json(cls, text: str) -> "Pmf":
-        return cls.from_json_obj(json.loads(text))
+
+# elements of one 2-D chunk in the row-block operations, which bounds their temporaries
+CHUNK_ELEMENTS = 1 << 15
+
+
+def row_slices(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``rows`` rows, each at most one row over ``CHUNK_ELEMENTS``."""
+    step = max(1, CHUNK_ELEMENTS // width)
+    return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
+
+
+class RangeBlock:
+    """Pmfs with n atoms each, every one on a run of consecutive symbols.
+
+    Row i puts ``probs[i, m]`` on symbol ``starts[i] + m``.  The rows are
+    checked as ``Pmf`` checks its atoms, one block at a time: finite,
+    nonnegative, and each row's mass 1 within ``MASS_TOL``.  A zero atom
+    raises instead of being dropped, since dropping it would split the
+    row's run of symbols.  The block keeps the arrays it is given, not
+    copies, and makes them read-only.
+    """
+
+    def __init__(self, starts, probs):
+        starts = int64_values(starts, "starts")
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim != 2 or probs.size == 0 or starts.shape != probs.shape[:1]:
+            raise ValueError("a block needs one start per row of a non-empty 2-D probs array")
+        if starts.min() < 0:
+            raise ValueError("symbols must be nonnegative integers")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
+        lowest = probs.min()
+        if lowest < 0.0:
+            raise ValueError("probabilities must be nonnegative")
+        if lowest == 0.0:
+            raise ValueError("a block row has a zero atom")
+        mass = np.sum(probs, axis=1)
+        worst = int(np.argmax(np.abs(mass - 1.0)))
+        if abs(mass[worst] - 1.0) > MASS_TOL:
+            raise ValueError(f"pmf mass is {float(mass[worst])!r}, not 1 within {MASS_TOL}")
+        starts.setflags(write=False)
+        probs.setflags(write=False)
+        self.starts, self.probs = starts, probs
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +245,40 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.sum(np.abs(a - b)))
 
 
+def rows_tv(block: RangeBlock, q: Pmf) -> np.ndarray:
+    """``tv_distance(q, row)`` for every row of a block, bit for bit.
+
+    q must sit on consecutive symbols too.  Row and q are laid out on their
+    sorted union, as ``tv_distance`` lays them out, so each row's sum runs
+    over the same values in the same order.  The layout depends only on
+    where the row starts against q, so rows that start alike are summed
+    together, one ``np.sum(axis=1)`` per chunk.
+    """
+    n, m = block.probs.shape[1], q.symbols.size
+    q_lo = int(q.symbols[0])
+    if int(q.symbols[-1]) - q_lo != m - 1:
+        raise ValueError("q must sit on consecutive symbols")
+    # offset of each row's first symbol from q's; past either end, row and q are apart
+    offsets, which = np.unique(np.clip(block.starts - q_lo, -n - 1, m + 1), return_inverse=True)
+    gaps = np.empty(which.size)
+    for k, d in enumerate(offsets.tolist()):
+        if d == -n - 1:
+            width, row_at, q_at = n + m, 0, n
+        elif d == m + 1:
+            width, row_at, q_at = n + m, m, 0
+        else:  # overlapping or adjacent: the union is one run of symbols
+            lo = min(d, 0)
+            width, row_at, q_at = max(d + n, m) - lo, d - lo, -lo
+        rows = np.flatnonzero(which == k)
+        for part in row_slices(rows.size, width):
+            chunk = rows[part]
+            diff = np.zeros((chunk.size, width))
+            diff[:, row_at:row_at + n] = block.probs[chunk]
+            diff[:, q_at:q_at + m] -= q.probs
+            gaps[chunk] = 0.5 * np.sum(np.abs(diff), axis=1)
+    return gaps
+
+
 def lambda_complexity(p: Distribution, r):
     """Learning-complexity functional at sample budget r.
 
@@ -240,24 +313,3 @@ def phi_empirical(w: EmpiricalWindow) -> float:
     upper-bounds the statistical error of the window's estimate.
     """
     return float(np.sum(np.sqrt(w.probs)) / math.sqrt(w.size))
-
-
-def mixture(parts: Sequence[tuple[float, Pmf]]) -> Pmf:
-    """Sum of weight * pmf over (weight, pmf) parts, added in the given order.
-
-    The support is the union of the parts' supports; the weights must sum
-    to 1.
-    """
-    union = sorted_union(*[p.symbols for _, p in parts])
-    acc = np.zeros(union.size)
-    for weight, p in parts:
-        acc[np.searchsorted(union, p.symbols)] += weight * p.probs
-    return Pmf(union, acc)
-
-
-def mean_pmf(seq: Sequence[Pmf]) -> Pmf:
-    """Entrywise arithmetic mean of pmfs; support is the union of supports."""
-    if len(seq) == 0:
-        raise ValueError("cannot average an empty sequence of pmfs")
-    # repeated pmf objects (piecewise-constant truth) become one weighted part
-    return mixture([(count / len(seq), p) for p, count in Counter(seq).items()])

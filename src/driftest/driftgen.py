@@ -2,14 +2,23 @@
 
 Each scenario describes a sequence of true distributions, one per time
 step, together with a sampler drawing one independent sample per step.
+The truth is held columnar (``Truth``, from ``segments``): the run
+lengths of the sequence, oldest first, and its distinct pmfs as rows.
+Every truth pmf lies on consecutive symbols, so a row is a first symbol,
+a width and a probability vector; the rows' probabilities lie back to
+back in one array, and each stretch of rows of one width is also a 2-D
+block.  The truth is built vectorized, checked a block at a time, and
+cached once per scenario with the drift curve and the dyadic window
+averages read from it; no ``Pmf`` is built per step.
+
 Sampling is inverse-CDF over sorted symbols, seeded from (scenario seed,
 trial index), so identical inputs reproduce identical streams on any
-platform.  The sampler reads the run-length ``segments`` of the truth and
-keeps nothing between calls: the uniform kinds (iid, abrupt, rotating)
-share one CDF, and geometric and zipf take one per segment.
-Infinite-support families (geometric, zipf) are truncated to exact finite
-pmfs: a tail of total mass below ``TAIL_TOL`` is dropped and the largest
-atom absorbs the remainder.
+platform, and keeps nothing between calls: linear drift by a closed form,
+the uniform kinds (iid, abrupt, rotating) by one CDF for all steps,
+geometric and zipf by a search of each step's row.  Infinite-support
+families (geometric, zipf) are truncated to exact finite pmfs: a tail of
+total mass below ``TAIL_TOL`` is dropped and the largest atom absorbs the
+remainder.
 """
 
 from __future__ import annotations
@@ -17,14 +26,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import lru_cache
-from itertools import groupby, repeat
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .adaptive import drift_sequence
-from .dist import Pmf
+from .dist import CHUNK_ELEMENTS, Pmf, RangeBlock, lambda_complexity, row_slices
+from .windows import dyadic_depth
 
 TAIL_TOL = 1e-12
 
@@ -145,11 +154,9 @@ def zipf_drift(s_start: float, s_end: float, t: int, seed: int = 0) -> DriftScen
 # --- truncated infinite-support families ----------------------------------
 
 
-def _absorb_remainder(symbols: np.ndarray, probs: np.ndarray) -> Pmf:
-    """Give any missing mass (dropped tail plus rounding) to the largest atom."""
-    probs = probs.copy()
-    probs[int(np.argmax(probs))] += 1.0 - float(np.sum(probs))
-    return Pmf(symbols, probs)
+def _absorb_remainder(probs: np.ndarray) -> None:
+    """Give each row's missing mass (dropped tail plus rounding) to its largest atom."""
+    probs[np.arange(probs.shape[0]), np.argmax(probs, axis=1)] += 1.0 - np.sum(probs, axis=1)
 
 
 def _geometric_atoms(p: float) -> int:
@@ -160,12 +167,15 @@ def _geometric_atoms(p: float) -> int:
     return math.ceil(min(math.log(TAIL_TOL) / math.log1p(-p), _MAX_TRUNCATED_SUPPORT + 1))
 
 
-def _geometric_pmf(p: float, atoms: int) -> Pmf:
-    if p >= 1.0:
-        return Pmf.point_mass(0)
-    i = np.arange(atoms, dtype=np.int64)
-    probs = p * np.power(1.0 - p, i, dtype=np.float64)
-    return _absorb_remainder(i, probs)
+def _geometric_rows(p: np.ndarray, out: np.ndarray) -> None:
+    """Fill each row of ``out`` with the truncated geometric pmf of one success probability.
+
+    Row i is the pmf on 0 .. width-1 for ``p[i]``; p = 1 gives the point
+    mass at 0, since 0.0 ** 0 is 1.
+    """
+    np.power((1.0 - p)[:, None], np.arange(out.shape[1], dtype=np.int64), out=out)
+    out *= p[:, None]
+    _absorb_remainder(out)
 
 
 # MACHEP (the double rounding unit) and the Euler-Maclaurin coefficients of Cephes zeta(x, q)
@@ -235,10 +245,132 @@ def _zipf_atoms(s: float) -> int:
     return hi
 
 
-def _zipf_pmf(s: float, atoms: int) -> Pmf:
-    i = np.arange(1, atoms + 1, dtype=np.int64)
-    probs = np.power(i, -s, dtype=np.float64) / _hurwitz_zeta(s, 1)
-    return _absorb_remainder(i, probs)
+def _zipf_rows(s: np.ndarray, out: np.ndarray) -> None:
+    """Fill each row of ``out`` with the truncated zipf pmf on 1 .. width of one exponent."""
+    np.power(np.arange(1, out.shape[1] + 1, dtype=np.int64), -s[:, None], out=out,
+             dtype=np.float64)
+    out /= np.array([_hurwitz_zeta(x, 1) for x in s.tolist()])[:, None]
+    _absorb_remainder(out)
+
+
+def _stretches(values: np.ndarray) -> list[tuple[int, int]]:
+    """[a, z) of each longest stretch of equal values, in order."""
+    if values.size == 0:
+        return []
+    bounds = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), values.size]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _row_buffer(groups: list[tuple[int, int]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One flat buffer for groups of (rows, width), and each group's 2-D view of it."""
+    probs = np.empty(sum(rows * width for rows, width in groups))
+    views, at = [], 0
+    for rows, width in groups:
+        views.append(probs[at:at + rows * width].reshape(rows, width))
+        at += rows * width
+    return probs, views
+
+
+# --- the columnar truth ----------------------------------------------------
+
+
+class Truth:
+    """A truth sequence, columnar: run lengths, and the distinct pmfs as rows.
+
+    ``counts[i]`` steps, oldest run first, follow the pmf of row
+    ``rows[i]``.  Rows never decrease along the runs, and every row is some
+    run's.  Row j puts ``probs[offsets[j] + m]`` on symbol ``starts[j] + m``
+    for m below ``widths[j]``, the rows' atoms lying back to back in
+    ``probs``; ``blocks`` views each longest stretch of rows of one width as
+    a 2-D ``RangeBlock``, which checks its rows as ``Pmf`` would.  A
+    drifting geometric or zipf schedule keeps one run per step even where
+    steps share a row, so that each step stays its own part of a window
+    average.  The curves read from the truth are computed once, on first use.
+    """
+
+    def __init__(self, counts, rows, starts, widths, probs: np.ndarray):
+        self.counts, self.rows, self.starts, self.widths = (
+            np.asarray(a, dtype=np.int64) for a in (counts, rows, starts, widths))
+        self.probs = probs
+        self.offsets = np.concatenate(([0], np.cumsum(self.widths)))
+        self.blocks = tuple(
+            RangeBlock(self.starts[a:z], probs[self.offsets[a]:self.offsets[z]].reshape(
+                z - a, int(self.widths[a]))) for a, z in _stretches(self.widths))
+        self.current = self.pmf(self.widths.size - 1)  # the final step's pmf
+        self.depth = dyadic_depth(int(np.sum(self.counts)))
+        # cached and shared by every caller, so read-only like a Pmf
+        for array in (self.counts, self.rows, self.starts, self.widths, probs, self.offsets):
+            array.setflags(write=False)
+
+    def row_probs(self, row: int) -> np.ndarray:
+        return self.probs[self.offsets[row]:self.offsets[row + 1]]
+
+    def pmf(self, row: int) -> Pmf:
+        """One row as a ``Pmf``."""
+        return Pmf(self.starts[row] + np.arange(self.widths[row]), self.row_probs(row))
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """Drift errors for every window size 1..t (read-only)."""
+        curve = drift_sequence(self)
+        curve.setflags(write=False)
+        return curve
+
+    @cached_property
+    def window_averages(self) -> tuple[Pmf, ...]:
+        """Mean of the most recent 2^j true pmfs, j = 0 .. depth."""
+        ends = np.cumsum(self.counts[::-1])
+        return tuple(_window_average(self, ends, 2**j) for j in range(self.depth + 1))
+
+    @cached_property
+    def window_lambdas(self) -> tuple[float, ...]:
+        """Complexity of each window average at its own size."""
+        return tuple(lambda_complexity(average, 2**j)
+                     for j, average in enumerate(self.window_averages))
+
+    @cached_property
+    def window_deltas(self) -> tuple[float, ...]:
+        """Drift error of each dyadic window size."""
+        return tuple(float(self.drift[2**j - 1]) for j in range(self.depth + 1))
+
+
+def _atom_chunks(widths: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of rows of these widths, each at most ``CHUNK_ELEMENTS`` atoms.
+
+    A row wider than that is a slice of its own.
+    """
+    ends = np.cumsum(widths)
+    a = 0
+    while a < widths.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - widths[a] + CHUNK_ELEMENTS,
+                                           side="right")))
+        yield slice(a, b)
+        a = b
+
+
+def _window_average(truth: Truth, ends: np.ndarray, r: int) -> Pmf:
+    """Mean of the most recent r true pmfs; ``ends`` are the run ends counted from the newest.
+
+    The runs in the window are its parts, newest first, each weighted by
+    its steps in the window over r.  Parts are added in that order, atom
+    after atom (``np.add.at``, a chunk at a time), onto the range of
+    symbols they cover; atoms nothing lands on stay zero, and ``Pmf`` drops
+    them.
+    """
+    parts = int(np.searchsorted(ends, r)) + 1
+    weights = truth.counts[::-1][:parts] / r
+    weights[-1] = (r - (int(ends[parts - 2]) if parts > 1 else 0)) / r
+    rows = truth.rows[::-1][:parts]
+    widths, starts = truth.widths[rows], truth.starts[rows]
+    lo, hi = int(starts.min()), int((starts + widths).max())
+    acc = np.zeros(hi - lo)
+    for chunk in _atom_chunks(widths):
+        n = widths[chunk]
+        within = np.arange(int(np.sum(n))) - np.repeat(np.cumsum(n) - n, n)
+        atoms = np.repeat(truth.offsets[rows[chunk]], n) + within
+        np.add.at(acc, np.repeat(starts[chunk] - lo, n) + within,
+                  np.repeat(weights[chunk], n) * truth.probs[atoms])
+    return Pmf(np.arange(lo, hi), acc)
 
 
 # --- truth sequences -------------------------------------------------------
@@ -247,29 +379,6 @@ def _zipf_pmf(s: float, atoms: int) -> Pmf:
 def _linear_alpha(scenario: DriftScenario, t: int | np.ndarray):
     """Source-symbol mass at step t (or an array of steps): drains to zero at the horizon."""
     return np.minimum((scenario.t - t) * scenario.step_delta, 1.0)
-
-
-def _linear_pmf(scenario: DriftScenario, t: int) -> Pmf:
-    k = scenario.k
-    alpha = _linear_alpha(scenario, t)
-    if alpha >= 1.0:
-        return Pmf.point_mass(0)
-    block = np.arange(1, k + 1, dtype=np.int64)
-    if alpha <= 0.0:
-        return Pmf(block, np.full(k, 1.0 / k))
-    symbols = np.concatenate([[0], block])
-    probs = np.concatenate([[alpha], np.full(k, (1.0 - alpha) / k)])
-    return Pmf(symbols, probs)
-
-
-def _ramp_runs(start: float, end: float, t_max: int) -> Iterator[tuple[float, int]]:
-    """Each distinct parameter of a linear schedule with its number of steps, oldest first.
-
-    Generated lazily; the schedule is monotone, so equal parameters are consecutive.
-    """
-    ramp = (end - start) / (t_max - 1)
-    for x, run in groupby(start + ramp * (t - 1) for t in range(1, t_max + 1)):
-        yield x, sum(1 for _ in run)
 
 
 def _charge_truth_size(total: int, atoms: int, pmfs: int = 1) -> int:
@@ -285,78 +394,184 @@ def _charge_truth_size(total: int, atoms: int, pmfs: int = 1) -> int:
     return total
 
 
-@lru_cache(maxsize=64)
-def segments(scenario: DriftScenario) -> tuple[tuple[int, Pmf], ...]:
-    """Run-length encoding of the truth sequence, oldest first."""
-    t_max = scenario.t
-    if scenario.kind == "iid":
-        return ((t_max, Pmf.uniform(range(scenario.k))),)
-    if scenario.kind == "abrupt":
-        pre = Pmf.uniform(range(scenario.k))
-        post = Pmf.uniform(range(ABRUPT_POST_OFFSET, ABRUPT_POST_OFFSET + scenario.k))
-        m = scenario.change_point
-        return ((t_max - m, pre), (m, post))
-    if scenario.kind == "rotating_support":
-        _charge_truth_size(0, scenario.k, -(-t_max // scenario.period))
-        out = []
-        t = 1
-        while t <= t_max:
-            block = (t - 1) // scenario.period
-            span = min(scenario.period * (block + 1), t_max) - t + 1
-            lo = block * scenario.k
-            out.append((span, Pmf.uniform(range(lo, lo + scenario.k))))
-            t += span
-        return tuple(out)
-    if scenario.kind == "linear_drift":
-        # alpha never grows with t, so the saturated steps are a prefix
-        frozen = bisect_left(range(1, t_max + 1), True,
-                             key=lambda t: _linear_alpha(scenario, t) < 1.0)
-        # the frozen point mass is charged as one more drifting pmf
-        _charge_truth_size(0, scenario.k + 1, t_max - frozen + bool(frozen))
-        out = [(frozen, Pmf.point_mass(0))] if frozen else []
-        for t in range(frozen + 1, t_max + 1):
-            out.append((1, _linear_pmf(scenario, t)))
-        return tuple(out)
-    # schedule-driven families; a flat schedule collapses to one segment
+def _linear_truth(scenario: DriftScenario) -> Truth:
+    """A saturated point-mass prefix, then one row per step, the last uniform on 1..k."""
+    t_max, k = scenario.t, scenario.k
+    # alpha never grows with t, so the saturated steps are a prefix
+    frozen = bisect_left(range(1, t_max + 1), True,
+                         key=lambda t: _linear_alpha(scenario, t) < 1.0)
+    # the frozen point mass is charged as one more drifting pmf
+    runs = t_max - frozen + bool(frozen)
+    _charge_truth_size(0, k + 1, runs)
+    alpha = _linear_alpha(scenario, np.arange(frozen + 1, t_max + 1))
+    # a drained source (the final step, or every step at a zero rate) is a suffix
+    drifting = alpha[alpha > 0.0]
+    drained = alpha.size - drifting.size
+    probs, (point, mixed, uniform) = _row_buffer(
+        [(int(bool(frozen)), 1), (drifting.size, k + 1), (drained, k)])
+    point[:] = 1.0
+    mixed[:, 0] = drifting
+    mixed[:, 1:] = ((1.0 - drifting) / k)[:, None]
+    uniform[:] = 1.0 / k
+    counts = np.ones(runs, dtype=np.int64)
+    counts[0] = max(frozen, 1)
+    starts = np.concatenate([np.zeros(runs - drained, dtype=np.int64),
+                             np.ones(drained, dtype=np.int64)])
+    widths = np.repeat([1, k + 1, k], [point.shape[0], drifting.size, drained])
+    return Truth(counts, np.arange(runs), starts, widths, probs)
+
+
+# chunk of schedule steps evaluated at once
+_STEP_CHUNK = 1 << 20
+# distinct pmfs beyond this many cannot fit the truth bound, at one atom each
+_MAX_DISTINCT_PMFS = _MAX_TRUNCATED_SUPPORT // (1 + _PMF_OVERHEAD_ATOMS)
+
+
+def _ramp_params(start: float, end: float, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct parameter of a linear schedule and its number of steps, oldest first.
+
+    Step t's parameter is ``start + ramp * (t - 1)``, evaluated a chunk of
+    steps at a time in the same float arithmetic as one step at a time.
+    The schedule is monotone, so equal parameters are consecutive.  Stops
+    at ``_MAX_DISTINCT_PMFS`` + 1 parameters, which the truth bound rejects
+    anyway.
+    """
+    ramp = (end - start) / (t_max - 1)
+    values: list[np.ndarray] = []
+    steps: list[np.ndarray] = []
+    found = 0
+    for lo in range(0, t_max, _STEP_CHUNK):
+        x = start + ramp * np.arange(lo, min(lo + _STEP_CHUNK, t_max))
+        first = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+        runs = np.diff(first, append=x.size)
+        if values and x[0] == values[-1][-1]:
+            steps[-1][-1] += runs[0]
+            first, runs = first[1:], runs[1:]
+        if first.size:
+            values.append(x[first])
+            steps.append(runs)
+            found += first.size
+        if found > _MAX_DISTINCT_PMFS:
+            break
+    keep = _MAX_DISTINCT_PMFS + 1
+    return np.concatenate(values)[:keep], np.concatenate(steps)[:keep]
+
+
+def _ramp_atoms(params: np.ndarray, atoms: Callable[[float], int]) -> np.ndarray:
+    """Atoms of each distinct ramp parameter, charged to the truth bound oldest first.
+
+    Atom counts are monotone along a monotone ramp, so each run of equal
+    counts ends where a galloping bisection finds it: O(log run) counts per
+    run rather than one per parameter, none counted twice.  A count that
+    fails while looking ahead raises only when its run is reached, after
+    every older parameter is charged: the error a walk over the parameters
+    in order would raise first.
+    """
+    seen: dict[int, int | None] = {}
+
+    def peek(i: int) -> int | None:
+        if i not in seen:
+            try:
+                seen[i] = atoms(float(params[i]))
+            except ValueError:
+                seen[i] = None
+        return seen[i]
+
+    size = params.size
+    widths = np.empty(size, dtype=np.int64)
+    total = i = 0
+    while i < size:
+        n = peek(i)
+        if n is None:
+            atoms(float(params[i]))  # raises
+        # params[lo] has n atoms, and params[hi] (if hi < size) does not
+        lo, hi, step = i, size, 1
+        while lo + step < hi:
+            if peek(lo + step) != n:
+                hi = lo + step
+                break
+            lo, step = lo + step, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if peek(mid) == n else (lo, mid)
+        total = _charge_truth_size(total, n, hi - i)
+        widths[i:hi] = n
+        i = hi
+    return widths
+
+
+def _schedule_truth(scenario: DriftScenario) -> Truth:
+    """One row per distinct parameter, each group of one atom count built at once.
+
+    A flat schedule, or a single step, is one run of one row.
+    """
     if scenario.kind == "geometric_drift":
         start, end = scenario.geo_p_start, scenario.geo_p_end
-        atoms, family = _geometric_atoms, _geometric_pmf
+        atoms, family = _geometric_atoms, _geometric_rows
     else:
         start, end = scenario.zipf_s_start, scenario.zipf_s_end
-        atoms, family = _zipf_atoms, _zipf_pmf
-    if start == end or t_max == 1:
-        n = atoms(start)
-        _charge_truth_size(0, n)
-        return ((t_max, family(start, n)),)
-    runs = []  # (parameter, steps, atoms) of each distinct parameter, oldest first
-    total = 0
-    for x, steps in _ramp_runs(start, end, t_max):
-        n = atoms(x)
-        total = _charge_truth_size(total, n)
-        runs.append((x, steps, n))
-    # each distinct pmf is built once, but every step keeps its own segment
-    return tuple(seg for x, steps, n in runs for seg in repeat((1, family(x, n)), steps))
+        atoms, family = _zipf_atoms, _zipf_rows
+    flat = start == end or scenario.t == 1
+    if flat:
+        params, steps = np.array([start]), np.array([scenario.t])
+        widths = np.array([atoms(start)])
+        _charge_truth_size(0, int(widths[0]))
+    else:
+        params, steps = _ramp_params(start, end, scenario.t)
+        widths = _ramp_atoms(params, atoms)
+    groups = _stretches(widths)
+    probs, views = _row_buffer([(z - a, int(widths[a])) for a, z in groups])
+    for (a, z), view in zip(groups, views):
+        family(params[a:z], view)
+    starts = np.full(params.size, 0 if scenario.kind == "geometric_drift" else 1)
+    if flat:
+        return Truth(steps, [0], starts, widths, probs)
+    # each distinct pmf is built once, but every step keeps its own run
+    return Truth(np.ones(scenario.t, dtype=np.int64), np.repeat(np.arange(params.size), steps),
+                 starts, widths, probs)
 
 
-def truth_pmfs(scenario: DriftScenario) -> tuple[Pmf, ...]:
-    """The full truth sequence, index t-1 holding the distribution of step t.
+def _uniform_truth(counts, starts, k: int) -> Truth:
+    """Runs of uniform pmfs on k consecutive symbols, run i from ``starts[i]``."""
+    starts = np.asarray(starts, dtype=np.int64)
+    return Truth(counts, np.arange(starts.size), starts, np.full(starts.size, k),
+                 np.full(starts.size * k, 1.0 / k))
 
-    O(T) references; ``true_pmf`` reads one step from the segments instead.
+
+@lru_cache(maxsize=32)
+def segments(scenario: DriftScenario) -> Truth:
+    """The scenario's columnar truth, oldest run first, built once per scenario.
+
+    Every size is charged against the truth bound before any row is built.
     """
-    out: list[Pmf] = []
-    for count, pmf in segments(scenario):
-        out.extend([pmf] * count)
-    return tuple(out)
+    t_max, k = scenario.t, scenario.k
+    if scenario.kind == "iid":
+        return _uniform_truth([t_max], [0], k)
+    if scenario.kind == "abrupt":
+        m = scenario.change_point
+        return _uniform_truth([t_max - m, m], [0, ABRUPT_POST_OFFSET], k)
+    if scenario.kind == "rotating_support":
+        blocks = -(-t_max // scenario.period)
+        _charge_truth_size(0, k, blocks)
+        counts = np.full(blocks, scenario.period)
+        counts[-1] = t_max - scenario.period * (blocks - 1)
+        return _uniform_truth(counts, np.arange(blocks) * k, k)
+    if scenario.kind == "linear_drift":
+        return _linear_truth(scenario)
+    return _schedule_truth(scenario)
+
+
+def truth_pmfs(scenario: DriftScenario) -> tuple[RangeBlock, ...]:
+    """The distinct pmfs of the truth sequence, as 2-D row blocks oldest first."""
+    return segments(scenario).blocks
 
 
 def true_pmf(scenario: DriftScenario, t: int) -> Pmf:
-    """True distribution at step t (1-based), found by walking the segments."""
+    """True distribution at step t (1-based), found from the run lengths."""
     if not 1 <= t <= scenario.t:
         raise ValueError(f"time step {t} outside [1, {scenario.t}]")
-    for count, pmf in segments(scenario):
-        t -= count
-        if t <= 0:
-            return pmf
+    truth = segments(scenario)
+    return truth.pmf(int(truth.rows[np.searchsorted(np.cumsum(truth.counts), t)]))
 
 
 def scenario_delta(scenario: DriftScenario, r: int) -> float:
@@ -366,12 +581,9 @@ def scenario_delta(scenario: DriftScenario, r: int) -> float:
     return float(scenario_delta_curve(scenario)[r - 1])
 
 
-@lru_cache(maxsize=32)
 def scenario_delta_curve(scenario: DriftScenario) -> np.ndarray:
     """Drift errors for every window size 1..t (read-only array)."""
-    curve = drift_sequence(segments(scenario))
-    curve.setflags(write=False)
-    return curve
+    return segments(scenario).drift
 
 
 # --- sampling --------------------------------------------------------------
@@ -391,12 +603,68 @@ def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u, side="right"), probs.size - 1)
 
 
+def _search_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf[i], u[i], side="right")`` for every row i at once.
+
+    A binary search over the bits of the answer, one gather per bit.  Every
+    row holds 1.0 from some column on, and every draw is below 1, so the
+    entries at or below a draw are a prefix of its row, as ``searchsorted``
+    assumes.
+    """
+    n = cdf.shape[1]
+    flat = cdf.ravel()
+    before = np.arange(u.size) * n - 1  # flat index just before each row
+    found = np.zeros(u.size, dtype=np.int64)
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = found + step
+        below = (probe <= n) & (flat[before + np.minimum(probe, n)] <= u)
+        found = np.where(below, probe, found)
+        step >>= 1
+    return found
+
+
+# atoms of each row's CDF that every draw searches first
+_CDF_PREFIX = 32
+
+
+def _sample_rows(truth: Truth, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of each step's row, without building whole CDFs for most draws.
+
+    Geometric and zipf mass sits in the first atoms, so every draw first
+    searches the exact first ``_CDF_PREFIX`` entries of its row's CDF,
+    padded with 1.0 past a shorter row's end.  Only a draw beyond them
+    builds its row's whole CDF, one row at a time.  A flat schedule is one
+    row, searched once for all its steps.
+    """
+    if truth.widths.size == 1:
+        return truth.starts[0] + _inverse_cdf(truth.probs, u)
+    rows = np.repeat(truth.rows, truth.counts)
+    out = np.empty(u.size, dtype=np.int64)
+    cols = np.arange(_CDF_PREFIX)
+    beyond = []
+    for part in row_slices(u.size, _CDF_PREFIX):
+        row = rows[part]
+        width = truth.widths[row][:, None]
+        atom = np.minimum(truth.offsets[row][:, None] + cols, truth.probs.size - 1)
+        cdf = np.cumsum(np.where(cols < width, truth.probs[atom], 0.0), axis=1)
+        cdf[cols >= width - 1] = 1.0  # each row's last atom, and the padding past it
+        found = _search_rows(cdf, u[part])
+        out[part] = truth.starts[row] + found
+        beyond.append(part.start + np.flatnonzero(found == _CDF_PREFIX))
+    beyond = np.concatenate(beyond)
+    for a, z in _stretches(rows[beyond]):  # the steps of one row are consecutive
+        steps, row = beyond[a:z], int(rows[beyond[a]])
+        out[steps] = truth.starts[row] + _inverse_cdf(truth.row_probs(row), u[steps])
+    return out
+
+
 def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
     """Draw one sample per step, oldest first; reproducible from (seed, trial).
 
-    Inverse CDF over each step's sorted symbols, read from ``segments``:
-    linear drift by a closed form across all steps, the uniform kinds by one
-    CDF for the whole stream, geometric and zipf by one CDF per segment.
+    Inverse CDF over each step's sorted symbols: linear drift by a closed
+    form across all steps, the uniform kinds by one CDF for the whole
+    stream, geometric and zipf by a search in each step's row of the truth.
     """
     rng = _trial_rng(scenario, trial)
     u = rng.random(scenario.t)
@@ -409,18 +677,13 @@ def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
         offset = np.floor((u - alpha) / block_mass * k)
         block = 1 + np.minimum(offset, k - 1).astype(np.int64)
         return np.where(u < alpha, 0, block).astype(np.int64)
-    segs = segments(scenario)
+    truth = segments(scenario)
     if scenario.kind in ("iid", "abrupt", "rotating_support"):
-        # every segment is uniform over k consecutive symbols, so a step's
-        # sample is its segment's first symbol plus a rank shared by all
-        starts = np.array([pmf.symbols[0] for _, pmf in segs], dtype=np.int64)
-        return _inverse_cdf(segs[0][1].probs, u) + np.repeat(starts, [c for c, _ in segs])
-    out = np.empty(scenario.t, dtype=np.int64)
-    pos = 0
-    for count, pmf in segs:
-        out[pos:pos + count] = pmf.symbols[_inverse_cdf(pmf.probs, u[pos:pos + count])]
-        pos += count
-    return out
+        # every row is uniform over k consecutive symbols, so a step's
+        # sample is its row's first symbol plus a rank shared by all
+        return (_inverse_cdf(truth.row_probs(0), u)
+                + np.repeat(truth.starts[truth.rows], truth.counts))
+    return _sample_rows(truth, u)
 
 
 # --- scenario config text format ------------------------------------------

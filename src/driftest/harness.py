@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
@@ -27,12 +27,10 @@ import numpy as np
 from . import driftgen
 from .adaptive import (adaptive_estimate, argmin_prefer_large, q_curve,
                        realized_error_curve, walk_ladder)
-from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity, mixture,
-                   phi_empirical, tv_distance)
-from .driftgen import (DriftScenario, linear_drift, sample_stream,
-                       scenario_delta_curve, segments)
-from .windows import (build_ladder, check_delta, concentration_radius, dyadic_depth,
-                      ladder_xis)
+from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity, phi_empirical,
+                   tv_distance)
+from .driftgen import DriftScenario, Truth, linear_drift, sample_stream, segments
+from .windows import build_ladder, check_delta, concentration_radius, ladder_xis
 
 CSV_HEADER = ("trial,scenario,T,delta,chosen_r,err_adaptive,err_oracle,"
               "r_oracle,err_full,err_last,q_star,r_star,prop3_held")
@@ -142,52 +140,16 @@ def default_families(seed: int = 0) -> list[DriftScenario]:
     ]
 
 
-# --- truth-side precomputation (one per scenario, trial-independent) -------
-
-
-def _suffix_average(scenario: DriftScenario, r: int) -> Pmf:
-    """Mean of the most recent r true pmfs, via the run-length segments."""
-    remaining = r
-    parts: list[tuple[float, Pmf]] = []
-    for count, pmf in reversed(segments(scenario)):
-        take = min(count, remaining)
-        parts.append((take / r, pmf))
-        remaining -= take
-        if remaining == 0:
-            break
-    return mixture(parts)
-
-
-@dataclass(frozen=True, eq=False)
-class _TruthSide:
-    current: Pmf
-    depth: int
-    window_averages: tuple[Pmf, ...]
-    window_lambdas: tuple[float, ...]
-    window_deltas: tuple[float, ...]
-
-
-@lru_cache(maxsize=32)
-def _truth_side(scenario: DriftScenario) -> _TruthSide:
-    current = segments(scenario)[-1][1]
-    depth = dyadic_depth(scenario.t)
-    averages = tuple(_suffix_average(scenario, 2**j) for j in range(depth + 1))
-    lambdas = tuple(lambda_complexity(averages[j], 2**j) for j in range(depth + 1))
-    delta_curve = scenario_delta_curve(scenario)
-    window_deltas = tuple(float(delta_curve[2**j - 1]) for j in range(depth + 1))
-    return _TruthSide(current, depth, averages, lambdas, window_deltas)
-
-
-def _prop3_held(ladder, delta: float, side: _TruthSide) -> tuple[bool, bool]:
+def _prop3_held(ladder, delta: float, truth: Truth) -> tuple[bool, bool]:
     """Whether each simultaneous inequality held for every dyadic window."""
     emp_ok = True
     true_ok = True
     radii = concentration_radius(np.arange(len(ladder)), delta)
     for j, (w, radius) in enumerate(zip(ladder, radii.tolist())):
         phi = phi_empirical(w)
-        if tv_distance(w, side.window_averages[j]) > phi + radius:
+        if tv_distance(w, truth.window_averages[j]) > phi + radius:
             emp_ok = False
-        if phi > 4.0 * side.window_lambdas[j] + radius:
+        if phi > 4.0 * truth.window_lambdas[j] + radius:
             true_ok = False
         if not (emp_ok or true_ok):
             break
@@ -199,13 +161,13 @@ def _prop3_held(ladder, delta: float, side: _TruthSide) -> tuple[bool, bool]:
 
 def _trial_metrics(scenario: DriftScenario, delta: float, q_star: float,
                    r_star: int, trial: int) -> TrialMetrics:
-    side = _truth_side(scenario)
+    truth = segments(scenario)
     stream = sample_stream(scenario, trial)
     ladder = build_ladder(stream)
     result = walk_ladder(ladder, ladder_xis(ladder, delta))
-    errs = realized_error_curve(stream, side.current)
+    errs = realized_error_curve(stream, truth.current)
     r_oracle = argmin_prefer_large(errs) + 1
-    emp_ok, true_ok = _prop3_held(ladder, delta, side)
+    emp_ok, true_ok = _prop3_held(ladder, delta, truth)
     return TrialMetrics(
         trial=trial,
         chosen_r=result.chosen_window,
@@ -231,7 +193,8 @@ def run_trials(scenario: DriftScenario, trials: int, delta: float,
     # both checked before the truth side is built
     check_delta(delta)
     _check_trials(trials)
-    q = q_curve(_truth_side(scenario).current, scenario_delta_curve(scenario), delta)
+    truth = segments(scenario)
+    q = q_curve(truth.current, truth.drift, delta)
     r_star = argmin_prefer_large(q) + 1
     return _fan_out(_trial_metrics, (scenario, delta, float(q[r_star - 1]), r_star),
                     trials, workers)
@@ -264,13 +227,13 @@ def _coverage_report(rows: list[tuple[bool, bool]]) -> CoverageReport:
 
 def _prop2_trial(scenario: DriftScenario, r: int, delta: float,
                  trial: int) -> tuple[bool, bool]:
-    side = _truth_side(scenario)
+    truth = segments(scenario)
     j = r.bit_length() - 1
     window = EmpiricalWindow.from_samples(sample_stream(scenario, trial)[-r:])
     phi = phi_empirical(window)
     deviation_bound = phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
-    complexity_bound = 4.0 * side.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
-    return (tv_distance(window, side.window_averages[j]) > deviation_bound,
+    complexity_bound = 4.0 * truth.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
+    return (tv_distance(window, truth.window_averages[j]) > deviation_bound,
             phi > complexity_bound)
 
 
@@ -285,7 +248,7 @@ def verify_prop2(scenario: DriftScenario, r: int, trials: int, delta: float,
 
 def _prop3_trial(scenario: DriftScenario, delta: float, trial: int) -> tuple[bool, bool]:
     ladder = build_ladder(sample_stream(scenario, trial))
-    emp_ok, true_ok = _prop3_held(ladder, delta, _truth_side(scenario))
+    emp_ok, true_ok = _prop3_held(ladder, delta, segments(scenario))
     return not emp_ok, not true_ok
 
 
@@ -315,10 +278,10 @@ def _suite_report(name: str, slacks: Mapping[str, Sequence[float]], tol: float,
 
 
 def _prop1_trial(scenario: DriftScenario, trial: int) -> list[float]:
-    side = _truth_side(scenario)
+    truth = segments(scenario)
     ladder = build_ladder(sample_stream(scenario, trial))
-    return [tv_distance(side.current, w)
-            - (tv_distance(side.window_averages[j], w) + side.window_deltas[j])
+    return [tv_distance(truth.current, w)
+            - (tv_distance(truth.window_averages[j], w) + truth.window_deltas[j])
             for j, w in enumerate(ladder)]
 
 
@@ -330,25 +293,25 @@ def verify_prop1(scenario: DriftScenario, trials: int,
     of the current pmf), which depends only on the truth sequence.
     """
     per_trial = _fan_out(_prop1_trial, (scenario,), trials, workers)
-    side = _truth_side(scenario)
+    truth = segments(scenario)
     return _suite_report("prop1", {
         "decomposition": list(chain.from_iterable(per_trial)),
-        "averaging": [tv_distance(average, side.current) - drift for average, drift
-                      in zip(side.window_averages, side.window_deltas)],
+        "averaging": [tv_distance(average, truth.current) - drift for average, drift
+                      in zip(truth.window_averages, truth.window_deltas)],
     }, tol)
 
 
 def _prop45_trial(scenario: DriftScenario, delta: float,
                   trial: int) -> tuple[list[float], list[float]] | None:
     """One trial's (continue, stop) slacks; None outside the simultaneous-bounds event."""
-    side = _truth_side(scenario)
+    truth = segments(scenario)
     ladder = build_ladder(sample_stream(scenario, trial))
-    emp_ok, true_ok = _prop3_held(ladder, delta, side)
+    emp_ok, true_ok = _prop3_held(ladder, delta, truth)
     if not (emp_ok and true_ok):
         return None
     xis = ladder_xis(ladder, delta)
     result = walk_ladder(ladder, xis)
-    bounds = [xis[j] + side.window_deltas[j] for j in range(side.depth + 1)]
+    bounds = [xis[j] + truth.window_deltas[j] for j in range(truth.depth + 1)]
     # continue condition: every accepted window beyond the first is
     # within five times the best bound among the earlier accepted ones
     continue_slacks = []
@@ -356,14 +319,14 @@ def _prop45_trial(scenario: DriftScenario, delta: float,
     for cand in result.accepted:
         if best < math.inf:
             continue_slacks.append(
-                tv_distance(side.current, ladder[cand.index]) - 5.0 * best)
+                tv_distance(truth.current, ladder[cand.index]) - 5.0 * best)
         best = min(best, bounds[cand.index])
     # stop condition: the flagged accepted window stays within twice the
     # bound of every window at least as large as the rejected candidate
     stop_slacks = []
     if result.stop.kind == "violation":
         u_l = bounds[result.stop.l]
-        stop_slacks = [u_l - 2.0 * bounds[n] for n in range(result.stop.j, side.depth + 1)]
+        stop_slacks = [u_l - 2.0 * bounds[n] for n in range(result.stop.j, truth.depth + 1)]
     return continue_slacks, stop_slacks
 
 
@@ -495,7 +458,7 @@ def scaling_horizon(k: int, step_delta: float) -> int:
 
 def _scaling_error(scenario: DriftScenario, delta: float, trial: int) -> float:
     result = adaptive_estimate(sample_stream(scenario, trial), delta)
-    return tv_distance(segments(scenario)[-1][1], result.estimate)
+    return tv_distance(segments(scenario).current, result.estimate)
 
 
 def scaling_experiment(k: int, deltas: Sequence[float], trials: int,

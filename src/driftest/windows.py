@@ -10,7 +10,7 @@ weight over all dyadic sizes so that it holds for all of them at once.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,10 +145,3 @@ def parse_stream_text(text: str) -> np.ndarray:
 def load_stream(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_stream_text(fh.read())
-
-
-def dump_stream(samples: Iterable[int], path) -> None:
-    arr = as_stream(samples)
-    with open(path, "w", encoding="utf-8") as fh:
-        for value in arr:
-            fh.write(f"{int(value)}\n")

@@ -10,10 +10,10 @@ from driftest import Pmf, adaptive_estimate, fixed_window_estimate, tv_distance
 from driftest.adaptive import (argmin_prefer_large, drift_sequence, q_curve,
                                realized_error_curve)
 from driftest.driftgen import (abrupt, geometric_drift, iid, linear_drift,
-                               rotating_support, sample_stream, segments,
-                               truth_pmfs, zipf_drift)
+                               rotating_support, sample_stream, segments, zipf_drift)
 from driftest.harness import random_pmf
 from driftest.windows import build_ladder, ladder_xis
+from reference import brute_force_error_curve, columnar, error_curve_by_codes
 
 UNION_C = 4.0 * math.pi**2 / 3.0
 
@@ -125,12 +125,12 @@ def test_fixed_window_examples():
 
 def test_drift_sequence_no_drift():
     p = Pmf.uniform(range(3))
-    assert drift_sequence([(3, p)]).tolist() == [0.0, 0.0, 0.0]
-    assert drift_sequence([(1, p)] * 3).tolist() == [0.0, 0.0, 0.0]
+    assert drift_sequence(columnar([(3, p)])).tolist() == [0.0, 0.0, 0.0]
+    assert drift_sequence(columnar([(1, p)] * 3)).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_drift_sequence_disjoint_pair():
-    deltas = drift_sequence([(1, Pmf.point_mass(1)), (1, Pmf.point_mass(2))])
+    deltas = drift_sequence(columnar([(1, Pmf.point_mass(1)), (1, Pmf.point_mass(2))]))
     assert deltas.tolist() == [0.0, 1.0]
 
 
@@ -139,15 +139,15 @@ def test_drift_sequence_is_running_max():
     p3 = Pmf.from_dict({0: 0.5, 1: 0.5})
     p2 = Pmf.from_dict({0: 0.4, 1: 0.6})
     p1 = Pmf.from_dict({0: 0.45, 1: 0.55})
-    deltas = drift_sequence([(1, p1), (1, p2), (1, p3)])
+    deltas = drift_sequence(columnar([(1, p1), (1, p2), (1, p3)]))
     assert deltas[0] == 0.0
     assert deltas[1] == pytest.approx(0.1, abs=1e-15)
     assert deltas[2] == pytest.approx(0.1, abs=1e-15)
 
 
 def runs(truth):
-    """A per-step truth sequence as one-step runs."""
-    return [(1, p) for p in truth]
+    """A per-step truth sequence as one-step runs, columnar."""
+    return columnar([(1, p) for p in truth])
 
 
 def q_of(truth, delta):
@@ -158,9 +158,9 @@ def q_of(truth, delta):
 def test_drift_term_of_window_bound():
     # a dyadic window's error bound is its xi plus this entry at r = 2^j
     p = Pmf.uniform(range(4))
-    assert 0.4 + drift_sequence([(8, p)])[2**2 - 1] == pytest.approx(0.4)
+    assert 0.4 + drift_sequence(columnar([(8, p)]))[2**2 - 1] == pytest.approx(0.4)
     pre, post = Pmf.point_mass(0), Pmf.point_mass(1)
-    assert 0.4 + drift_sequence([(4, pre), (4, post)])[2**3 - 1] == pytest.approx(1.4)
+    assert 0.4 + drift_sequence(columnar([(4, pre), (4, post)]))[2**3 - 1] == pytest.approx(1.4)
 
 
 def test_q_value_point_mass_example():
@@ -199,7 +199,7 @@ def test_q_argmin_prefers_larger_window_on_ties():
 
 def test_q_curve_rejects_bad_delta():
     # rejected before any numpy arithmetic, so no RuntimeWarning either
-    drift = drift_sequence([(4, Pmf.point_mass(1))])
+    drift = drift_sequence(columnar([(4, Pmf.point_mass(1))]))
     for delta in (0.0, -1.0, 1.0, float("nan")):
         with warnings.catch_warnings(), pytest.raises(ValueError, match="delta"):
             warnings.simplefilter("error")
@@ -216,11 +216,6 @@ def test_realized_error_curve_matches_fixed_windows():
         assert curve[r - 1] == pytest.approx(expected, abs=1e-12)
 
 
-def _brute_force_error_curve(stream, target):
-    return np.array([tv_distance(target, fixed_window_estimate(stream, r))
-                     for r in range(1, len(stream) + 1)])
-
-
 def test_realized_error_curve_equals_brute_force_small_target():
     # target support smaller than the stream's symbols
     rng = np.random.default_rng(10)
@@ -229,32 +224,18 @@ def test_realized_error_curve_equals_brute_force_small_target():
         stream = rng.integers(0, 64, size=int(rng.integers(1, 300)))
         stream[-3:] = rng.choice(target.symbols, size=min(3, stream.size))
         curve = realized_error_curve(stream, target)
-        assert np.all(np.abs(curve - _brute_force_error_curve(stream, target)) <= 1e-12)
+        assert np.all(np.abs(curve - brute_force_error_curve(stream, target)) <= 1e-12)
 
 
 def test_realized_error_curve_equals_brute_force_large_target():
     # zipf target with thousands of atoms, most of them never observed
-    target = truth_pmfs(zipf_drift(4.0, 4.0, t=1, seed=0))[-1]
+    target = segments(zipf_drift(4.0, 4.0, t=1, seed=0)).current
     rng = np.random.default_rng(11)
     for _ in range(5):
         stream = rng.integers(0, 40, size=int(rng.integers(1, 300)))
         assert np.unique(stream).size < target.support_size
         curve = realized_error_curve(stream, target)
-        assert np.all(np.abs(curve - _brute_force_error_curve(stream, target)) <= 1e-12)
-
-
-def _reference_error_curve(stream, target):
-    """The curve over dense codes of the reversed stream, before it compared
-    the stream's own symbols."""
-    arr = np.asarray(stream, dtype=np.int64)
-    rs = np.arange(1, arr.size + 1, dtype=np.float64)
-    stream_syms, codes = np.unique(arr[::-1], return_inverse=True)
-    pos = np.minimum(np.searchsorted(stream_syms, target.symbols), stream_syms.size - 1)
-    observed = stream_syms[pos] == target.symbols
-    errs = np.full(arr.size, float(np.sum(target.probs[~observed])))
-    for code, p in zip(pos[observed], target.probs[observed]):
-        errs += np.maximum(p - np.cumsum(codes == code) / rs, 0.0)
-    return errs
+        assert np.all(np.abs(curve - brute_force_error_curve(stream, target)) <= 1e-12)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -267,23 +248,23 @@ def _reference_error_curve(stream, target):
     zipf_drift(5.0, 4.5, t=512, seed=6),
 ], ids=lambda s: f"{s.kind}-t{s.t}")
 def test_realized_error_curve_equals_reference_on_scenarios(scenario):
-    current = segments(scenario)[-1][1]
+    current = segments(scenario).current
     for trial in range(3):
         stream = sample_stream(scenario, trial)
         assert np.array_equal(realized_error_curve(stream, current),
-                              _reference_error_curve(stream, current))
+                              error_curve_by_codes(stream, current))
 
 
 def test_realized_error_curve_equals_reference_on_random_targets():
     # zipf target far larger than the stream's alphabet, and small random
     # targets that share only some symbols with the stream
     rng = np.random.default_rng(12)
-    zipf_target = segments(zipf_drift(4.0, 4.0, t=1, seed=0))[-1][1]
+    zipf_target = segments(zipf_drift(4.0, 4.0, t=1, seed=0)).current
     for _ in range(20):
         stream = rng.integers(0, 40, size=int(rng.integers(1, 2000)))
         for target in (zipf_target, random_pmf(rng, max_support=8)):
             assert np.array_equal(realized_error_curve(stream, target),
-                                  _reference_error_curve(stream, target))
+                                  error_curve_by_codes(stream, target))
 
 
 def _oracle(stream, current):
@@ -297,9 +278,9 @@ def test_realized_error_curve_exact_tie_goes_to_larger_window():
     # r <= 8 holds one sample of the target's block: error 7/8 exactly
     scenario = rotating_support(k=8, period=1, t=8192, seed=0)
     stream = sample_stream(scenario, 0)
-    curve = realized_error_curve(stream, truth_pmfs(scenario)[-1])
+    curve = realized_error_curve(stream, segments(scenario).current)
     assert curve[:8].tolist() == [0.875] * 8
-    assert _oracle(stream, truth_pmfs(scenario)[-1]) == (8, 0.875)
+    assert _oracle(stream, segments(scenario).current) == (8, 0.875)
 
 
 def test_oracle_single_sample():

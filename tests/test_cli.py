@@ -11,7 +11,7 @@ import pytest
 
 from driftest.cli import main
 from driftest.driftgen import abrupt, sample_stream
-from driftest.windows import dump_stream
+from reference import dump_stream
 
 IID_CFG = "kind = iid\nt = 256\nseed = 9\nk = 5\n"
 LINEAR_CFG = "kind = linear_drift\nt = 1024\nseed = 0\nk = 10\nstep_delta = 0.001\n"
@@ -181,8 +181,14 @@ def test_simulate_bad_delta_prints_one_error_line(tmp_path, delta):
     assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
 
 
-def test_simulate_bad_delta_exits_before_the_truth_side_is_built(tmp_path):
-    # this truth side takes seconds to build; delta is rejected first
+def test_simulate_bad_delta_exits_before_the_truth_side_is_built(tmp_path, monkeypatch):
+    # delta is rejected before this scenario's truth side is built
+    from driftest import harness
+
+    def built(scenario):
+        raise AssertionError("the truth side was built")
+
+    monkeypatch.setattr(harness, "segments", built)
     cfg = tmp_path / "scen.cfg"
     cfg.write_text("kind = geometric_drift\nt = 100000\nseed = 0\n"
                    "geo_p_start = 0.3\ngeo_p_end = 0.45\n")
@@ -196,6 +202,9 @@ def test_simulate_bad_delta_exits_before_the_truth_side_is_built(tmp_path):
     assert proc.stderr.splitlines() == [
         "driftest: error: delta must lie strictly between 0 and 1"]
     assert elapsed < 2.0
+    # the truth side now builds in well under 2 s, so check the order in-process too
+    assert run_cli("simulate", "--scenario", str(cfg), "--trials", "2", "--delta", "0",
+                   "--output", "-") == 2
 
 
 def test_estimate_bad_delta_is_reported_before_a_missing_input(tmp_path):
@@ -260,6 +269,39 @@ def test_simulate_golden_csv(tmp_path, monkeypatch):
                    "--output", str(out)) == 0
     golden = GOLDEN / "simulate_linear_k10_step1e-3_t1024_seed0.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+# the moving- and infinite-support truths, and a linear drift with a frozen prefix
+GOLDEN_SCENARIOS = {
+    "simulate_rotating_k8_period1_t8192_seed0.csv":
+        ("kind = rotating_support\nt = 8192\nseed = 0\nk = 8\nperiod = 1\n", 2),
+    "simulate_geometric_p0.3-0.45_t512_seed0.csv":
+        ("kind = geometric_drift\nt = 512\nseed = 0\ngeo_p_start = 0.3\ngeo_p_end = 0.45\n",
+         3),
+    "simulate_zipf_s5.0-4.5_t512_seed0.csv":
+        ("kind = zipf_drift\nt = 512\nseed = 0\nzipf_s_start = 5.0\nzipf_s_end = 4.5\n", 3),
+    "simulate_linear_k10_step1e-2_t512_seed0.csv":
+        ("kind = linear_drift\nt = 512\nseed = 0\nk = 10\nstep_delta = 0.01\n", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
+def test_simulate_golden_csv_per_truth_kind(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    text, trials = GOLDEN_SCENARIOS[name]
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "trials.csv"
+    assert run_cli("simulate", "--scenario", str(cfg), "--trials", str(trials),
+                   "--output", str(out)) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_verify_all_golden_stdout(capsys, monkeypatch):
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    assert run_cli("verify", "--suite", "all", "--trials", "20", "--seed", "0") == 0
+    golden = GOLDEN / "verify_all_trials20_seed0.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_estimate_to_stdout_is_only_the_json(tmp_path, capsys):

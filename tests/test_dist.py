@@ -12,10 +12,15 @@ import pytest
 
 from driftest import dist
 from driftest.dist import (EmpiricalWindow, Pmf, _sorted_atoms, half_norm,
-                           lambda_complexity, mean_pmf, phi_empirical, sorted_union,
+                           lambda_complexity, phi_empirical, sorted_union,
                            tv_distance)
 from driftest.harness import random_pmf
 from driftest.windows import build_ladder
+from reference import mean_pmf, sorted_atoms
+
+
+def pmf_from_json(text):
+    return Pmf.from_json_obj(json.loads(text))
 
 
 def brute_tv(p, q):
@@ -280,7 +285,7 @@ def test_pmf_json_round_trip_sorted():
     p = Pmf.from_dict({9: 0.25, 2: 0.75})
     obj = p.to_json_obj()
     assert [a["symbol"] for a in obj["atoms"]] == [2, 9]
-    again = Pmf.from_json(p.to_json())
+    again = pmf_from_json(p.to_json())
     assert again.as_dict() == p.as_dict()
     assert json.loads(p.to_json()) == obj
 
@@ -300,38 +305,6 @@ def test_arrays_are_read_only():
     p = Pmf.from_dict({0: 1.0})
     with pytest.raises(ValueError):
         p.probs[0] = 0.5
-
-
-def _reference_sorted_atoms(symbols, weights, weight_kind):
-    """Atom validation that argsorts every input, as it was before the sorted check."""
-    syms = np.asarray(symbols, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64 if weight_kind == "prob" else np.int64)
-    if syms.ndim != 1 or w.ndim != 1 or syms.shape != w.shape:
-        raise ValueError("symbols and weights must be 1-D arrays of equal length")
-    if syms.size == 0:
-        raise ValueError("support must be non-empty")
-    if np.any(syms < 0):
-        raise ValueError("symbols must be nonnegative integers")
-    order = np.argsort(syms, kind="stable")
-    syms = syms[order]
-    w = w[order]
-    if np.any(syms[1:] == syms[:-1]):
-        raise ValueError("duplicate symbols in support")
-    if weight_kind == "prob":
-        if not np.all(np.isfinite(w)):
-            raise ValueError("probabilities must be finite")
-        if np.any(w < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        keep = w > 0.0
-        syms, w = syms[keep], w[keep]
-        if syms.size == 0:
-            raise ValueError("pmf has no positive-mass atoms")
-    else:
-        if np.any(w <= 0):
-            raise ValueError("counts must be positive integers")
-    syms.setflags(write=False)
-    w.setflags(write=False)
-    return syms, w
 
 
 def _sorted_support(rng, high, size):
@@ -373,7 +346,7 @@ def test_sorted_atoms_matches_reference(symbols, weights, kind):
     syms_in = np.array(symbols, dtype=np.int64)
     w_in = np.array(weights, dtype=np.float64 if kind == "prob" else np.int64)
     got = _sorted_atoms(syms_in, w_in, kind)
-    want = _reference_sorted_atoms(syms_in.copy(), w_in.copy(), kind)
+    want = sorted_atoms(syms_in.copy(), w_in.copy(), kind)
     for out, ref, caller in zip(got, want, (syms_in, w_in)):
         assert out.dtype == ref.dtype and np.array_equal(out, ref)
         assert not out.flags.writeable
@@ -406,7 +379,7 @@ def test_sorted_atoms_matches_reference(symbols, weights, kind):
         "negative_count"])
 def test_sorted_atoms_rejects_like_reference(symbols, weights, kind):
     with pytest.raises(ValueError) as want:
-        _reference_sorted_atoms(symbols, weights, kind)
+        sorted_atoms(symbols, weights, kind)
     with pytest.raises(ValueError) as got:
         _sorted_atoms(symbols, weights, kind)
     assert str(got.value) == str(want.value)
@@ -459,7 +432,7 @@ def test_non_integer_counts_and_constructor_symbols_are_rejected():
     with pytest.raises(ValueError, match="symbols must be integers"):
         Pmf.uniform([0.5, 1.5])
     with pytest.raises(ValueError, match="symbols must be integers"):
-        Pmf.from_json('{"atoms": [{"symbol": 0.5, "prob": 1.0}]}')
+        pmf_from_json('{"atoms": [{"symbol": 0.5, "prob": 1.0}]}')
 
 
 def test_integer_symbols_of_any_width_are_accepted():
@@ -467,3 +440,53 @@ def test_integer_symbols_of_any_width_are_accepted():
         p = Pmf(np.array([3, 1], dtype=dtype), [0.25, 0.75])
         assert p.symbols.dtype == np.int64
         assert p.as_dict() == {1: 0.75, 3: 0.25}
+
+
+# --- row blocks ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([[0.5, math.nan]], "probabilities must be finite"),
+    ([[1.5, -0.5]], "probabilities must be nonnegative"),
+    ([[0.5, 0.5], [1.0, 0.0]], "a block row has a zero atom"),
+    ([[0.5, 0.5], [0.5, 0.4]], "pmf mass is 0.9"),
+    ([0.5, 0.5], "non-empty 2-D"),
+    (np.ones((0, 2)), "non-empty 2-D"),
+], ids=["nan", "negative", "zero_atom", "mass", "one_d", "no_rows"])
+def test_range_block_checks_rows_as_pmf_does(probs, message):
+    probs = np.asarray(probs, dtype=np.float64)
+    starts = np.zeros(probs.shape[0] if probs.ndim == 2 else 1, dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        dist.RangeBlock(starts, probs)
+    if probs.ndim == 2 and probs.size and message != "a block row has a zero atom":
+        # a Pmf of the offending row raises the same error
+        row = probs[-1]
+        with pytest.raises(ValueError, match=message):
+            Pmf(np.arange(row.size), row)
+
+
+def test_range_block_rejects_negative_starts_and_freezes_its_arrays():
+    with pytest.raises(ValueError, match="symbols must be nonnegative"):
+        dist.RangeBlock(np.array([-1]), np.ones((1, 1)))
+    block = dist.RangeBlock(np.array([3, 9]), np.array([[0.25, 0.75], [0.5, 0.5]]))
+    assert not block.starts.flags.writeable and not block.probs.flags.writeable
+
+
+def test_rows_tv_equals_tv_distance_bit_for_bit():
+    # rows below, overlapping, nested in, adjacent to, and above q
+    rng = np.random.default_rng(21)
+    for width, q_width in ((1, 1), (3, 5), (8, 8), (20, 4), (130, 70)):
+        q_lo = 200
+        q = Pmf(np.arange(q_lo, q_lo + q_width), rng.dirichlet(np.ones(q_width)))
+        starts = np.arange(q_lo - width - 3, q_lo + q_width + 4)
+        block = dist.RangeBlock(starts, rng.dirichlet(np.ones(width), size=starts.size))
+        got = dist.rows_tv(block, q)
+        want = [tv_distance(q, Pmf(start + np.arange(width), row))
+                for start, row in zip(starts, block.probs)]
+        assert got.tolist() == want
+
+
+def test_rows_tv_needs_q_on_consecutive_symbols():
+    block = dist.RangeBlock(np.array([0]), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="consecutive"):
+        dist.rows_tv(block, Pmf.from_dict({0: 0.5, 2: 0.5}))

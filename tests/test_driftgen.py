@@ -8,13 +8,19 @@ import pytest
 
 from driftest import driftgen
 from driftest.adaptive import drift_sequence
-from driftest.dist import Pmf, mean_pmf, tv_distance
-from driftest.driftgen import (TAIL_TOL, DriftScenario, _trial_rng, abrupt,
+from driftest.dist import Pmf, tv_distance
+from driftest.driftgen import (TAIL_TOL, DriftScenario, abrupt,
                                geometric_drift, iid, linear_drift,
                                parse_scenario_config, rotating_support,
                                sample_stream, scenario_delta,
                                scenario_delta_curve, segments, true_pmf,
                                truth_pmfs, zipf_drift)
+import reference as ref
+
+
+def same_pmf(p, q):
+    return np.array_equal(p.symbols, q.symbols) and np.array_equal(p.probs, q.probs)
+
 
 ALL_FAMILIES = [
     iid(k=4, t=64, seed=1),
@@ -59,7 +65,7 @@ def test_linear_drift_delta_curve():
 def test_linear_drift_zero_rate_reduces_to_iid():
     s = linear_drift(k=4, step_delta=0.0, t=32, seed=0)
     uniform = Pmf.uniform(range(1, 5))
-    assert all(p.as_dict() == uniform.as_dict() for p in truth_pmfs(s))
+    assert all(true_pmf(s, t).as_dict() == uniform.as_dict() for t in range(1, 33))
     assert scenario_delta(s, 32) == 0.0
 
 
@@ -83,9 +89,9 @@ def test_rotating_support_shifts_blocks():
 
 def test_every_family_produces_valid_pmfs():
     for scenario in ALL_FAMILIES:
-        for pmf in truth_pmfs(scenario):
-            assert np.all(pmf.probs > 0)
-            assert abs(float(np.sum(pmf.probs)) - 1.0) <= 1e-9
+        for block in truth_pmfs(scenario):
+            assert np.all(block.probs > 0)
+            assert np.all(np.abs(np.sum(block.probs, axis=1) - 1.0) <= 1e-9)
 
 
 def test_every_family_has_monotone_drift():
@@ -97,10 +103,12 @@ def test_every_family_has_monotone_drift():
 
 def test_segments_expand_to_truth():
     for scenario in ALL_FAMILIES:
-        expanded = [p for count, p in segments(scenario) for _ in range(count)]
-        truth = truth_pmfs(scenario)
-        assert len(expanded) == scenario.t
-        assert all(a is b for a, b in zip(expanded, truth))
+        truth = segments(scenario)
+        expanded = np.repeat(truth.rows, truth.counts)
+        assert expanded.size == scenario.t
+        assert np.array_equal(np.unique(truth.rows), np.arange(truth.widths.size))
+        for t, row in enumerate(expanded.tolist(), start=1):
+            assert same_pmf(truth.pmf(row), true_pmf(scenario, t))
 
 
 def test_geometric_truncation():
@@ -182,20 +190,6 @@ def test_sampler_frequencies_within_four_sigma(scenario, slice_len):
     assert ok / checked >= 0.99
 
 
-def _reference_sample_stream(scenario, trial):
-    """Per-segment inverse CDF over sorted symbols, one segment at a time."""
-    u = _trial_rng(scenario, trial).random(scenario.t)
-    out = np.empty(scenario.t, dtype=np.int64)
-    pos = 0
-    for count, pmf in segments(scenario):
-        cdf = np.cumsum(pmf.probs)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, u[pos:pos + count], side="right")
-        out[pos:pos + count] = pmf.symbols[np.minimum(idx, pmf.symbols.size - 1)]
-        pos += count
-    return out
-
-
 SAMPLED = [
     iid(k=20, t=2048, seed=31),
     linear_drift(k=10, step_delta=1e-3, t=1024, seed=32),
@@ -226,40 +220,22 @@ def test_sampler_matches_per_segment_reference(scenario):
     for trial in range(4):
         got = sample_stream(scenario, trial)
         assert got.dtype == np.int64
-        assert np.array_equal(got, _reference_sample_stream(scenario, trial))
+        assert np.array_equal(got, ref.sample_stream(scenario, trial))
 
 
 @pytest.mark.parametrize("scenario", [s for s in SAMPLED
                                       if s.kind in ("iid", "abrupt", "rotating_support")])
 def test_uniform_kinds_share_one_probability_vector(scenario):
     # the sampler ranks every step of these kinds by one CDF and adds the
-    # segment's first symbol, which needs consecutive symbols and equal probs
-    segs = segments(scenario)
-    first_probs = segs[0][1].probs
-    for _, pmf in segs:
-        s0 = pmf.symbols[0]
-        assert np.array_equal(pmf.symbols, np.arange(s0, s0 + scenario.k))
-        assert np.array_equal(pmf.probs, first_probs)
-
-
-def _reference_drift_sequence(truth):
-    """Per-step drift curve over the expanded truth, each pmf object measured once."""
-    current = truth[-1]
-    cache = {}
-    deltas = np.empty(len(truth))
-    running = 0.0
-    for age, pmf in enumerate(reversed(truth)):
-        key = id(pmf)
-        if key not in cache:
-            cache[key] = tv_distance(current, pmf)
-        running = max(running, cache[key])
-        deltas[age] = running
-    return deltas
+    # row's first symbol, which needs consecutive symbols and equal probs
+    (block,) = truth_pmfs(scenario)
+    assert block.probs.shape[1] == scenario.k
+    assert np.all(block.probs == block.probs[0])
 
 
 @pytest.mark.parametrize("scenario", SAMPLED + ALL_FAMILIES)
 def test_drift_curve_matches_per_step_reference(scenario):
-    want = _reference_drift_sequence(truth_pmfs(scenario))
+    want = ref.drift_sequence_per_step(ref.truth_pmfs(scenario))
     got = drift_sequence(segments(scenario))
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(scenario_delta_curve(scenario), want)
@@ -269,8 +245,7 @@ def test_sample_stream_keeps_no_atom_copy():
     # every step of a zipf drift has its own pmf with thousands of atoms;
     # sampling must read them, not copy them or cache their CDFs
     scenario = zipf_drift(5.0, 4.5, t=512, seed=41)
-    segs = segments(scenario)
-    atoms = sum(pmf.symbols.size for _, pmf in segs)
+    atoms = sum(block.probs.size for block in truth_pmfs(scenario))
     assert atoms > 1000 * scenario.t
     sample_stream(scenario, 0)  # first-call allocations stay out of the count
     tracemalloc.start()
@@ -281,16 +256,16 @@ def test_sample_stream_keeps_no_atom_copy():
         tracemalloc.stop()
     assert peak < atoms  # one byte per atom; a copy would take eight
     # numpy keeps a few small freed blocks for reuse; a cached CDF of all
-    # segments would take 8 bytes per atom
+    # rows would take 8 bytes per atom
     assert retained < stream.nbytes + 16 * 1024
 
 
 @pytest.mark.parametrize("scenario", ALL_FAMILIES, ids=lambda s: s.kind)
 def test_true_pmf_is_the_truth_sequence_entry(scenario):
-    truth = truth_pmfs(scenario)
+    truth = ref.truth_pmfs(scenario)
     assert len(truth) == scenario.t
     for t in range(1, scenario.t + 1):
-        assert true_pmf(scenario, t) is truth[t - 1]
+        assert same_pmf(true_pmf(scenario, t), truth[t - 1])
 
 
 def test_true_pmf_does_not_build_the_truth_sequence():
@@ -302,7 +277,7 @@ def test_true_pmf_does_not_build_the_truth_sequence():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert current is first
+    assert same_pmf(current, first)
     # a T-length tuple of references alone would take 32 MB
     assert peak < 2 * 2**20
 
@@ -389,13 +364,14 @@ def test_config_errors():
 
 def test_window_average_matches_mean_of_truth():
     for scenario in ALL_FAMILIES:
-        truth = list(truth_pmfs(scenario))
+        truth = list(ref.truth_pmfs(scenario))
+        columnar = segments(scenario)
+        ends = np.cumsum(columnar.counts[::-1])
         for r in (1, 2, scenario.t // 2, scenario.t):
             if r < 1:
                 continue
-            from driftest.harness import _suffix_average
-            got = _suffix_average(scenario, r)
-            want = mean_pmf(truth[len(truth) - r:])
+            got = driftgen._window_average(columnar, ends, r)
+            want = ref.mean_pmf(truth[len(truth) - r:])
             assert tv_distance(got, want) < 1e-12
 
 
@@ -413,15 +389,16 @@ def _frozen_prefix_by_walk(scenario):
 @pytest.mark.parametrize("t", [1, 2, 3, 7, 1000])
 def test_linear_frozen_prefix_matches_the_step_walk(step_delta, t):
     scenario = linear_drift(k=3, step_delta=step_delta, t=t, seed=0)
-    segs = segments(scenario)
+    truth = segments(scenario)
+    counts = truth.counts.tolist()
     frozen = _frozen_prefix_by_walk(scenario)
-    assert sum(count for count, _ in segs) == t
+    assert sum(counts) == t
     if frozen:
-        assert segs[0][0] == frozen and segs[0][1].as_dict() == {0: 1.0}
-        assert all(count == 1 for count, _ in segs[1:])
+        assert counts[0] == frozen and truth.pmf(0).as_dict() == {0: 1.0}
+        assert all(count == 1 for count in counts[1:])
     else:
-        assert all(count == 1 for count, _ in segs)
-    assert len(segs) == t - frozen + bool(frozen)
+        assert all(count == 1 for count in counts)
+    assert len(counts) == t - frozen + bool(frozen)
 
 
 def test_linear_frozen_prefix_takes_logarithmic_predicate_calls(monkeypatch):
@@ -434,8 +411,8 @@ def test_linear_frozen_prefix_takes_logarithmic_predicate_calls(monkeypatch):
 
     monkeypatch.setattr(driftgen, "_linear_alpha", counted)
     t = 20_000_000
-    segs = segments(linear_drift(k=1, step_delta=0.5, t=t, seed=314159))
-    assert [count for count, _ in segs] == [t - 2, 1, 1]
+    truth = segments(linear_drift(k=1, step_delta=0.5, t=t, seed=314159))
+    assert truth.counts.tolist() == [t - 2, 1, 1]
     assert len(calls) <= 2 * math.ceil(math.log2(t))
 
 
@@ -452,25 +429,169 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("family, atoms, scenario", [
-    ("_geometric_pmf", "_geometric_atoms", geometric_drift(0.3, 0.45, t=512, seed=271)),
-    ("_zipf_pmf", "_zipf_atoms", zipf_drift(5.0, 4.5, t=512, seed=272)),
+    ("_geometric_rows", "_geometric_atoms", geometric_drift(0.3, 0.45, t=512, seed=271)),
+    ("_zipf_rows", "_zipf_atoms", zipf_drift(5.0, 4.5, t=512, seed=272)),
     # a ramp slower than the float spacing: 24 parameters over 4096 steps
-    ("_zipf_pmf", "_zipf_atoms", zipf_drift(5.0, 5.0 + 2e-14, t=4096, seed=273)),
+    ("_zipf_rows", "_zipf_atoms", zipf_drift(5.0, 5.0 + 2e-14, t=4096, seed=273)),
 ])
 def test_each_distinct_pmf_is_counted_and_built_once(family, atoms, scenario, monkeypatch):
+    if scenario.kind == "geometric_drift":
+        start, end = scenario.geo_p_start, scenario.geo_p_end
+    else:
+        start, end = scenario.zipf_s_start, scenario.zipf_s_end
+    distinct = len(ref.ramp_atoms(start, end, scenario.t, getattr(driftgen, atoms)))
     counted = _count_calls(monkeypatch, atoms)
     built = _count_calls(monkeypatch, family)
-    segs = segments(scenario)
-    distinct = {id(pmf) for _, pmf in segs}
-    assert all(count == 1 for count, _ in segs) and len(segs) == scenario.t
-    assert len(counted) == len(built) == len(distinct)
-    assert len(set(counted)) == len(counted)
+    truth = segments(scenario)
+    assert np.all(truth.counts == 1) and truth.counts.size == scenario.t
+    # one row per distinct parameter, built in one call per atom count
+    assert sum(params.size for params in built) == truth.widths.size == distinct
+    assert len(built) == len(truth.blocks) == len({b.probs.shape[1] for b in truth.blocks})
+    # no parameter is counted twice, and no more are counted than exist
+    assert len(set(counted)) == len(counted) <= distinct
 
 
 @pytest.mark.parametrize("scenario", [zipf_drift(1000.0, 1000.0, t=4, seed=0),
                                       zipf_drift(1000.0, 900.0, t=4, seed=0)])
 def test_zipf_with_underflowing_tail_is_a_point_mass_at_one(scenario):
-    segs = segments(scenario)
-    assert sum(count for count, _ in segs) == scenario.t
-    assert all(pmf.as_dict() == {1: 1.0} for _, pmf in segs)
+    truth = segments(scenario)
+    assert int(np.sum(truth.counts)) == scenario.t
+    assert all(truth.pmf(row).as_dict() == {1: 1.0} for row in truth.rows.tolist())
     assert sample_stream(scenario, 0).tolist() == [1] * scenario.t
+
+
+# --- the columnar truth against the per-Pmf reference -----------------------
+
+# every kind, with edge cases: one step, a period that does not divide t,
+# flat ramps, a ramp that reaches p = 1, a zero drift rate, a final step
+# whose drained source drops symbol 0, a ramp slower than the float
+# spacing, and wide geometric rows that many draws search past the prefix
+REFERENCE_CASES = [
+    iid(k=5, t=1, seed=50),
+    iid(k=20, t=300, seed=51),
+    linear_drift(k=10, step_delta=1e-2, t=512, seed=52),
+    linear_drift(k=4, step_delta=0.0, t=40, seed=53),
+    linear_drift(k=1, step_delta=0.5, t=9, seed=54),
+    linear_drift(k=3, step_delta=0.1, t=1, seed=55),
+    abrupt(k=7, change_point=3, t=40, seed=56),
+    rotating_support(k=3, period=7, t=40, seed=57),
+    rotating_support(k=8, period=1, t=300, seed=58),
+    rotating_support(k=2, period=5, t=1, seed=59),
+    geometric_drift(0.3, 0.45, t=200, seed=60),
+    geometric_drift(0.3, 0.3, t=50, seed=61),
+    geometric_drift(0.9, 1.0, t=64, seed=62),
+    geometric_drift(1.0, 1.0, t=8, seed=63),
+    geometric_drift(0.4, 0.5, t=1, seed=64),
+    geometric_drift(0.08, 0.05, t=300, seed=65),
+    zipf_drift(5.0, 4.5, t=100, seed=66),
+    zipf_drift(4.0, 4.0, t=30, seed=67),
+    zipf_drift(5.0, 5.0 + 2e-14, t=300, seed=68),
+    zipf_drift(4.0, 3.0, t=1, seed=69),
+]
+
+
+def _case_id(scenario):
+    params = [getattr(scenario, f) for f in ("k", "step_delta", "change_point", "period",
+                                             "geo_p_start", "geo_p_end", "zipf_s_start",
+                                             "zipf_s_end")]
+    return "-".join([scenario.kind, *(str(p) for p in params if p is not None),
+                     f"t{scenario.t}"])
+
+
+@pytest.mark.parametrize("scenario", REFERENCE_CASES, ids=_case_id)
+def test_columnar_truth_equals_the_per_pmf_reference(scenario):
+    truth = segments(scenario)
+    runs = ref.segments(scenario)
+    assert truth.counts.tolist() == [count for count, _ in runs]
+    assert all(same_pmf(truth.pmf(row), pmf)
+               for row, (_, pmf) in zip(truth.rows.tolist(), runs))
+    assert same_pmf(truth.current, runs[-1][1])
+    drift = ref.drift_sequence(runs)
+    assert truth.drift.dtype == drift.dtype and np.array_equal(truth.drift, drift)
+    assert len(truth.window_averages) == truth.depth + 1 == scenario.t.bit_length()
+    for j, average in enumerate(truth.window_averages):
+        assert same_pmf(average, ref.suffix_average(scenario, 2**j))
+    for trial in range(3):
+        assert np.array_equal(sample_stream(scenario, trial), ref.sample_stream(scenario, trial))
+
+
+def test_wide_rows_send_draws_past_the_cdf_prefix():
+    # the case above only tests the whole-row search if draws reach it
+    scenario = geometric_drift(0.08, 0.05, t=300, seed=65)
+    stream = sample_stream(scenario, 0)
+    assert np.sum(stream >= driftgen._CDF_PREFIX) > 10
+
+
+def test_search_rows_equals_searchsorted_per_row():
+    rng = np.random.default_rng(5)
+    for width in (1, 2, 3, 7, 8, 33, 100):
+        probs = rng.dirichlet(np.ones(width), size=40)
+        cdf = np.cumsum(probs, axis=1)
+        cdf[:, -1] = 1.0
+        u = rng.random(40)
+        u[:10] = cdf[:10, rng.integers(0, width)]  # draws on a CDF entry: side="right"
+        u[10:20] = np.minimum(u[10:20], cdf[10:20, 0])
+        u[u >= 1.0] = 0.5
+        want = [np.searchsorted(row, x, side="right") for row, x in zip(cdf, u)]
+        assert driftgen._search_rows(cdf, u).tolist() == want
+
+
+RAMPS = [
+    ("geometric", 0.3, 0.45, 512),
+    ("geometric", 0.45, 0.3, 300),
+    ("geometric", 0.9, 1.0, 64),
+    ("zipf", 5.0, 4.5, 512),
+    ("zipf", 5.0, 5.0 + 2e-14, 4096),
+    # rejected: the running total passes the bound, or a later exponent
+    # needs too many atoms before it does
+    ("zipf", 3.0, 2.8, 4096),
+    ("zipf", 4.0, 2.0, 3),
+    ("geometric", 0.9, 0.8, 2_000_000),
+]
+
+
+@pytest.mark.parametrize("family, start, end, t", RAMPS)
+def test_ramp_atom_counts_match_one_parameter_at_a_time(family, start, end, t):
+    atoms = getattr(driftgen, f"_{family}_atoms")
+    try:
+        want = ref.ramp_atoms(start, end, t, atoms)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            params, _ = driftgen._ramp_params(start, end, t)
+            driftgen._ramp_atoms(params, atoms)
+        assert str(got.value) == str(exc)
+        return
+    params, steps = driftgen._ramp_params(start, end, t)
+    assert params.tolist() == [x for x, _, _ in want]
+    assert steps.tolist() == [n for _, n, _ in want]
+    assert driftgen._ramp_atoms(params, atoms).tolist() == [n for _, _, n in want]
+
+
+def test_ramp_params_stop_once_the_bound_must_reject():
+    params, steps = driftgen._ramp_params(10.0, 9.0, 20_000_000)
+    assert params.size == driftgen._MAX_DISTINCT_PMFS + 1
+    assert steps.tolist() == [1] * params.size
+    with pytest.raises(ValueError, match="need more than 20000000 atoms"):
+        driftgen._ramp_atoms(params, driftgen._zipf_atoms)
+
+
+@pytest.mark.parametrize("scenario", [
+    rotating_support(k=8, period=1, t=8192, seed=70),
+    linear_drift(k=10, step_delta=1e-3, t=1024, seed=71),
+    geometric_drift(0.3, 0.45, t=512, seed=72),
+], ids=lambda s: s.kind)
+def test_truth_side_builds_pmfs_per_window_not_per_step(scenario, monkeypatch):
+    # a per-step path would build one Pmf per step or per block of steps
+    built = []
+    check = Pmf.__post_init__
+
+    def counted(pmf):
+        built.append(pmf)
+        check(pmf)
+
+    monkeypatch.setattr(Pmf, "__post_init__", counted)
+    truth = segments(scenario)
+    truth.drift, truth.window_averages, truth.window_lambdas, truth.window_deltas
+    sample_stream(scenario, 0)
+    # the current pmf, then one average per dyadic window
+    assert len(built) == 1 + truth.depth + 1

@@ -7,17 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from driftest import Pmf, harness, run_trials, tv_distance, write_trials_csv
+from driftest import Pmf, driftgen, harness, run_trials, tv_distance, write_trials_csv
 from driftest.adaptive import adaptive_estimate, walk_ladder
 from driftest.driftgen import (abrupt, iid, linear_drift, rotating_support,
-                               sample_stream, truth_pmfs)
+                               sample_stream, segments)
 from driftest.windows import build_ladder, ladder_xis
 from driftest.harness import (CSV_HEADER, CoverageReport, SuiteReport,
-                              _suffix_average, random_pmf, scaling_experiment,
+                              random_pmf, scaling_experiment,
                               scaling_horizon, verify_lambda_bounds,
                               verify_metric, verify_prop1, verify_prop2,
                               verify_prop3, verify_prop45, verify_prop6,
                               write_scaling_data)
+import reference as ref
 
 LINEAR = linear_drift(k=10, step_delta=1e-3, t=1024, seed=0)
 
@@ -42,7 +43,7 @@ def test_oracle_never_beaten():
 def test_adaptive_error_matches_direct_tv():
     scenario = LINEAR
     rows = run_trials(scenario, 5, 0.05)
-    current = truth_pmfs(scenario)[-1]
+    current = segments(scenario).current
     for m in rows:
         stream = sample_stream(scenario, m.trial)
         result = adaptive_estimate(stream, 0.05)
@@ -288,11 +289,12 @@ def test_random_pmf_is_valid():
 
 
 def test_suffix_average_equals_explicit_mean():
-    from driftest.dist import mean_pmf
-    truth = list(truth_pmfs(LINEAR))
+    truth = list(ref.truth_pmfs(LINEAR))
+    columnar = segments(LINEAR)
+    ends = np.cumsum(columnar.counts[::-1])
     for r in (1, 7, 256, 1024):
-        assert tv_distance(_suffix_average(LINEAR, r),
-                           mean_pmf(truth[len(truth) - r:])) < 1e-12
+        assert tv_distance(driftgen._window_average(columnar, ends, r),
+                           ref.mean_pmf(truth[len(truth) - r:])) < 1e-12
 
 
 def test_scaling_horizon_sizing():
@@ -352,7 +354,7 @@ def test_suite_report_tallies_named_slacks():
 
 def _prop45_evaluations(scenario, trials, delta):
     """Continue and stop evaluations, replayed from the decision traces."""
-    side = harness._truth_side(scenario)
+    side = segments(scenario)
     continued = stopped = 0
     for trial in range(trials):
         ladder = build_ladder(sample_stream(scenario, trial))
@@ -403,7 +405,7 @@ def test_prop1_and_prop45_independent_of_workers():
 
 
 def test_coverage_suites_share_one_truth_side(monkeypatch):
-    calls = _count_calls(monkeypatch, harness, "_suffix_average")
+    calls = _count_calls(monkeypatch, driftgen, "_window_average")
     scenario = linear_drift(k=10, step_delta=1e-3, t=1024, seed=31337)
     verify_prop2(scenario, 256, 3, 0.05)
     verify_prop3(scenario, 3, 0.05)
@@ -412,7 +414,7 @@ def test_coverage_suites_share_one_truth_side(monkeypatch):
 
 
 def test_prop1_and_prop45_share_one_truth_side(monkeypatch):
-    calls = _count_calls(monkeypatch, harness, "_suffix_average")
+    calls = _count_calls(monkeypatch, driftgen, "_window_average")
     scenario = iid(k=5, t=300, seed=271828)
     verify_prop1(scenario, 2)
     verify_prop45(scenario, 2, 0.05)
@@ -421,7 +423,7 @@ def test_prop1_and_prop45_share_one_truth_side(monkeypatch):
 
 
 def test_truth_side_is_shared_across_deltas(monkeypatch):
-    calls = _count_calls(monkeypatch, harness, "_suffix_average")
+    calls = _count_calls(monkeypatch, driftgen, "_window_average")
     scenario = linear_drift(k=10, step_delta=1e-3, t=512, seed=161803)
     loose, tight = run_trials(scenario, 1, 0.05), run_trials(scenario, 1, 0.2)
     assert len(calls) == 9 + 1
@@ -445,7 +447,7 @@ def test_bad_arguments_are_rejected_before_the_truth_side(suite, trials, delta, 
     def built(scenario):
         raise AssertionError("the truth side was built")
 
-    monkeypatch.setattr(harness, "_truth_side", built)
+    monkeypatch.setattr(harness, "segments", built)
     scenario = harness.default_families(0)[5]
     call = {
         "run_trials": lambda: run_trials(scenario, trials, delta),

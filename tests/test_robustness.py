@@ -37,6 +37,10 @@ CONFIGS = {
          "atoms"),
     "zipf_drift":
         ("kind = zipf_drift\nt = 4096\nzipf_s_start = 3.0\nzipf_s_end = 2.8\n", "atoms"),
+    # about 17 atoms per step: the running total passes the bound near step 487,805
+    "zipf_drift_long_ramp":
+        ("kind = zipf_drift\nt = 20000000\nzipf_s_start = 10.0\nzipf_s_end = 9.0\n",
+         "atoms"),
 }
 
 

@@ -8,9 +8,10 @@ import pytest
 
 from driftest.dist import phi_empirical
 from driftest.windows import (UNION_BOUND_CONSTANT, as_stream, build_ladder,
-                              concentration_radius, dump_stream, dyadic_depth,
+                              concentration_radius, dyadic_depth,
                               ladder_xis, load_stream, parse_stream_text,
                               union_log_weight)
+from reference import dump_stream
 
 
 def brute_ladder(stream):
