@@ -8,7 +8,6 @@ prior knowledge of the drift, the support, or its size.
 
 from .adaptive import adaptive_estimate, fixed_window_estimate
 from .dist import Pmf, tv_distance
-from .harness import run_trials, write_trials_csv
 
 __version__ = "0.1.0"
 
@@ -16,3 +15,11 @@ __all__ = [
     "Pmf", "adaptive_estimate", "fixed_window_estimate", "run_trials",
     "tv_distance", "write_trials_csv",
 ]
+
+
+def __getattr__(name):
+    # the harness loads on first use: the CLI's `estimate` never needs it
+    if name in ("run_trials", "write_trials_csv"):
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

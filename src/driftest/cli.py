@@ -13,11 +13,15 @@ import argparse
 import dataclasses
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import driftgen, harness
 from .adaptive import adaptive_estimate
-from .driftgen import load_scenario
 from .windows import check_delta, load_stream
+
+# harness and driftgen are imported by the commands that use them, so that
+# `estimate` does not pay for them
+if TYPE_CHECKING:
+    from .harness import CoverageReport, SuiteReport
 
 _SUITES = ("metric", "prop1", "prop2", "prop3", "prop45", "prop6", "all")
 
@@ -59,6 +63,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import harness
+    from .driftgen import load_scenario
+
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
@@ -75,7 +82,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _print_suite(report: harness.SuiteReport) -> bool:
+def _print_suite(report: SuiteReport) -> bool:
     detail = " ".join(f"{name}={count}" for name, count in report.per_inequality)
     skipped = f" skipped={report.skipped}" if report.skipped else ""
     verdict = "PASS" if report.passed else "FAIL"
@@ -84,7 +91,7 @@ def _print_suite(report: harness.SuiteReport) -> bool:
     return report.passed
 
 
-def _print_coverage(name: str, report: harness.CoverageReport, delta: float) -> bool:
+def _print_coverage(name: str, report: CoverageReport, delta: float) -> bool:
     ok = report.passes(delta)
     detail = " ".join(f"{n}={c}" for n, c in report.per_inequality)
     print(f"[{name}] trials={report.trials} coverage={report.empirical_coverage:.4f} "
@@ -94,6 +101,8 @@ def _print_coverage(name: str, report: harness.CoverageReport, delta: float) -> 
 
 
 def _run_suite(suite: str, trials: int | None, delta: float, seed: int) -> bool:
+    from . import driftgen, harness
+
     n = trials if trials is not None else _SUITE_TRIALS[suite]
     workers = _workers()
     if suite == "metric":

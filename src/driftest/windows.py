@@ -116,6 +116,29 @@ def ladder_xis(ladder: Sequence[EmpiricalWindow], delta: float) -> list[float]:
 
 
 def parse_stream_text(text: str) -> np.ndarray:
+    samples = _parse_well_formed(text)
+    return samples if samples is not None else _parse_lines(text)
+
+
+def _parse_well_formed(text: str) -> np.ndarray | None:
+    """The stream in one numpy call, or None for the line loop to parse.
+
+    Runs only where every line is one unpadded token: no blank, padded or
+    multi-token line, and a '#' line fails to convert.  numpy converts each
+    str by int(), so the array is the line loop's.  Any failure, a negative
+    sample included, returns None: errors are reported by the line loop.
+    """
+    tokens = text.split()
+    if not tokens or tokens != text.splitlines():
+        return None
+    try:
+        samples = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return samples if samples.min() >= 0 else None
+
+
+def _parse_lines(text: str) -> np.ndarray:
     samples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

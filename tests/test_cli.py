@@ -408,6 +408,27 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout == VERIFY_ALL_5_SEED_0
 
 
+def test_cli_import_loads_only_the_estimate_layers():
+    import driftest
+    src = os.path.dirname(os.path.dirname(driftest.__file__))
+    env = dict(os.environ, PYTHONPATH=src, DRIFTEST_THREADS="1")
+    code = ("import sys, driftest.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('driftest', 'concurrent'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["driftest", "driftest.adaptive", "driftest.cli",
+                                       "driftest.dist", "driftest.windows"])
+    # the harness's public names still resolve from the package, on first use
+    code = ("import driftest; from driftest import write_trials_csv; "
+            "from driftest.harness import run_trials; "
+            "assert driftest.run_trials is run_trials; print(write_trials_csv.__module__)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "driftest.harness"
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "driftest.cli", "verify",
                            "--suite", "metric", "--trials", "5"],

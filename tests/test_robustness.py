@@ -1,15 +1,18 @@
-"""Well-formed scenario configs too large to build are rejected up front.
+"""Accepted inputs run in bounded memory and time; oversized ones are
+rejected up front.
 
-Each config runs ``driftest simulate`` in a child process whose address
-space is capped, so a scenario that tried to build its truth would die
-with a MemoryError traceback (or be killed) instead of exiting 2.
+Each case runs the CLI in a child process whose address space is capped,
+so a run that outgrew it would die with a MemoryError traceback (or be
+killed) instead of exiting 0 or 2.
 """
 
+import json
 import os
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 resource = pytest.importorskip("resource")
@@ -66,4 +69,26 @@ def test_oversized_scenario_exits_two(name, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
     assert reason in lines[0], proc.stderr
     assert "Traceback" not in proc.stderr
+    assert elapsed < 20.0
+
+
+# the two parser paths: one token per line, and the line loop a '#' header
+# sends the same stream to
+@pytest.mark.parametrize("header", ["", "# a header line\n"], ids=["well_formed", "header"])
+def test_estimate_on_a_long_stream_runs_within_the_limits(header, tmp_path):
+    t = 2**22
+    samples = np.random.default_rng(0).zipf(2.0, t) % 10**6
+    stream = tmp_path / "stream.txt"
+    stream.write_text(header + "\n".join(map(str, samples.tolist())) + "\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftest.cli", "estimate", "--input", str(stream),
+         "--output", "-"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["chosen_window"] <= t
+    assert proc.stderr.startswith(f"estimate: T={t} "), proc.stderr
     assert elapsed < 20.0

@@ -6,11 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from driftest import windows
 from driftest.dist import phi_empirical
-from driftest.windows import (UNION_BOUND_CONSTANT, as_stream, build_ladder,
-                              concentration_radius, dyadic_depth,
-                              ladder_xis, load_stream, parse_stream_text,
-                              union_log_weight)
+from driftest.windows import (UNION_BOUND_CONSTANT, _parse_lines, _parse_well_formed,
+                              as_stream, build_ladder, concentration_radius,
+                              dyadic_depth, ladder_xis, load_stream,
+                              parse_stream_text, union_log_weight)
 from reference import dump_stream
 
 
@@ -182,6 +183,83 @@ def test_parse_stream_errors_carry_line_numbers():
         parse_stream_text("1\n2\n-4\n")
     with pytest.raises(ValueError, match="empty sample stream"):
         parse_stream_text("# nothing\n\n")
+
+
+INT64_MAX = str(np.iinfo(np.int64).max)
+INT64_MIN = str(np.iinfo(np.int64).min)
+# tokens int() reads its own way, or refuses, and the shapes the line loop
+# forgives or rejects
+PARSE_TOKENS = ["0", "7", "42", "+5", "1_000", "1__0", "_1", "\u0661\u0662", "\U0001d7d3",
+                "\xb2", "0b1", "5.0", "-0", "-3", INT64_MAX, str(2**63), INT64_MIN,
+                str(-2**63 - 1), "7" * 5000, "x", "#", "# c", "#5", "5 # five", "1 2",
+                "1\t2", "1\xa02"]
+PARSE_CORPUS = [
+    "", "\n", "# only a comment\n", "# nothing\n\n", "1\n2\n3\n", "1\n2\n3", "5",
+    "\n1\n", "1\n\n2\n", " 1\n2\n", "1 \n2\n", "\t1\n", "1\xa0\n2\n", "1\r\n2\r\n",
+    "1\r2\r", "1 2\n", "# header\n5\n7\n", "5\n# trailer\n", "5 # five\n",
+    "+5\n1_000\n\u0661\u0662\n", f"{INT64_MAX}\n", f"1\n{2**63}\n", "-0\n3\n", "3\n-2\n",
+    "7" * 5000 + "\n", "1\n" + "7" * 5000 + "\n", "1\x0b2\x0c3\x1c4\u20285\x856\n",
+]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\u2028", "\x85"]
+PADS = ["", "", "", "", " ", "\t", "\xa0", "\u3000"]
+
+
+def _parse_outcome(parse, text):
+    try:
+        samples = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    assert samples.dtype == np.int64 and samples.ndim == 1
+    return "array", samples.tolist()
+
+
+def _fuzz_text(rng):
+    lines = []
+    for _ in range(rng.integers(0, 8)):
+        token = (str(rng.integers(0, 10**6)) if rng.random() < 0.7
+                 else PARSE_TOKENS[rng.integers(len(PARSE_TOKENS))])
+        if rng.random() < 0.15:
+            token = PADS[rng.integers(len(PADS))] + token + PADS[rng.integers(len(PADS))]
+        lines.append(token + LINE_ENDS[rng.integers(len(LINE_ENDS))])
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("text", PARSE_CORPUS + PARSE_TOKENS)
+def test_parse_stream_text_equals_the_line_loop_on_the_corpus(text):
+    assert _parse_outcome(parse_stream_text, text) == _parse_outcome(_parse_lines, text)
+
+
+def test_parse_stream_text_equals_the_line_loop_on_fuzzed_streams():
+    rng = np.random.default_rng(12)
+    fast = 0
+    for _ in range(3000):
+        text = _fuzz_text(rng)
+        assert _parse_outcome(parse_stream_text, text) == _parse_outcome(_parse_lines, text)
+        fast += _parse_well_formed(text) is not None
+    # both paths are exercised
+    assert 300 < fast < 2700
+
+
+def test_a_well_formed_stream_skips_the_line_loop(monkeypatch):
+    samples = np.random.default_rng(3).integers(0, 10**6, 2**16)
+    text = "\n".join(map(str, samples.tolist())) + "\n"
+
+    def line_loop(text):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(windows, "_parse_lines", line_loop)
+    assert np.array_equal(parse_stream_text(text), samples)
+    monkeypatch.undo()
+
+    calls = []
+
+    def counted(text):
+        calls.append(len(text))
+        return _parse_lines(text)
+
+    monkeypatch.setattr(windows, "_parse_lines", counted)
+    assert np.array_equal(parse_stream_text("# header\n" + text), samples)
+    assert len(calls) == 1
 
 
 def test_stream_file_round_trip(tmp_path):
