@@ -120,9 +120,8 @@ class DriftScenario:
                     raise ValueError(f"key '{key}': must lie in (0, 1]")
         if self.kind == "zipf_drift":
             for key in ("zipf_s_start", "zipf_s_end"):
-                s = getattr(self, key)
-                if not s > 1.0:
-                    raise ValueError(f"key '{key}': exponent must exceed 1")
+                if not 1.0 < getattr(self, key) < math.inf:
+                    raise ValueError(f"key '{key}': exponent must be finite and exceed 1")
 
 
 def iid(k: int, t: int, seed: int = 0) -> DriftScenario:
@@ -228,9 +227,13 @@ def _hurwitz_zeta(x: float, q: float) -> float:
 def _zipf_atoms(s: float) -> int:
     """Atoms of the truncated zipf pmf, counted before it is built."""
     total = _hurwitz_zeta(s, 1)
+
+    def tail_too_heavy(n):  # False on a NaN tail, so its exponent gets one atom
+        return _hurwitz_zeta(s, n + 1) / total >= TAIL_TOL
+
     # smallest n with relative tail mass below TAIL_TOL, by doubling + bisect
     lo, hi = 1, 2
-    while _hurwitz_zeta(s, hi + 1) / total >= TAIL_TOL:
+    while tail_too_heavy(hi):
         lo, hi = hi, hi * 2
         if hi > _MAX_TRUNCATED_SUPPORT:
             raise ValueError(
@@ -238,10 +241,10 @@ def _zipf_atoms(s: float) -> int:
                 f"to reach tail mass {TAIL_TOL}; use a larger exponent")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _hurwitz_zeta(s, mid + 1) / total < TAIL_TOL:
-            hi = mid
-        else:
+        if tail_too_heavy(mid):
             lo = mid + 1
+        else:
+            hi = mid
     return hi
 
 
@@ -728,5 +731,5 @@ def parse_scenario_config(text: str) -> DriftScenario:
 
 
 def load_scenario(path) -> DriftScenario:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_scenario_config(fh.read())

@@ -83,6 +83,37 @@ def dump_stream(samples, path):
             fh.write(f"{int(value)}\n")
 
 
+def parse_lines(text):
+    """The stream text format read with one int() per line.
+
+    ``windows.parse_stream_text`` must return the same array, or raise a
+    ``ValueError`` with the same text.
+    """
+    samples = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = int(line)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {line!r} is not an integer") from None
+        if value < 0:
+            raise ValueError(f"line {lineno}: negative sample {value}")
+        samples.append(value)
+    if not samples:
+        raise ValueError("empty sample stream")
+    try:
+        return np.asarray(samples, dtype=np.int64)
+    except OverflowError:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#") and int(line) > np.iinfo(np.int64).max:
+                raise ValueError(
+                    f"line {lineno}: sample {int(line)} exceeds the int64 range") from None
+        raise
+
+
 # --- the per-step truth -------------------------------------------------------
 
 

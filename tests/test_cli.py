@@ -50,6 +50,13 @@ def test_estimate_negative_sample_names_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_estimate_ignores_a_byte_order_mark(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_bytes(b"\xef\xbb\xbf5\n1\n2\n")
+    assert run_cli("estimate", "--input", str(stream), "--output", "-") == 0
+    assert json.loads(capsys.readouterr().out)["chosen_window"] == 2
+
+
 def test_estimate_sample_beyond_int64_names_line(tmp_path):
     stream = tmp_path / "s.txt"
     stream.write_text("3\n# comment\n99999999999999999999\n4\n")
@@ -113,6 +120,17 @@ def test_simulate_unknown_kind(tmp_path, capsys):
     cfg.write_text("kind = mystery\nt = 8\nseed = 0\n")
     assert run_cli("simulate", "--scenario", str(cfg), "--output", "-") == 2
     assert "unknown kind" in capsys.readouterr().err
+
+
+def test_simulate_ignores_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(IID_CFG)
+    marked.write_bytes(b"\xef\xbb\xbf" + IID_CFG.encode())
+    outputs = []
+    for cfg in (plain, marked):
+        assert run_cli("simulate", "--scenario", str(cfg), "--trials", "2", "--output", "-") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_unknown_key(tmp_path, capsys):

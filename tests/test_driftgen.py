@@ -319,6 +319,18 @@ def test_step_delta_must_be_finite_and_nonnegative(value):
                               f"step_delta = {value}\n")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("key", ["zipf_s_start", "zipf_s_end"])
+def test_zipf_exponents_must_be_finite(key, value):
+    message = f"key '{key}': exponent must be finite and exceed 1"
+    params = {"zipf_s_start": "3.0", "zipf_s_end": "3.0", key: value}
+    with pytest.raises(ValueError, match=message):
+        zipf_drift(float(params["zipf_s_start"]), float(params["zipf_s_end"]), t=8)
+    with pytest.raises(ValueError, match=message):
+        parse_scenario_config("kind = zipf_drift\nt = 8\nseed = 0\n" + "".join(
+            f"{name} = {text}\n" for name, text in params.items()))
+
+
 def test_config_parsing():
     scenario = parse_scenario_config(
         "# demo\nkind = linear_drift\nt = 128\nseed = 9\nk = 10\nstep_delta = 0.001\n")
@@ -451,8 +463,10 @@ def test_each_distinct_pmf_is_counted_and_built_once(family, atoms, scenario, mo
     assert len(set(counted)) == len(counted) <= distinct
 
 
+# 1e308's zeta tail is NaN, not zero
 @pytest.mark.parametrize("scenario", [zipf_drift(1000.0, 1000.0, t=4, seed=0),
-                                      zipf_drift(1000.0, 900.0, t=4, seed=0)])
+                                      zipf_drift(1000.0, 900.0, t=4, seed=0),
+                                      zipf_drift(1e308, 1e308, t=4, seed=0)])
 def test_zipf_with_underflowing_tail_is_a_point_mass_at_one(scenario):
     truth = segments(scenario)
     assert int(np.sum(truth.counts)) == scenario.t

@@ -72,14 +72,17 @@ def test_oversized_scenario_exits_two(name, tmp_path):
     assert elapsed < 20.0
 
 
-# the two parser paths: one token per line, and the line loop a '#' header
-# sends the same stream to
-@pytest.mark.parametrize("header", ["", "# a header line\n"], ids=["well_formed", "header"])
-def test_estimate_on_a_long_stream_runs_within_the_limits(header, tmp_path):
+# the two token lists: str.split of a file whose every line is one token,
+# and the stripped lines of a file with a '#', blank or padded line
+@pytest.mark.parametrize("edit", [
+    lambda text: text, lambda text: "# a header line\n" + text,
+    lambda text: text + "\n", lambda text: text.replace("\n", "\n\n"),
+], ids=["well_formed", "header", "trailing_blank", "blank_lines"])
+def test_estimate_on_a_long_stream_runs_within_the_limits(edit, tmp_path):
     t = 2**22
     samples = np.random.default_rng(0).zipf(2.0, t) % 10**6
     stream = tmp_path / "stream.txt"
-    stream.write_text(header + "\n".join(map(str, samples.tolist())) + "\n")
+    stream.write_text(edit("\n".join(map(str, samples.tolist())) + "\n"))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
     start = time.monotonic()
     proc = subprocess.run(

@@ -8,11 +8,10 @@ import pytest
 
 from driftest import windows
 from driftest.dist import phi_empirical
-from driftest.windows import (UNION_BOUND_CONSTANT, _parse_lines, _parse_well_formed,
-                              as_stream, build_ladder, concentration_radius,
-                              dyadic_depth, ladder_xis, load_stream,
+from driftest.windows import (UNION_BOUND_CONSTANT, as_stream, build_ladder,
+                              concentration_radius, dyadic_depth, ladder_xis, load_stream,
                               parse_stream_text, union_log_weight)
-from reference import dump_stream
+from reference import dump_stream, parse_lines
 
 
 def brute_ladder(stream):
@@ -199,6 +198,9 @@ PARSE_CORPUS = [
     "1\r2\r", "1 2\n", "# header\n5\n7\n", "5\n# trailer\n", "5 # five\n",
     "+5\n1_000\n\u0661\u0662\n", f"{INT64_MAX}\n", f"1\n{2**63}\n", "-0\n3\n", "3\n-2\n",
     "7" * 5000 + "\n", "1\n" + "7" * 5000 + "\n", "1\x0b2\x0c3\x1c4\u20285\x856\n",
+    # error precedence: a bad line before an overflow, and line numbers
+    # that count blank and comment lines
+    f"{2**63}\nx\n", f"{2**63}\n-1\n", f"# c\n\n{2**63}\n",
 ]
 LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\u2028", "\x85"]
 PADS = ["", "", "", "", " ", "\t", "\xa0", "\u3000"]
@@ -226,40 +228,29 @@ def _fuzz_text(rng):
 
 @pytest.mark.parametrize("text", PARSE_CORPUS + PARSE_TOKENS)
 def test_parse_stream_text_equals_the_line_loop_on_the_corpus(text):
-    assert _parse_outcome(parse_stream_text, text) == _parse_outcome(_parse_lines, text)
+    assert _parse_outcome(parse_stream_text, text) == _parse_outcome(parse_lines, text)
 
 
 def test_parse_stream_text_equals_the_line_loop_on_fuzzed_streams():
     rng = np.random.default_rng(12)
-    fast = 0
     for _ in range(3000):
         text = _fuzz_text(rng)
-        assert _parse_outcome(parse_stream_text, text) == _parse_outcome(_parse_lines, text)
-        fast += _parse_well_formed(text) is not None
-    # both paths are exercised
-    assert 300 < fast < 2700
+        assert _parse_outcome(parse_stream_text, text) == _parse_outcome(parse_lines, text)
 
 
-def test_a_well_formed_stream_skips_the_line_loop(monkeypatch):
+@pytest.mark.parametrize("edit", [
+    lambda text: text, lambda text: "# header\n" + text, lambda text: text + "\n",
+    lambda text: text.replace("\n", "\n\n", 100),
+], ids=["well_formed", "header", "trailing_blank", "blank_lines"])
+def test_an_accepted_stream_never_reaches_the_error_search(edit, monkeypatch):
     samples = np.random.default_rng(3).integers(0, 10**6, 2**16)
     text = "\n".join(map(str, samples.tolist())) + "\n"
 
-    def line_loop(text):
-        raise AssertionError("the line loop ran")
+    def search(text):
+        raise AssertionError("the error search ran")
 
-    monkeypatch.setattr(windows, "_parse_lines", line_loop)
-    assert np.array_equal(parse_stream_text(text), samples)
-    monkeypatch.undo()
-
-    calls = []
-
-    def counted(text):
-        calls.append(len(text))
-        return _parse_lines(text)
-
-    monkeypatch.setattr(windows, "_parse_lines", counted)
-    assert np.array_equal(parse_stream_text("# header\n" + text), samples)
-    assert len(calls) == 1
+    monkeypatch.setattr(windows, "_stream_error", search)
+    assert np.array_equal(parse_stream_text(edit(text)), samples)
 
 
 def test_stream_file_round_trip(tmp_path):
