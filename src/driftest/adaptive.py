@@ -143,7 +143,7 @@ def fixed_window_estimate(stream, r: int) -> Pmf:
     arr = as_stream(stream)
     if not 1 <= r <= arr.size:
         raise ValueError(f"window size {r} outside [1, {arr.size}]")
-    return EmpiricalWindow.from_samples(arr[arr.size - r:]).to_pmf()
+    return EmpiricalWindow(arr[arr.size - r:]).to_pmf()
 
 
 def drift_sequence(truth) -> np.ndarray:

@@ -7,7 +7,6 @@ which keeps all derived quantities bit-reproducible from run to run.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
@@ -34,17 +33,26 @@ def int64_values(values, what: str, copy: bool = False) -> np.ndarray:
     return arr.astype(np.int64, copy=copy)
 
 
-def _sorted_atoms(symbols, weights, weight_kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize (symbols, weights) into sorted, validated, read-only atom copies.
+def as_stream(samples) -> np.ndarray:
+    """Validate a sample stream (oldest first) into an int64 array."""
+    arr = int64_values(samples, "samples")
+    if arr.ndim != 1:
+        raise ValueError("a sample stream must be one-dimensional")
+    if arr.size == 0:
+        raise ValueError("empty sample stream")
+    if np.any(arr < 0):
+        raise ValueError("samples must be nonnegative integers")
+    return arr
+
+
+def _sorted_atoms(symbols, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize (symbols, probs) into sorted, validated, read-only atom copies.
 
     Atoms that arrive sorted cost one linear check; only other input is
     argsorted and searched for duplicates.
     """
     syms = int64_values(symbols, "symbols", copy=True)
-    if weight_kind == "prob":
-        w = np.array(weights, dtype=np.float64)
-    else:
-        w = int64_values(weights, "counts", copy=True)
+    w = np.array(probs, dtype=np.float64)
     if syms.ndim != 1 or w.ndim != 1 or syms.shape != w.shape:
         raise ValueError("symbols and weights must be 1-D arrays of equal length")
     if syms.size == 0:
@@ -57,19 +65,16 @@ def _sorted_atoms(symbols, weights, weight_kind: str) -> tuple[np.ndarray, np.nd
         raise ValueError("symbols must be nonnegative integers")
     if not increasing and np.any(syms[1:] == syms[:-1]):
         raise ValueError("duplicate symbols in support")
-    if weight_kind == "prob":
-        if not np.all(np.isfinite(w)):
-            raise ValueError("probabilities must be finite")
-        lowest = w.min()
-        if lowest < 0.0:
-            raise ValueError("probabilities must be nonnegative")
-        if lowest == 0.0:
-            keep = w > 0.0
-            syms, w = syms[keep], w[keep]
-            if syms.size == 0:
-                raise ValueError("pmf has no positive-mass atoms")
-    elif w.min() <= 0:
-        raise ValueError("counts must be positive integers")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("probabilities must be finite")
+    lowest = w.min()
+    if lowest < 0.0:
+        raise ValueError("probabilities must be nonnegative")
+    if lowest == 0.0:
+        keep = w > 0.0
+        syms, w = syms[keep], w[keep]
+        if syms.size == 0:
+            raise ValueError("pmf has no positive-mass atoms")
     syms.setflags(write=False)
     w.setflags(write=False)
     return syms, w
@@ -101,7 +106,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        syms, probs = _sorted_atoms(self.symbols, self.probs, "prob")
+        syms, probs = _sorted_atoms(self.symbols, self.probs)
         total = float(np.sum(probs))
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"pmf mass is {total!r}, not 1 within {MASS_TOL}")
@@ -145,15 +150,6 @@ class Pmf:
     def to_json_obj(self) -> dict:
         return {"atoms": [{"symbol": int(s), "prob": float(p)}
                           for s, p in zip(self.symbols, self.probs)]}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Pmf":
-        atoms = obj["atoms"]
-        return cls(np.array([a["symbol"] for a in atoms]),
-                   np.array([a["prob"] for a in atoms], dtype=np.float64))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 # elements of one 2-D chunk in the row-block operations, which bounds their temporaries
@@ -200,33 +196,28 @@ class RangeBlock:
         self.starts, self.probs = starts, probs
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class EmpiricalWindow:
-    """Symbol counts over the most recent ``size`` samples of a stream."""
+    """Symbol counts of a run of samples, such as a stream's most recent ones.
+
+    Built from the samples alone: one ``np.unique`` gives the sorted
+    symbols and their counts.  Immutable, with read-only arrays.
+    """
 
     symbols: np.ndarray
     counts: np.ndarray
     size: int
-    probs: np.ndarray = field(init=False, repr=False)  # counts / size
+    probs: np.ndarray = field(repr=False)  # counts / size
 
-    def __post_init__(self):
-        syms, counts = _sorted_atoms(self.symbols, self.counts, "count")
-        object.__setattr__(self, "symbols", syms)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "size", int(self.size))
-        if int(np.sum(counts)) != self.size:
-            raise ValueError("window counts must sum to the window size")
-        probs = counts / float(self.size)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalWindow":
-        arr = int64_values(samples, "samples")
-        if arr.size == 0:
-            raise ValueError("empty sample window")
-        syms, counts = np.unique(arr, return_counts=True)
-        return cls(syms, counts, int(arr.size))
+    def __init__(self, samples):
+        arr = as_stream(samples)
+        symbols, counts = np.unique(arr, return_counts=True)
+        probs = counts / float(arr.size)
+        for array in (symbols, counts, probs):
+            array.setflags(write=False)
+        for name, value in (("symbols", symbols), ("counts", counts),
+                            ("size", int(arr.size)), ("probs", probs)):
+            object.__setattr__(self, name, value)
 
     def to_pmf(self) -> Pmf:
         return Pmf(self.symbols, self.probs)

@@ -122,6 +122,14 @@ class DriftScenario:
             for key in ("zipf_s_start", "zipf_s_end"):
                 if not 1.0 < getattr(self, key) < math.inf:
                     raise ValueError(f"key '{key}': exponent must be finite and exceed 1")
+        if self.kind in ("geometric_drift", "zipf_drift") and self.t > 1:
+            start_key, end_key = need
+            start, end = getattr(self, start_key), getattr(self, end_key)
+            # the last step's parameter, in the ramp's own float arithmetic
+            last = start + ((end - start) / (self.t - 1)) * (self.t - 1)
+            if start != end and not math.isclose(last, end, rel_tol=1e-9):
+                raise ValueError(f"key '{end_key}': a ramp from {start!r} over {self.t} steps"
+                                 f" ends at {last!r}, not at {end!r}")
 
 
 def iid(k: int, t: int, seed: int = 0) -> DriftScenario:
@@ -581,12 +589,7 @@ def scenario_delta(scenario: DriftScenario, r: int) -> float:
     """Exact drift error of the most recent r steps, from the true pmfs."""
     if not 1 <= r <= scenario.t:
         raise ValueError(f"window size {r} outside [1, {scenario.t}]")
-    return float(scenario_delta_curve(scenario)[r - 1])
-
-
-def scenario_delta_curve(scenario: DriftScenario) -> np.ndarray:
-    """Drift errors for every window size 1..t (read-only array)."""
-    return segments(scenario).drift
+    return float(segments(scenario).drift[r - 1])
 
 
 # --- sampling --------------------------------------------------------------

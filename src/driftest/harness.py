@@ -229,7 +229,7 @@ def _prop2_trial(scenario: DriftScenario, r: int, delta: float,
                  trial: int) -> tuple[bool, bool]:
     truth = segments(scenario)
     j = r.bit_length() - 1
-    window = EmpiricalWindow.from_samples(sample_stream(scenario, trial)[-r:])
+    window = EmpiricalWindow(sample_stream(scenario, trial)[-r:])
     phi = phi_empirical(window)
     deviation_bound = phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
     complexity_bound = 4.0 * truth.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import EmpiricalWindow, int64_values, phi_empirical, sorted_union
+from .dist import EmpiricalWindow, as_stream, phi_empirical
 
 # Union-bound weight constant: 4 * pi^2 / 3.  With per-size failure shares
 # delta * (6/pi^2) / (j+1)^2 this makes the simultaneous bound hold with
@@ -29,43 +29,17 @@ def dyadic_depth(t: int) -> int:
     return int(t).bit_length() - 1
 
 
-def as_stream(samples) -> np.ndarray:
-    """Validate a sample stream (oldest first) into an int64 array."""
-    arr = int64_values(samples, "samples")
-    if arr.ndim != 1:
-        raise ValueError("a sample stream must be one-dimensional")
-    if arr.size == 0:
-        raise ValueError("empty sample stream")
-    if np.any(arr < 0):
-        raise ValueError("samples must be nonnegative integers")
-    return arr
-
-
 def build_ladder(stream) -> tuple[EmpiricalWindow, ...]:
-    """Count the dyadic suffix windows of a stream in one backward pass.
+    """The dyadic suffix windows of a stream, each counted from its own samples.
 
-    Scans the most recent 2^floor(log2 T) samples from newest to oldest in
-    doubling blocks, merging sorted (symbol, count) runs and snapshotting
-    each time the scanned length reaches a power of two.  Window j holds
-    the most recent 2^j samples.  Samples older than the largest dyadic
-    window are never touched.
+    Window j holds the most recent 2^j samples, j = 0 .. floor(log2 T).
+    Each window sorts its own suffix, about 2T samples in all:
+    O(T log T).  Samples older than the largest dyadic window are never
+    touched.
     """
     arr = as_stream(stream)
     t = arr.size
-    depth = dyadic_depth(t)
-
-    syms, counts = np.unique(arr[t - 1:], return_counts=True)
-    windows = [EmpiricalWindow(syms, counts, 1)]
-    for j in range(1, depth + 1):
-        lo, hi = t - 2**j, t - 2 ** (j - 1)
-        block_syms, block_counts = np.unique(arr[lo:hi], return_counts=True)
-        union = sorted_union(syms, block_syms)
-        merged = np.zeros(union.size, dtype=np.int64)
-        merged[np.searchsorted(union, syms)] += counts
-        merged[np.searchsorted(union, block_syms)] += block_counts
-        syms, counts = union, merged
-        windows.append(EmpiricalWindow(syms, counts, 2**j))
-    return tuple(windows)
+    return tuple(EmpiricalWindow(arr[t - 2**j:]) for j in range(dyadic_depth(t) + 1))
 
 
 def check_delta(delta: float) -> None:

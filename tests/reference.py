@@ -23,10 +23,10 @@ from driftest.driftgen import (ABRUPT_POST_OFFSET, Truth, _charge_truth_size,
 # --- distributions ------------------------------------------------------------
 
 
-def sorted_atoms(symbols, weights, weight_kind):
+def sorted_atoms(symbols, probs):
     """Atom validation that argsorts every input, as it was before the sorted check."""
     syms = np.asarray(symbols, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64 if weight_kind == "prob" else np.int64)
+    w = np.asarray(probs, dtype=np.float64)
     if syms.ndim != 1 or w.ndim != 1 or syms.shape != w.shape:
         raise ValueError("symbols and weights must be 1-D arrays of equal length")
     if syms.size == 0:
@@ -38,18 +38,14 @@ def sorted_atoms(symbols, weights, weight_kind):
     w = w[order]
     if np.any(syms[1:] == syms[:-1]):
         raise ValueError("duplicate symbols in support")
-    if weight_kind == "prob":
-        if not np.all(np.isfinite(w)):
-            raise ValueError("probabilities must be finite")
-        if np.any(w < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        keep = w > 0.0
-        syms, w = syms[keep], w[keep]
-        if syms.size == 0:
-            raise ValueError("pmf has no positive-mass atoms")
-    else:
-        if np.any(w <= 0):
-            raise ValueError("counts must be positive integers")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("probabilities must be finite")
+    if np.any(w < 0.0):
+        raise ValueError("probabilities must be nonnegative")
+    keep = w > 0.0
+    syms, w = syms[keep], w[keep]
+    if syms.size == 0:
+        raise ValueError("pmf has no positive-mass atoms")
     syms.setflags(write=False)
     w.setflags(write=False)
     return syms, w

@@ -19,10 +19,6 @@ from driftest.windows import build_ladder
 from reference import mean_pmf, sorted_atoms
 
 
-def pmf_from_json(text):
-    return Pmf.from_json_obj(json.loads(text))
-
-
 def brute_tv(p, q):
     """Independent total variation: dict arithmetic over the union support."""
     pa, qa = p.as_dict(), q.as_dict()
@@ -63,7 +59,7 @@ def test_tv_hand_example():
 
 
 def test_tv_accepts_windows():
-    w = EmpiricalWindow.from_samples([1, 1, 2, 2])
+    w = EmpiricalWindow([1, 1, 2, 2])
     p = Pmf.from_dict({1: 0.5, 2: 0.5})
     assert tv_distance(w, p) == 0.0
     assert tv_distance(w, Pmf.point_mass(1)) == pytest.approx(0.5)
@@ -112,7 +108,7 @@ def test_lambda_matches_reference_on_pmfs_and_windows():
         if rng.random() < 0.5:
             p = random_pmf(rng)
         else:
-            p = EmpiricalWindow.from_samples(
+            p = EmpiricalWindow(
                 rng.integers(0, 30, size=int(rng.integers(1, 400))))
         rs = rng.integers(1, 2**16 + 1, size=8)
         curve = lambda_complexity(p, rs)
@@ -127,8 +123,8 @@ def test_lambda_at_threshold_budget_matches_reference():
     # 1/r equal to an atom's mass, for a pmf and for a window's frequency
     cases = [(Pmf.uniform(range(4)), 4), (Pmf.from_dict({0: 0.25, 1: 0.75}), 4),
              (Pmf.from_dict({0: 0.5, 3: 0.375, 9: 0.125}), 8),
-             (EmpiricalWindow.from_samples([1, 1, 2, 3, 3, 3, 3, 3]), 4),
-             (EmpiricalWindow.from_samples([5] * 3 + [6]), 4)]
+             (EmpiricalWindow([1, 1, 2, 3, 3, 3, 3, 3]), 4),
+             (EmpiricalWindow([5] * 3 + [6]), 4)]
     for p, r in cases:
         assert np.any(p.probs == 1.0 / r)
         want = reference_lambda(p, r)
@@ -204,7 +200,7 @@ def test_half_norm_two_atoms():
 
 def test_window_probs_are_counts_over_size():
     rng = np.random.default_rng(12)
-    windows = [EmpiricalWindow.from_samples(rng.integers(0, k, size=n))
+    windows = [EmpiricalWindow(rng.integers(0, k, size=n))
                for k, n in ((1, 1), (3, 7), (40, 500), (1000, 333))]
     windows += build_ladder(rng.integers(0, 9, size=300))
     for w in windows:
@@ -215,16 +211,16 @@ def test_window_probs_are_counts_over_size():
 
 
 def test_phi_single_symbol():
-    assert phi_empirical(EmpiricalWindow.from_samples([5] * 4)) == pytest.approx(0.5)
+    assert phi_empirical(EmpiricalWindow([5] * 4)) == pytest.approx(0.5)
 
 
 def test_phi_mixed_counts():
-    w = EmpiricalWindow.from_samples([0, 0, 1, 2])
+    w = EmpiricalWindow([0, 0, 1, 2])
     assert phi_empirical(w) == pytest.approx((math.sqrt(0.5) + 0.5 + 0.5) / 2, abs=1e-15)
 
 
 def test_phi_all_distinct():
-    w = EmpiricalWindow.from_samples([0, 1, 2, 3])
+    w = EmpiricalWindow([0, 1, 2, 3])
     assert phi_empirical(w) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -233,7 +229,7 @@ def test_phi_equals_root_half_norm_over_r():
     for _ in range(200):
         r = int(rng.integers(1, 512))
         samples = rng.integers(0, 40, size=r)
-        w = EmpiricalWindow.from_samples(samples)
+        w = EmpiricalWindow(samples)
         assert phi_empirical(w) == pytest.approx(
             math.sqrt(half_norm(w) / r), abs=1e-12)
 
@@ -285,17 +281,21 @@ def test_pmf_json_round_trip_sorted():
     p = Pmf.from_dict({9: 0.25, 2: 0.75})
     obj = p.to_json_obj()
     assert [a["symbol"] for a in obj["atoms"]] == [2, 9]
-    again = pmf_from_json(p.to_json())
+    atoms = json.loads(json.dumps(obj))["atoms"]
+    again = Pmf([a["symbol"] for a in atoms], [a["prob"] for a in atoms])
     assert again.as_dict() == p.as_dict()
-    assert json.loads(p.to_json()) == obj
+    assert again.to_json_obj() == obj
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        EmpiricalWindow(np.array([1]), np.array([2]), 3)
-    with pytest.raises(ValueError):
-        EmpiricalWindow.from_samples([])
-    w = EmpiricalWindow.from_samples([4, 4, 7])
+    with pytest.raises(ValueError, match="empty sample stream"):
+        EmpiricalWindow([])
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        EmpiricalWindow([4, -1])
+    # a 2-D array is refused, not flattened into one window
+    with pytest.raises(ValueError, match="one-dimensional"):
+        EmpiricalWindow(np.array([[4, 4], [7, 7]]))
+    w = EmpiricalWindow([4, 4, 7])
     assert w.size == 3
     assert list(w.counts) == [2, 1]
     assert w.to_pmf().as_dict() == {4: 2 / 3, 7: 1 / 3}
@@ -334,19 +334,17 @@ def test_sorted_union_matches_union1d():
     assert np.array_equal(got, reduce(np.union1d, parts))
 
 
-@pytest.mark.parametrize("symbols, weights, kind", [
-    ([1, 4, 9], [0.2, 0.3, 0.5], "prob"),
-    ([9, 1, 4], [0.5, 0.2, 0.3], "prob"),
-    ([0, 3, 5, 8], [0.5, 0.0, 0.5, 0.0], "prob"),
-    ([8, 0, 5, 3], [0.0, 0.5, 0.5, -0.0], "prob"),
-    ([2, 3, 11], [4, 1, 2], "count"),
-    ([11, 3, 2], [2, 1, 4], "count"),
-], ids=["sorted", "unsorted", "zero_mass", "unsorted_zero_mass", "counts", "unsorted_counts"])
-def test_sorted_atoms_matches_reference(symbols, weights, kind):
+@pytest.mark.parametrize("symbols, probs", [
+    ([1, 4, 9], [0.2, 0.3, 0.5]),
+    ([9, 1, 4], [0.5, 0.2, 0.3]),
+    ([0, 3, 5, 8], [0.5, 0.0, 0.5, 0.0]),
+    ([8, 0, 5, 3], [0.0, 0.5, 0.5, -0.0]),
+], ids=["sorted", "unsorted", "zero_mass", "unsorted_zero_mass"])
+def test_sorted_atoms_matches_reference(symbols, probs):
     syms_in = np.array(symbols, dtype=np.int64)
-    w_in = np.array(weights, dtype=np.float64 if kind == "prob" else np.int64)
-    got = _sorted_atoms(syms_in, w_in, kind)
-    want = sorted_atoms(syms_in.copy(), w_in.copy(), kind)
+    w_in = np.array(probs, dtype=np.float64)
+    got = _sorted_atoms(syms_in, w_in)
+    want = sorted_atoms(syms_in.copy(), w_in.copy())
     for out, ref, caller in zip(got, want, (syms_in, w_in)):
         assert out.dtype == ref.dtype and np.array_equal(out, ref)
         assert not out.flags.writeable
@@ -354,34 +352,31 @@ def test_sorted_atoms_matches_reference(symbols, weights, kind):
         assert caller.flags.writeable
 
 
-@pytest.mark.parametrize("symbols, weights, kind", [
-    ([], [], "prob"),
-    ([1, 2], [1.0], "prob"),
-    ([[1, 2]], [[0.5, 0.5]], "prob"),
-    ([-1, 2], [0.5, 0.5], "prob"),
-    ([3, -1, 3], [0.2, 0.3, 0.5], "prob"),
-    ([-1, -1], [0.5, 0.5], "prob"),
-    ([1, 1, 2], [0.2, 0.3, 0.5], "prob"),
-    ([2, 1, 2], [0.2, 0.3, 0.5], "prob"),
-    ([1, 1], [math.nan, 1.0], "prob"),
-    ([1, 2], [math.nan, 1.0], "prob"),
-    ([2, 1], [math.inf, 0.0], "prob"),
-    ([1, 2, 3], [math.nan, -0.5, 0.0], "prob"),
-    ([1, 2], [-0.1, 1.1], "prob"),
-    ([1, 2], [-0.1, 0.0], "prob"),
-    ([1, 2], [0.0, -0.0], "prob"),
-    ([1, 2], [0, 3], "count"),
-    ([2, 1], [3, -1], "count"),
+@pytest.mark.parametrize("symbols, probs", [
+    ([], []),
+    ([1, 2], [1.0]),
+    ([[1, 2]], [[0.5, 0.5]]),
+    ([-1, 2], [0.5, 0.5]),
+    ([3, -1, 3], [0.2, 0.3, 0.5]),
+    ([-1, -1], [0.5, 0.5]),
+    ([1, 1, 2], [0.2, 0.3, 0.5]),
+    ([2, 1, 2], [0.2, 0.3, 0.5]),
+    ([1, 1], [math.nan, 1.0]),
+    ([1, 2], [math.nan, 1.0]),
+    ([2, 1], [math.inf, 0.0]),
+    ([1, 2, 3], [math.nan, -0.5, 0.0]),
+    ([1, 2], [-0.1, 1.1]),
+    ([1, 2], [-0.1, 0.0]),
+    ([1, 2], [0.0, -0.0]),
 ], ids=["empty", "shape_mismatch", "two_d", "negative", "negative_unsorted_duplicate",
         "negative_sorted_duplicate", "duplicate_sorted", "duplicate_unsorted",
         "duplicate_before_nan", "nan", "inf", "nan_before_negative_prob",
-        "negative_prob", "negative_prob_before_all_zero", "all_zero", "zero_count",
-        "negative_count"])
-def test_sorted_atoms_rejects_like_reference(symbols, weights, kind):
+        "negative_prob", "negative_prob_before_all_zero", "all_zero"])
+def test_sorted_atoms_rejects_like_reference(symbols, probs):
     with pytest.raises(ValueError) as want:
-        sorted_atoms(symbols, weights, kind)
+        sorted_atoms(symbols, probs)
     with pytest.raises(ValueError) as got:
-        _sorted_atoms(symbols, weights, kind)
+        _sorted_atoms(symbols, probs)
     assert str(got.value) == str(want.value)
 
 
@@ -417,22 +412,16 @@ def test_non_integer_symbols_are_rejected_not_truncated(name):
     with pytest.raises(ValueError, match="must be integers within the int64 range"):
         Pmf(symbols, [0.5, 0.5])
     with pytest.raises(ValueError, match="must be integers within the int64 range"):
-        EmpiricalWindow(symbols, [1, 1], 2)
-    with pytest.raises(ValueError, match="must be integers within the int64 range"):
-        EmpiricalWindow.from_samples(symbols)
+        EmpiricalWindow(symbols)
 
 
-def test_non_integer_counts_and_constructor_symbols_are_rejected():
-    with pytest.raises(ValueError, match="counts must be integers"):
-        EmpiricalWindow([0, 1], [1.5, 0.5], 2)
+def test_non_integer_constructor_symbols_are_rejected():
     with pytest.raises(ValueError, match="symbols must be integers"):
         Pmf.from_dict({0.5: 1.0})
     with pytest.raises(ValueError, match="symbols must be integers"):
         Pmf.point_mass(0.5)
     with pytest.raises(ValueError, match="symbols must be integers"):
         Pmf.uniform([0.5, 1.5])
-    with pytest.raises(ValueError, match="symbols must be integers"):
-        pmf_from_json('{"atoms": [{"symbol": 0.5, "prob": 1.0}]}')
 
 
 def test_integer_symbols_of_any_width_are_accepted():

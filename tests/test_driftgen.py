@@ -1,6 +1,7 @@
 """Scenario generators: truth sequences, samplers, and the config format."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,9 +13,8 @@ from driftest.dist import Pmf, tv_distance
 from driftest.driftgen import (TAIL_TOL, DriftScenario, abrupt,
                                geometric_drift, iid, linear_drift,
                                parse_scenario_config, rotating_support,
-                               sample_stream, scenario_delta,
-                               scenario_delta_curve, segments, true_pmf,
-                               truth_pmfs, zipf_drift)
+                               sample_stream, scenario_delta, segments,
+                               true_pmf, truth_pmfs, zipf_drift)
 import reference as ref
 
 
@@ -96,7 +96,7 @@ def test_every_family_produces_valid_pmfs():
 
 def test_every_family_has_monotone_drift():
     for scenario in ALL_FAMILIES:
-        curve = scenario_delta_curve(scenario)
+        curve = segments(scenario).drift
         assert curve[0] == 0.0
         assert np.all(np.diff(curve) >= -1e-15)
 
@@ -238,7 +238,7 @@ def test_drift_curve_matches_per_step_reference(scenario):
     want = ref.drift_sequence_per_step(ref.truth_pmfs(scenario))
     got = drift_sequence(segments(scenario))
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(scenario_delta_curve(scenario), want)
+    assert np.array_equal(segments(scenario).drift, want)
 
 
 def test_sample_stream_keeps_no_atom_copy():
@@ -329,6 +329,28 @@ def test_zipf_exponents_must_be_finite(key, value):
     with pytest.raises(ValueError, match=message):
         parse_scenario_config("kind = zipf_drift\nt = 8\nseed = 0\n" + "".join(
             f"{name} = {text}\n" for name, text in params.items()))
+
+
+@pytest.mark.parametrize("kind, start_key, end_key, start, end, t", [
+    ("zipf_drift", "zipf_s_start", "zipf_s_end", 1e17, 3.0, 4),
+    ("zipf_drift", "zipf_s_start", "zipf_s_end", 1e17, 3.0, 1000),
+    ("zipf_drift", "zipf_s_start", "zipf_s_end", 1e20, 5.0, 5),
+    ("zipf_drift", "zipf_s_start", "zipf_s_end", 1e308, 900.0, 6),
+    ("zipf_drift", "zipf_s_start", "zipf_s_end", 1e16, 3.0, 4),
+    ("geometric_drift", "geo_p_start", "geo_p_end", 1.0, 1e-300, 5),
+], ids=["zipf_1e17_t4", "zipf_1e17_t1000", "zipf_1e20", "zipf_1e308", "zipf_1e16_ends_at_4",
+        "geometric_ends_at_0"])
+def test_a_ramp_that_misses_its_end_point_is_rejected(kind, start_key, end_key, start, end, t):
+    # start + ramp * (t - 1) cancels to another value than the configured end
+    message = f"key '{end_key}': a ramp from {start!r} over {t} steps ends at "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DriftScenario(kind, t, 0, **{start_key: start, end_key: end})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_scenario_config(f"kind = {kind}\nt = {t}\nseed = 0\n"
+                              f"{start_key} = {start!r}\n{end_key} = {end!r}\n")
+    # one step, or a flat schedule, has no ramp to miss
+    DriftScenario(kind, 1, 0, **{start_key: start, end_key: end})
+    DriftScenario(kind, t, 0, **{start_key: end, end_key: end})
 
 
 def test_config_parsing():

@@ -47,23 +47,52 @@ CONFIGS = {
 }
 
 
+# the largest ladders and truths the bounds admit, each for one trial
+ADMITTED = {
+    # the largest dyadic window holds 2^24 samples
+    "iid_largest_window": "kind = iid\nt = 20000000\nk = 4\n",
+    "rotating_support": "kind = rotating_support\nt = 625000\nk = 8\nperiod = 1\n",
+    "geometric_drift":
+        "kind = geometric_drift\nt = 490000\ngeo_p_start = 0.9\ngeo_p_end = 0.8\n",
+}
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_oversized_scenario_exits_two(name, tmp_path):
-    cfg = tmp_path / "scenario.cfg"
-    text, reason = CONFIGS[name]
-    cfg.write_text(text + "seed = 0\n")
+def _run_capped(*argv):
+    """Run the CLI under the address-space cap; its process and wall seconds."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "driftest.cli", "simulate", "--scenario", str(cfg),
-         "--trials", "1", "--output", "-"],
+        [sys.executable, "-m", "driftest.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=_limit_address_space)
-    elapsed = time.monotonic() - start
+    return proc, time.monotonic() - start
+
+
+def _simulate_one_trial(text, tmp_path):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text + "seed = 0\n")
+    return _run_capped("simulate", "--scenario", str(cfg), "--trials", "1", "--output", "-")
+
+
+@pytest.mark.parametrize("name", sorted(ADMITTED))
+def test_largest_admitted_scenario_runs_within_the_limits(name, tmp_path):
+    text = ADMITTED[name]
+    proc, elapsed = _simulate_one_trial(text, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()  # one trial
+    t = dict(zip(header.split(","), row.split(",")))["T"]
+    assert f"\nt = {t}\n" in text
+    assert elapsed < 20.0
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_oversized_scenario_exits_two(name, tmp_path):
+    text, reason = CONFIGS[name]
+    proc, elapsed = _simulate_one_trial(text, tmp_path)
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
@@ -83,14 +112,7 @@ def test_estimate_on_a_long_stream_runs_within_the_limits(edit, tmp_path):
     samples = np.random.default_rng(0).zipf(2.0, t) % 10**6
     stream = tmp_path / "stream.txt"
     stream.write_text(edit("\n".join(map(str, samples.tolist())) + "\n"))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
-    start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "driftest.cli", "estimate", "--input", str(stream),
-         "--output", "-"],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=_limit_address_space)
-    elapsed = time.monotonic() - start
+    proc, elapsed = _run_capped("estimate", "--input", str(stream), "--output", "-")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["chosen_window"] <= t
     assert proc.stderr.startswith(f"estimate: T={t} "), proc.stderr

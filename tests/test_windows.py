@@ -53,12 +53,19 @@ def test_ladder_rejects_bad_streams():
 
 def test_ladder_matches_brute_force_and_nests():
     rng = np.random.default_rng(42)
-    for _ in range(1000):
+    int64_max = np.iinfo(np.int64).max
+    for i in range(1000):
         t = int(rng.integers(1, 4097))
-        stream = rng.integers(0, int(rng.integers(2, 30)), size=t).tolist()
+        stream = rng.integers(0, int(rng.integers(2, 30)), size=t)
+        if i % 4 == 1:  # symbols up to the top of the int64 range
+            stream = int64_max - stream
+        elif i % 4 == 2:
+            stream = stream.astype(np.int32)
+        elif i % 4 == 3:
+            stream = (stream * 2000).astype(np.uint16)
         ladder = build_ladder(stream)
         dicts = ladder_as_dicts(ladder)
-        assert dicts == brute_ladder(stream)
+        assert dicts == brute_ladder(stream.tolist())
         for j in range(len(dicts) - 1):
             for sym, count in dicts[j].items():
                 assert count <= dicts[j + 1].get(sym, 0)
