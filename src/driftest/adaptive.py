@@ -155,7 +155,8 @@ def drift_sequence(truth) -> np.ndarray:
     the r most recent ones; starts at 0 and never decreases.  Each distinct
     pmf is measured once, a block of them at a time (``rows_tv``).
     """
-    gaps = np.concatenate([rows_tv(block, truth.current) for block in truth.blocks])
+    gaps = np.concatenate([rows_tv(starts, probs, truth.current)
+                           for starts, probs in truth.blocks])
     return np.maximum.accumulate(np.repeat(gaps[truth.rows[::-1]], truth.counts[::-1]))
 
 

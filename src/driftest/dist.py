@@ -162,40 +162,6 @@ def row_slices(rows: int, width: int) -> Iterator[slice]:
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-class RangeBlock:
-    """Pmfs with n atoms each, every one on a run of consecutive symbols.
-
-    Row i puts ``probs[i, m]`` on symbol ``starts[i] + m``.  The rows are
-    checked as ``Pmf`` checks its atoms, one block at a time: finite,
-    nonnegative, and each row's mass 1 within ``MASS_TOL``.  A zero atom
-    raises instead of being dropped, since dropping it would split the
-    row's run of symbols.  The block keeps the arrays it is given, not
-    copies, and makes them read-only.
-    """
-
-    def __init__(self, starts, probs):
-        starts = int64_values(starts, "starts")
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 2 or probs.size == 0 or starts.shape != probs.shape[:1]:
-            raise ValueError("a block needs one start per row of a non-empty 2-D probs array")
-        if starts.min() < 0:
-            raise ValueError("symbols must be nonnegative integers")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite")
-        lowest = probs.min()
-        if lowest < 0.0:
-            raise ValueError("probabilities must be nonnegative")
-        if lowest == 0.0:
-            raise ValueError("a block row has a zero atom")
-        mass = np.sum(probs, axis=1)
-        worst = int(np.argmax(np.abs(mass - 1.0)))
-        if abs(mass[worst] - 1.0) > MASS_TOL:
-            raise ValueError(f"pmf mass is {float(mass[worst])!r}, not 1 within {MASS_TOL}")
-        starts.setflags(write=False)
-        probs.setflags(write=False)
-        self.starts, self.probs = starts, probs
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class EmpiricalWindow:
     """Symbol counts of a run of samples, such as a stream's most recent ones.
@@ -229,28 +195,28 @@ Distribution = Union[Pmf, EmpiricalWindow]  # both carry sorted symbols and thei
 def tv_distance(p: Distribution, q: Distribution) -> float:
     """Total variation distance: half the L1 distance over the union support."""
     union = sorted_union(p.symbols, q.symbols)
-    a = np.zeros(union.size)
-    b = np.zeros(union.size)
-    a[np.searchsorted(union, p.symbols)] = p.probs
-    b[np.searchsorted(union, q.symbols)] = q.probs
-    return 0.5 * float(np.sum(np.abs(a - b)))
+    diff = np.zeros(union.size)
+    diff[np.searchsorted(union, p.symbols)] = p.probs
+    diff[np.searchsorted(union, q.symbols)] -= q.probs
+    return 0.5 * float(np.sum(np.abs(diff)))
 
 
-def rows_tv(block: RangeBlock, q: Pmf) -> np.ndarray:
+def rows_tv(starts: np.ndarray, probs: np.ndarray, q: Pmf) -> np.ndarray:
     """``tv_distance(q, row)`` for every row of a block, bit for bit.
 
-    q must sit on consecutive symbols too.  Row and q are laid out on their
-    sorted union, as ``tv_distance`` lays them out, so each row's sum runs
-    over the same values in the same order.  The layout depends only on
-    where the row starts against q, so rows that start alike are summed
-    together, one ``np.sum(axis=1)`` per chunk.
+    Row i of the 2-D ``probs`` puts ``probs[i, m]`` on symbol
+    ``starts[i] + m``; q must sit on consecutive symbols too.  Row and q are
+    laid out on their sorted union, as ``tv_distance`` lays them out, so
+    each row's sum runs over the same values in the same order.  The layout
+    depends only on where the row starts against q, so rows that start
+    alike are summed together, one ``np.sum(axis=1)`` per chunk.
     """
-    n, m = block.probs.shape[1], q.symbols.size
+    n, m = probs.shape[1], q.symbols.size
     q_lo = int(q.symbols[0])
     if int(q.symbols[-1]) - q_lo != m - 1:
         raise ValueError("q must sit on consecutive symbols")
     # offset of each row's first symbol from q's; past either end, row and q are apart
-    offsets, which = np.unique(np.clip(block.starts - q_lo, -n - 1, m + 1), return_inverse=True)
+    offsets, which = np.unique(np.clip(starts - q_lo, -n - 1, m + 1), return_inverse=True)
     gaps = np.empty(which.size)
     for k, d in enumerate(offsets.tolist()):
         if d == -n - 1:
@@ -264,7 +230,7 @@ def rows_tv(block: RangeBlock, q: Pmf) -> np.ndarray:
         for part in row_slices(rows.size, width):
             chunk = rows[part]
             diff = np.zeros((chunk.size, width))
-            diff[:, row_at:row_at + n] = block.probs[chunk]
+            diff[:, row_at:row_at + n] = probs[chunk]
             diff[:, q_at:q_at + m] -= q.probs
             gaps[chunk] = 0.5 * np.sum(np.abs(diff), axis=1)
     return gaps

@@ -7,18 +7,18 @@ lengths of the sequence, oldest first, and its distinct pmfs as rows.
 Every truth pmf lies on consecutive symbols, so a row is a first symbol,
 a width and a probability vector; the rows' probabilities lie back to
 back in one array, and each stretch of rows of one width is also a 2-D
-block.  The truth is built vectorized, checked a block at a time, and
+block.  The truth is built vectorized, checked once by ``Truth``, and
 cached once per scenario with the drift curve and the dyadic window
 averages read from it; no ``Pmf`` is built per step.
 
 Sampling is inverse-CDF over sorted symbols, seeded from (scenario seed,
 trial index), so identical inputs reproduce identical streams on any
 platform, and keeps nothing between calls: linear drift by a closed form,
-the uniform kinds (iid, abrupt, rotating) by one CDF for all steps,
-geometric and zipf by a search of each step's row.  Infinite-support
-families (geometric, zipf) are truncated to exact finite pmfs: a tail of
-total mass below ``TAIL_TOL`` is dropped and the largest atom absorbs the
-remainder.
+the uniform kinds (iid, abrupt, rotating) and a one-row truth by one CDF
+for all steps, geometric and zipf by a count over each step's row.
+Infinite-support families (geometric, zipf) are truncated to exact finite
+pmfs: a tail of total mass below ``TAIL_TOL`` is dropped and the largest
+atom absorbs the remainder.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .adaptive import drift_sequence
-from .dist import CHUNK_ELEMENTS, Pmf, RangeBlock, lambda_complexity, row_slices
+from .dist import CHUNK_ELEMENTS, MASS_TOL, Pmf, lambda_complexity, row_slices
 from .windows import dyadic_depth
 
 TAIL_TOL = 1e-12
@@ -293,10 +293,13 @@ class Truth:
     run's.  Row j puts ``probs[offsets[j] + m]`` on symbol ``starts[j] + m``
     for m below ``widths[j]``, the rows' atoms lying back to back in
     ``probs``; ``blocks`` views each longest stretch of rows of one width as
-    a 2-D ``RangeBlock``, which checks its rows as ``Pmf`` would.  A
-    drifting geometric or zipf schedule keeps one run per step even where
-    steps share a row, so that each step stays its own part of a window
-    average.  The curves read from the truth are computed once, on first use.
+    a read-only (starts, 2-D probs) pair.  The rows are checked once, as
+    ``Pmf`` checks its atoms, except that a zero atom raises instead of
+    being dropped, which would split the row's run of symbols.  A drifting
+    geometric or zipf schedule keeps one run per step even where steps share
+    a row, so that each step stays its own part of a window average.  The
+    curves read from the truth are computed once, on first use; the symbols
+    the window averages span are charged to the truth bound up front.
     """
 
     def __init__(self, counts, rows, starts, widths, probs: np.ndarray):
@@ -304,14 +307,37 @@ class Truth:
             np.asarray(a, dtype=np.int64) for a in (counts, rows, starts, widths))
         self.probs = probs
         self.offsets = np.concatenate(([0], np.cumsum(self.widths)))
-        self.blocks = tuple(
-            RangeBlock(self.starts[a:z], probs[self.offsets[a]:self.offsets[z]].reshape(
-                z - a, int(self.widths[a]))) for a, z in _stretches(self.widths))
-        self.current = self.pmf(self.widths.size - 1)  # the final step's pmf
         self.depth = dyadic_depth(int(np.sum(self.counts)))
+        # window j's average spans its runs, newest first, from their lowest
+        # start to their highest end (``_window_average``)
+        newest = self.rows[::-1]
+        last = np.searchsorted(np.cumsum(self.counts[::-1]), 2 ** np.arange(self.depth + 1))
+        spans = (np.maximum.accumulate(self.starts[newest] + self.widths[newest])[last]
+                 - np.minimum.accumulate(self.starts[newest])[last])
+        if int(np.sum(spans)) > _MAX_TRUNCATED_SUPPORT:
+            raise ValueError("the dyadic window averages need more than "
+                             f"{_MAX_TRUNCATED_SUPPORT} atoms")
+        if self.starts.min() < 0:
+            raise ValueError("symbols must be nonnegative integers")
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError("probabilities must be finite")
+        lowest = self.probs.min()
+        if lowest < 0.0:
+            raise ValueError("probabilities must be nonnegative")
+        if lowest == 0.0:
+            raise ValueError("a block row has a zero atom")
         # cached and shared by every caller, so read-only like a Pmf
-        for array in (self.counts, self.rows, self.starts, self.widths, probs, self.offsets):
+        for array in (self.counts, self.rows, self.starts, self.widths, self.probs, self.offsets):
             array.setflags(write=False)
+        self.blocks = tuple(
+            (self.starts[a:z], self.probs[self.offsets[a]:self.offsets[z]].reshape(
+                z - a, int(self.widths[a]))) for a, z in _stretches(self.widths))
+        for _, block in self.blocks:
+            mass = np.sum(block, axis=1)
+            worst = float(mass[np.argmax(np.abs(mass - 1.0))])
+            if abs(worst - 1.0) > MASS_TOL:
+                raise ValueError(f"pmf mass is {worst!r}, not 1 within {MASS_TOL}")
+        self.current = self.pmf(self.widths.size - 1)  # the final step's pmf
 
     def row_probs(self, row: int) -> np.ndarray:
         return self.probs[self.offsets[row]:self.offsets[row + 1]]
@@ -572,8 +598,8 @@ def segments(scenario: DriftScenario) -> Truth:
     return _schedule_truth(scenario)
 
 
-def truth_pmfs(scenario: DriftScenario) -> tuple[RangeBlock, ...]:
-    """The distinct pmfs of the truth sequence, as 2-D row blocks oldest first."""
+def truth_pmfs(scenario: DriftScenario) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The distinct pmfs of the truth sequence, as ``Truth.blocks`` oldest first."""
     return segments(scenario).blocks
 
 
@@ -609,27 +635,6 @@ def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u, side="right"), probs.size - 1)
 
 
-def _search_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf[i], u[i], side="right")`` for every row i at once.
-
-    A binary search over the bits of the answer, one gather per bit.  Every
-    row holds 1.0 from some column on, and every draw is below 1, so the
-    entries at or below a draw are a prefix of its row, as ``searchsorted``
-    assumes.
-    """
-    n = cdf.shape[1]
-    flat = cdf.ravel()
-    before = np.arange(u.size) * n - 1  # flat index just before each row
-    found = np.zeros(u.size, dtype=np.int64)
-    step = 1 << (n.bit_length() - 1)
-    while step:
-        probe = found + step
-        below = (probe <= n) & (flat[before + np.minimum(probe, n)] <= u)
-        found = np.where(below, probe, found)
-        step >>= 1
-    return found
-
-
 # atoms of each row's CDF that every draw searches first
 _CDF_PREFIX = 32
 
@@ -638,13 +643,10 @@ def _sample_rows(truth: Truth, u: np.ndarray) -> np.ndarray:
     """Inverse CDF of each step's row, without building whole CDFs for most draws.
 
     Geometric and zipf mass sits in the first atoms, so every draw first
-    searches the exact first ``_CDF_PREFIX`` entries of its row's CDF,
-    padded with 1.0 past a shorter row's end.  Only a draw beyond them
-    builds its row's whole CDF, one row at a time.  A flat schedule is one
-    row, searched once for all its steps.
+    counts the exact first ``_CDF_PREFIX`` entries of its row's CDF at or
+    below it, padded with 1.0 past a shorter row's end.  Only a draw beyond
+    them builds its row's whole CDF, one row at a time.
     """
-    if truth.widths.size == 1:
-        return truth.starts[0] + _inverse_cdf(truth.probs, u)
     rows = np.repeat(truth.rows, truth.counts)
     out = np.empty(u.size, dtype=np.int64)
     cols = np.arange(_CDF_PREFIX)
@@ -655,7 +657,9 @@ def _sample_rows(truth: Truth, u: np.ndarray) -> np.ndarray:
         atom = np.minimum(truth.offsets[row][:, None] + cols, truth.probs.size - 1)
         cdf = np.cumsum(np.where(cols < width, truth.probs[atom], 0.0), axis=1)
         cdf[cols >= width - 1] = 1.0  # each row's last atom, and the padding past it
-        found = _search_rows(cdf, u[part])
+        # each draw is below 1 and each row ends at 1.0, so the entries at or below a
+        # draw are a prefix of its row, and their count is searchsorted(side="right")
+        found = np.count_nonzero(cdf <= u[part, None], axis=1)
         out[part] = truth.starts[row] + found
         beyond.append(part.start + np.flatnonzero(found == _CDF_PREFIX))
     beyond = np.concatenate(beyond)
@@ -669,8 +673,8 @@ def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
     """Draw one sample per step, oldest first; reproducible from (seed, trial).
 
     Inverse CDF over each step's sorted symbols: linear drift by a closed
-    form across all steps, the uniform kinds by one CDF for the whole
-    stream, geometric and zipf by a search in each step's row of the truth.
+    form across all steps, the uniform kinds and a one-row truth by one CDF
+    for the whole stream, geometric and zipf by a count in each step's row.
     """
     rng = _trial_rng(scenario, trial)
     u = rng.random(scenario.t)
@@ -684,9 +688,9 @@ def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
         block = 1 + np.minimum(offset, k - 1).astype(np.int64)
         return np.where(u < alpha, 0, block).astype(np.int64)
     truth = segments(scenario)
-    if scenario.kind in ("iid", "abrupt", "rotating_support"):
-        # every row is uniform over k consecutive symbols, so a step's
-        # sample is its row's first symbol plus a rank shared by all
+    if truth.widths.size == 1 or scenario.kind in ("iid", "abrupt", "rotating_support"):
+        # every row has row 0's probabilities, so a step's sample is its
+        # row's first symbol plus a rank shared by all
         return (_inverse_cdf(truth.row_probs(0), u)
                 + np.repeat(truth.starts[truth.rows], truth.counts))
     return _sample_rows(truth, u)

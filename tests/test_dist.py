@@ -14,6 +14,7 @@ from driftest import dist
 from driftest.dist import (EmpiricalWindow, Pmf, _sorted_atoms, half_norm,
                            lambda_complexity, phi_empirical, sorted_union,
                            tv_distance)
+from driftest.driftgen import Truth
 from driftest.harness import random_pmf
 from driftest.windows import build_ladder
 from reference import mean_pmf, sorted_atoms
@@ -431,7 +432,14 @@ def test_integer_symbols_of_any_width_are_accepted():
         assert p.as_dict() == {1: 0.75, 3: 0.25}
 
 
-# --- row blocks ---------------------------------------------------------------
+# --- row blocks: a truth's rows on runs of consecutive symbols -----------------
+
+
+def _truth(starts, probs):
+    """A ``Truth`` of one step per row of the 2-D ``probs``."""
+    rows = len(starts)
+    return Truth(np.ones(rows), np.arange(rows), starts, np.full(rows, probs.shape[1]),
+                 probs.ravel())
 
 
 @pytest.mark.parametrize("probs, message", [
@@ -439,15 +447,12 @@ def test_integer_symbols_of_any_width_are_accepted():
     ([[1.5, -0.5]], "probabilities must be nonnegative"),
     ([[0.5, 0.5], [1.0, 0.0]], "a block row has a zero atom"),
     ([[0.5, 0.5], [0.5, 0.4]], "pmf mass is 0.9"),
-    ([0.5, 0.5], "non-empty 2-D"),
-    (np.ones((0, 2)), "non-empty 2-D"),
-], ids=["nan", "negative", "zero_atom", "mass", "one_d", "no_rows"])
+], ids=["nan", "negative", "zero_atom", "mass"])
 def test_range_block_checks_rows_as_pmf_does(probs, message):
     probs = np.asarray(probs, dtype=np.float64)
-    starts = np.zeros(probs.shape[0] if probs.ndim == 2 else 1, dtype=np.int64)
     with pytest.raises(ValueError, match=message):
-        dist.RangeBlock(starts, probs)
-    if probs.ndim == 2 and probs.size and message != "a block row has a zero atom":
+        _truth(np.zeros(probs.shape[0], dtype=np.int64), probs)
+    if message != "a block row has a zero atom":
         # a Pmf of the offending row raises the same error
         row = probs[-1]
         with pytest.raises(ValueError, match=message):
@@ -456,9 +461,10 @@ def test_range_block_checks_rows_as_pmf_does(probs, message):
 
 def test_range_block_rejects_negative_starts_and_freezes_its_arrays():
     with pytest.raises(ValueError, match="symbols must be nonnegative"):
-        dist.RangeBlock(np.array([-1]), np.ones((1, 1)))
-    block = dist.RangeBlock(np.array([3, 9]), np.array([[0.25, 0.75], [0.5, 0.5]]))
-    assert not block.starts.flags.writeable and not block.probs.flags.writeable
+        _truth(np.array([-1]), np.ones((1, 1)))
+    truth = _truth(np.array([3, 9]), np.array([[0.25, 0.75], [0.5, 0.5]]))
+    for starts, probs in truth.blocks:
+        assert not starts.flags.writeable and not probs.flags.writeable
 
 
 def test_rows_tv_equals_tv_distance_bit_for_bit():
@@ -468,14 +474,13 @@ def test_rows_tv_equals_tv_distance_bit_for_bit():
         q_lo = 200
         q = Pmf(np.arange(q_lo, q_lo + q_width), rng.dirichlet(np.ones(q_width)))
         starts = np.arange(q_lo - width - 3, q_lo + q_width + 4)
-        block = dist.RangeBlock(starts, rng.dirichlet(np.ones(width), size=starts.size))
-        got = dist.rows_tv(block, q)
+        probs = rng.dirichlet(np.ones(width), size=starts.size)
+        got = dist.rows_tv(starts, probs, q)
         want = [tv_distance(q, Pmf(start + np.arange(width), row))
-                for start, row in zip(starts, block.probs)]
+                for start, row in zip(starts, probs)]
         assert got.tolist() == want
 
 
 def test_rows_tv_needs_q_on_consecutive_symbols():
-    block = dist.RangeBlock(np.array([0]), np.ones((1, 1)))
     with pytest.raises(ValueError, match="consecutive"):
-        dist.rows_tv(block, Pmf.from_dict({0: 0.5, 2: 0.5}))
+        dist.rows_tv(np.array([0]), np.ones((1, 1)), Pmf.from_dict({0: 0.5, 2: 0.5}))

@@ -89,9 +89,9 @@ def test_rotating_support_shifts_blocks():
 
 def test_every_family_produces_valid_pmfs():
     for scenario in ALL_FAMILIES:
-        for block in truth_pmfs(scenario):
-            assert np.all(block.probs > 0)
-            assert np.all(np.abs(np.sum(block.probs, axis=1) - 1.0) <= 1e-9)
+        for _, probs in truth_pmfs(scenario):
+            assert np.all(probs > 0)
+            assert np.all(np.abs(np.sum(probs, axis=1) - 1.0) <= 1e-9)
 
 
 def test_every_family_has_monotone_drift():
@@ -223,14 +223,20 @@ def test_sampler_matches_per_segment_reference(scenario):
         assert np.array_equal(got, ref.sample_stream(scenario, trial))
 
 
-@pytest.mark.parametrize("scenario", [s for s in SAMPLED
-                                      if s.kind in ("iid", "abrupt", "rotating_support")])
+UNIFORM_KINDS = ("iid", "abrupt", "rotating_support")
+
+
+# the uniform kinds, then the flat schedules, whose truth is one row
+@pytest.mark.parametrize("scenario", [s for s in SAMPLED if s.kind in UNIFORM_KINDS]
+                         + [s for s in SAMPLED if s.kind not in UNIFORM_KINDS
+                            and segments(s).widths.size == 1])
 def test_uniform_kinds_share_one_probability_vector(scenario):
-    # the sampler ranks every step of these kinds by one CDF and adds the
+    # the sampler ranks every step of these truths by one CDF and adds the
     # row's first symbol, which needs consecutive symbols and equal probs
-    (block,) = truth_pmfs(scenario)
-    assert block.probs.shape[1] == scenario.k
-    assert np.all(block.probs == block.probs[0])
+    ((_, probs),) = truth_pmfs(scenario)
+    if scenario.kind in UNIFORM_KINDS:
+        assert probs.shape[1] == scenario.k
+    assert np.all(probs == probs[0])
 
 
 @pytest.mark.parametrize("scenario", SAMPLED + ALL_FAMILIES)
@@ -245,7 +251,7 @@ def test_sample_stream_keeps_no_atom_copy():
     # every step of a zipf drift has its own pmf with thousands of atoms;
     # sampling must read them, not copy them or cache their CDFs
     scenario = zipf_drift(5.0, 4.5, t=512, seed=41)
-    atoms = sum(block.probs.size for block in truth_pmfs(scenario))
+    atoms = sum(probs.size for _, probs in truth_pmfs(scenario))
     assert atoms > 1000 * scenario.t
     sample_stream(scenario, 0)  # first-call allocations stay out of the count
     tracemalloc.start()
@@ -480,7 +486,7 @@ def test_each_distinct_pmf_is_counted_and_built_once(family, atoms, scenario, mo
     assert np.all(truth.counts == 1) and truth.counts.size == scenario.t
     # one row per distinct parameter, built in one call per atom count
     assert sum(params.size for params in built) == truth.widths.size == distinct
-    assert len(built) == len(truth.blocks) == len({b.probs.shape[1] for b in truth.blocks})
+    assert len(built) == len(truth.blocks) == len({probs.shape[1] for _, probs in truth.blocks})
     # no parameter is counted twice, and no more are counted than exist
     assert len(set(counted)) == len(counted) <= distinct
 
@@ -559,17 +565,22 @@ def test_wide_rows_send_draws_past_the_cdf_prefix():
 
 
 def test_search_rows_equals_searchsorted_per_row():
+    # one step per row; rows wider than the CDF prefix send some draws past it
     rng = np.random.default_rng(5)
     for width in (1, 2, 3, 7, 8, 33, 100):
         probs = rng.dirichlet(np.ones(width), size=40)
+        starts = 7 * np.arange(40)
+        truth = driftgen.Truth(np.ones(40), np.arange(40), starts, np.full(40, width),
+                               probs.ravel())
         cdf = np.cumsum(probs, axis=1)
         cdf[:, -1] = 1.0
         u = rng.random(40)
         u[:10] = cdf[:10, rng.integers(0, width)]  # draws on a CDF entry: side="right"
-        u[10:20] = np.minimum(u[10:20], cdf[10:20, 0])
+        u[10:20] = np.minimum(u[10:20], cdf[10:20, 0])  # draws below the first entry
         u[u >= 1.0] = 0.5
-        want = [np.searchsorted(row, x, side="right") for row, x in zip(cdf, u)]
-        assert driftgen._search_rows(cdf, u).tolist() == want
+        want = [start + np.searchsorted(row, x, side="right")
+                for start, row, x in zip(starts, cdf, u)]
+        assert driftgen._sample_rows(truth, u).tolist() == want
 
 
 RAMPS = [

@@ -24,6 +24,8 @@ ADDRESS_SPACE_LIMIT = 1536 * 2**20
 CONFIGS = {
     "iid": ("kind = iid\nt = 16\nk = 100000000000000000000\n", "key 'k': must lie in"),
     "iid_horizon": ("kind = iid\nt = 100000000000\nk = 4\n", "t must lie in"),
+    # one row, but each of the 5 window averages spans all k symbols
+    "iid_window_averages": ("kind = iid\nt = 16\nk = 20000000\n", "window averages"),
     "linear_drift": ("kind = linear_drift\nt = 64\nk = 3000000\nstep_delta = 1e-9\n",
                      "atoms"),
     "abrupt": ("kind = abrupt\nt = 100000000000\nk = 10\nchange_point = 1000\n",
@@ -51,9 +53,15 @@ CONFIGS = {
 ADMITTED = {
     # the largest dyadic window holds 2^24 samples
     "iid_largest_window": "kind = iid\nt = 20000000\nk = 4\n",
+    # 5 window averages of k atoms each: at the bound
+    "iid_window_averages": "kind = iid\nt = 16\nk = 4000000\n",
+    # 571,000 rows of 11 atoms plus 24 per pmf: at the bound
+    "linear_drift": "kind = linear_drift\nt = 571000\nk = 10\nstep_delta = 1e-6\n",
     "rotating_support": "kind = rotating_support\nt = 625000\nk = 8\nperiod = 1\n",
     "geometric_drift":
         "kind = geometric_drift\nt = 490000\ngeo_p_start = 0.9\ngeo_p_end = 0.8\n",
+    # about 1.9 * 10^7 row atoms; the same ramp over 32,768 steps exits 2
+    "zipf_drift": "kind = zipf_drift\nt = 16384\nzipf_s_start = 5.0\nzipf_s_end = 4.5\n",
 }
 
 
