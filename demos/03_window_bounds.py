@@ -8,7 +8,7 @@ keeps falling, and that divergence is what the stop test detects.
 
 from driftest import tv_distance
 from driftest.driftgen import abrupt, iid, sample_stream, true_pmf
-from driftest.windows import build_ladder, ladder_xis
+from driftest.windows import build_ladder, ladder_phis, ladder_xis
 
 DELTA = 0.05
 
@@ -17,7 +17,7 @@ for scenario in (iid(k=8, t=4096, seed=3),
     stream = sample_stream(scenario, trial=0)
     current = true_pmf(scenario, scenario.t)
     ladder = build_ladder(stream)
-    xis = ladder_xis(ladder, DELTA)
+    xis = ladder_xis(ladder_phis(ladder), DELTA)
     print(f"== {scenario.kind}  (T={scenario.t}, delta={DELTA})")
     print(f"   {'j':>2} {'r':>5} {'support':>7} {'xi bound':>9} {'realized':>9}")
     for j, window in enumerate(ladder):

@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical,
-                   rows_tv, sorted_union, tv_distance)
-from .windows import as_stream, build_ladder, check_delta, ladder_xis, union_log_weight
+from .dist import (EmpiricalWindow, Pmf, lambda_complexity, rows_tv, sorted_union,
+                   tvs_within)
+from .windows import (as_stream, build_ladder, check_delta, ladder_phis, ladder_xis,
+                      union_log_weight)
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,8 @@ class EstimateResult:
     stop: StopReason
     comparisons: tuple[Comparison, ...]
 
-    def to_json_obj(self) -> dict:
+    def _trace_json_obj(self) -> dict:
         return {
-            "chosen_window": self.chosen_window,
-            "estimate": self.estimate.to_json_obj(),
             "accepted": [{"j": c.index, "r": c.size, "phi": c.phi, "xi": c.xi}
                          for c in self.accepted],
             "stop": self.stop.to_json_obj(),
@@ -81,8 +80,15 @@ class EstimateResult:
                             for c in self.comparisons],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+    def to_json_obj(self) -> dict:
+        return {"chosen_window": self.chosen_window, "estimate": self.estimate.to_json_obj(),
+                **self._trace_json_obj()}
+
+    def write_json(self, fh) -> None:
+        """Write ``json.dumps(self.to_json_obj())``; the estimate writes its own atoms."""
+        fh.write(f'{{"chosen_window": {self.chosen_window}, "estimate": ')
+        self.estimate.write_json(fh)
+        fh.write(", " + json.dumps(self._trace_json_obj())[1:])
 
 
 def adaptive_estimate(stream, delta: float) -> EstimateResult:
@@ -93,40 +99,41 @@ def adaptive_estimate(stream, delta: float) -> EstimateResult:
     """
     check_delta(delta)
     ladder = build_ladder(stream)
-    return walk_ladder(ladder, ladder_xis(ladder, delta))
+    phis = ladder_phis(ladder)
+    return walk_ladder(ladder, phis, ladder_xis(phis, delta))
 
 
-def walk_ladder(ladder: Sequence[EmpiricalWindow], xis: Sequence[float]) -> EstimateResult:
+def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
+                xis: Sequence[float]) -> EstimateResult:
     """Run the adaptive window selection over an already built ladder.
 
-    ``xis`` are the windows' statistical-error bounds, ``ladder_xis(ladder,
-    delta)``.  The candidate list starts at window index 0; index j is
-    considered only when its bound is strictly below every accepted bound
-    (accepted bounds strictly decrease, so the last one is the smallest);
-    the stop test uses >= so boundary equality stops.
+    ``phis`` and ``xis`` are the windows' complexities and statistical-error
+    bounds, ``ladder_phis(ladder)`` and ``ladder_xis(phis, delta)``.  The
+    candidate list starts at window index 0; index j is considered only
+    when its bound is strictly below every accepted bound (accepted bounds
+    strictly decrease, so the last one is the smallest); the stop test uses
+    >= so boundary equality stops.  Each window holds every smaller one's
+    samples, so candidate j's distances to all accepted windows are taken
+    together on j's symbols (``tvs_within``): O(accepted * |supp j|), no
+    union sorted.
     """
-    def record(j: int) -> CandidateRecord:
-        return CandidateRecord(j, 2**j, phi_empirical(ladder[j]), xis[j])
-
-    accepted = [record(0)]
+    accepted = [CandidateRecord(0, 1, phis[0], xis[0])]
     comparisons: list[Comparison] = []
     stop = StopReason("exhausted")
 
     for j in range(1, len(ladder)):
         if not xis[j] < accepted[-1].xi:
             continue
-        violated = False
-        for cand in accepted:
-            gap = tv_distance(ladder[cand.index], ladder[j])
+        gaps = tvs_within([ladder[cand.index] for cand in accepted], ladder[j])
+        for cand, gap in zip(accepted, gaps):
             threshold = 3.0 * cand.xi + xis[j]
             comparisons.append(Comparison(cand.index, j, gap, threshold))
             if gap >= threshold:
                 stop = StopReason("violation", j=j, l=cand.index)
-                violated = True
                 break
-        if violated:
+        if stop.kind == "violation":
             break
-        accepted.append(record(j))
+        accepted.append(CandidateRecord(j, 2**j, phis[j], xis[j]))
 
     chosen = accepted[-1]
     return EstimateResult(

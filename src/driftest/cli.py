@@ -53,7 +53,8 @@ def cmd_estimate(args) -> int:
     result = adaptive_estimate(stream, args.delta)
     fh, close = _open_out(args.output)
     try:
-        fh.write(result.to_json() + "\n")
+        result.write_json(fh)
+        fh.write("\n")
     finally:
         if close:
             fh.close()
@@ -100,40 +101,57 @@ def _print_coverage(name: str, report: CoverageReport, delta: float) -> bool:
     return ok
 
 
-def _run_suite(suite: str, trials: int | None, delta: float, seed: int) -> bool:
+def _trial_reports(suites, trials: int | None, delta: float, seed: int,
+                   workers: int) -> dict:
+    """Each trial suite among ``suites``: its (scenario, report) pairs in print order.
+
+    Suites on one scenario share one pass per trial: prop2 and prop3 run on
+    the linear family of prop1 and prop45, so under ``all`` each
+    (scenario, trial) stream is drawn and laddered once.
+    """
     from . import driftgen, harness
 
+    linear = driftgen.linear_drift(k=10, step_delta=1e-3, t=1024, seed=seed)
+    scenarios = {suite: [linear] if suite in ("prop2", "prop3") else harness.default_families(seed)
+                 for suite in suites if suite in ("prop1", "prop2", "prop3", "prop45")}
+    plan: dict = {}
+    for suite, among in scenarios.items():
+        for scenario in among:
+            plan.setdefault(scenario, {})[suite] = (
+                trials if trials is not None else _SUITE_TRIALS[suite])
+    reports = {(suite, scenario): report for scenario, counts in plan.items()
+               for suite, report in harness.verify_trial_suites(
+                   scenario, counts, delta, 256, workers=workers).items()}
+    return {suite: [(scenario, reports[suite, scenario]) for scenario in among]
+            for suite, among in scenarios.items()}
+
+
+def _run_suite(suite: str, trials: int | None, delta: float, seed: int,
+               reports: dict) -> bool:
+    from . import harness
+
     n = trials if trials is not None else _SUITE_TRIALS[suite]
-    workers = _workers()
     if suite == "metric":
         return _print_suite(harness.verify_metric(n, seed=seed))
     if suite == "prop6":
         ok = _print_suite(harness.verify_prop6(n, seed=seed))
         return _print_suite(harness.verify_lambda_bounds(n, seed=seed)) and ok
-    if suite in ("prop2", "prop3"):
-        # prop2 and prop3 share this scenario, and with it the cached truth side
-        scenario = driftgen.linear_drift(k=10, step_delta=1e-3, t=1024, seed=seed)
-        if suite == "prop2":
-            report = harness.verify_prop2(scenario, 256, n, delta, workers=workers)
-        else:
-            report = harness.verify_prop3(scenario, n, delta, workers=workers)
-        return _print_coverage(suite, report, delta)
     ok = True
-    for scenario in harness.default_families(seed):
-        if suite == "prop1":
-            report = harness.verify_prop1(scenario, n, workers=workers)
+    for scenario, report in reports[suite]:
+        if isinstance(report, harness.CoverageReport):
+            ok = _print_coverage(suite, report, delta) and ok
         else:
-            report = harness.verify_prop45(scenario, n, delta, workers=workers)
-        report = dataclasses.replace(report, name=f"{suite}:{scenario.kind}")
-        ok = _print_suite(report) and ok
+            report = dataclasses.replace(report, name=f"{suite}:{scenario.kind}")
+            ok = _print_suite(report) and ok
     return ok
 
 
 def cmd_verify(args) -> int:
     suites = [s for s in _SUITES if s != "all"] if args.suite == "all" else [args.suite]
+    reports = _trial_reports(suites, args.trials, args.delta, args.seed, _workers())
     ok = True
     for suite in suites:
-        ok = _run_suite(suite, args.trials, args.delta, args.seed) and ok
+        ok = _run_suite(suite, args.trials, args.delta, args.seed, reports) and ok
     print("verify: PASS" if ok else "verify: FAIL")
     return 0 if ok else 1
 

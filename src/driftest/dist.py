@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -151,6 +151,26 @@ class Pmf:
         return {"atoms": [{"symbol": int(s), "prob": float(p)}
                           for s, p in zip(self.symbols, self.probs)]}
 
+    def write_json(self, fh) -> None:
+        """Write ``json.dumps(self.to_json_obj())``, formatting the atoms a chunk at a time.
+
+        The atom list is never held whole, as dicts or as one string, so a
+        pmf of millions of atoms writes in bounded memory.  Atoms are
+        formatted as ``json.dumps`` formats them: ints by ``str``, floats by
+        ``repr``, the same separators.
+        """
+        fh.write('{"atoms": [')
+        for lo in range(0, self.support_size, CHUNK_ELEMENTS):
+            part = slice(lo, lo + CHUNK_ELEMENTS)
+            probs = self.probs[part].tolist()
+            # an empirical pmf's probabilities are counts over one size, so
+            # few are distinct, and each is formatted once
+            text = {p: repr(p) for p in set(probs)}
+            fh.write((", " if lo else "") + ", ".join([
+                f'{{"symbol": {s}, "prob": {text[p]}}}'
+                for s, p in zip(self.symbols[part].tolist(), probs)]))
+        fh.write("]}")
+
 
 # elements of one 2-D chunk in the row-block operations, which bounds their temporaries
 CHUNK_ELEMENTS = 1 << 15
@@ -199,6 +219,30 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     diff[np.searchsorted(union, p.symbols)] = p.probs
     diff[np.searchsorted(union, q.symbols)] -= q.probs
     return 0.5 * float(np.sum(np.abs(diff)))
+
+
+def tvs_within(ps: Sequence[Distribution], q: Distribution) -> list[float]:
+    """``tv_distance(p, q)`` for every p in ``ps``, each p's symbols among q's, bit for bit.
+
+    Such a pair's union is q's support, so no union is sorted: each row of
+    a len(ps) x |supp q| matrix starts as q's probabilities, and one
+    ``searchsorted`` places its p's to subtract them.  |a - b| equals
+    |b - a|, and a C-contiguous row sums as the 1-D ``tv_distance`` array
+    does, so every value is the same bits.  The matrix is built a chunk of
+    rows at a time (``row_slices``).  A symbol of some p that q lacks raises.
+    """
+    symbols, width = q.symbols, q.symbols.size
+    gaps = np.empty(len(ps))
+    for part in row_slices(len(ps), width):
+        diff = np.empty((part.stop - part.start, width))
+        diff[:] = q.probs
+        for row, p in zip(diff, ps[part]):
+            pos = symbols.searchsorted(p.symbols)
+            if pos[-1] >= width or (symbols[pos] != p.symbols).any():
+                raise ValueError("a support is not within the one it is compared with")
+            row[pos] -= p.probs
+        gaps[part] = 0.5 * np.abs(diff, out=diff).sum(axis=1)
+    return gaps.tolist()
 
 
 def rows_tv(starts: np.ndarray, probs: np.ndarray, q: Pmf) -> np.ndarray:

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
@@ -28,9 +27,9 @@ from . import driftgen
 from .adaptive import (adaptive_estimate, argmin_prefer_large, q_curve,
                        realized_error_curve, walk_ladder)
 from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity, phi_empirical,
-                   tv_distance)
+                   tv_distance, tvs_within)
 from .driftgen import DriftScenario, Truth, linear_drift, sample_stream, segments
-from .windows import build_ladder, check_delta, concentration_radius, ladder_xis
+from .windows import build_ladder, check_delta, concentration_radius, ladder_phis, ladder_xis
 
 CSV_HEADER = ("trial,scenario,T,delta,chosen_r,err_adaptive,err_oracle,"
               "r_oracle,err_full,err_last,q_star,r_star,prop3_held")
@@ -140,14 +139,26 @@ def default_families(seed: int = 0) -> list[DriftScenario]:
     ]
 
 
-def _prop3_held(ladder, delta: float, truth: Truth) -> tuple[bool, bool]:
+def _window_gaps(ladder, truth: Truth) -> tuple[Callable[[int], float],
+                                                 Callable[[int], float]]:
+    """Window j's TV to the current pmf, and to its own window average, each taken once.
+
+    Both are computed on first read and kept for the ladder's trial only.
+    A window's samples were drawn from the steps its average mixes, so its
+    symbols are among the average's (``tvs_within``).
+    """
+    return (cache(lambda j: tv_distance(truth.current, ladder[j])),
+            cache(lambda j: tvs_within([ladder[j]], truth.window_averages[j])[0]))
+
+
+def _prop3_held(phis, delta: float, truth: Truth,
+                to_average: Callable[[int], float]) -> tuple[bool, bool]:
     """Whether each simultaneous inequality held for every dyadic window."""
     emp_ok = True
     true_ok = True
-    radii = concentration_radius(np.arange(len(ladder)), delta)
-    for j, (w, radius) in enumerate(zip(ladder, radii.tolist())):
-        phi = phi_empirical(w)
-        if tv_distance(w, truth.window_averages[j]) > phi + radius:
+    radii = concentration_radius(np.arange(len(phis)), delta)
+    for j, (phi, radius) in enumerate(zip(phis, radii.tolist())):
+        if to_average(j) > phi + radius:
             emp_ok = False
         if phi > 4.0 * truth.window_lambdas[j] + radius:
             true_ok = False
@@ -164,10 +175,11 @@ def _trial_metrics(scenario: DriftScenario, delta: float, q_star: float,
     truth = segments(scenario)
     stream = sample_stream(scenario, trial)
     ladder = build_ladder(stream)
-    result = walk_ladder(ladder, ladder_xis(ladder, delta))
+    phis = ladder_phis(ladder)
+    result = walk_ladder(ladder, phis, ladder_xis(phis, delta))
     errs = realized_error_curve(stream, truth.current)
     r_oracle = argmin_prefer_large(errs) + 1
-    emp_ok, true_ok = _prop3_held(ladder, delta, truth)
+    emp_ok, true_ok = _prop3_held(phis, delta, truth, _window_gaps(ladder, truth)[1])
     return TrialMetrics(
         trial=trial,
         chosen_r=result.chosen_window,
@@ -214,7 +226,103 @@ def write_trials_csv(rows: Sequence[TrialMetrics], scenario: DriftScenario,
         ]) + "\n")
 
 
-# --- coverage suites --------------------------------------------------------
+# --- the trial suites: one stream and one ladder per trial ------------------
+
+PROP1_TOL = 1e-12
+PROP45_TOL = 1e-9
+
+
+def _prop2_failures(r: int, phi: float, gap: float, delta: float,
+                    truth: Truth) -> tuple[bool, bool]:
+    """Whether the deviation and complexity bounds failed for the size-r window.
+
+    ``phi`` is the window's complexity and ``gap`` its TV to its average.
+    """
+    j = r.bit_length() - 1
+    deviation_bound = phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
+    complexity_bound = 4.0 * truth.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
+    return gap > deviation_bound, phi > complexity_bound
+
+
+def _prop45_slacks(ladder, phis, delta: float, truth: Truth,
+                   to_current: Callable[[int], float]) -> tuple[list[float], list[float]]:
+    """The walk's (continue, stop) slacks, for a trial inside the simultaneous-bounds event."""
+    xis = ladder_xis(phis, delta)
+    result = walk_ladder(ladder, phis, xis)
+    bounds = [xis[j] + truth.window_deltas[j] for j in range(truth.depth + 1)]
+    # continue condition: every accepted window beyond the first is
+    # within five times the best bound among the earlier accepted ones
+    continue_slacks = []
+    best = math.inf
+    for cand in result.accepted:
+        if best < math.inf:
+            continue_slacks.append(to_current(cand.index) - 5.0 * best)
+        best = min(best, bounds[cand.index])
+    # stop condition: the flagged accepted window stays within twice the
+    # bound of every window at least as large as the rejected candidate
+    stop_slacks = []
+    if result.stop.kind == "violation":
+        u_l = bounds[result.stop.l]
+        stop_slacks = [u_l - 2.0 * bounds[n] for n in range(result.stop.j, truth.depth + 1)]
+    return continue_slacks, stop_slacks
+
+
+def _trial_pass(scenario: DriftScenario, delta: float | None, r: int | None,
+                trials: tuple[tuple[str, int], ...], trial: int) -> dict:
+    """One trial of every suite among ``trials`` (name, count) whose count exceeds it.
+
+    The stream is drawn once and laddered once for all of them; prop2
+    alone reads its one window and builds no ladder, which would cost
+    several times that window.  Each window's phi, computed only when a
+    suite reads it, and each of its two gaps (``_window_gaps``) are
+    computed once.
+    Results by name: prop1's slacks; prop2's and prop3's (deviation failed,
+    complexity failed); prop45's (continue, stop) slacks, or None outside
+    the simultaneous-bounds event.
+    """
+    suites = {name for name, n in trials if trial < n}
+    truth = segments(scenario)
+    stream = sample_stream(scenario, trial)
+    if suites == {"prop2"}:
+        window = EmpiricalWindow(stream[-r:])
+        gap = tvs_within([window], truth.window_averages[r.bit_length() - 1])[0]
+        return {"prop2": _prop2_failures(r, phi_empirical(window), gap, delta, truth)}
+    ladder = build_ladder(stream)
+    to_current, to_average = _window_gaps(ladder, truth)
+    out = {}
+    if "prop1" in suites:
+        # estimation error minus statistical plus drift error, per window
+        out["prop1"] = [to_current(j) - (to_average(j) + truth.window_deltas[j])
+                        for j in range(len(ladder))]
+    if suites == {"prop1"}:
+        return out  # prop1 reads no phi
+    phis = ladder_phis(ladder)
+    if "prop2" in suites:
+        j = r.bit_length() - 1  # prop2's window is ladder window j
+        out["prop2"] = _prop2_failures(r, phis[j], to_average(j), delta, truth)
+    if suites & {"prop3", "prop45"}:
+        emp_ok, true_ok = _prop3_held(phis, delta, truth, to_average)
+        if "prop3" in suites:
+            out["prop3"] = (not emp_ok, not true_ok)
+        if "prop45" in suites:
+            out["prop45"] = (_prop45_slacks(ladder, phis, delta, truth, to_current)
+                             if emp_ok and true_ok else None)
+    return out
+
+
+def _trial_rows(scenario: DriftScenario, trials: Mapping[str, int], delta: float | None,
+                r: int | None, workers: int) -> dict[str, list]:
+    """Each suite's per-trial results in trial order, from one ``_trial_pass`` per trial."""
+    for n in trials.values():
+        _check_trials(n)
+    rows = _fan_out(_trial_pass, (scenario, delta, r, tuple(trials.items())),
+                    max(trials.values()), workers)
+    return {name: [row[name] for row in rows[:n]] for name, n in trials.items()}
+
+
+def _check_window(scenario: DriftScenario, r: int) -> None:
+    if r < 1 or r > scenario.t or (r & (r - 1)) != 0:
+        raise ValueError("r must be a power of two within the horizon")
 
 
 def _coverage_report(rows: list[tuple[bool, bool]]) -> CoverageReport:
@@ -223,43 +331,6 @@ def _coverage_report(rows: list[tuple[bool, bool]]) -> CoverageReport:
         ("deviation_bound", sum(dev for dev, _ in rows)),
         ("complexity_bound", sum(cx for _, cx in rows)),
     ))
-
-
-def _prop2_trial(scenario: DriftScenario, r: int, delta: float,
-                 trial: int) -> tuple[bool, bool]:
-    truth = segments(scenario)
-    j = r.bit_length() - 1
-    window = EmpiricalWindow(sample_stream(scenario, trial)[-r:])
-    phi = phi_empirical(window)
-    deviation_bound = phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
-    complexity_bound = 4.0 * truth.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
-    return (tv_distance(window, truth.window_averages[j]) > deviation_bound,
-            phi > complexity_bound)
-
-
-def verify_prop2(scenario: DriftScenario, r: int, trials: int, delta: float,
-                 workers: int = 1) -> CoverageReport:
-    """Coverage of the single-window statistical-error bounds at size r."""
-    if r < 1 or r > scenario.t or (r & (r - 1)) != 0:
-        raise ValueError("r must be a power of two within the horizon")
-    check_delta(delta)
-    return _coverage_report(_fan_out(_prop2_trial, (scenario, r, delta), trials, workers))
-
-
-def _prop3_trial(scenario: DriftScenario, delta: float, trial: int) -> tuple[bool, bool]:
-    ladder = build_ladder(sample_stream(scenario, trial))
-    emp_ok, true_ok = _prop3_held(ladder, delta, segments(scenario))
-    return not emp_ok, not true_ok
-
-
-def verify_prop3(scenario: DriftScenario, trials: int, delta: float,
-                 workers: int = 1) -> CoverageReport:
-    """Coverage of the all-windows-simultaneously statistical-error bounds."""
-    check_delta(delta)
-    return _coverage_report(_fan_out(_prop3_trial, (scenario, delta), trials, workers))
-
-
-# --- exact-inequality campaigns ---------------------------------------------
 
 
 def _suite_report(name: str, slacks: Mapping[str, Sequence[float]], tol: float,
@@ -277,73 +348,82 @@ def _suite_report(name: str, slacks: Mapping[str, Sequence[float]], tol: float,
                        per_inequality, skipped)
 
 
-def _prop1_trial(scenario: DriftScenario, trial: int) -> list[float]:
-    truth = segments(scenario)
-    ladder = build_ladder(sample_stream(scenario, trial))
-    return [tv_distance(truth.current, w)
-            - (tv_distance(truth.window_averages[j], w) + truth.window_deltas[j])
-            for j, w in enumerate(ladder)]
-
-
-def verify_prop1(scenario: DriftScenario, trials: int,
-                 tol: float = 1e-12, workers: int = 1) -> SuiteReport:
-    """Error decomposition: estimation error <= statistical error + drift error.
-
-    Also checks the averaging inequality (window average within drift error
-    of the current pmf), which depends only on the truth sequence.
-    """
-    per_trial = _fan_out(_prop1_trial, (scenario,), trials, workers)
+def _prop1_report(scenario: DriftScenario, rows: list[list[float]], tol: float) -> SuiteReport:
     truth = segments(scenario)
     return _suite_report("prop1", {
-        "decomposition": list(chain.from_iterable(per_trial)),
+        "decomposition": list(chain.from_iterable(rows)),
         "averaging": [tv_distance(average, truth.current) - drift for average, drift
                       in zip(truth.window_averages, truth.window_deltas)],
     }, tol)
 
 
-def _prop45_trial(scenario: DriftScenario, delta: float,
-                  trial: int) -> tuple[list[float], list[float]] | None:
-    """One trial's (continue, stop) slacks; None outside the simultaneous-bounds event."""
-    truth = segments(scenario)
-    ladder = build_ladder(sample_stream(scenario, trial))
-    emp_ok, true_ok = _prop3_held(ladder, delta, truth)
-    if not (emp_ok and true_ok):
-        return None
-    xis = ladder_xis(ladder, delta)
-    result = walk_ladder(ladder, xis)
-    bounds = [xis[j] + truth.window_deltas[j] for j in range(truth.depth + 1)]
-    # continue condition: every accepted window beyond the first is
-    # within five times the best bound among the earlier accepted ones
-    continue_slacks = []
-    best = math.inf
-    for cand in result.accepted:
-        if best < math.inf:
-            continue_slacks.append(
-                tv_distance(truth.current, ladder[cand.index]) - 5.0 * best)
-        best = min(best, bounds[cand.index])
-    # stop condition: the flagged accepted window stays within twice the
-    # bound of every window at least as large as the rejected candidate
-    stop_slacks = []
-    if result.stop.kind == "violation":
-        u_l = bounds[result.stop.l]
-        stop_slacks = [u_l - 2.0 * bounds[n] for n in range(result.stop.j, truth.depth + 1)]
-    return continue_slacks, stop_slacks
+def _prop45_report(rows: list, tol: float) -> SuiteReport:
+    kept = [slacks for slacks in rows if slacks is not None]
+    return _suite_report("prop45", {
+        "continue_factor5": [slack for cont, _ in kept for slack in cont],
+        "stop_factor2": [slack for _, stop in kept for slack in stop],
+    }, tol, skipped=len(rows) - len(kept))
+
+
+def verify_prop2(scenario: DriftScenario, r: int, trials: int, delta: float,
+                 workers: int = 1) -> CoverageReport:
+    """Coverage of the single-window statistical-error bounds at size r."""
+    _check_window(scenario, r)
+    check_delta(delta)
+    return _coverage_report(_trial_rows(scenario, {"prop2": trials}, delta, r, workers)["prop2"])
+
+
+def verify_prop3(scenario: DriftScenario, trials: int, delta: float,
+                 workers: int = 1) -> CoverageReport:
+    """Coverage of the all-windows-simultaneously statistical-error bounds."""
+    check_delta(delta)
+    return _coverage_report(
+        _trial_rows(scenario, {"prop3": trials}, delta, None, workers)["prop3"])
+
+
+def verify_prop1(scenario: DriftScenario, trials: int,
+                 tol: float = PROP1_TOL, workers: int = 1) -> SuiteReport:
+    """Error decomposition: estimation error <= statistical error + drift error.
+
+    Also checks the averaging inequality (window average within drift error
+    of the current pmf), which depends only on the truth sequence.
+    """
+    rows = _trial_rows(scenario, {"prop1": trials}, None, None, workers)["prop1"]
+    return _prop1_report(scenario, rows, tol)
 
 
 def verify_prop45(scenario: DriftScenario, trials: int, delta: float,
-                  tol: float = 1e-9, workers: int = 1) -> SuiteReport:
+                  tol: float = PROP45_TOL, workers: int = 1) -> SuiteReport:
     """Trace assertions for the continue (x5) and stop (x2) guarantees.
 
     Trials where the simultaneous-bounds event failed are excluded, since
     both guarantees are conditional on it.
     """
     check_delta(delta)
-    kept = [slacks for slacks in _fan_out(_prop45_trial, (scenario, delta), trials, workers)
-            if slacks is not None]
-    return _suite_report("prop45", {
-        "continue_factor5": [slack for cont, _ in kept for slack in cont],
-        "stop_factor2": [slack for _, stop in kept for slack in stop],
-    }, tol, skipped=trials - len(kept))
+    return _prop45_report(
+        _trial_rows(scenario, {"prop45": trials}, delta, None, workers)["prop45"], tol)
+
+
+def verify_trial_suites(scenario: DriftScenario, trials: Mapping[str, int], delta: float,
+                        r: int = 256, workers: int = 1) -> dict:
+    """The reports of the suites named in ``trials`` (prop1, prop2, prop3, prop45) on one scenario.
+
+    ``trials`` maps each suite to its trial count, and prop2 checks window
+    size r.  Each report equals its own ``verify_*`` run at the default
+    tolerance, but each (scenario, trial) stream is drawn and laddered once
+    for all the suites.
+    """
+    check_delta(delta)
+    if "prop2" in trials:
+        _check_window(scenario, r)
+    rows = _trial_rows(scenario, trials, delta, r, workers)
+    report = {"prop1": lambda rows: _prop1_report(scenario, rows, PROP1_TOL),
+              "prop2": _coverage_report, "prop3": _coverage_report,
+              "prop45": lambda rows: _prop45_report(rows, PROP45_TOL)}
+    return {name: report[name](rows[name]) for name in trials}
+
+
+# --- random-pmf campaigns ----------------------------------------------------
 
 
 def random_pmf(rng: np.random.Generator, max_support: int = 64) -> Pmf:
@@ -514,6 +594,9 @@ def _fan_out(fn: Callable, common: tuple, trials: int, workers: int) -> list:
     workers = min(workers, trials, _usable_cpus())
     if workers <= 1:
         return _trial_block(fn, common, 0, trials)
+    # imported here: a one-worker run does not pay for the process pool
+    from concurrent.futures import ProcessPoolExecutor
+
     edges = np.linspace(0, trials, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_trial_block, fn, common, int(lo), int(hi))

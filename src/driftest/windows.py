@@ -73,14 +73,20 @@ def concentration_radius(j, delta: float):
     return float(radius) if radius.ndim == 0 else radius
 
 
-def ladder_xis(ladder: Sequence[EmpiricalWindow], delta: float) -> list[float]:
+def ladder_phis(ladder: Sequence[EmpiricalWindow]) -> list[float]:
+    """Empirical complexity of every window, computed once and passed to its readers."""
+    return [phi_empirical(w) for w in ladder]
+
+
+def ladder_xis(phis: Sequence[float], delta: float) -> list[float]:
     """Statistical-error bound of every window: its phi plus the radius at 2^j.
 
-    Not clamped to 1: small windows legitimately yield vacuous values, and
-    downstream comparisons rely on the exact arithmetic.
+    ``phis`` are the windows' ``ladder_phis``.  Not clamped to 1: small
+    windows legitimately yield vacuous values, and downstream comparisons
+    rely on the exact arithmetic.
     """
-    radii = concentration_radius(np.arange(len(ladder)), delta)
-    return [phi_empirical(w) + radius for w, radius in zip(ladder, radii.tolist())]
+    radii = concentration_radius(np.arange(len(phis)), delta)
+    return [phi + radius for phi, radius in zip(phis, radii.tolist())]
 
 
 # --- sample stream text format -------------------------------------------

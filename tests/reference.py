@@ -1,24 +1,30 @@
 """Brute-force references that the fast paths in ``driftest`` are tested against.
 
 Each function is a slow, direct form of a library routine, and the tests
-compare the two with exact equality.  The per-step truth path below
+compare the two with exact equality.  The walk and the trial suites at
+the end are the forms that take one ``tv_distance`` per window pair and
+draw and ladder each suite's streams on their own.  The per-step truth path below
 (``segments``, ``truth_pmfs``, ``drift_sequence``, ``suffix_average``)
 holds the truth as one validated ``Pmf`` per distinct step and averages
 windows through ``mixture``: it is the form the library's columnar truth
 must reproduce bit for bit.
 """
 
+import math
 from collections import Counter
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 
 import numpy as np
 
-from driftest.adaptive import fixed_window_estimate
-from driftest.dist import Pmf, sorted_union, tv_distance
+from driftest import driftgen, harness
+from driftest.adaptive import (CandidateRecord, Comparison, EstimateResult, StopReason,
+                               fixed_window_estimate)
+from driftest.dist import EmpiricalWindow, Pmf, phi_empirical, sorted_union, tv_distance
 from driftest.driftgen import (ABRUPT_POST_OFFSET, Truth, _charge_truth_size,
                                _geometric_atoms, _hurwitz_zeta, _linear_alpha, _trial_rng,
                                _zipf_atoms)
+from driftest.windows import build_ladder, concentration_radius
 
 # --- distributions ------------------------------------------------------------
 
@@ -288,3 +294,148 @@ def error_curve_by_codes(stream, target):
     for code, p in zip(pos[observed], target.probs[observed]):
         errs += np.maximum(p - np.cumsum(codes == code) / rs, 0.0)
     return errs
+
+
+# --- the walk, one pair at a time ---------------------------------------------
+
+
+def ladder_xis(ladder, delta):
+    """Each window's bound, its phi computed here: phi plus the radius at 2^j."""
+    radii = concentration_radius(np.arange(len(ladder)), delta)
+    return [phi_empirical(w) + radius for w, radius in zip(ladder, radii.tolist())]
+
+
+def walk_ladder(ladder, xis):
+    """The adaptive walk with one ``tv_distance`` per (accepted, candidate) pair.
+
+    Each candidate is compared with the accepted windows in order, and the
+    comparisons stop at the first violation; phi is recomputed per record.
+    """
+    def record(j):
+        return CandidateRecord(j, 2**j, phi_empirical(ladder[j]), xis[j])
+
+    accepted = [record(0)]
+    comparisons = []
+    stop = StopReason("exhausted")
+    for j in range(1, len(ladder)):
+        if not xis[j] < accepted[-1].xi:
+            continue
+        violated = False
+        for cand in accepted:
+            gap = tv_distance(ladder[cand.index], ladder[j])
+            threshold = 3.0 * cand.xi + xis[j]
+            comparisons.append(Comparison(cand.index, j, gap, threshold))
+            if gap >= threshold:
+                stop = StopReason("violation", j=j, l=cand.index)
+                violated = True
+                break
+        if violated:
+            break
+        accepted.append(record(j))
+    chosen = accepted[-1]
+    return EstimateResult(chosen_window=chosen.size,
+                          estimate=ladder[chosen.index].to_pmf(),
+                          accepted=tuple(accepted), stop=stop,
+                          comparisons=tuple(comparisons))
+
+
+def adaptive_estimate(stream, delta):
+    ladder = build_ladder(stream)
+    return walk_ladder(ladder, ladder_xis(ladder, delta))
+
+
+# --- the trial suites, each drawing and laddering its own streams -------------
+
+
+def prop3_held(ladder, delta, truth):
+    """Whether each simultaneous inequality held, each TV through ``tv_distance``."""
+    emp_ok = True
+    true_ok = True
+    radii = concentration_radius(np.arange(len(ladder)), delta)
+    for j, (w, radius) in enumerate(zip(ladder, radii.tolist())):
+        phi = phi_empirical(w)
+        if tv_distance(w, truth.window_averages[j]) > phi + radius:
+            emp_ok = False
+        if phi > 4.0 * truth.window_lambdas[j] + radius:
+            true_ok = False
+        if not (emp_ok or true_ok):
+            break
+    return emp_ok, true_ok
+
+
+def prop1_trial(scenario, trial):
+    truth = driftgen.segments(scenario)
+    ladder = build_ladder(driftgen.sample_stream(scenario, trial))
+    return [tv_distance(truth.current, w)
+            - (tv_distance(truth.window_averages[j], w) + truth.window_deltas[j])
+            for j, w in enumerate(ladder)]
+
+
+def prop2_trial(scenario, r, delta, trial):
+    truth = driftgen.segments(scenario)
+    j = r.bit_length() - 1
+    window = EmpiricalWindow(driftgen.sample_stream(scenario, trial)[-r:])
+    phi = phi_empirical(window)
+    deviation_bound = phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
+    complexity_bound = 4.0 * truth.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
+    return (tv_distance(window, truth.window_averages[j]) > deviation_bound,
+            phi > complexity_bound)
+
+
+def prop3_trial(scenario, delta, trial):
+    ladder = build_ladder(driftgen.sample_stream(scenario, trial))
+    emp_ok, true_ok = prop3_held(ladder, delta, driftgen.segments(scenario))
+    return not emp_ok, not true_ok
+
+
+def prop45_trial(scenario, delta, trial):
+    truth = driftgen.segments(scenario)
+    ladder = build_ladder(driftgen.sample_stream(scenario, trial))
+    emp_ok, true_ok = prop3_held(ladder, delta, truth)
+    if not (emp_ok and true_ok):
+        return None
+    xis = ladder_xis(ladder, delta)
+    result = walk_ladder(ladder, xis)
+    bounds = [xis[j] + truth.window_deltas[j] for j in range(truth.depth + 1)]
+    continue_slacks = []
+    best = math.inf
+    for cand in result.accepted:
+        if best < math.inf:
+            continue_slacks.append(
+                tv_distance(truth.current, ladder[cand.index]) - 5.0 * best)
+        best = min(best, bounds[cand.index])
+    stop_slacks = []
+    if result.stop.kind == "violation":
+        u_l = bounds[result.stop.l]
+        stop_slacks = [u_l - 2.0 * bounds[n] for n in range(result.stop.j, truth.depth + 1)]
+    return continue_slacks, stop_slacks
+
+
+def verify_prop1(scenario, trials, tol=1e-12, workers=1):
+    per_trial = harness._fan_out(prop1_trial, (scenario,), trials, workers)
+    truth = driftgen.segments(scenario)
+    return harness._suite_report("prop1", {
+        "decomposition": list(chain.from_iterable(per_trial)),
+        "averaging": [tv_distance(average, truth.current) - drift for average, drift
+                      in zip(truth.window_averages, truth.window_deltas)],
+    }, tol)
+
+
+def verify_prop2(scenario, r, trials, delta, workers=1):
+    return harness._coverage_report(
+        harness._fan_out(prop2_trial, (scenario, r, delta), trials, workers))
+
+
+def verify_prop3(scenario, trials, delta, workers=1):
+    return harness._coverage_report(
+        harness._fan_out(prop3_trial, (scenario, delta), trials, workers))
+
+
+def verify_prop45(scenario, trials, delta, tol=1e-9, workers=1):
+    kept = [slacks for slacks in harness._fan_out(prop45_trial, (scenario, delta), trials,
+                                                  workers)
+            if slacks is not None]
+    return harness._suite_report("prop45", {
+        "continue_factor5": [slack for cont, _ in kept for slack in cont],
+        "stop_factor2": [slack for _, stop in kept for slack in stop],
+    }, tol, skipped=trials - len(kept))

@@ -1,18 +1,21 @@
 """Adaptive window selection: traces, baselines, and the bound diagnostics."""
 
+import io
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from driftest import Pmf, adaptive_estimate, fixed_window_estimate, tv_distance
+from driftest import Pmf, adaptive_estimate, dist, fixed_window_estimate, tv_distance
 from driftest.adaptive import (argmin_prefer_large, drift_sequence, q_curve,
-                               realized_error_curve)
+                               realized_error_curve, walk_ladder)
 from driftest.driftgen import (abrupt, geometric_drift, iid, linear_drift,
                                rotating_support, sample_stream, segments, zipf_drift)
 from driftest.harness import random_pmf
-from driftest.windows import build_ladder, ladder_xis
+from driftest.windows import build_ladder, ladder_phis, ladder_xis
+import reference as ref
 from reference import brute_force_error_curve, columnar, error_curve_by_codes
 
 UNION_C = 4.0 * math.pi**2 / 3.0
@@ -61,7 +64,7 @@ def test_trace_respects_acceptance_rule():
     for _ in range(20):
         stream = rng.integers(0, 12, size=int(rng.integers(2, 2000)))
         result = adaptive_estimate(stream, 0.1)
-        xis = ladder_xis(build_ladder(stream), 0.1)
+        xis = ladder_xis(ladder_phis(build_ladder(stream)), 0.1)
         accepted = {c.index for c in result.accepted}
         bounds = [c.xi for c in result.accepted]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
@@ -82,7 +85,7 @@ def test_stop_fires_on_large_abrupt_change():
     # the recorded violating comparison must actually breach its threshold,
     # and every earlier comparison must not (checked from the raw ladder)
     ladder = build_ladder(stream)
-    xis = ladder_xis(ladder, 0.05)
+    xis = ladder_xis(ladder_phis(ladder), 0.05)
     last = result.comparisons[-1]
     assert (last.l, last.j) == (result.stop.l, result.stop.j)
     for comp in result.comparisons:
@@ -91,6 +94,57 @@ def test_stop_fires_on_large_abrupt_change():
         assert comp.threshold == pytest.approx(3 * xis[comp.l] + xis[comp.j], abs=1e-12)
         breached = comp.tv >= comp.threshold
         assert breached == ((comp.l, comp.j) == (last.l, last.j))
+
+
+def _json_text(result):
+    fh = io.StringIO()
+    result.write_json(fh)
+    return fh.getvalue()
+
+
+# candidate supports under 8, 8-128 and over 128 symbols (the regimes of
+# numpy's pairwise sum), a stream whose stop test fires, and distinct samples
+WALK_STREAMS = {
+    "narrow": lambda rng: rng.integers(0, 6, size=5000),
+    "medium": lambda rng: rng.integers(0, 100, size=6000),
+    "wide": lambda rng: rng.integers(0, 3000, size=20000),
+    "stops": lambda rng: sample_stream(abrupt(k=10, change_point=8192, t=32768, seed=7), 0),
+    "drift": lambda rng: sample_stream(linear_drift(k=300, step_delta=1e-4, t=9000, seed=3), 1),
+    "distinct": lambda rng: rng.permutation(3000),
+}
+WIDEST_CANDIDATE = {"narrow": (1, 7), "medium": (8, 128), "wide": (129, math.inf),
+                    "distinct": (129, math.inf)}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_STREAMS))
+def test_walk_equals_the_per_pair_walk(name):
+    stream = WALK_STREAMS[name](np.random.default_rng(17))
+    for delta in (0.05, 0.3):
+        got, want = adaptive_estimate(stream, delta), ref.adaptive_estimate(stream, delta)
+        assert got.to_json_obj() == want.to_json_obj()
+        assert _json_text(got) == json.dumps(want.to_json_obj())
+    widest = max(build_ladder(stream)[c.j].symbols.size for c in got.comparisons)
+    lo, hi = WIDEST_CANDIDATE.get(name, (1, math.inf))
+    assert lo <= widest <= hi
+
+
+def test_walk_and_json_in_small_chunks(monkeypatch):
+    stream = np.random.default_rng(18).integers(0, 5, size=2**14)
+    want = ref.adaptive_estimate(stream, 0.05)
+    # three accepted rows of 5 symbols per walk chunk
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 16)
+    got = adaptive_estimate(stream, 0.05)
+    assert len(got.accepted) > 2 * 3
+    assert got.to_json_obj() == want.to_json_obj()
+    # 5 atoms in 3 JSON chunks
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 2)
+    assert _json_text(got) == json.dumps(want.to_json_obj())
+
+
+def test_walk_rejects_windows_that_are_not_nested():
+    ladder = (dist.EmpiricalWindow([4]), dist.EmpiricalWindow([5, 6]))
+    with pytest.raises(ValueError, match="not within"):
+        walk_ladder(ladder, [1.0, 1.0], [9.0, 5.0])
 
 
 def test_small_abrupt_horizon_never_stops():

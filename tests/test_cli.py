@@ -447,6 +447,25 @@ def test_cli_import_loads_only_the_estimate_layers():
     assert proc.stdout.strip() == "driftest.harness"
 
 
+def test_one_worker_simulate_loads_no_process_pool(tmp_path):
+    import driftest
+    src = os.path.dirname(os.path.dirname(driftest.__file__))
+    cfg = tmp_path / "scen.cfg"
+    cfg.write_text(LINEAR_CFG)
+    code = ("import sys; from driftest.cli import main; "
+            f"code = main(['simulate', '--scenario', {str(cfg)!r}, '--trials', '2', "
+            "'--output', '-']); "
+            "print('concurrent.futures.process' in sys.modules, file=sys.stderr); "
+            "sys.exit(code)")
+    from driftest import harness
+    # two workers load the pool, where this host has the CPUs for them
+    for threads, loaded in (("1", False), ("2", harness._usable_cpus() > 1)):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src, DRIFTEST_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == str(loaded)
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "driftest.cli", "verify",
                            "--suite", "metric", "--trials", "5"],

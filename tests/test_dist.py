@@ -1,6 +1,7 @@
 """Distribution arithmetic: worked examples plus randomized cross-checks."""
 
 import ast
+import io
 import json
 import math
 import tracemalloc
@@ -288,6 +289,17 @@ def test_pmf_json_round_trip_sorted():
     assert again.to_json_obj() == obj
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 15])
+def test_pmf_write_json_equals_json_dumps(monkeypatch, chunk):
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
+    for p in (Pmf.point_mass(0), Pmf.from_dict({9: 0.25, 2: 0.75}),
+              EmpiricalWindow(np.random.default_rng(5).integers(0, 50, 999)).to_pmf(),
+              random_pmf(np.random.default_rng(6))):
+        fh = io.StringIO()
+        p.write_json(fh)
+        assert fh.getvalue() == json.dumps(p.to_json_obj())
+
+
 def test_window_validation():
     with pytest.raises(ValueError, match="empty sample stream"):
         EmpiricalWindow([])
@@ -484,3 +496,32 @@ def test_rows_tv_equals_tv_distance_bit_for_bit():
 def test_rows_tv_needs_q_on_consecutive_symbols():
     with pytest.raises(ValueError, match="consecutive"):
         dist.rows_tv(np.array([0]), np.ones((1, 1)), Pmf.from_dict({0: 0.5, 2: 0.5}))
+
+
+def test_tvs_within_equals_tv_distance_bit_for_bit(monkeypatch):
+    # nested suffix windows, a window against pmfs holding its symbols, and
+    # widths across the pairwise-sum regimes (under 8, 8-128, over 128)
+    rng = np.random.default_rng(22)
+    for k, t in ((5, 600), (60, 3000), (900, 5000)):
+        ladder = build_ladder(rng.integers(0, k, size=t))
+        q = ladder[-1]
+        want = [tv_distance(w, q) for w in ladder]
+        assert dist.tvs_within(list(ladder), q) == want
+        wider = Pmf(np.arange(k + 3), rng.dirichlet(np.ones(k + 3)))
+        assert dist.tvs_within(list(ladder), wider) == [tv_distance(w, wider) for w in ladder]
+        # several chunks of rows, and one row per chunk when a row is wider
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 2 * q.symbols.size)
+        assert dist.tvs_within(list(ladder), q) == want
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 1)
+        assert dist.tvs_within(list(ladder), q) == want
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p, q", [
+    ([1, 9], [1, 2, 3]),  # a symbol between q's
+    ([5], [1, 2]),  # a symbol past q's last
+    ([0, 1], [1, 2]),  # a symbol before q's first
+])
+def test_tvs_within_rejects_a_symbol_q_lacks(p, q):
+    with pytest.raises(ValueError, match="not within"):
+        dist.tvs_within([EmpiricalWindow([1]), EmpiricalWindow(p)], EmpiricalWindow(q))

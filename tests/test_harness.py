@@ -1,5 +1,6 @@
 """Trial runner, coverage suites, campaigns, and the scaling study."""
 
+import concurrent.futures
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from driftest import Pmf, driftgen, harness, run_trials, tv_distance, write_tria
 from driftest.adaptive import adaptive_estimate, walk_ladder
 from driftest.driftgen import (abrupt, iid, linear_drift, rotating_support,
                                sample_stream, segments)
-from driftest.windows import build_ladder, ladder_xis
+from driftest.windows import build_ladder, ladder_phis, ladder_xis
 from driftest.harness import (CSV_HEADER, CoverageReport, SuiteReport,
                               random_pmf, scaling_experiment,
                               scaling_horizon, verify_lambda_bounds,
@@ -117,7 +118,7 @@ class _RecordingPool:
 
 def _record_pool(monkeypatch, cpus):
     """Run pools inline through _RecordingPool, with the affinity mask `cpus`."""
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: cpus, raising=False)
     _RecordingPool.sizes.clear()
     _RecordingPool.submits.clear()
@@ -358,9 +359,11 @@ def _prop45_evaluations(scenario, trials, delta):
     continued = stopped = 0
     for trial in range(trials):
         ladder = build_ladder(sample_stream(scenario, trial))
-        if not all(harness._prop3_held(ladder, delta, side)):
+        phis = ladder_phis(ladder)
+        if not all(harness._prop3_held(phis, delta, side,
+                                       harness._window_gaps(ladder, side)[1])):
             continue
-        result = walk_ladder(ladder, ladder_xis(ladder, delta))
+        result = walk_ladder(ladder, phis, ladder_xis(phis, delta))
         continued += max(0, len(result.accepted) - 1)
         if result.stop.kind == "violation":
             stopped += side.depth + 1 - result.stop.j
@@ -402,6 +405,69 @@ def test_prop1_and_prop45_independent_of_workers():
         assert verify_prop1(scenario, 6, workers=1) == verify_prop1(scenario, 6, workers=3)
         assert (verify_prop45(scenario, 6, 0.05, workers=1)
                 == verify_prop45(scenario, 6, 0.05, workers=3))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_pass_equals_per_suite_runs(seed, workers):
+    # unequal trial counts, so that some trials serve only some suites
+    counts = {"prop1": 4, "prop2": 9, "prop3": 7, "prop45": 5}
+    for scenario in harness.default_families(seed):
+        suites = counts if scenario.kind == "linear_drift" else {
+            name: counts[name] for name in ("prop45", "prop1")}
+        shared = harness.verify_trial_suites(scenario, suites, 0.05, 256, workers=workers)
+        want = {"prop1": lambda: ref.verify_prop1(scenario, counts["prop1"], workers=workers),
+                "prop2": lambda: ref.verify_prop2(scenario, 256, counts["prop2"], 0.05,
+                                                  workers=workers),
+                "prop3": lambda: ref.verify_prop3(scenario, counts["prop3"], 0.05,
+                                                  workers=workers),
+                "prop45": lambda: ref.verify_prop45(scenario, counts["prop45"], 0.05,
+                                                    workers=workers)}
+        alone = {"prop1": lambda: verify_prop1(scenario, counts["prop1"], workers=workers),
+                 "prop2": lambda: verify_prop2(scenario, 256, counts["prop2"], 0.05,
+                                               workers=workers),
+                 "prop3": lambda: verify_prop3(scenario, counts["prop3"], 0.05,
+                                               workers=workers),
+                 "prop45": lambda: verify_prop45(scenario, counts["prop45"], 0.05,
+                                                 workers=workers)}
+        assert list(shared) == list(suites)
+        for name in suites:
+            expected = want[name]()
+            assert shared[name] == expected
+            assert alone[name]() == expected
+
+
+def test_verify_all_draws_and_ladders_each_trial_once(monkeypatch, capsys):
+    from driftest.cli import main
+    monkeypatch.setenv("DRIFTEST_THREADS", "1")
+    draws = _count_calls(monkeypatch, harness, "sample_stream")
+    ladders = _count_calls(monkeypatch, harness, "build_ladder")
+    phis = _count_calls(monkeypatch, harness, "ladder_phis")
+    assert main(["verify", "--suite", "all", "--trials", "3", "--seed", "0"]) == 0
+    # prop2 and prop3 run on the linear family of prop1 and prop45
+    pairs = [(scenario, trial) for scenario in harness.default_families(0) for trial in range(3)]
+    assert sorted(map(repr, draws)) == sorted(map(repr, pairs))
+    assert len(ladders) == len(pairs)
+    assert len(phis) == len(pairs)
+    # a single suite draws only its own trials; prop2 alone reads one
+    # window and builds no ladder, and prop1 reads no phi
+    for suite, trials in (("prop1", 2), ("prop2", 5), ("prop45", 2)):
+        draws.clear()
+        ladders.clear()
+        phis.clear()
+        assert main(["verify", "--suite", suite, "--trials", str(trials)]) == 0
+        families = 1 if suite == "prop2" else 6
+        assert len(draws) == families * trials
+        assert len(ladders) == (0 if suite == "prop2" else len(draws))
+        assert len(phis) == (len(ladders) if suite == "prop45" else 0)
+    capsys.readouterr()
+
+
+def test_trial_suites_reject_a_bad_window_or_count():
+    with pytest.raises(ValueError, match="power of two"):
+        harness.verify_trial_suites(LINEAR, {"prop2": 3, "prop3": 3}, 0.05, 300)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        harness.verify_trial_suites(LINEAR, {"prop1": 3, "prop3": 0}, 0.05)
 
 
 def test_coverage_suites_share_one_truth_side(monkeypatch):

@@ -125,3 +125,21 @@ def test_estimate_on_a_long_stream_runs_within_the_limits(edit, tmp_path):
     assert json.loads(proc.stdout)["chosen_window"] <= t
     assert proc.stderr.startswith(f"estimate: T={t} "), proc.stderr
     assert elapsed < 20.0
+
+
+def test_estimate_on_distinct_samples_runs_within_the_limits(tmp_path):
+    # every window's support is its size: the walk compares 2^22-symbol
+    # windows, and the estimate JSON holds 2^22 atoms
+    t = 2**22
+    stream = tmp_path / "stream.txt"
+    stream.write_text("\n".join(map(str, np.random.default_rng(0).permutation(t).tolist()))
+                      + "\n")
+    out = tmp_path / "estimate.json"
+    proc, elapsed = _run_capped("estimate", "--input", str(stream), "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"estimate: T={t} chosen_window={t} stop=exhausted\n"
+    with open(out, "rb") as fh:
+        assert fh.read(64).startswith(b'{"chosen_window": 4194304, "estimate": {"atoms": [{')
+        fh.seek(-2, os.SEEK_END)
+        assert fh.read() == b"}\n"
+    assert elapsed < 20.0

@@ -9,8 +9,8 @@ import pytest
 from driftest import windows
 from driftest.dist import phi_empirical
 from driftest.windows import (UNION_BOUND_CONSTANT, as_stream, build_ladder,
-                              concentration_radius, dyadic_depth, ladder_xis, load_stream,
-                              parse_stream_text, union_log_weight)
+                              concentration_radius, dyadic_depth, ladder_phis, ladder_xis,
+                              load_stream, parse_stream_text, union_log_weight)
 from reference import dump_stream, parse_lines
 
 
@@ -86,7 +86,7 @@ def xi_oracle(phi, j, delta):
 
 def xi_of(samples, j, delta):
     """The bound of window j, the most recent 2^j samples."""
-    return ladder_xis(build_ladder(samples), delta)[j]
+    return ladder_xis(ladder_phis(build_ladder(samples)), delta)[j]
 
 
 def test_xi_point_mass_j0():
@@ -161,19 +161,21 @@ def test_vector_radius_equals_scalar_radius_bit_for_bit():
 
 
 def test_xi_validation():
-    ladder = build_ladder([1, 2])
+    phis = ladder_phis(build_ladder([1, 2]))
     with pytest.raises(ValueError):
-        ladder_xis(ladder, 0.0)
+        ladder_xis(phis, 0.0)
     with pytest.raises(ValueError):
-        ladder_xis(ladder, 1.0)
+        ladder_xis(phis, 1.0)
 
 
 def test_ladder_xis_align_with_windows():
     ladder = build_ladder([1, 1, 2, 3, 1, 2, 1, 1])
-    xis = ladder_xis(ladder, 0.1)
-    assert len(xis) == len(ladder)
+    phis = ladder_phis(ladder)
+    xis = ladder_xis(phis, 0.1)
+    assert len(phis) == len(xis) == len(ladder)
     for j, value in enumerate(xis):
         assert type(value) is float
+        assert phis[j] == phi_empirical(ladder[j])
         assert value == phi_empirical(ladder[j]) + scalar_radius(j, 0.1)
 
 
