@@ -166,8 +166,11 @@ def _absorb_remainder(probs: np.ndarray) -> None:
     probs[np.arange(probs.shape[0]), np.argmax(probs, axis=1)] += 1.0 - np.sum(probs, axis=1)
 
 
-def _geometric_atoms(p: float) -> int:
-    """Atoms of the truncated geometric pmf, counted before it is built."""
+def _geometric_atoms(p: float, near: int = 1) -> int:
+    """Atoms of the truncated geometric pmf, counted before it is built.
+
+    The count has a closed form, so the search start ``near`` is unused.
+    """
     if p >= 1.0:
         return 1
     # capped, so that a vanishing p cannot overflow the count
@@ -232,27 +235,39 @@ def _hurwitz_zeta(x: float, q: float) -> float:
     return s
 
 
-def _zipf_atoms(s: float) -> int:
-    """Atoms of the truncated zipf pmf, counted before it is built."""
+# the zipf count search refuses counts above the largest power of two within the bound
+_ZIPF_MAX_ATOMS = 1 << (_MAX_TRUNCATED_SUPPORT.bit_length() - 1)
+
+
+def _zipf_atoms(s: float, near: int = 1) -> int:
+    """Atoms of the truncated zipf pmf, counted before it is built.
+
+    The count is the smallest n with relative tail mass below TAIL_TOL.  Its
+    search gallops out from ``near``, a neighbouring exponent's count on a
+    ramp, and bisects: O(log |count - near|) tail evaluations.
+    """
     total = _hurwitz_zeta(s, 1)
 
     def tail_too_heavy(n):  # False on a NaN tail, so its exponent gets one atom
-        return _hurwitz_zeta(s, n + 1) / total >= TAIL_TOL
+        return n < 1 or _hurwitz_zeta(s, n + 1) / total >= TAIL_TOL
 
-    # smallest n with relative tail mass below TAIL_TOL, by doubling + bisect
-    lo, hi = 1, 2
-    while tail_too_heavy(hi):
-        lo, hi = hi, hi * 2
-        if hi > _MAX_TRUNCATED_SUPPORT:
-            raise ValueError(
-                f"zipf exponent {s} needs more than {_MAX_TRUNCATED_SUPPORT} atoms "
-                f"to reach tail mass {TAIL_TOL}; use a larger exponent")
-    while lo < hi:
+    # gallop until lo's tail is too heavy and hi's is not
+    step = 1
+    if tail_too_heavy(near):
+        lo = near
+        while tail_too_heavy(hi := min(near + step, _ZIPF_MAX_ATOMS)):
+            if hi == _ZIPF_MAX_ATOMS:
+                raise ValueError(
+                    f"zipf exponent {s} needs more than {_MAX_TRUNCATED_SUPPORT} atoms "
+                    f"to reach tail mass {TAIL_TOL}; use a larger exponent")
+            lo, step = hi, 2 * step
+    else:
+        hi = near
+        while not tail_too_heavy(lo := max(near - step, 0)):
+            hi, step = lo, 2 * step
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tail_too_heavy(mid):
-            lo = mid + 1
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if tail_too_heavy(mid) else (lo, mid)
     return hi
 
 
@@ -494,22 +509,23 @@ def _ramp_params(start: float, end: float, t_max: int) -> tuple[np.ndarray, np.n
     return np.concatenate(values)[:keep], np.concatenate(steps)[:keep]
 
 
-def _ramp_atoms(params: np.ndarray, atoms: Callable[[float], int]) -> np.ndarray:
+def _ramp_atoms(params: np.ndarray, atoms: Callable[[float, int], int]) -> np.ndarray:
     """Atoms of each distinct ramp parameter, charged to the truth bound oldest first.
 
     Atom counts are monotone along a monotone ramp, so each run of equal
     counts ends where a galloping bisection finds it: O(log run) counts per
-    run rather than one per parameter, none counted twice.  A count that
+    run rather than one per parameter, none counted twice.  Each count is
+    searched from ``near``, the count of the run it extends.  A count that
     fails while looking ahead raises only when its run is reached, after
     every older parameter is charged: the error a walk over the parameters
     in order would raise first.
     """
     seen: dict[int, int | None] = {}
 
-    def peek(i: int) -> int | None:
+    def peek(i: int, near: int) -> int | None:
         if i not in seen:
             try:
-                seen[i] = atoms(float(params[i]))
+                seen[i] = atoms(float(params[i]), near)
             except ValueError:
                 seen[i] = None
         return seen[i]
@@ -517,20 +533,21 @@ def _ramp_atoms(params: np.ndarray, atoms: Callable[[float], int]) -> np.ndarray
     size = params.size
     widths = np.empty(size, dtype=np.int64)
     total = i = 0
+    n = 1
     while i < size:
-        n = peek(i)
+        n = peek(i, n)
         if n is None:
-            atoms(float(params[i]))  # raises
+            atoms(float(params[i]), 1)  # raises
         # params[lo] has n atoms, and params[hi] (if hi < size) does not
         lo, hi, step = i, size, 1
         while lo + step < hi:
-            if peek(lo + step) != n:
+            if peek(lo + step, n) != n:
                 hi = lo + step
                 break
             lo, step = lo + step, 2 * step
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if peek(mid) == n else (lo, mid)
+            lo, hi = (mid, hi) if peek(mid, n) == n else (lo, mid)
         total = _charge_truth_size(total, n, hi - i)
         widths[i:hi] = n
         i = hi

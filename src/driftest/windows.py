@@ -96,18 +96,52 @@ def ladder_xis(phis: Sequence[float], delta: float) -> list[float]:
 
 
 def parse_stream_text(text: str) -> np.ndarray:
-    """The samples of a stream file, each token converted by int() in one numpy call.
+    """The samples of a stream file, converted in one numpy call.
 
-    The tokens are the stripped sample lines; ``str.split`` gives them at C
-    speed where every line is one token and no '#' occurs.  A refused stream
+    A file of ASCII lines of at most 18 digits, blank lines among them,
+    takes the byte route; any other file (a '#' line, padding, a sign, a
+    19-digit line) is read from its stripped lines.
+    """
+    samples = _parse_digit_lines(text)
+    return samples if samples is not None else _parse_stripped_lines(text)
+
+
+def _parse_digit_lines(text: str) -> np.ndarray | None:
+    """A file holding only the bytes 0-9, '\n' and '\r', read by numpy's C text reader.
+
+    None unless the file has at least one digit run and none longer than 18
+    bytes: a longer run may pass int64, where np.fromstring saturates
+    silently, and a file with no run is an error the line route names.  The
+    checks build no per-line array, and ``count`` is the exact run count,
+    since numpy reads past the last value when asked for more.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data or data.translate(None, b"0123456789\n\r"):
+        return None
+    end = np.frombuffer(data, dtype=np.uint8) < ord("0")  # '\n' or '\r', the only non-digits
+    # a run starts at the first byte or after a line end
+    runs = int(not end[0]) + np.count_nonzero(end[:-1] > end[1:])
+    if runs == 0:
+        return None
+    # a run longer than 18 bytes exists iff some 19-byte window holds no line end
+    for width in (1, 2, 4, 8, 3):  # windows of 2, 4, 8, 16 and 19 bytes
+        end = end[:-width] | end[width:]
+    if not end.all():
+        return None
+    del end
+    return np.fromstring(data, dtype=np.int64, sep="\n", count=runs)
+
+
+def _parse_stripped_lines(text: str) -> np.ndarray:
+    """The samples of the stripped lines that are neither blank nor '#' comments.
+
+    Each token is converted by int() in one numpy call.  A refused stream
     is read again line by line only to name its error.
     """
-    tokens = text.split() if "#" not in text else None
-    lines = text.splitlines()
-    if tokens != lines:
-        del tokens  # before the line list is built, or the peak grows
-        tokens = [line for line in map(str.strip, lines) if line and not line.startswith("#")]
-    del lines
+    tokens = [line for line in map(str.strip, text.splitlines())
+              if line and not line.startswith("#")]
     try:
         samples = np.array(tokens, dtype=np.int64)
         if samples.size and samples.min() >= 0:

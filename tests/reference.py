@@ -21,9 +21,9 @@ from driftest import driftgen, harness
 from driftest.adaptive import (CandidateRecord, Comparison, EstimateResult, StopReason,
                                fixed_window_estimate)
 from driftest.dist import EmpiricalWindow, Pmf, phi_empirical, sorted_union, tv_distance
-from driftest.driftgen import (ABRUPT_POST_OFFSET, Truth, _charge_truth_size,
-                               _geometric_atoms, _hurwitz_zeta, _linear_alpha, _trial_rng,
-                               _zipf_atoms)
+from driftest.driftgen import (_MAX_TRUNCATED_SUPPORT, ABRUPT_POST_OFFSET, TAIL_TOL, Truth,
+                               _charge_truth_size, _geometric_atoms, _hurwitz_zeta,
+                               _linear_alpha, _trial_rng)
 from driftest.windows import build_ladder, concentration_radius
 
 # --- distributions ------------------------------------------------------------
@@ -134,6 +134,33 @@ def _geometric_pmf(p, atoms):
     return _absorb_remainder(i, probs)
 
 
+def zipf_atoms(s):
+    """The truncated zipf atom count searched from scratch: doubling, then bisection.
+
+    ``driftgen._zipf_atoms`` must return the same count, or raise the same
+    error, from any starting count.
+    """
+    total = _hurwitz_zeta(s, 1)
+
+    def tail_too_heavy(n):
+        return _hurwitz_zeta(s, n + 1) / total >= TAIL_TOL
+
+    lo, hi = 1, 2
+    while tail_too_heavy(hi):
+        lo, hi = hi, hi * 2
+        if hi > _MAX_TRUNCATED_SUPPORT:
+            raise ValueError(
+                f"zipf exponent {s} needs more than {_MAX_TRUNCATED_SUPPORT} atoms "
+                f"to reach tail mass {TAIL_TOL}; use a larger exponent")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if tail_too_heavy(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
+
+
 def _zipf_pmf(s, atoms):
     i = np.arange(1, atoms + 1, dtype=np.int64)
     probs = np.power(i, -s, dtype=np.float64) / _hurwitz_zeta(s, 1)
@@ -205,7 +232,7 @@ def segments(scenario):
         atoms, family = _geometric_atoms, _geometric_pmf
     else:
         start, end = scenario.zipf_s_start, scenario.zipf_s_end
-        atoms, family = _zipf_atoms, _zipf_pmf
+        atoms, family = zipf_atoms, _zipf_pmf
     if start == end or t_max == 1:
         return ((t_max, family(start, atoms(start))),)
     runs = ramp_atoms(start, end, t_max, atoms)

@@ -614,6 +614,40 @@ def test_ramp_atom_counts_match_one_parameter_at_a_time(family, start, end, t):
     assert driftgen._ramp_atoms(params, atoms).tolist() == [n for _, _, n in want]
 
 
+# the zipf configs of the goldens, the acceptance suite, harness.default_families
+# and the robustness matrix; counts of one atom; counts between the search's
+# cap of 2^24 and the bound of 2 * 10^7, which are refused (s = 2.6 needs
+# 19,955,797 atoms, s = 2.62 needs 16,142,571); then a seeded sweep of ramps,
+# some past the bound
+ZIPF_CONFIGS = [(5.0, 4.5, 512), (3.0, 3.0, 1), (5.0, 4.5, 16384), (3.0, 2.8, 4096),
+                (1000.0, 900.0, 4), (60.0, 20.0, 200), (2.6, 2.6, 1), (2.62, 2.6, 3)]
+
+
+def _zipf_sweep(rng, count):
+    for _ in range(count):
+        start, end = sorted(rng.uniform(1.2, 12.0, 2), reverse=rng.random() < 0.5)
+        yield float(start), float(end), int(rng.integers(2, 600))
+
+
+@pytest.mark.parametrize("start, end, t", ZIPF_CONFIGS
+                         + list(_zipf_sweep(np.random.default_rng(29), 24)))
+def test_zipf_counts_from_a_neighbour_equal_counts_from_scratch(start, end, t):
+    def outcome(count):
+        try:
+            return "counts", count()
+        except ValueError as exc:
+            return "error", str(exc)
+
+    if start == end:
+        got = outcome(lambda: [driftgen._zipf_atoms(start)])
+        want = outcome(lambda: [ref.zipf_atoms(start)])
+    else:
+        params, _ = driftgen._ramp_params(start, end, t)
+        got = outcome(lambda: driftgen._ramp_atoms(params, driftgen._zipf_atoms).tolist())
+        want = outcome(lambda: [n for _, _, n in ref.ramp_atoms(start, end, t, ref.zipf_atoms)])
+    assert got == want
+
+
 def test_ramp_params_stop_once_the_bound_must_reject():
     params, steps = driftgen._ramp_params(10.0, 9.0, 20_000_000)
     assert params.size == driftgen._MAX_DISTINCT_PMFS + 1

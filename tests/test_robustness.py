@@ -109,12 +109,15 @@ def test_oversized_scenario_exits_two(name, tmp_path):
     assert elapsed < 20.0
 
 
-# the two token lists: str.split of a file whose every line is one token,
-# and the stripped lines of a file with a '#', blank or padded line
+# the two routes: the byte route of a file of digit lines, blank lines and
+# '\n' or '\r\n' ends, up to its widest (18-digit) lines, and the line
+# route of a file with a '#' line
 @pytest.mark.parametrize("edit", [
     lambda text: text, lambda text: "# a header line\n" + text,
     lambda text: text + "\n", lambda text: text.replace("\n", "\n\n"),
-], ids=["well_formed", "header", "trailing_blank", "blank_lines"])
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: "".join(f"1{line:0>17}\n" for line in text.splitlines()),
+], ids=["well_formed", "header", "trailing_blank", "blank_lines", "crlf", "eighteen_digits"])
 def test_estimate_on_a_long_stream_runs_within_the_limits(edit, tmp_path):
     t = 2**22
     samples = np.random.default_rng(0).zipf(2.0, t) % 10**6

@@ -210,6 +210,14 @@ PARSE_CORPUS = [
     # error precedence: a bad line before an overflow, and line numbers
     # that count blank and comment lines
     f"{2**63}\nx\n", f"{2**63}\n-1\n", f"# c\n\n{2**63}\n",
+    # digit files at the byte route's edges: runs of 18 bytes take it, runs
+    # of 19 or more (which may pass int64) and every other byte leave it;
+    # PARSE_TOKENS adds INT64_MAX and 2**63 as bare digit files
+    "9" * 18 + "\n", "1" * 18 + "\n" + "9" * 18, "1" * 19 + "\n", "9" * 19 + "\n",
+    "1\n" + "1" * 20 + "\n", "9" * 20, "0" * 30 + "7\n", f"{2**63}\n", "0" * 18 + "\n" + "0" * 19,
+    "1\r\n\r\n2", "\r\n1\r\r2\n", "\r\n3\r",
+    "\n\n", "\r\n", "\r\r\n\n", "12\n\n34", "1\n\x002\n", "1\n2\x00\n", "1\x0b2\n",
+    "1\n\x1f\n", "1\n2\x7f\n", "0\n",
 ]
 LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\u2028", "\x85"]
 PADS = ["", "", "", "", " ", "\t", "\xa0", "\u3000"]
@@ -245,6 +253,39 @@ def test_parse_stream_text_equals_the_line_loop_on_fuzzed_streams():
     for _ in range(3000):
         text = _fuzz_text(rng)
         assert _parse_outcome(parse_stream_text, text) == _parse_outcome(parse_lines, text)
+
+
+def _digit_text(rng):
+    """Digit runs of 0 to 25 bytes between '\\n', '\\r\\n' or '\\r' line ends."""
+    runs = ["".join(map(str, rng.integers(0, 10, size)))
+            for size in rng.integers(0, 26, rng.integers(1, 9))]
+    ends = rng.choice(["\n", "\r\n", "\r"], len(runs))
+    text = "".join(run + end for run, end in zip(runs, ends))
+    return text if rng.random() < 0.8 else text.rstrip("\r\n")
+
+
+def test_parse_stream_text_equals_the_line_loop_on_fuzzed_digit_files():
+    rng = np.random.default_rng(17)
+    for _ in range(10000):
+        text = _digit_text(rng)
+        assert _parse_outcome(parse_stream_text, text) == _parse_outcome(parse_lines, text)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text, lambda text: text[:-1],
+    lambda text: text.replace("\n", "\n\n", 100), lambda text: "\n" + text + "\n\n",
+    lambda text: text.replace("\n", "\r\n"), lambda text: text.replace("\n", "\r"),
+], ids=["well_formed", "no_final_newline", "blank_lines", "blank_ends", "crlf", "cr"])
+def test_a_digit_file_never_reaches_the_line_route(edit, monkeypatch):
+    samples = np.random.default_rng(4).integers(0, 10**18, 2**16)
+    samples[:3] = [0, 10**18 - 1, 7]
+    text = "\n".join(map(str, samples.tolist())) + "\n"
+
+    def line_route(text):
+        raise AssertionError("the line route ran")
+
+    monkeypatch.setattr(windows, "_parse_stripped_lines", line_route)
+    assert np.array_equal(parse_stream_text(edit(text)), samples)
 
 
 @pytest.mark.parametrize("edit", [
