@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import (EmpiricalWindow, Pmf, lambda_complexity, rows_tv, sorted_union,
-                   tvs_within)
+from .dist import EmpiricalWindow, Pmf, RowStack, lambda_complexity, rows_tv, sorted_union
 from .windows import (as_stream, build_ladder, check_delta, ladder_phis, ladder_xis,
                       union_log_weight)
 
@@ -114,17 +113,19 @@ def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
     strictly decrease, so the last one is the smallest); the stop test uses
     >= so boundary equality stops.  Each window holds every smaller one's
     samples, so candidate j's distances to all accepted windows are taken
-    together on j's symbols (``tvs_within``): O(accepted * |supp j|), no
-    union sorted.
+    together on j's symbols: O(accepted * |supp j|), no union sorted, and
+    for narrow candidates one search of the accepted windows' atoms, each
+    stacked once when its window is accepted (``RowStack``).
     """
     accepted = [CandidateRecord(0, 1, phis[0], xis[0])]
+    stack = RowStack(ladder[:1])  # the accepted windows
     comparisons: list[Comparison] = []
     stop = StopReason("exhausted")
 
     for j in range(1, len(ladder)):
         if not xis[j] < accepted[-1].xi:
             continue
-        gaps = tvs_within([ladder[cand.index] for cand in accepted], ladder[j])
+        gaps = stack.tvs(ladder[j])
         for cand, gap in zip(accepted, gaps):
             threshold = 3.0 * cand.xi + xis[j]
             comparisons.append(Comparison(cand.index, j, gap, threshold))
@@ -134,6 +135,7 @@ def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
         if stop.kind == "violation":
             break
         accepted.append(CandidateRecord(j, 2**j, phis[j], xis[j]))
+        stack.append(ladder[j])
 
     chosen = accepted[-1]
     return EstimateResult(

@@ -3,6 +3,15 @@
 Symbols are nonnegative integers.  Supports are finite and stored as sorted
 arrays so every sum over a support runs in a fixed (sorted-symbol) order,
 which keeps all derived quantities bit-reproducible from run to run.
+
+Total variation is half the L1 distance over the sorted union of two
+supports.  ``tv_distance`` sorts that union; the other TV functions know
+its layout in advance and sort nothing, yet sum the same values in the
+same order, so each gives ``tv_distance``'s bits: ``run_tv`` when one side
+sits on consecutive symbols (a truth's current pmf), ``tv_within`` for a
+pair and ``RowStack`` for many rows when one side's symbols are among the
+other's (a window and its average, nested windows), and ``rows_tv`` for
+rows and a pmf all on consecutive symbols (the drift curve).
 """
 
 from __future__ import annotations
@@ -33,15 +42,27 @@ def int64_values(values, what: str, copy: bool = False) -> np.ndarray:
     return arr.astype(np.int64, copy=copy)
 
 
-def as_stream(samples) -> np.ndarray:
-    """Validate a sample stream (oldest first) into an int64 array."""
+def _stream_array(samples) -> np.ndarray:
+    """``samples`` as a one-dimensional, non-empty int64 array: ``as_stream`` but its sign check.
+
+    The checks take O(1) on int64 input.
+    """
     arr = int64_values(samples, "samples")
     if arr.ndim != 1:
         raise ValueError("a sample stream must be one-dimensional")
     if arr.size == 0:
         raise ValueError("empty sample stream")
+    return arr
+
+
+_NEGATIVE_SAMPLES = "samples must be nonnegative integers"
+
+
+def as_stream(samples) -> np.ndarray:
+    """Validate a sample stream (oldest first) into an int64 array."""
+    arr = _stream_array(samples)
     if np.any(arr < 0):
-        raise ValueError("samples must be nonnegative integers")
+        raise ValueError(_NEGATIVE_SAMPLES)
     return arr
 
 
@@ -187,7 +208,9 @@ class EmpiricalWindow:
     """Symbol counts of a run of samples, such as a stream's most recent ones.
 
     Built from the samples alone: one ``np.unique`` gives the sorted
-    symbols and their counts.  Immutable, with read-only arrays.
+    symbols and their counts, and the samples are checked as ``as_stream``
+    checks them, with the same errors, but with no pass of their own: the
+    lowest sample is the first symbol.  Immutable, with read-only arrays.
     """
 
     symbols: np.ndarray
@@ -196,8 +219,10 @@ class EmpiricalWindow:
     probs: np.ndarray = field(repr=False)  # counts / size
 
     def __init__(self, samples):
-        arr = as_stream(samples)
+        arr = _stream_array(samples)
         symbols, counts = np.unique(arr, return_counts=True)
+        if symbols[0] < 0:
+            raise ValueError(_NEGATIVE_SAMPLES)
         probs = counts / float(arr.size)
         for array in (symbols, counts, probs):
             array.setflags(write=False)
@@ -221,28 +246,107 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.sum(np.abs(diff)))
 
 
-def tvs_within(ps: Sequence[Distribution], q: Distribution) -> list[float]:
-    """``tv_distance(p, q)`` for every p in ``ps``, each p's symbols among q's, bit for bit.
+def run_tv(run: Pmf, q: Distribution) -> float:
+    """``tv_distance(run, q)`` bit for bit, for a pmf ``run`` on consecutive symbols [lo, hi).
 
-    Such a pair's union is q's support, so no union is sorted: each row of
-    a len(ps) x |supp q| matrix starts as q's probabilities, and one
-    ``searchsorted`` places its p's to subtract them.  |a - b| equals
-    |b - a|, and a C-contiguous row sums as the 1-D ``tv_distance`` array
-    does, so every value is the same bits.  The matrix is built a chunk of
-    rows at a time (``row_slices``).  A symbol of some p that q lacks raises.
+    Their sorted union is q's symbols below lo, then lo .. hi-1, then q's
+    symbols from hi on, so two ``searchsorted`` positions lay it out and no
+    union is sorted.  It holds the values ``tv_distance`` sums in the same
+    order (|a - b| equals |b - a|), so the sum is the same bits.  A truth's
+    current pmf is such a run, since a truth row has no zero atom.
     """
-    symbols, width = q.symbols, q.symbols.size
-    gaps = np.empty(len(ps))
-    for part in row_slices(len(ps), width):
-        diff = np.empty((part.stop - part.start, width))
-        diff[:] = q.probs
-        for row, p in zip(diff, ps[part]):
-            pos = symbols.searchsorted(p.symbols)
-            if pos[-1] >= width or (symbols[pos] != p.symbols).any():
-                raise ValueError("a support is not within the one it is compared with")
-            row[pos] -= p.probs
-        gaps[part] = 0.5 * np.abs(diff, out=diff).sum(axis=1)
-    return gaps.tolist()
+    lo, width = int(run.symbols[0]), run.symbols.size
+    if int(run.symbols[-1]) - lo != width - 1:
+        raise ValueError("run must sit on consecutive symbols")
+    a, b = q.symbols.searchsorted((lo, lo + width)).tolist()
+    diff = np.empty(a + width + q.symbols.size - b)
+    diff[:a] = q.probs[:a]
+    diff[a:a + width] = run.probs
+    diff[q.symbols[a:b] + (a - lo)] -= q.probs[a:b]
+    diff[a + width:] = q.probs[b:]
+    return 0.5 * float(np.abs(diff, out=diff).sum())
+
+
+def _positions_within(symbols: np.ndarray, q: Distribution) -> np.ndarray:
+    """Where each of ``symbols`` sits among q's sorted symbols; raises if q lacks one.
+
+    A symbol past q's last is placed at q's end, where ``take`` reads q's
+    last symbol back, so one comparison finds it too.
+    """
+    pos = q.symbols.searchsorted(symbols)
+    if (q.symbols.take(pos, mode="clip") != symbols).any():
+        raise ValueError("a support is not within the one it is compared with")
+    return pos
+
+
+def tv_within(p: Distribution, q: Distribution) -> float:
+    """``tv_distance(p, q)`` bit for bit, for p's symbols among q's.
+
+    Their union is q's support, so no union is sorted: q's probabilities
+    less p's at their places.  |a - b| equals |b - a|, so the array holds
+    the values ``tv_distance`` sums, in the same order.
+    """
+    diff = q.probs.copy()
+    diff[_positions_within(p.symbols, q)] -= p.probs
+    return 0.5 * float(np.abs(diff, out=diff).sum())
+
+
+def _stack(ps: Sequence[Distribution]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The atoms of ``ps`` laid back to back: their symbols, their probabilities, their rows."""
+    return (np.concatenate([p.symbols for p in ps]), np.concatenate([p.probs for p in ps]),
+            np.repeat(np.arange(len(ps)), [p.symbols.size for p in ps]))
+
+
+def _stacked_tvs(symbols: np.ndarray, probs: np.ndarray, rows: np.ndarray, n: int,
+                 q: Distribution) -> np.ndarray:
+    """``tv_within`` of n distributions whose atoms lie back to back, atom i on row ``rows[i]``.
+
+    Each row of an n x |supp q| matrix starts as q's probabilities, and one
+    scatter subtracts every atom.  A C-contiguous row sums as a 1-D array
+    does, so each value is the same bits.
+    """
+    diff = np.empty((n, q.symbols.size))
+    diff[:] = q.probs
+    diff[rows, _positions_within(symbols, q)] -= probs
+    return 0.5 * np.abs(diff, out=diff).sum(axis=1)
+
+
+class RowStack:
+    """Distributions, the rows, whose TVs are taken to distributions holding their symbols.
+
+    ``tvs(q)`` is ``tv_within(row, q)`` for every row, bit for bit, from a
+    rows x |supp q| matrix built a chunk of rows at a time (``row_slices``),
+    each chunk from one ``searchsorted`` and one scatter of its rows' atoms
+    laid back to back; a chunk of one row takes that row's own arrays.  A
+    symbol of some row that q lacks raises.  While the matrix fits one
+    chunk, the atoms come from a stack that ``append`` extends by one row's,
+    so a q costs one search however many rows there are.  The first q too
+    wide for that drops the stack: the walk's candidates only widen, and
+    appending on the wide side would only copy.
+    """
+
+    def __init__(self, rows: Sequence[Distribution]):
+        self.rows = list(rows)
+        self._stack = _stack(self.rows)
+
+    def append(self, p: Distribution) -> None:
+        if self._stack is not None:
+            symbols, probs, rows = self._stack
+            self._stack = (np.concatenate((symbols, p.symbols)), np.concatenate((probs, p.probs)),
+                           np.concatenate((rows, np.full(p.symbols.size, len(self.rows)))))
+        self.rows.append(p)
+
+    def tvs(self, q: Distribution) -> list[float]:
+        n = len(self.rows)
+        if self._stack is not None and n * q.symbols.size <= CHUNK_ELEMENTS:
+            return _stacked_tvs(*self._stack, n, q).tolist()
+        self._stack = None
+        gaps = np.empty(n)
+        for part in row_slices(n, q.symbols.size):
+            chunk = self.rows[part]
+            gaps[part] = (tv_within(chunk[0], q) if len(chunk) == 1
+                          else _stacked_tvs(*_stack(chunk), len(chunk), q))
+        return gaps.tolist()
 
 
 def rows_tv(starts: np.ndarray, probs: np.ndarray, q: Pmf) -> np.ndarray:

@@ -258,7 +258,7 @@ def _zipf_atoms(s: float, near: int = 1) -> int:
         while tail_too_heavy(hi := min(near + step, _ZIPF_MAX_ATOMS)):
             if hi == _ZIPF_MAX_ATOMS:
                 raise ValueError(
-                    f"zipf exponent {s} needs more than {_MAX_TRUNCATED_SUPPORT} atoms "
+                    f"zipf exponent {s} needs more than {_ZIPF_MAX_ATOMS} atoms "
                     f"to reach tail mass {TAIL_TOL}; use a larger exponent")
             lo, step = hi, 2 * step
     else:
@@ -645,11 +645,34 @@ def _trial_rng(scenario: DriftScenario, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Index of the atom each uniform draw in ``u`` falls on, one ``searchsorted`` call."""
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The CDF the draws are inverted on: the cumulative sum, its last entry set to 1.0."""
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    return np.minimum(np.searchsorted(cdf, u, side="right"), probs.size - 1)
+    return cdf
+
+
+def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the atom each uniform draw in ``u`` falls on, one ``searchsorted`` call."""
+    return np.minimum(np.searchsorted(_cdf(probs), u, side="right"), probs.size - 1)
+
+
+def _uniform_ranks(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_inverse_cdf(probs, u)`` for k equal ``probs``, without a search for most draws.
+
+    Each draw's rank is guessed as g = floor(u k) and kept where
+    cdf[g - 1] <= u < cdf[g], with 0 before the first entry.  The entries
+    above a draw below 1.0 are a suffix of the CDF, so such a g is the
+    count of entries at or below u, which ``searchsorted(side="right")``
+    returns.  Only the draws whose guess fails are searched.
+    """
+    cdf = _cdf(probs)
+    # a guess of k, which u k may round up to, fails against the 1.0 at edges[k]
+    edges = np.concatenate(([0.0], cdf, [1.0]))
+    guess = (u * probs.size).astype(np.int64)
+    miss = np.flatnonzero((edges[guess] > u) | (u >= edges[guess + 1]))
+    guess[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return guess
 
 
 # atoms of each row's CDF that every draw searches first
@@ -705,12 +728,15 @@ def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
         block = 1 + np.minimum(offset, k - 1).astype(np.int64)
         return np.where(u < alpha, 0, block).astype(np.int64)
     truth = segments(scenario)
-    if truth.widths.size == 1 or scenario.kind in ("iid", "abrupt", "rotating_support"):
-        # every row has row 0's probabilities, so a step's sample is its
-        # row's first symbol plus a rank shared by all
-        return (_inverse_cdf(truth.row_probs(0), u)
-                + np.repeat(truth.starts[truth.rows], truth.counts))
-    return _sample_rows(truth, u)
+    # every row has row 0's probabilities, so a step's sample is its row's
+    # first symbol plus a rank read from one CDF
+    if scenario.kind in ("iid", "abrupt", "rotating_support"):
+        ranks = _uniform_ranks(truth.row_probs(0), u)
+    elif truth.widths.size == 1:
+        ranks = _inverse_cdf(truth.row_probs(0), u)
+    else:
+        return _sample_rows(truth, u)
+    return ranks + np.repeat(truth.starts[truth.rows], truth.counts)
 
 
 # --- scenario config text format ------------------------------------------

@@ -27,7 +27,7 @@ from . import driftgen
 from .adaptive import (adaptive_estimate, argmin_prefer_large, q_curve,
                        realized_error_curve, walk_ladder)
 from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity, phi_empirical,
-                   tv_distance, tvs_within)
+                   run_tv, tv_distance, tv_within)
 from .driftgen import DriftScenario, Truth, linear_drift, sample_stream, segments
 from .windows import build_ladder, check_delta, concentration_radius, ladder_phis, ladder_xis
 
@@ -143,12 +143,13 @@ def _window_gaps(ladder, truth: Truth) -> tuple[Callable[[int], float],
                                                  Callable[[int], float]]:
     """Window j's TV to the current pmf, and to its own window average, each taken once.
 
-    Both are computed on first read and kept for the ladder's trial only.
-    A window's samples were drawn from the steps its average mixes, so its
-    symbols are among the average's (``tvs_within``).
+    Both are computed on first read and kept for the ladder's trial only,
+    and neither sorts a union: the current pmf sits on consecutive symbols
+    (``run_tv``), and a window's samples were drawn from the steps its
+    average mixes, so its symbols are among the average's (``tv_within``).
     """
-    return (cache(lambda j: tv_distance(truth.current, ladder[j])),
-            cache(lambda j: tvs_within([ladder[j]], truth.window_averages[j])[0]))
+    return (cache(lambda j: run_tv(truth.current, ladder[j])),
+            cache(lambda j: tv_within(ladder[j], truth.window_averages[j])))
 
 
 def _prop3_held(phis, delta: float, truth: Truth,
@@ -285,7 +286,7 @@ def _trial_pass(scenario: DriftScenario, delta: float | None, r: int | None,
     stream = sample_stream(scenario, trial)
     if suites == {"prop2"}:
         window = EmpiricalWindow(stream[-r:])
-        gap = tvs_within([window], truth.window_averages[r.bit_length() - 1])[0]
+        gap = tv_within(window, truth.window_averages[r.bit_length() - 1])
         return {"prop2": _prop2_failures(r, phi_empirical(window), gap, delta, truth)}
     ladder = build_ladder(stream)
     to_current, to_average = _window_gaps(ladder, truth)
@@ -352,7 +353,7 @@ def _prop1_report(scenario: DriftScenario, rows: list[list[float]], tol: float) 
     truth = segments(scenario)
     return _suite_report("prop1", {
         "decomposition": list(chain.from_iterable(rows)),
-        "averaging": [tv_distance(average, truth.current) - drift for average, drift
+        "averaging": [run_tv(truth.current, average) - drift for average, drift
                       in zip(truth.window_averages, truth.window_deltas)],
     }, tol)
 
@@ -538,7 +539,7 @@ def scaling_horizon(k: int, step_delta: float) -> int:
 
 def _scaling_error(scenario: DriftScenario, delta: float, trial: int) -> float:
     result = adaptive_estimate(sample_stream(scenario, trial), delta)
-    return tv_distance(segments(scenario).current, result.estimate)
+    return run_tv(segments(scenario).current, result.estimate)
 
 
 def scaling_experiment(k: int, deltas: Sequence[float], trials: int,

@@ -150,7 +150,7 @@ def zipf_atoms(s):
         lo, hi = hi, hi * 2
         if hi > _MAX_TRUNCATED_SUPPORT:
             raise ValueError(
-                f"zipf exponent {s} needs more than {_MAX_TRUNCATED_SUPPORT} atoms "
+                f"zipf exponent {s} needs more than {lo} atoms "
                 f"to reach tail mass {TAIL_TOL}; use a larger exponent")
     while lo < hi:
         mid = (lo + hi) // 2

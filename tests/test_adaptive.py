@@ -13,7 +13,7 @@ from driftest.adaptive import (argmin_prefer_large, drift_sequence, q_curve,
                                realized_error_curve, walk_ladder)
 from driftest.driftgen import (abrupt, geometric_drift, iid, linear_drift,
                                rotating_support, sample_stream, segments, zipf_drift)
-from driftest.harness import random_pmf
+from driftest.harness import default_families, random_pmf
 from driftest.windows import build_ladder, ladder_phis, ladder_xis
 import reference as ref
 from reference import brute_force_error_curve, columnar, error_curve_by_codes
@@ -103,7 +103,8 @@ def _json_text(result):
 
 
 # candidate supports under 8, 8-128 and over 128 symbols (the regimes of
-# numpy's pairwise sum), a stream whose stop test fires, and distinct samples
+# numpy's pairwise sum), a stream whose stop test fires, and distinct
+# samples, 2^16 of them wide enough that the walk chunks its candidates
 WALK_STREAMS = {
     "narrow": lambda rng: rng.integers(0, 6, size=5000),
     "medium": lambda rng: rng.integers(0, 100, size=6000),
@@ -111,6 +112,7 @@ WALK_STREAMS = {
     "stops": lambda rng: sample_stream(abrupt(k=10, change_point=8192, t=32768, seed=7), 0),
     "drift": lambda rng: sample_stream(linear_drift(k=300, step_delta=1e-4, t=9000, seed=3), 1),
     "distinct": lambda rng: rng.permutation(3000),
+    "permutation": lambda rng: rng.permutation(2**16),
 }
 WIDEST_CANDIDATE = {"narrow": (1, 7), "medium": (8, 128), "wide": (129, math.inf),
                     "distinct": (129, math.inf)}
@@ -126,6 +128,27 @@ def test_walk_equals_the_per_pair_walk(name):
     widest = max(build_ladder(stream)[c.j].symbols.size for c in got.comparisons)
     lo, hi = WIDEST_CANDIDATE.get(name, (1, math.inf))
     assert lo <= widest <= hi
+
+
+# the scenarios of the golden files, with the verify families
+GOLDEN_WALKS = [
+    rotating_support(k=8, period=1, t=8192, seed=0), geometric_drift(0.3, 0.45, t=512, seed=0),
+    zipf_drift(5.0, 4.5, t=512, seed=0), linear_drift(k=10, step_delta=1e-2, t=512, seed=0),
+    linear_drift(k=10, step_delta=1e-3, t=1024, seed=0),
+    abrupt(k=10, change_point=8192, t=32768, seed=7), *default_families(0),
+]
+
+
+@pytest.mark.parametrize("scenario", GOLDEN_WALKS,
+                         ids=lambda s: f"{s.kind}-t{s.t}-seed{s.seed}")
+def test_walk_of_a_ladder_equals_the_per_pair_walk(scenario):
+    for trial in range(3):
+        ladder = build_ladder(sample_stream(scenario, trial))
+        phis = ladder_phis(ladder)
+        got = walk_ladder(ladder, phis, ladder_xis(phis, 0.05))
+        want = ref.walk_ladder(ladder, ref.ladder_xis(ladder, 0.05))
+        assert (got.accepted, got.stop, got.comparisons) == (
+            want.accepted, want.stop, want.comparisons)
 
 
 def test_walk_and_json_in_small_chunks(monkeypatch):

@@ -15,8 +15,8 @@ from driftest import dist
 from driftest.dist import (EmpiricalWindow, Pmf, _sorted_atoms, half_norm,
                            lambda_complexity, phi_empirical, sorted_union,
                            tv_distance)
-from driftest.driftgen import Truth
-from driftest.harness import random_pmf
+from driftest.driftgen import Truth, sample_stream, segments
+from driftest.harness import default_families, random_pmf
 from driftest.windows import build_ladder
 from reference import mean_pmf, sorted_atoms
 
@@ -506,14 +506,14 @@ def test_tvs_within_equals_tv_distance_bit_for_bit(monkeypatch):
         ladder = build_ladder(rng.integers(0, k, size=t))
         q = ladder[-1]
         want = [tv_distance(w, q) for w in ladder]
-        assert dist.tvs_within(list(ladder), q) == want
+        assert dist.RowStack(ladder).tvs(q) == want
         wider = Pmf(np.arange(k + 3), rng.dirichlet(np.ones(k + 3)))
-        assert dist.tvs_within(list(ladder), wider) == [tv_distance(w, wider) for w in ladder]
+        assert dist.RowStack(ladder).tvs(wider) == [tv_distance(w, wider) for w in ladder]
         # several chunks of rows, and one row per chunk when a row is wider
         monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 2 * q.symbols.size)
-        assert dist.tvs_within(list(ladder), q) == want
+        assert dist.RowStack(ladder).tvs(q) == want
         monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 1)
-        assert dist.tvs_within(list(ladder), q) == want
+        assert dist.RowStack(ladder).tvs(q) == want
         monkeypatch.undo()
 
 
@@ -524,4 +524,71 @@ def test_tvs_within_equals_tv_distance_bit_for_bit(monkeypatch):
 ])
 def test_tvs_within_rejects_a_symbol_q_lacks(p, q):
     with pytest.raises(ValueError, match="not within"):
-        dist.tvs_within([EmpiricalWindow([1]), EmpiricalWindow(p)], EmpiricalWindow(q))
+        dist.RowStack([EmpiricalWindow([1]), EmpiricalWindow(p)]).tvs(EmpiricalWindow(q))
+
+
+def _run_tv_cases(rng, lo, width):
+    """Supports below, inside, above and straddling [lo, lo + width), and apart from it."""
+    hi = lo + width
+    return {
+        "below": rng.choice(lo, size=min(lo, 12), replace=False),
+        "inside": lo + rng.choice(width, size=max(1, width // 2), replace=False),
+        "above": hi + rng.choice(40, size=9, replace=False),
+        "straddling": np.concatenate([[lo - 1, lo, hi - 1, hi], lo + np.arange(0, width, 3)]),
+        "around": np.concatenate([[0, lo - 2], hi + np.arange(1, 300, 7)]),
+        "one symbol inside": [lo + width // 2],
+    }
+
+
+@pytest.mark.parametrize("width", [1, 7, 60, 300])
+def test_run_tv_equals_tv_distance_bit_for_bit(width):
+    # widths across numpy's pairwise-sum regimes (under 8, 8-128, over 128)
+    rng = np.random.default_rng(31 + width)
+    lo = 100
+    run = Pmf(lo + np.arange(width), rng.dirichlet(np.ones(width)))
+    for name, symbols in _run_tv_cases(rng, lo, width).items():
+        symbols = np.unique(symbols)
+        q = Pmf(symbols, rng.dirichlet(np.ones(symbols.size)))
+        window = EmpiricalWindow(rng.choice(symbols, size=50))
+        for other in (q, window):
+            assert dist.run_tv(run, other) == tv_distance(run, other), name
+            assert dist.run_tv(run, other) == tv_distance(other, run), name
+
+
+def test_run_tv_needs_a_run_of_consecutive_symbols():
+    with pytest.raises(ValueError, match="consecutive"):
+        dist.run_tv(Pmf.from_dict({0: 0.5, 2: 0.5}), Pmf.point_mass(1))
+
+
+def test_run_tv_of_the_current_pmf_on_the_verify_ladders():
+    # the current pmf against every window of verify's ladders at 50 trials,
+    # and against every window average
+    for scenario in default_families(0):
+        truth = segments(scenario)
+        for trial in range(50):
+            for window in build_ladder(sample_stream(scenario, trial)):
+                assert dist.run_tv(truth.current, window) == tv_distance(truth.current, window)
+        for average in truth.window_averages:
+            assert dist.run_tv(truth.current, average) == tv_distance(average, truth.current)
+
+
+def test_row_stack_equals_tv_distance_per_row_across_chunks():
+    rng = np.random.default_rng(23)
+    q = EmpiricalWindow(rng.integers(0, 1000, size=20000))
+    rows = [EmpiricalWindow(rng.choice(q.symbols, size=n)) for n in rng.integers(1, 3000, 45)]
+    # a row alone, several rows in one chunk, and rows over several chunks
+    assert 5 * q.symbols.size <= dist.CHUNK_ELEMENTS < len(rows) * q.symbols.size
+    for ps in (rows[:1], rows[:5], rows):
+        assert dist.RowStack(ps).tvs(q) == [tv_distance(p, q) for p in ps]
+
+
+def test_row_stack_equals_tv_distance_as_the_rows_widen():
+    # the stack serves the narrow candidates, and chunks once a candidate is wide
+    ladder = build_ladder(np.random.default_rng(24).integers(0, 3000, size=20000))
+    assert len(ladder) * ladder[-1].symbols.size > dist.CHUNK_ELEMENTS
+    stack = dist.RowStack(ladder[:1])
+    for j in range(1, len(ladder)):
+        assert stack.tvs(ladder[j]) == [tv_distance(w, ladder[j]) for w in ladder[:j]]
+        stack.append(ladder[j])
+    with pytest.raises(ValueError, match="not within"):
+        dist.RowStack([EmpiricalWindow([4])]).tvs(EmpiricalWindow([5, 6]))

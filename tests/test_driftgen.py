@@ -247,6 +247,28 @@ def test_drift_curve_matches_per_step_reference(scenario):
     assert np.array_equal(segments(scenario).drift, want)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 10, 20, 1000, 10**5])
+def test_uniform_ranks_equal_the_cdf_search(k):
+    # draws at every CDF step, a float either side of it, and at each i/k
+    probs = np.full(k, 1.0 / k)
+    cdf = driftgen._cdf(probs)
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0), np.arange(k) / k,
+                        np.random.default_rng(k).random(4096)])
+    u = u[u < 1.0]
+    got = driftgen._uniform_ranks(probs, u)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, driftgen._inverse_cdf(probs, u))
+
+
+def test_zipf_refusal_names_the_count_cap():
+    # exponent 2.6 needs 19,955,797 atoms, within the truth bound but past
+    # the 2^24 atoms the count search goes to
+    with pytest.raises(ValueError, match="zipf exponent 2.6 needs more than 16777216 atoms"):
+        segments(zipf_drift(2.6, 2.6, t=8))
+    with pytest.raises(ValueError, match="needs more than 16777216 atoms"):
+        ref.zipf_atoms(2.6)
+
+
 def test_sample_stream_keeps_no_atom_copy():
     # every step of a zipf drift has its own pmf with thousands of atoms;
     # sampling must read them, not copy them or cache their CDFs
