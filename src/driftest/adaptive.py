@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,21 +63,30 @@ class StopReason:
 
 @dataclass(frozen=True, eq=False)
 class EstimateResult:
-    """Chosen window, its estimate, and the full decision trace."""
+    """Chosen window, its estimate, and the full decision trace.
+
+    ``compared`` holds the stop test's evaluations as four aligned lists:
+    accepted window l, candidate j, their TV and the threshold.
+    ``comparisons`` makes them ``Comparison`` records on first read.
+    """
 
     chosen_window: int
     estimate: Pmf
     accepted: tuple[CandidateRecord, ...]
     stop: StopReason
-    comparisons: tuple[Comparison, ...]
+    compared: tuple[list[int], list[int], list[float], list[float]]
+
+    @cached_property
+    def comparisons(self) -> tuple[Comparison, ...]:
+        return tuple(map(Comparison, *self.compared))
 
     def _trace_json_obj(self) -> dict:
         return {
             "accepted": [{"j": c.index, "r": c.size, "phi": c.phi, "xi": c.xi}
                          for c in self.accepted],
             "stop": self.stop.to_json_obj(),
-            "comparisons": [{"l": c.l, "j": c.j, "tv": c.tv, "threshold": c.threshold}
-                            for c in self.comparisons],
+            "comparisons": [{"l": l, "j": j, "tv": tv, "threshold": threshold}
+                            for l, j, tv, threshold in zip(*self.compared)],
         }
 
     def to_json_obj(self) -> dict:
@@ -115,26 +125,41 @@ def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
     samples, so candidate j's distances to all accepted windows are taken
     together on j's symbols: O(accepted * |supp j|), no union sorted, and
     for narrow candidates one search of the accepted windows' atoms, each
-    stacked once when its window is accepted (``RowStack``).
+    stacked once when its window is accepted (``RowStack``).  The stop test
+    takes the thresholds of all accepted windows at once and stops at the
+    first one met; the evaluations are kept as plain lists
+    (``EstimateResult.compared``).
     """
     accepted = [CandidateRecord(0, 1, phis[0], xis[0])]
+    indices = [0]  # of the accepted windows
+    triple_xis = np.empty(len(ladder))  # 3 xi of each accepted window
+    triple_xis[0] = 3.0 * xis[0]
     stack = RowStack(ladder[:1])  # the accepted windows
-    comparisons: list[Comparison] = []
+    ls: list[int] = []
+    js: list[int] = []
+    tvs: list[float] = []
+    thresholds: list[float] = []
     stop = StopReason("exhausted")
 
     for j in range(1, len(ladder)):
         if not xis[j] < accepted[-1].xi:
             continue
+        n = len(accepted)
         gaps = stack.tvs(ladder[j])
-        for cand, gap in zip(accepted, gaps):
-            threshold = 3.0 * cand.xi + xis[j]
-            comparisons.append(Comparison(cand.index, j, gap, threshold))
-            if gap >= threshold:
-                stop = StopReason("violation", j=j, l=cand.index)
-                break
-        if stop.kind == "violation":
+        bars = triple_xis[:n] + xis[j]
+        # the accepted windows are compared in order, up to the first that stops the walk
+        hits = (gaps >= bars).nonzero()[0]
+        compared = int(hits[0]) + 1 if hits.size else n
+        ls += indices[:compared]
+        js += [j] * compared
+        tvs += gaps[:compared].tolist()
+        thresholds += bars[:compared].tolist()
+        if hits.size:
+            stop = StopReason("violation", j=j, l=indices[compared - 1])
             break
         accepted.append(CandidateRecord(j, 2**j, phis[j], xis[j]))
+        indices.append(j)
+        triple_xis[n] = 3.0 * xis[j]
         stack.append(ladder[j])
 
     chosen = accepted[-1]
@@ -143,7 +168,7 @@ def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
         estimate=ladder[chosen.index].to_pmf(),
         accepted=tuple(accepted),
         stop=stop,
-        comparisons=tuple(comparisons),
+        compared=(ls, js, tvs, thresholds),
     )
 
 
@@ -159,13 +184,13 @@ def drift_sequence(truth) -> np.ndarray:
     """Drift-error sequence of a truth sequence, one value per window size.
 
     ``truth`` is a columnar ``driftgen.Truth``: run counts oldest first,
-    each run's row, and the distinct pmfs as row blocks.  Entry r-1 is the
-    largest total variation distance from the final distribution to any of
-    the r most recent ones; starts at 0 and never decreases.  Each distinct
-    pmf is measured once, a block of them at a time (``rows_tv``).
+    each run's row, and the distinct pmfs as rows on consecutive symbols.
+    Entry r-1 is the largest total variation distance from the final
+    distribution to any of the r most recent ones; starts at 0 and never
+    decreases.  Each distinct pmf is measured once, all rows that share a
+    layout against the final one at a time (``rows_tv``).
     """
-    gaps = np.concatenate([rows_tv(starts, probs, truth.current)
-                           for starts, probs in truth.blocks])
+    gaps = rows_tv(truth.starts, truth.widths, truth.probs, truth.current)
     return np.maximum.accumulate(np.repeat(gaps[truth.rows[::-1]], truth.counts[::-1]))
 
 

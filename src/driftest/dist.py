@@ -10,8 +10,13 @@ its layout in advance and sort nothing, yet sum the same values in the
 same order, so each gives ``tv_distance``'s bits: ``run_tv`` when one side
 sits on consecutive symbols (a truth's current pmf), ``tv_within`` for a
 pair and ``RowStack`` for many rows when one side's symbols are among the
-other's (a window and its average, nested windows), and ``rows_tv`` for
-rows and a pmf all on consecutive symbols (the drift curve).
+other's (a window and its average, nested windows), ``block_tvs`` and
+``block_run_tvs`` for those two cases over rows of atoms laid back to back
+(a block of trials' windows of one size), and ``rows_tv`` for rows and a
+pmf all on consecutive symbols (the drift curve).  A row's sum is always
+one sum over one contiguous row holding exactly those values: a
+C-contiguous row of a 2-D array sums as the 1-D array does, and rows of
+unequal length are summed apart (``row_sums``), never padded.
 """
 
 from __future__ import annotations
@@ -115,6 +120,28 @@ def sorted_union(*arrays: np.ndarray) -> np.ndarray:
     return merged[keep]
 
 
+def sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of each row of a 2-D array of sorted rows, and their counts.
+
+    One run-length pass over all rows: the rows' runs lie back to back, row
+    i's at ``bounds[i]:bounds[i + 1]``.  Values and counts are those of
+    ``np.unique(row, return_counts=True)``, with the same dtypes, without
+    its wrapper.
+    """
+    width = rows.shape[1]
+    flat = rows.ravel()
+    first = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first[::width] = True  # every row opens a run
+    starts = first.nonzero()[0]
+    del first
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = flat.size - starts[-1]
+    bounds = starts.searchsorted(np.arange(0, flat.size + 1, width))
+    return flat[starts], counts, bounds
+
+
 @dataclass(frozen=True, eq=False)
 class Pmf:
     """Exact probability mass function over nonnegative integer symbols.
@@ -207,10 +234,12 @@ def row_slices(rows: int, width: int) -> Iterator[slice]:
 class EmpiricalWindow:
     """Symbol counts of a run of samples, such as a stream's most recent ones.
 
-    Built from the samples alone: one ``np.unique`` gives the sorted
-    symbols and their counts, and the samples are checked as ``as_stream``
-    checks them, with the same errors, but with no pass of their own: the
-    lowest sample is the first symbol.  Immutable, with read-only arrays.
+    Built from the samples alone: one sort and one run-length pass
+    (``sorted_runs``) give the sorted symbols and their counts, and the
+    samples are checked as ``as_stream`` checks them, with the same errors,
+    but with no pass of their own: the lowest sample is the first symbol.
+    Immutable, with read-only arrays.  ``windows.LadderBlock`` builds the
+    windows of many streams at once and hands each its runs (``of_runs``).
     """
 
     symbols: np.ndarray
@@ -220,15 +249,26 @@ class EmpiricalWindow:
 
     def __init__(self, samples):
         arr = _stream_array(samples)
-        symbols, counts = np.unique(arr, return_counts=True)
+        symbols, counts, _ = sorted_runs(np.sort(arr)[None])
         if symbols[0] < 0:
             raise ValueError(_NEGATIVE_SAMPLES)
         probs = counts / float(arr.size)
         for array in (symbols, counts, probs):
             array.setflags(write=False)
+        self._set(symbols, counts, int(arr.size), probs)
+
+    def _set(self, symbols, counts, size, probs) -> None:
         for name, value in (("symbols", symbols), ("counts", counts),
-                            ("size", int(arr.size)), ("probs", probs)):
+                            ("size", size), ("probs", probs)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def of_runs(cls, symbols: np.ndarray, counts: np.ndarray, size: int,
+                probs: np.ndarray) -> "EmpiricalWindow":
+        """The window of ``size`` samples whose sorted runs are given, read-only, with their probs."""
+        window = cls.__new__(cls)
+        window._set(symbols, counts, size, probs)
+        return window
 
     def to_pmf(self) -> Pmf:
         return Pmf(self.symbols, self.probs)
@@ -246,6 +286,14 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.sum(np.abs(diff)))
 
 
+def _run_range(run: Pmf) -> tuple[int, int]:
+    """The first symbol and width of a pmf on consecutive symbols; raises for any other."""
+    lo, width = int(run.symbols[0]), run.symbols.size
+    if int(run.symbols[-1]) - lo != width - 1:
+        raise ValueError("run must sit on consecutive symbols")
+    return lo, width
+
+
 def run_tv(run: Pmf, q: Distribution) -> float:
     """``tv_distance(run, q)`` bit for bit, for a pmf ``run`` on consecutive symbols [lo, hi).
 
@@ -255,26 +303,29 @@ def run_tv(run: Pmf, q: Distribution) -> float:
     order (|a - b| equals |b - a|), so the sum is the same bits.  A truth's
     current pmf is such a run, since a truth row has no zero atom.
     """
-    lo, width = int(run.symbols[0]), run.symbols.size
-    if int(run.symbols[-1]) - lo != width - 1:
-        raise ValueError("run must sit on consecutive symbols")
-    a, b = q.symbols.searchsorted((lo, lo + width)).tolist()
-    diff = np.empty(a + width + q.symbols.size - b)
-    diff[:a] = q.probs[:a]
+    return _run_tv(run, q.symbols, q.probs)
+
+
+def _run_tv(run: Pmf, symbols: np.ndarray, probs: np.ndarray) -> float:
+    """``run_tv`` against the atoms (symbols, probs) of a distribution."""
+    lo, width = _run_range(run)
+    a, b = symbols.searchsorted((lo, lo + width)).tolist()
+    diff = np.empty(a + width + symbols.size - b)
+    diff[:a] = probs[:a]
     diff[a:a + width] = run.probs
-    diff[q.symbols[a:b] + (a - lo)] -= q.probs[a:b]
-    diff[a + width:] = q.probs[b:]
+    diff[symbols[a:b] + (a - lo)] -= probs[a:b]
+    diff[a + width:] = probs[b:]
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
-def _positions_within(symbols: np.ndarray, q: Distribution) -> np.ndarray:
-    """Where each of ``symbols`` sits among q's sorted symbols; raises if q lacks one.
+def _positions_within(symbols: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Where each of ``symbols`` sits in the sorted ``support``; raises if it lacks one.
 
-    A symbol past q's last is placed at q's end, where ``take`` reads q's
-    last symbol back, so one comparison finds it too.
+    A symbol past the support's last is placed at its end, where ``take``
+    reads the last symbol back, so one comparison finds it too.
     """
-    pos = q.symbols.searchsorted(symbols)
-    if (q.symbols.take(pos, mode="clip") != symbols).any():
+    pos = support.searchsorted(symbols)
+    if (support.take(pos, mode="clip") != symbols).any():
         raise ValueError("a support is not within the one it is compared with")
     return pos
 
@@ -286,8 +337,13 @@ def tv_within(p: Distribution, q: Distribution) -> float:
     less p's at their places.  |a - b| equals |b - a|, so the array holds
     the values ``tv_distance`` sums, in the same order.
     """
+    return _tv_within(p.symbols, p.probs, q)
+
+
+def _tv_within(symbols: np.ndarray, probs: np.ndarray, q: Distribution) -> float:
+    """``tv_within`` of the atoms (symbols, probs) of a distribution."""
     diff = q.probs.copy()
-    diff[_positions_within(p.symbols, q)] -= p.probs
+    diff[_positions_within(symbols, q.symbols)] -= probs
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
@@ -307,8 +363,12 @@ def _stacked_tvs(symbols: np.ndarray, probs: np.ndarray, rows: np.ndarray, n: in
     """
     diff = np.empty((n, q.symbols.size))
     diff[:] = q.probs
-    diff[rows, _positions_within(symbols, q)] -= probs
+    diff[rows, _positions_within(symbols, q.symbols)] -= probs
     return 0.5 * np.abs(diff, out=diff).sum(axis=1)
+
+
+# atoms a full RowStack stack grows by beyond what it must hold
+_STACK_SLACK = 256
 
 
 class RowStack:
@@ -320,65 +380,162 @@ class RowStack:
     laid back to back; a chunk of one row takes that row's own arrays.  A
     symbol of some row that q lacks raises.  While the matrix fits one
     chunk, the atoms come from a stack that ``append`` extends by one row's,
-    so a q costs one search however many rows there are.  The first q too
-    wide for that drops the stack: the walk's candidates only widen, and
-    appending on the wide side would only copy.
+    so a q costs one search however many rows there are.  A full stack
+    grows to ``_STACK_SLACK`` atoms more than it must hold: a walk over
+    small supports allocates it once or twice, and one over large supports
+    holds little more than its atoms.  The first q too wide for that drops the stack: the walk's
+    candidates only widen, and appending on the wide side would only copy.
     """
 
     def __init__(self, rows: Sequence[Distribution]):
         self.rows = list(rows)
         self._stack = _stack(self.rows)
+        self._atoms = self._stack[0].size
 
     def append(self, p: Distribution) -> None:
         if self._stack is not None:
+            atoms = self._atoms + p.symbols.size
+            if atoms > self._stack[0].size:
+                grown = tuple(np.empty(atoms + _STACK_SLACK, dtype=a.dtype) for a in self._stack)
+                for new, old in zip(grown, self._stack):
+                    new[:self._atoms] = old[:self._atoms]
+                self._stack = grown
             symbols, probs, rows = self._stack
-            self._stack = (np.concatenate((symbols, p.symbols)), np.concatenate((probs, p.probs)),
-                           np.concatenate((rows, np.full(p.symbols.size, len(self.rows)))))
+            symbols[self._atoms:atoms] = p.symbols
+            probs[self._atoms:atoms] = p.probs
+            rows[self._atoms:atoms] = len(self.rows)
+            self._atoms = atoms
         self.rows.append(p)
 
-    def tvs(self, q: Distribution) -> list[float]:
+    def tvs(self, q: Distribution) -> np.ndarray:
         n = len(self.rows)
         if self._stack is not None and n * q.symbols.size <= CHUNK_ELEMENTS:
-            return _stacked_tvs(*self._stack, n, q).tolist()
+            symbols, probs, rows = self._stack
+            atoms = self._atoms
+            return _stacked_tvs(symbols[:atoms], probs[:atoms], rows[:atoms], n, q)
         self._stack = None
         gaps = np.empty(n)
         for part in row_slices(n, q.symbols.size):
             chunk = self.rows[part]
             gaps[part] = (tv_within(chunk[0], q) if len(chunk) == 1
                           else _stacked_tvs(*_stack(chunk), len(chunk), q))
-        return gaps.tolist()
+        return gaps
 
 
-def rows_tv(starts: np.ndarray, probs: np.ndarray, q: Pmf) -> np.ndarray:
-    """``tv_distance(q, row)`` for every row of a block, bit for bit.
+def row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[bounds[i]:bounds[i + 1]].sum()`` for every i, bit for bit.
 
-    Row i of the 2-D ``probs`` puts ``probs[i, m]`` on symbol
-    ``starts[i] + m``; q must sit on consecutive symbols too.  Row and q are
+    The rows of one length are gathered into one C-contiguous matrix and
+    summed along its rows, each as its 1-D slice sums.  No row is padded:
+    a zero would move values between numpy's eight partial sums.
+    """
+    if bounds.size == 2:
+        return np.array([values[bounds[0]:bounds[1]].sum()])
+    lengths = bounds[1:] - bounds[:-1]
+    distinct = set(lengths.tolist())
+    if len(distinct) == 1:  # the rows already lie as one matrix
+        return values[bounds[0]:bounds[-1]].reshape(lengths.size, distinct.pop()).sum(axis=1)
+    sums = np.empty(lengths.size)
+    for n in distinct:
+        rows = (lengths == n).nonzero()[0]
+        sums[rows] = values[bounds[rows, None] + np.arange(n)].sum(axis=1)
+    return sums
+
+
+def _chunk_rows(bounds: np.ndarray, part: slice) -> np.ndarray:
+    """The row, counted from the chunk's first, of each atom of the rows in ``part``."""
+    return np.arange(part.stop - part.start).repeat(
+        bounds[part.start + 1:part.stop + 1] - bounds[part.start:part.stop])
+
+
+def block_tvs(symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
+              q: Distribution) -> np.ndarray:
+    """``tv_within(row, q)`` for rows whose atoms lie back to back, row i's at bounds[i]:bounds[i+1].
+
+    One matrix (``_stacked_tvs``) per chunk of rows (``row_slices``), and a
+    chunk of one row on its own atoms; a symbol q lacks raises.
+    """
+    if bounds.size == 2:
+        return np.array([_tv_within(symbols, probs, q)])
+    n = bounds.size - 1
+    gaps = np.empty(n)
+    for part in row_slices(n, q.symbols.size):
+        a, b = bounds[part.start], bounds[part.stop]
+        k = part.stop - part.start
+        gaps[part] = (_tv_within(symbols[a:b], probs[a:b], q) if k == 1 else
+                      _stacked_tvs(symbols[a:b], probs[a:b], _chunk_rows(bounds, part), k, q))
+    return gaps
+
+
+def block_run_tvs(run: Pmf, symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
+                  within: Distribution) -> np.ndarray:
+    """``run_tv(run, row)`` for rows laid out as in ``block_tvs``, each row's symbols among ``within``'s.
+
+    A chunk of rows shares one layout, the union of ``within``'s symbols and
+    the run's: a matrix starts as the run's probabilities there, and one
+    scatter subtracts every atom.  Each row then keeps only the places of
+    its own symbols and the run's, in order, which are the values
+    ``run_tv`` sums, and is summed alone or with the rows of its kept
+    length (``row_sums``).  A single row is ``run_tv`` on its atoms.
+    """
+    if bounds.size == 2:
+        return np.array([_run_tv(run, symbols, probs)])
+    lo, width = _run_range(run)
+    union = sorted_union(within.symbols, run.symbols)
+    at = int(union.searchsorted(lo))
+    start = np.zeros(union.size)
+    start[at:at + width] = run.probs
+    in_run = np.zeros(union.size, dtype=bool)
+    in_run[at:at + width] = True
+    n = bounds.size - 1
+    gaps = np.empty(n)
+    for part in row_slices(n, union.size):
+        a, b = bounds[part.start], bounds[part.stop]
+        k = part.stop - part.start
+        rows, cols = _chunk_rows(bounds, part), _positions_within(symbols[a:b], union)
+        diff = np.empty((k, union.size))
+        diff[:] = start
+        diff[rows, cols] -= probs[a:b]
+        keep = np.empty((k, union.size), dtype=bool)
+        keep[:] = in_run
+        keep[rows, cols] = True
+        ends = np.cumsum(np.count_nonzero(keep, axis=1))
+        gaps[part] = 0.5 * row_sums(np.abs(diff[keep]), np.concatenate(([0], ends)))
+    return gaps
+
+
+def rows_tv(starts: np.ndarray, widths: np.ndarray, probs: np.ndarray, q: Pmf) -> np.ndarray:
+    """``tv_distance(q, row)`` for every row, bit for bit.
+
+    Row i puts its ``widths[i]`` probabilities, which follow the rows
+    before it in the flat ``probs``, on the consecutive symbols from
+    ``starts[i]``; q must sit on consecutive symbols too.  Row and q are
     laid out on their sorted union, as ``tv_distance`` lays them out, so
     each row's sum runs over the same values in the same order.  The layout
-    depends only on where the row starts against q, so rows that start
-    alike are summed together, one ``np.sum(axis=1)`` per chunk.
+    is where the row starts against q and the union's width, so the rows
+    that share one, whatever their own widths, are summed together, one
+    ``np.sum(axis=1)`` per chunk.
     """
-    n, m = probs.shape[1], q.symbols.size
-    q_lo = int(q.symbols[0])
-    if int(q.symbols[-1]) - q_lo != m - 1:
-        raise ValueError("q must sit on consecutive symbols")
-    # offset of each row's first symbol from q's; past either end, row and q are apart
-    offsets, which = np.unique(np.clip(starts - q_lo, -n - 1, m + 1), return_inverse=True)
-    gaps = np.empty(which.size)
-    for k, d in enumerate(offsets.tolist()):
-        if d == -n - 1:
-            width, row_at, q_at = n + m, 0, n
-        elif d == m + 1:
-            width, row_at, q_at = n + m, m, 0
-        else:  # overlapping or adjacent: the union is one run of symbols
-            lo = min(d, 0)
-            width, row_at, q_at = max(d + n, m) - lo, d - lo, -lo
+    m = q.symbols.size
+    q_lo, _ = _run_range(q)
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    # a row past either end of q is laid out as a row adjacent to it
+    d = np.clip(starts - q_lo, -widths, m)
+    union = np.maximum(d + widths, m) - np.minimum(d, 0)
+    layouts, which = np.unique((d + int(widths.max())) * (int(union.max()) + 1) + union,
+                               return_inverse=True)
+    gaps = np.empty(starts.size)
+    for k in range(layouts.size):
         rows = np.flatnonzero(which == k)
+        first = rows[0]
+        row_at, q_at, width = max(int(d[first]), 0), max(-int(d[first]), 0), int(union[first])
         for part in row_slices(rows.size, width):
             chunk = rows[part]
+            n = widths[chunk]
+            within = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
             diff = np.zeros((chunk.size, width))
-            diff[:, row_at:row_at + n] = probs[chunk]
+            diff.ravel()[np.repeat(np.arange(chunk.size) * width + row_at, n) + within] = (
+                probs[np.repeat(offsets[chunk], n) + within])
             diff[:, q_at:q_at + m] -= q.probs
             gaps[chunk] = 0.5 * np.sum(np.abs(diff), axis=1)
     return gaps
@@ -409,6 +566,14 @@ def half_norm(p: Distribution) -> float:
     """Squared sum of root masses; lies in [1, support size]."""
     s = float(np.sum(np.sqrt(p.probs)))
     return s * s
+
+
+def block_phis(probs: np.ndarray, bounds: np.ndarray, size: int) -> np.ndarray:
+    """``phi_empirical`` of windows of ``size`` samples laid out as in ``block_tvs``, bit for bit.
+
+    Each is one sum over its own window's root probabilities (``row_sums``).
+    """
+    return row_sums(np.sqrt(probs), bounds) / math.sqrt(size)
 
 
 def phi_empirical(w: EmpiricalWindow) -> float:

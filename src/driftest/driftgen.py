@@ -664,14 +664,15 @@ def _uniform_ranks(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf[g - 1] <= u < cdf[g], with 0 before the first entry.  The entries
     above a draw below 1.0 are a suffix of the CDF, so such a g is the
     count of entries at or below u, which ``searchsorted(side="right")``
-    returns.  Only the draws whose guess fails are searched.
+    returns.  Only the draws whose guess fails are searched.  ``u`` may
+    have any shape.
     """
     cdf = _cdf(probs)
     # a guess of k, which u k may round up to, fails against the 1.0 at edges[k]
     edges = np.concatenate(([0.0], cdf, [1.0]))
     guess = (u * probs.size).astype(np.int64)
     miss = np.flatnonzero((edges[guess] > u) | (u >= edges[guess + 1]))
-    guess[miss] = np.searchsorted(cdf, u[miss], side="right")
+    guess.ravel()[miss] = np.searchsorted(cdf, u.ravel()[miss], side="right")
     return guess
 
 
@@ -680,53 +681,70 @@ _CDF_PREFIX = 32
 
 
 def _sample_rows(truth: Truth, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of each step's row, without building whole CDFs for most draws.
+    """Inverse CDF of each step's row for a block of draws, one trial per row of ``u``.
 
     Geometric and zipf mass sits in the first atoms, so every draw first
-    counts the exact first ``_CDF_PREFIX`` entries of its row's CDF at or
-    below it, padded with 1.0 past a shorter row's end.  Only a draw beyond
-    them builds its row's whole CDF, one row at a time.
+    counts the exact first ``_CDF_PREFIX`` entries of its step's row's CDF
+    at or below it, padded with 1.0 past a shorter row's end; each step's
+    prefix is built once for all the block's trials.  Only a draw beyond it
+    builds its row's whole CDF, one row at a time for all the draws that
+    need it.
     """
+    m, t = u.shape
     rows = np.repeat(truth.rows, truth.counts)
-    out = np.empty(u.size, dtype=np.int64)
+    out = np.empty(u.shape, dtype=np.int64)
     cols = np.arange(_CDF_PREFIX)
     beyond = []
-    for part in row_slices(u.size, _CDF_PREFIX):
-        row = rows[part]
+    for steps in row_slices(t, _CDF_PREFIX):
+        row = rows[steps]
         width = truth.widths[row][:, None]
         atom = np.minimum(truth.offsets[row][:, None] + cols, truth.probs.size - 1)
         cdf = np.cumsum(np.where(cols < width, truth.probs[atom], 0.0), axis=1)
         cdf[cols >= width - 1] = 1.0  # each row's last atom, and the padding past it
-        # each draw is below 1 and each row ends at 1.0, so the entries at or below a
-        # draw are a prefix of its row, and their count is searchsorted(side="right")
-        found = np.count_nonzero(cdf <= u[part, None], axis=1)
-        out[part] = truth.starts[row] + found
-        beyond.append(part.start + np.flatnonzero(found == _CDF_PREFIX))
+        first = truth.starts[row]
+        for trials in row_slices(m, cdf.size):
+            # each draw is below 1 and each row ends at 1.0, so the entries at or below
+            # a draw are a prefix of its row, and their count is searchsorted(side="right")
+            found = np.count_nonzero(cdf <= u[trials, steps, None], axis=2)
+            out[trials, steps] = first + found
+            trial, step = np.nonzero(found == _CDF_PREFIX)
+            beyond.append((trials.start + trial) * t + steps.start + step)
     beyond = np.concatenate(beyond)
-    for a, z in _stretches(rows[beyond]):  # the steps of one row are consecutive
-        steps, row = beyond[a:z], int(rows[beyond[a]])
-        out[steps] = truth.starts[row] + _inverse_cdf(truth.row_probs(row), u[steps])
+    # the steps of one row are consecutive, so after a stable sort by step so are its draws
+    beyond = beyond[np.argsort(beyond % t, kind="stable")]
+    flat_u, flat_out = u.ravel(), out.ravel()
+    for a, z in _stretches(rows[beyond % t]):
+        draws, row = beyond[a:z], int(rows[beyond[a] % t])
+        flat_out[draws] = truth.starts[row] + _inverse_cdf(truth.row_probs(row), flat_u[draws])
     return out
 
 
-def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
-    """Draw one sample per step, oldest first; reproducible from (seed, trial).
+def sample_streams(scenario: DriftScenario, lo: int, hi: int) -> np.ndarray:
+    """The streams of trials lo .. hi-1 as the rows of one block, each oldest sample first.
 
-    Inverse CDF over each step's sorted symbols: linear drift by a closed
-    form across all steps, the uniform kinds and a one-row truth by one CDF
-    for the whole stream, geometric and zipf by a count in each step's row.
+    Row i is ``sample_stream(scenario, lo + i)``, bit for bit: each trial
+    draws its uniforms from its own generator (``_trial_rng``), and every
+    inverse CDF acts draw by draw, so a block maps each trial's draws as
+    that trial alone maps them.
     """
-    rng = _trial_rng(scenario, trial)
-    u = rng.random(scenario.t)
+    u = np.empty((hi - lo, scenario.t))
+    for i, trial in enumerate(range(lo, hi)):
+        _trial_rng(scenario, trial).random(out=u[i])
     if scenario.kind == "linear_drift":
         # inverse CDF over sorted symbols [0, 1..k], vectorized across steps;
         # steps with a saturated source always emit symbol 0
+        # (in place, so that a block holds no more than two arrays of its size)
         alpha = _linear_alpha(scenario, np.arange(1, scenario.t + 1))
         k = scenario.k
-        block_mass = np.where(alpha < 1.0, 1.0 - alpha, 1.0)
-        offset = np.floor((u - alpha) / block_mass * k)
-        block = 1 + np.minimum(offset, k - 1).astype(np.int64)
-        return np.where(u < alpha, 0, block).astype(np.int64)
+        offset = u - alpha
+        offset /= np.where(alpha < 1.0, 1.0 - alpha, 1.0)  # the block's mass
+        offset *= k
+        np.floor(offset, out=offset)
+        np.minimum(offset, k - 1, out=offset)
+        block = offset.astype(np.int64)
+        block += 1
+        block[u < alpha] = 0
+        return block
     truth = segments(scenario)
     # every row has row 0's probabilities, so a step's sample is its row's
     # first symbol plus a rank read from one CDF
@@ -737,6 +755,17 @@ def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
     else:
         return _sample_rows(truth, u)
     return ranks + np.repeat(truth.starts[truth.rows], truth.counts)
+
+
+def sample_stream(scenario: DriftScenario, trial: int) -> np.ndarray:
+    """Draw one sample per step, oldest first; reproducible from (seed, trial).
+
+    Inverse CDF over each step's sorted symbols: linear drift by a closed
+    form across all steps, the uniform kinds and a one-row truth by one CDF
+    for the whole stream, geometric and zipf by a count in each step's row.
+    The one-row case of ``sample_streams``.
+    """
+    return sample_streams(scenario, trial, trial + 1)[0]
 
 
 # --- scenario config text format ------------------------------------------

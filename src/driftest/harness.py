@@ -8,8 +8,9 @@ the scaling study fits the error-vs-drift-rate exponent.
 
 Everything is deterministic given (scenario, seed, trials, delta): trials
 derive their generator state from the trial index alone.  Every suite
-supplies a per-trial function and aggregates the trial-ordered list that
-``_fan_out`` returns, so results do not depend on the worker count.
+supplies a function of a block of trials and aggregates the trial-ordered
+list that ``_fan_out`` returns; a block's values are each trial's own, bit
+for bit, so results depend on neither the worker count nor the blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
@@ -26,10 +27,10 @@ import numpy as np
 from . import driftgen
 from .adaptive import (adaptive_estimate, argmin_prefer_large, q_curve,
                        realized_error_curve, walk_ladder)
-from .dist import (EmpiricalWindow, Pmf, half_norm, lambda_complexity, phi_empirical,
-                   run_tv, tv_distance, tv_within)
-from .driftgen import DriftScenario, Truth, linear_drift, sample_stream, segments
-from .windows import build_ladder, check_delta, concentration_radius, ladder_phis, ladder_xis
+from .dist import (CHUNK_ELEMENTS, Pmf, block_phis, block_run_tvs, block_tvs, half_norm,
+                   lambda_complexity, run_tv, tv_distance)
+from .driftgen import DriftScenario, Truth, linear_drift, sample_streams, segments
+from .windows import LadderBlock, check_delta, concentration_radius, dyadic_depth
 
 CSV_HEADER = ("trial,scenario,T,delta,chosen_r,err_adaptive,err_oracle,"
               "r_oracle,err_full,err_last,q_star,r_star,prop3_held")
@@ -139,60 +140,99 @@ def default_families(seed: int = 0) -> list[DriftScenario]:
     ]
 
 
-def _window_gaps(ladder, truth: Truth) -> tuple[Callable[[int], float],
-                                                 Callable[[int], float]]:
-    """Window j's TV to the current pmf, and to its own window average, each taken once.
+def _block_size(scenario: DriftScenario) -> int:
+    """Trials per block: as many as hold at most ``CHUNK_ELEMENTS`` samples, and at least one."""
+    return max(1, CHUNK_ELEMENTS // scenario.t)
 
-    Both are computed on first read and kept for the ladder's trial only,
-    and neither sorts a union: the current pmf sits on consecutive symbols
-    (``run_tv``), and a window's samples were drawn from the steps its
-    average mixes, so its symbols are among the average's (``tv_within``).
+
+def _window_columns(ladders: LadderBlock, truth: Truth, current: bool,
+                    phis: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Each window's TV to its own window average, to the current pmf and its phi.
+
+    Rows are trials and columns ``ladders.js``; the TVs to the current pmf
+    and the phis are computed only when asked for.  A window's samples were
+    drawn from the steps its average mixes, so its symbols are among the
+    average's (``block_tvs``), and the current pmf sits on consecutive
+    symbols (``block_run_tvs``): no union of a window's is sorted.  The
+    sizes go largest first, so each size's temporaries meet only the
+    windows at least as large.
     """
-    return (cache(lambda j: run_tv(truth.current, ladder[j])),
-            cache(lambda j: tv_within(ladder[j], truth.window_averages[j])))
+    shape = (ladders.rows, len(ladders.js))
+    to_average = np.empty(shape)
+    to_current = np.empty(shape) if current else None
+    phi = np.empty(shape) if phis else None
+    for c in reversed(range(shape[1])):
+        symbols, _, bounds = ladders.runs(c)
+        probs = ladders.probs(c)
+        average = truth.window_averages[ladders.js[c]]
+        to_average[:, c] = block_tvs(symbols, probs, bounds, average)
+        if current:
+            to_current[:, c] = block_run_tvs(truth.current, symbols, probs, bounds, average)
+        if phis:
+            phi[:, c] = block_phis(probs, bounds, 2**ladders.js[c])
+    return to_average, to_current, phi
 
 
-def _prop3_held(phis, delta: float, truth: Truth,
-                to_average: Callable[[int], float]) -> tuple[bool, bool]:
-    """Whether each simultaneous inequality held for every dyadic window."""
-    emp_ok = True
-    true_ok = True
-    radii = concentration_radius(np.arange(len(phis)), delta)
-    for j, (phi, radius) in enumerate(zip(phis, radii.tolist())):
-        if to_average(j) > phi + radius:
-            emp_ok = False
-        if phi > 4.0 * truth.window_lambdas[j] + radius:
-            true_ok = False
-        if not (emp_ok or true_ok):
-            break
+def _prop3_held(phis: np.ndarray, radii: np.ndarray, truth: Truth,
+                to_average: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, whether each simultaneous inequality held for every dyadic window.
+
+    ``phis`` and ``to_average`` have a row per trial and a column per
+    window; ``radii`` are the windows' ``concentration_radius``.
+    """
+    emp_ok = ~(to_average > phis + radii).any(axis=1)
+    true_ok = ~(phis > 4.0 * np.array(truth.window_lambdas) + radii).any(axis=1)
     return emp_ok, true_ok
 
 
 # --- trial runs -------------------------------------------------------------
 
 
-def _trial_metrics(scenario: DriftScenario, delta: float, q_star: float,
-                   r_star: int, trial: int) -> TrialMetrics:
-    truth = segments(scenario)
-    stream = sample_stream(scenario, trial)
-    ladder = build_ladder(stream)
-    phis = ladder_phis(ladder)
-    result = walk_ladder(ladder, phis, ladder_xis(phis, delta))
-    errs = realized_error_curve(stream, truth.current)
+def _oracle_reads(stream: np.ndarray, current: Pmf) -> tuple:
+    """The oracle curve where a trial's metrics read it.
+
+    At every dyadic size, which the walk may choose, then the oracle window
+    and the curve there, at T and at 1.
+    """
+    errs = realized_error_curve(stream, current)
     r_oracle = argmin_prefer_large(errs) + 1
-    emp_ok, true_ok = _prop3_held(phis, delta, truth, _window_gaps(ladder, truth)[1])
-    return TrialMetrics(
-        trial=trial,
-        chosen_r=result.chosen_window,
-        err_adaptive=float(errs[result.chosen_window - 1]),
-        err_oracle=float(errs[r_oracle - 1]),
-        r_oracle=r_oracle,
-        err_full_window=float(errs[-1]),
-        err_last_sample=float(errs[0]),
-        q_star=q_star,
-        r_star=r_star,
-        prop3_held=emp_ok and true_ok,
-    )
+    at_dyadic = errs[(1 << np.arange(dyadic_depth(errs.size) + 1)) - 1].tolist()
+    return at_dyadic, r_oracle, float(errs[r_oracle - 1]), float(errs[-1]), float(errs[0])
+
+
+def _trial_metrics(scenario: DriftScenario, delta: float, q_star: float,
+                   r_star: int, lo: int, hi: int) -> list[TrialMetrics]:
+    """The metrics of trials lo .. hi-1, drawn and laddered as one block.
+
+    Each trial's oracle curve is read (``_oracle_reads``) before the
+    ladders are built, so that the streams are freed once they are sorted.
+    """
+    truth = segments(scenario)
+    streams = sample_streams(scenario, lo, hi)
+    oracles = [_oracle_reads(stream, truth.current) for stream in streams]
+    ladders = LadderBlock(streams)
+    del streams
+    to_average, _, phis = _window_columns(ladders, truth, current=False, phis=True)
+    radii = concentration_radius(np.arange(len(ladders.js)), delta)
+    xis = phis + radii
+    emp_ok, true_ok = _prop3_held(phis, radii, truth, to_average)
+    rows = []
+    for i, (trial, (at_dyadic, r_oracle, err_oracle, err_full, err_last)) in enumerate(
+            zip(range(lo, hi), oracles)):
+        result = walk_ladder(ladders.ladder(i), phis[i].tolist(), xis[i].tolist())
+        rows.append(TrialMetrics(
+            trial=trial,
+            chosen_r=result.chosen_window,
+            err_adaptive=at_dyadic[result.chosen_window.bit_length() - 1],
+            err_oracle=err_oracle,
+            r_oracle=r_oracle,
+            err_full_window=err_full,
+            err_last_sample=err_last,
+            q_star=q_star,
+            r_star=r_star,
+            prop3_held=bool(emp_ok[i] and true_ok[i]),
+        ))
+    return rows
 
 
 def _check_trials(trials: int) -> None:
@@ -210,7 +250,7 @@ def run_trials(scenario: DriftScenario, trials: int, delta: float,
     q = q_curve(truth.current, truth.drift, delta)
     r_star = argmin_prefer_large(q) + 1
     return _fan_out(_trial_metrics, (scenario, delta, float(q[r_star - 1]), r_star),
-                    trials, workers)
+                    trials, workers, _block_size(scenario))
 
 
 def write_trials_csv(rows: Sequence[TrialMetrics], scenario: DriftScenario,
@@ -233,91 +273,102 @@ PROP1_TOL = 1e-12
 PROP45_TOL = 1e-9
 
 
-def _prop2_failures(r: int, phi: float, gap: float, delta: float,
-                    truth: Truth) -> tuple[bool, bool]:
-    """Whether the deviation and complexity bounds failed for the size-r window.
+def _prop2_failures(r: int, phis: np.ndarray, gaps: np.ndarray, delta: float,
+                    truth: Truth) -> list[tuple[bool, bool]]:
+    """Per trial, whether the deviation and complexity bounds failed for its size-r window.
 
-    ``phi`` is the window's complexity and ``gap`` its TV to its average.
+    ``phis`` are the windows' complexities and ``gaps`` their TVs to their average.
     """
     j = r.bit_length() - 1
-    deviation_bound = phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
+    deviation_bound = phis + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
     complexity_bound = 4.0 * truth.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
-    return gap > deviation_bound, phi > complexity_bound
+    return list(zip((gaps > deviation_bound).tolist(), (phis > complexity_bound).tolist()))
 
 
-def _prop45_slacks(ladder, phis, delta: float, truth: Truth,
-                   to_current: Callable[[int], float]) -> tuple[list[float], list[float]]:
-    """The walk's (continue, stop) slacks, for a trial inside the simultaneous-bounds event."""
-    xis = ladder_xis(phis, delta)
+def _prop45_slacks(ladder, phis: list[float], xis: list[float], bounds: list[float],
+                   to_current: list[float]) -> tuple[list[float], list[float]]:
+    """The walk's (continue, stop) slacks, for a trial inside the simultaneous-bounds event.
+
+    ``bounds`` are the windows' xi plus drift error, and ``to_current``
+    their TVs to the current pmf.
+    """
     result = walk_ladder(ladder, phis, xis)
-    bounds = [xis[j] + truth.window_deltas[j] for j in range(truth.depth + 1)]
     # continue condition: every accepted window beyond the first is
     # within five times the best bound among the earlier accepted ones
     continue_slacks = []
     best = math.inf
     for cand in result.accepted:
         if best < math.inf:
-            continue_slacks.append(to_current(cand.index) - 5.0 * best)
+            continue_slacks.append(to_current[cand.index] - 5.0 * best)
         best = min(best, bounds[cand.index])
     # stop condition: the flagged accepted window stays within twice the
     # bound of every window at least as large as the rejected candidate
     stop_slacks = []
     if result.stop.kind == "violation":
         u_l = bounds[result.stop.l]
-        stop_slacks = [u_l - 2.0 * bounds[n] for n in range(result.stop.j, truth.depth + 1)]
+        stop_slacks = [u_l - 2.0 * bound for bound in bounds[result.stop.j:]]
     return continue_slacks, stop_slacks
 
 
-def _trial_pass(scenario: DriftScenario, delta: float | None, r: int | None,
-                trials: tuple[tuple[str, int], ...], trial: int) -> dict:
-    """One trial of every suite among ``trials`` (name, count) whose count exceeds it.
+def _suite_block(scenario: DriftScenario, delta: float | None, r: int | None,
+                 trials: tuple[tuple[str, int], ...], lo: int, hi: int) -> list[dict]:
+    """Trials lo .. hi-1 of every suite among ``trials`` (name, count) whose count exceeds them.
 
-    The stream is drawn once and laddered once for all of them; prop2
-    alone reads its one window and builds no ladder, which would cost
-    several times that window.  Each window's phi, computed only when a
-    suite reads it, and each of its two gaps (``_window_gaps``) are
-    computed once.
-    Results by name: prop1's slacks; prop2's and prop3's (deviation failed,
-    complexity failed); prop45's (continue, stop) slacks, or None outside
-    the simultaneous-bounds event.
+    A block never straddles a count, so each of its trials serves the same
+    suites.  The block's streams are drawn at once and laddered at once;
+    prop2 alone sorts only its one window, since the ladder would cost
+    several times that window.  Each window's TV to its window average,
+    its TV to the current pmf (for prop1 and prop45) and its phi (for all
+    but prop1 alone) are computed once, a window size at a time across the
+    block; prop45 walks each trial's own ladder.
+    Results by trial, then by name: prop1's slacks; prop2's and prop3's
+    (deviation failed, complexity failed); prop45's (continue, stop)
+    slacks, or None outside the simultaneous-bounds event.
     """
-    suites = {name for name, n in trials if trial < n}
+    suites = {name for name, n in trials if lo < n}
     truth = segments(scenario)
-    stream = sample_stream(scenario, trial)
-    if suites == {"prop2"}:
-        window = EmpiricalWindow(stream[-r:])
-        gap = tv_within(window, truth.window_averages[r.bit_length() - 1])
-        return {"prop2": _prop2_failures(r, phi_empirical(window), gap, delta, truth)}
-    ladder = build_ladder(stream)
-    to_current, to_average = _window_gaps(ladder, truth)
-    out = {}
+    j_r = r.bit_length() - 1 if "prop2" in suites else None  # prop2's window is window j_r
+    ladders = LadderBlock(sample_streams(scenario, lo, hi),
+                          [j_r] if suites == {"prop2"} else None)
+    to_average, to_current, phis = _window_columns(
+        ladders, truth, current=bool(suites & {"prop1", "prop45"}), phis=suites != {"prop1"})
+    out = [{} for _ in range(lo, hi)]
     if "prop1" in suites:
         # estimation error minus statistical plus drift error, per window
-        out["prop1"] = [to_current(j) - (to_average(j) + truth.window_deltas[j])
-                        for j in range(len(ladder))]
+        slacks = to_current - (to_average + np.array(truth.window_deltas))
+        for row, trial_slacks in zip(out, slacks.tolist()):
+            row["prop1"] = trial_slacks
     if suites == {"prop1"}:
         return out  # prop1 reads no phi
-    phis = ladder_phis(ladder)
     if "prop2" in suites:
-        j = r.bit_length() - 1  # prop2's window is ladder window j
-        out["prop2"] = _prop2_failures(r, phis[j], to_average(j), delta, truth)
+        c = ladders.js.index(j_r)
+        for row, failed in zip(out, _prop2_failures(r, phis[:, c], to_average[:, c], delta,
+                                                    truth)):
+            row["prop2"] = failed
     if suites & {"prop3", "prop45"}:
-        emp_ok, true_ok = _prop3_held(phis, delta, truth, to_average)
+        radii = concentration_radius(np.arange(len(ladders.js)), delta)
+        emp_ok, true_ok = _prop3_held(phis, radii, truth, to_average)
         if "prop3" in suites:
-            out["prop3"] = (not emp_ok, not true_ok)
+            for row, emp, true in zip(out, emp_ok.tolist(), true_ok.tolist()):
+                row["prop3"] = (not emp, not true)
         if "prop45" in suites:
-            out["prop45"] = (_prop45_slacks(ladder, phis, delta, truth, to_current)
-                             if emp_ok and true_ok else None)
+            xis = phis + radii
+            bounds = xis + np.array(truth.window_deltas)
+            for i, row in enumerate(out):
+                row["prop45"] = (_prop45_slacks(ladders.ladder(i), phis[i].tolist(),
+                                                xis[i].tolist(), bounds[i].tolist(),
+                                                to_current[i].tolist())
+                                 if emp_ok[i] and true_ok[i] else None)
     return out
 
 
 def _trial_rows(scenario: DriftScenario, trials: Mapping[str, int], delta: float | None,
                 r: int | None, workers: int) -> dict[str, list]:
-    """Each suite's per-trial results in trial order, from one ``_trial_pass`` per trial."""
+    """Each suite's per-trial results in trial order, from one ``_suite_block`` per block."""
     for n in trials.values():
         _check_trials(n)
-    rows = _fan_out(_trial_pass, (scenario, delta, r, tuple(trials.items())),
-                    max(trials.values()), workers)
+    rows = _fan_out(_suite_block, (scenario, delta, r, tuple(trials.items())),
+                    max(trials.values()), workers, _block_size(scenario), tuple(trials.values()))
     return {name: [row[name] for row in rows[:n]] for name, n in trials.items()}
 
 
@@ -537,9 +588,10 @@ def scaling_horizon(k: int, step_delta: float) -> int:
     return horizon
 
 
-def _scaling_error(scenario: DriftScenario, delta: float, trial: int) -> float:
-    result = adaptive_estimate(sample_stream(scenario, trial), delta)
-    return run_tv(segments(scenario).current, result.estimate)
+def _scaling_errors(scenario: DriftScenario, delta: float, lo: int, hi: int) -> list[float]:
+    current = segments(scenario).current
+    return [run_tv(current, adaptive_estimate(stream, delta).estimate)
+            for stream in sample_streams(scenario, lo, hi)]
 
 
 def scaling_experiment(k: int, deltas: Sequence[float], trials: int,
@@ -557,7 +609,8 @@ def scaling_experiment(k: int, deltas: Sequence[float], trials: int,
     for step_delta in deltas:
         horizon = scaling_horizon(k, step_delta)
         scenario = linear_drift(k, step_delta, horizon, seed=seed)
-        errors = _fan_out(_scaling_error, (scenario, delta), trials, workers)
+        errors = _fan_out(_scaling_errors, (scenario, delta), trials, workers,
+                          _block_size(scenario))
         points.append(ScalingPoint(step_delta, horizon, sum(errors) / trials))
     xs = np.log10([p.step_delta for p in points])
     ys = np.log10([p.mean_error for p in points])
@@ -582,24 +635,41 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _trial_block(fn: Callable, common: tuple, lo: int, hi: int) -> list:
-    return [fn(*common, trial) for trial in range(lo, hi)]
+def _trial_range(fn: Callable, common: tuple, lo: int, hi: int,
+                 cut: tuple[int, Sequence[int]]) -> list:
+    """``fn``'s results for trials lo .. hi-1, one call per block.
+
+    ``cut`` is (size, stops): blocks hold at most ``size`` trials, and none
+    straddles a trial count in ``stops``.
+    """
+    size, stops = cut
+    out = []
+    while lo < hi:
+        end = min(hi, lo + size, *(n for n in stops if n > lo))
+        out += fn(*common, lo, end)
+        lo = end
+    return out
 
 
-def _fan_out(fn: Callable, common: tuple, trials: int, workers: int) -> list:
-    """``[fn(*common, trial) for trial in range(trials)]``, in trial order.
+def _fan_out(fn: Callable, common: tuple, trials: int, workers: int, size: int = 1,
+             stops: Sequence[int] = ()) -> list:
+    """The results of trials 0 .. trials-1 in trial order, from ``fn(*common, lo, hi)`` per block.
 
-    Workers take contiguous blocks of trials; their results are concatenated.
+    ``fn`` returns the results of trials lo .. hi-1.  Workers take
+    contiguous ranges of trials, each cut into blocks (``_trial_range``),
+    and their results are concatenated.  A trial's result depends on the
+    trial alone, so neither the worker count nor the blocks move it.
     """
     _check_trials(trials)
     workers = min(workers, trials, _usable_cpus())
+    cut = (size, tuple(stops))
     if workers <= 1:
-        return _trial_block(fn, common, 0, trials)
+        return _trial_range(fn, common, 0, trials, cut)
     # imported here: a one-worker run does not pay for the process pool
     from concurrent.futures import ProcessPoolExecutor
 
     edges = np.linspace(0, trials, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_trial_block, fn, common, int(lo), int(hi))
+        futures = [pool.submit(_trial_range, fn, common, int(lo), int(hi), cut)
                    for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
         return [out for f in futures for out in f.result()]

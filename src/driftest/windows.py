@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import EmpiricalWindow, as_stream, phi_empirical
+from .dist import EmpiricalWindow, as_stream, phi_empirical, sorted_runs
 
 # Union-bound weight constant: 4 * pi^2 / 3.  With per-size failure shares
 # delta * (6/pi^2) / (j+1)^2 this makes the simultaneous bound hold with
@@ -29,17 +29,76 @@ def dyadic_depth(t: int) -> int:
     return int(t).bit_length() - 1
 
 
+class LadderBlock:
+    """The dyadic suffix windows of a block of equal-length streams, one window size at a time.
+
+    ``streams`` is a 2-D int64 array of nonnegative samples, one stream per
+    row, oldest first.  For each window index j in ``js`` (by default every
+    one, 0 .. floor(log2 T)), ``runs(c)`` (c the position of j in ``js``)
+    sorts the rows' most recent 2^j samples with one ``np.sort(axis=1)``
+    and counts them with one run-length pass (``sorted_runs``), on first
+    read: the windows of that size lie back to back, trial after trial,
+    their symbols and counts row i's at ``bounds[i]:bounds[i + 1]``.  The
+    counts are kept in 32 bits and the probabilities computed when read
+    (``probs(c)``), so a block holds 12 bytes per atom, and a reader that
+    takes the sizes largest first meets each size's temporaries with only
+    the larger windows built.  ``window(i, c)`` is row i's window as an
+    ``EmpiricalWindow``, equal to the one counted from its own samples: the
+    same symbols, counts and probabilities, bit for bit, and the same
+    dtypes (int64 counts).  Sorting costs
+    O(m T log T) for m streams, and samples older than the largest window
+    are never touched.
+    """
+
+    def __init__(self, streams: np.ndarray, js: Sequence[int] | None = None):
+        self.rows, t = streams.shape
+        self.js = list(range(dyadic_depth(t) + 1)) if js is None else list(js)
+        self._streams = streams
+        self._runs: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * len(self.js)
+
+    def runs(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The symbols, counts and row bounds of the windows of size 2^js[c]."""
+        if self._runs[c] is None:
+            t = self._streams.shape[1]
+            symbols, counts, bounds = sorted_runs(
+                np.sort(self._streams[:, t - 2**self.js[c]:], axis=1))
+            # a stream holds at most 2 * 10^7 samples, so a count fits 32 bits
+            counts = counts.astype(np.int32)
+            symbols.setflags(write=False)
+            counts.setflags(write=False)
+            self._runs[c] = (symbols, counts, bounds)
+            if all(self._runs):
+                self._streams = None  # every size is counted
+        return self._runs[c]
+
+    def probs(self, c: int) -> np.ndarray:
+        """The probabilities of the windows of size 2^js[c], laid out as their counts."""
+        return self.runs(c)[1] / float(2**self.js[c])
+
+    def window(self, i: int, c: int) -> EmpiricalWindow:
+        symbols, counts, bounds = self.runs(c)
+        a, b = bounds[i], bounds[i + 1]
+        size = 2**self.js[c]
+        counts = counts[a:b].astype(np.int64)
+        probs = counts / float(size)
+        counts.setflags(write=False)
+        probs.setflags(write=False)
+        return EmpiricalWindow.of_runs(symbols[a:b], counts, size, probs)
+
+    def ladder(self, i: int) -> tuple[EmpiricalWindow, ...]:
+        """Row i's windows, in the order of ``js``."""
+        return tuple(self.window(i, c) for c in range(len(self.js)))
+
+
 def build_ladder(stream) -> tuple[EmpiricalWindow, ...]:
     """The dyadic suffix windows of a stream, each counted from its own samples.
 
-    Window j holds the most recent 2^j samples, j = 0 .. floor(log2 T).
-    Each window sorts its own suffix, about 2T samples in all:
-    O(T log T).  Samples older than the largest dyadic window are never
-    touched.
+    Window j holds the most recent 2^j samples, j = 0 .. floor(log2 T): the
+    one-row ``LadderBlock``.  Each window sorts its own suffix, about 2T
+    samples in all: O(T log T).  Samples older than the largest dyadic
+    window are never touched.
     """
-    arr = as_stream(stream)
-    t = arr.size
-    return tuple(EmpiricalWindow(arr[t - 2**j:]) for j in range(dyadic_depth(t) + 1))
+    return LadderBlock(as_stream(stream)[None]).ladder(0)
 
 
 def check_delta(delta: float) -> None:

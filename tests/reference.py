@@ -19,7 +19,8 @@ import numpy as np
 
 from driftest import driftgen, harness
 from driftest.adaptive import (CandidateRecord, Comparison, EstimateResult, StopReason,
-                               fixed_window_estimate)
+                               argmin_prefer_large, fixed_window_estimate, q_curve,
+                               realized_error_curve)
 from driftest.dist import EmpiricalWindow, Pmf, phi_empirical, sorted_union, tv_distance
 from driftest.driftgen import (_MAX_TRUNCATED_SUPPORT, ABRUPT_POST_OFFSET, TAIL_TOL, Truth,
                                _charge_truth_size, _geometric_atoms, _hurwitz_zeta,
@@ -363,7 +364,8 @@ def walk_ladder(ladder, xis):
     return EstimateResult(chosen_window=chosen.size,
                           estimate=ladder[chosen.index].to_pmf(),
                           accepted=tuple(accepted), stop=stop,
-                          comparisons=tuple(comparisons))
+                          compared=tuple([getattr(c, name) for c in comparisons]
+                                         for name in ("l", "j", "tv", "threshold")))
 
 
 def adaptive_estimate(stream, delta):
@@ -438,8 +440,38 @@ def prop45_trial(scenario, delta, trial):
     return continue_slacks, stop_slacks
 
 
+def trial_metrics(scenario, delta, q_star, r_star, trial):
+    """One simulated trial from its own stream, ladder and per-pair walk."""
+    truth = driftgen.segments(scenario)
+    stream = driftgen.sample_stream(scenario, trial)
+    result = adaptive_estimate(stream, delta)
+    errs = realized_error_curve(stream, truth.current)
+    r_oracle = argmin_prefer_large(errs) + 1
+    emp_ok, true_ok = prop3_held(build_ladder(stream), delta, truth)
+    return harness.TrialMetrics(
+        trial=trial, chosen_r=result.chosen_window,
+        err_adaptive=float(errs[result.chosen_window - 1]),
+        err_oracle=float(errs[r_oracle - 1]), r_oracle=r_oracle,
+        err_full_window=float(errs[-1]), err_last_sample=float(errs[0]),
+        q_star=q_star, r_star=r_star, prop3_held=emp_ok and true_ok)
+
+
+def run_trials(scenario, trials, delta):
+    truth = driftgen.segments(scenario)
+    q = q_curve(truth.current, truth.drift, delta)
+    r_star = argmin_prefer_large(q) + 1
+    return [trial_metrics(scenario, delta, float(q[r_star - 1]), r_star, trial)
+            for trial in range(trials)]
+
+
+def _each_trial(fn, *args):
+    """``fn(*common, trial)`` for each trial of the block (lo, hi) that ends ``args``."""
+    *common, lo, hi = args
+    return [fn(*common, trial) for trial in range(lo, hi)]
+
+
 def verify_prop1(scenario, trials, tol=1e-12, workers=1):
-    per_trial = harness._fan_out(prop1_trial, (scenario,), trials, workers)
+    per_trial = harness._fan_out(_each_trial, (prop1_trial, scenario), trials, workers)
     truth = driftgen.segments(scenario)
     return harness._suite_report("prop1", {
         "decomposition": list(chain.from_iterable(per_trial)),
@@ -450,16 +482,16 @@ def verify_prop1(scenario, trials, tol=1e-12, workers=1):
 
 def verify_prop2(scenario, r, trials, delta, workers=1):
     return harness._coverage_report(
-        harness._fan_out(prop2_trial, (scenario, r, delta), trials, workers))
+        harness._fan_out(_each_trial, (prop2_trial, scenario, r, delta), trials, workers))
 
 
 def verify_prop3(scenario, trials, delta, workers=1):
     return harness._coverage_report(
-        harness._fan_out(prop3_trial, (scenario, delta), trials, workers))
+        harness._fan_out(_each_trial, (prop3_trial, scenario, delta), trials, workers))
 
 
 def verify_prop45(scenario, trials, delta, tol=1e-9, workers=1):
-    kept = [slacks for slacks in harness._fan_out(prop45_trial, (scenario, delta), trials,
+    kept = [slacks for slacks in harness._fan_out(_each_trial, (prop45_trial, scenario, delta), trials,
                                                   workers)
             if slacks is not None]
     return harness._suite_report("prop45", {

@@ -487,15 +487,76 @@ def test_rows_tv_equals_tv_distance_bit_for_bit():
         q = Pmf(np.arange(q_lo, q_lo + q_width), rng.dirichlet(np.ones(q_width)))
         starts = np.arange(q_lo - width - 3, q_lo + q_width + 4)
         probs = rng.dirichlet(np.ones(width), size=starts.size)
-        got = dist.rows_tv(starts, probs, q)
+        got = dist.rows_tv(starts, np.full(starts.size, width), probs.ravel(), q)
         want = [tv_distance(q, Pmf(start + np.arange(width), row))
                 for start, row in zip(starts, probs)]
         assert got.tolist() == want
 
 
+def test_rows_tv_sums_rows_of_any_width_that_share_a_layout():
+    # rows nested in q at one start share q's layout whatever their widths,
+    # as do rows of one width apart from q; here every row is summed at once
+    rng = np.random.default_rng(25)
+    q = Pmf(np.arange(10, 60), rng.dirichlet(np.ones(50)))
+    widths = np.array([1, 7, 50, 8, 33, 3, 12, 12, 2, 40])
+    starts = np.array([10, 10, 10, 12, 20, 0, 70, 80, 58, 15])
+    probs = np.concatenate([rng.dirichlet(np.ones(n)) for n in widths])
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    want = [tv_distance(q, Pmf(start + np.arange(n), probs[a:b]))
+            for start, n, a, b in zip(starts, widths, offsets[:-1], offsets[1:])]
+    assert dist.rows_tv(starts, widths, probs, q).tolist() == want
+    for chunk in (1, 60, 150):  # a row per chunk, and chunks across the rows of a layout
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dist, "CHUNK_ELEMENTS", chunk)
+            assert dist.rows_tv(starts, widths, probs, q).tolist() == want
+
+
+def test_row_sums_equal_each_row_summed_alone():
+    rng = np.random.default_rng(26)
+    for lengths in ([1], [5, 5, 5], [3, 300, 1, 8, 129, 300, 7, 3], [2000] * 4 + [9]):
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        values = rng.random(bounds[-1]) ** 3
+        assert dist.row_sums(values, bounds).tolist() == [
+            float(values[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _block_of(windows):
+    """The atoms of windows laid back to back, as a block ladder lays one window size."""
+    bounds = np.concatenate(([0], np.cumsum([w.symbols.size for w in windows])))
+    return (np.concatenate([w.symbols for w in windows]),
+            np.concatenate([w.probs for w in windows]), bounds)
+
+
+@pytest.mark.parametrize("chunk", [1, 64, 1 << 15])
+def test_block_tvs_equal_tv_distance_bit_for_bit(chunk, monkeypatch):
+    # the windows of verify's scenarios against their averages and the current pmf
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
+    for scenario in default_families(1):
+        truth = segments(scenario)
+        ladders = [build_ladder(sample_stream(scenario, trial)) for trial in range(5)]
+        for j, average in enumerate(truth.window_averages):
+            rows = [ladder[j] for ladder in ladders]
+            block = _block_of(rows)
+            assert dist.block_tvs(*block, average).tolist() == [
+                tv_distance(w, average) for w in rows]
+            assert dist.block_run_tvs(truth.current, *block, average).tolist() == [
+                tv_distance(truth.current, w) for w in rows]
+            assert dist.block_run_tvs(truth.current, *_block_of(rows[:1]),
+                                      average).tolist() == [tv_distance(truth.current, rows[0])]
+
+
+def test_block_tvs_reject_a_symbol_the_layout_lacks():
+    block = _block_of([EmpiricalWindow([1, 2]), EmpiricalWindow([2, 9])])
+    q = Pmf.uniform(range(1, 4))
+    with pytest.raises(ValueError, match="not within"):
+        dist.block_tvs(*block, q)
+    with pytest.raises(ValueError, match="not within"):
+        dist.block_run_tvs(Pmf.uniform(range(2, 3)), *block, q)
+
+
 def test_rows_tv_needs_q_on_consecutive_symbols():
     with pytest.raises(ValueError, match="consecutive"):
-        dist.rows_tv(np.array([0]), np.ones((1, 1)), Pmf.from_dict({0: 0.5, 2: 0.5}))
+        dist.rows_tv(np.array([0]), np.array([1]), np.ones(1), Pmf.from_dict({0: 0.5, 2: 0.5}))
 
 
 def test_tvs_within_equals_tv_distance_bit_for_bit(monkeypatch):
@@ -506,14 +567,15 @@ def test_tvs_within_equals_tv_distance_bit_for_bit(monkeypatch):
         ladder = build_ladder(rng.integers(0, k, size=t))
         q = ladder[-1]
         want = [tv_distance(w, q) for w in ladder]
-        assert dist.RowStack(ladder).tvs(q) == want
+        assert dist.RowStack(ladder).tvs(q).tolist() == want
         wider = Pmf(np.arange(k + 3), rng.dirichlet(np.ones(k + 3)))
-        assert dist.RowStack(ladder).tvs(wider) == [tv_distance(w, wider) for w in ladder]
+        assert dist.RowStack(ladder).tvs(wider).tolist() == [tv_distance(w, wider)
+                                                             for w in ladder]
         # several chunks of rows, and one row per chunk when a row is wider
         monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 2 * q.symbols.size)
-        assert dist.RowStack(ladder).tvs(q) == want
+        assert dist.RowStack(ladder).tvs(q).tolist() == want
         monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 1)
-        assert dist.RowStack(ladder).tvs(q) == want
+        assert dist.RowStack(ladder).tvs(q).tolist() == want
         monkeypatch.undo()
 
 
@@ -579,7 +641,7 @@ def test_row_stack_equals_tv_distance_per_row_across_chunks():
     # a row alone, several rows in one chunk, and rows over several chunks
     assert 5 * q.symbols.size <= dist.CHUNK_ELEMENTS < len(rows) * q.symbols.size
     for ps in (rows[:1], rows[:5], rows):
-        assert dist.RowStack(ps).tvs(q) == [tv_distance(p, q) for p in ps]
+        assert dist.RowStack(ps).tvs(q).tolist() == [tv_distance(p, q) for p in ps]
 
 
 def test_row_stack_equals_tv_distance_as_the_rows_widen():
@@ -588,7 +650,7 @@ def test_row_stack_equals_tv_distance_as_the_rows_widen():
     assert len(ladder) * ladder[-1].symbols.size > dist.CHUNK_ELEMENTS
     stack = dist.RowStack(ladder[:1])
     for j in range(1, len(ladder)):
-        assert stack.tvs(ladder[j]) == [tv_distance(w, ladder[j]) for w in ladder[:j]]
+        assert stack.tvs(ladder[j]).tolist() == [tv_distance(w, ladder[j]) for w in ladder[:j]]
         stack.append(ladder[j])
     with pytest.raises(ValueError, match="not within"):
         dist.RowStack([EmpiricalWindow([4])]).tvs(EmpiricalWindow([5, 6]))

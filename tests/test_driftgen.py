@@ -223,6 +223,22 @@ def test_sampler_matches_per_segment_reference(scenario):
         assert np.array_equal(got, ref.sample_stream(scenario, trial))
 
 
+# every kind, draws past the geometric CDF prefix, and horizons that are not powers of two
+BLOCKED = SAMPLED + [geometric_drift(0.08, 0.05, t=300, seed=65),
+                     zipf_drift(5.0, 4.5, t=333, seed=66)]
+
+
+@pytest.mark.parametrize("scenario", BLOCKED)
+def test_sample_streams_rows_equal_the_per_segment_reference(scenario):
+    block = driftgen.sample_streams(scenario, 2, 6)
+    assert block.shape == (4, scenario.t) and block.dtype == np.int64
+    for row, trial in zip(block, range(2, 6)):
+        assert np.array_equal(row, ref.sample_stream(scenario, trial))
+        assert np.array_equal(row, sample_stream(scenario, trial))
+    if scenario.kind == "geometric_drift" and scenario.geo_p_start < 0.1:
+        assert np.sum(block >= driftgen._CDF_PREFIX) > 40
+
+
 UNIFORM_KINDS = ("iid", "abrupt", "rotating_support")
 
 
@@ -602,7 +618,11 @@ def test_search_rows_equals_searchsorted_per_row():
         u[u >= 1.0] = 0.5
         want = [start + np.searchsorted(row, x, side="right")
                 for start, row, x in zip(starts, cdf, u)]
-        assert driftgen._sample_rows(truth, u).tolist() == want
+        assert driftgen._sample_rows(truth, u[None]).tolist() == [want]
+        # a block of trials maps each row of draws as that row alone
+        block = np.stack([rng.random(40), u, u[::-1]])
+        assert driftgen._sample_rows(truth, block).tolist() == [
+            driftgen._sample_rows(truth, row[None])[0].tolist() for row in block]
 
 
 RAMPS = [

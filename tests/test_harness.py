@@ -4,6 +4,7 @@ import concurrent.futures
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,15 +72,58 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _count_blocks(monkeypatch):
+    """What the trial passes draw, ladder and take phis of, one entry per trial.
+
+    The block calls are wrapped: each (scenario, trial) drawn; each trial's
+    window indices, once every size of its block is sorted; and the size of
+    each window whose phi is taken.
+    """
+    draws, ladders, phis = [], [], []
+    sample_streams, block_phis = harness.sample_streams, harness.block_phis
+
+    def sampled(scenario, lo, hi):
+        draws.extend((scenario, trial) for trial in range(lo, hi))
+        return sample_streams(scenario, lo, hi)
+
+    class Counted(harness.LadderBlock):
+        def __init__(self, streams, js=None):
+            super().__init__(streams, js)
+            self.sorted = set()
+
+        def runs(self, c):
+            if c not in self.sorted:
+                self.sorted.add(c)
+                if len(self.sorted) == len(self.js):
+                    ladders.extend([self.js] * self.rows)
+            return super().runs(c)
+
+    def phied(probs, bounds, size):
+        phis.extend([size] * (bounds.size - 1))
+        return block_phis(probs, bounds, size)
+
+    monkeypatch.setattr(harness, "sample_streams", sampled)
+    monkeypatch.setattr(harness, "LadderBlock", Counted)
+    monkeypatch.setattr(harness, "block_phis", phied)
+    return draws, ladders, phis
+
+
+def _window_sizes(draws):
+    """The sizes of every window of the ladders of these (scenario, trial) draws."""
+    return sorted(2**j for scenario, _ in draws for j in range(scenario.t.bit_length()))
+
+
 def test_one_ladder_per_trial(monkeypatch):
     from driftest import adaptive
-    counts = [_count_calls(monkeypatch, module, "build_ladder")
-              for module in (harness, adaptive)]
+    _, ladders, _ = _count_blocks(monkeypatch)
+    estimates = _count_calls(monkeypatch, adaptive, "build_ladder")
     run_trials(LINEAR, 5, 0.05)
-    assert sum(len(calls) for calls in counts) == 5
+    assert len(ladders) + len(estimates) == 5
     report = verify_prop45(abrupt(k=10, change_point=64, t=512, seed=3), 6, 0.05)
     assert report.skipped < 6
-    assert sum(len(calls) for calls in counts) == 5 + 6
+    assert len(ladders) + len(estimates) == 5 + 6
+    # every window of each trial's ladder, t = 1024 and then t = 512
+    assert ladders == [list(range(11))] * 5 + [list(range(10))] * 6
 
 
 def test_drift_sequence_runs_once_per_scenario(monkeypatch):
@@ -129,9 +173,9 @@ def test_fan_out_caps_workers_at_usable_cpus(monkeypatch):
     _record_pool(monkeypatch, {0, 5, 7})
     # the affinity mask counts, not the host's CPU count
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 128)
-    out = harness._fan_out(lambda trial: trial, (), 2000, 2000)
+    out = harness._fan_out(lambda lo, hi: list(range(lo, hi)), (), 2000, 2000)
     assert _RecordingPool.sizes == [3]
-    assert [(lo, hi) for _, _, lo, hi in _RecordingPool.submits] == [
+    assert [(lo, hi) for _, _, lo, hi, _ in _RecordingPool.submits] == [
         (0, 666), (666, 1333), (1333, 2000)]
     assert out == list(range(2000))
     # without an affinity mask the CPU count caps; one core, or an unknown
@@ -140,7 +184,7 @@ def test_fan_out_caps_workers_at_usable_cpus(monkeypatch):
     assert harness._usable_cpus() == 128
     for cores in (1, None):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
-        assert harness._fan_out(lambda trial: trial, (), 10, 8) == list(range(10))
+        assert harness._fan_out(lambda lo, hi: list(range(lo, hi)), (), 10, 8) == list(range(10))
     assert _RecordingPool.sizes == [3]
     assert len(_RecordingPool.submits) == 3
 
@@ -360,10 +404,9 @@ def _prop45_evaluations(scenario, trials, delta):
     continued = stopped = 0
     for trial in range(trials):
         ladder = build_ladder(sample_stream(scenario, trial))
-        phis = ladder_phis(ladder)
-        if not all(harness._prop3_held(phis, delta, side,
-                                       harness._window_gaps(ladder, side)[1])):
+        if not all(ref.prop3_held(ladder, delta, side)):
             continue
+        phis = ladder_phis(ladder)
         result = walk_ladder(ladder, phis, ladder_xis(phis, delta))
         continued += max(0, len(result.accepted) - 1)
         if result.stop.kind == "violation":
@@ -441,17 +484,16 @@ def test_shared_pass_equals_per_suite_runs(seed, workers):
 def test_verify_all_draws_and_ladders_each_trial_once(monkeypatch, capsys):
     from driftest.cli import main
     monkeypatch.setenv("DRIFTEST_THREADS", "1")
-    draws = _count_calls(monkeypatch, harness, "sample_stream")
-    ladders = _count_calls(monkeypatch, harness, "build_ladder")
-    phis = _count_calls(monkeypatch, harness, "ladder_phis")
+    draws, ladders, phis = _count_blocks(monkeypatch)
     assert main(["verify", "--suite", "all", "--trials", "3", "--seed", "0"]) == 0
     # prop2 and prop3 run on the linear family of prop1 and prop45
     pairs = [(scenario, trial) for scenario in harness.default_families(0) for trial in range(3)]
     assert sorted(map(repr, draws)) == sorted(map(repr, pairs))
     assert len(ladders) == len(pairs)
-    assert len(phis) == len(pairs)
-    # a single suite draws only its own trials; prop2 alone reads one
-    # window and builds no ladder, and prop1 reads no phi
+    # every window's phi once
+    assert sorted(phis) == _window_sizes(pairs)
+    # a single suite draws only its own trials; prop2 alone sorts and
+    # reads only its one window (r = 256, window 8), and prop1 reads no phi
     for suite, trials in (("prop1", 2), ("prop2", 5), ("prop45", 2)):
         draws.clear()
         ladders.clear()
@@ -459,9 +501,64 @@ def test_verify_all_draws_and_ladders_each_trial_once(monkeypatch, capsys):
         assert main(["verify", "--suite", suite, "--trials", str(trials)]) == 0
         families = 1 if suite == "prop2" else 6
         assert len(draws) == families * trials
-        assert len(ladders) == (0 if suite == "prop2" else len(draws))
-        assert len(phis) == (len(ladders) if suite == "prop45" else 0)
+        assert len(ladders) == len(draws)
+        assert all((js == [8]) == (suite == "prop2") for js in ladders)
+        assert sorted(phis) == {"prop1": [], "prop2": [256] * len(draws),
+                                "prop45": _window_sizes(draws)}[suite]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("chunk", [1024, 2048, 3072, 1 << 15])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_equal_per_suite_runs(chunk, workers, monkeypatch):
+    # at t = 1024 the blocks hold 1, 2, 3 and all trials, and they must
+    # not straddle the suites' unequal counts
+    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
+    counts = {"prop1": 4, "prop2": 9, "prop3": 7, "prop45": 5}
+    scenario = LINEAR
+    assert harness._block_size(scenario) == min(chunk // 1024, 32)
+    shared = harness.verify_trial_suites(scenario, counts, 0.05, 256, workers=workers)
+    assert shared == {
+        "prop1": ref.verify_prop1(scenario, counts["prop1"]),
+        "prop2": ref.verify_prop2(scenario, 256, counts["prop2"], 0.05),
+        "prop3": ref.verify_prop3(scenario, counts["prop3"], 0.05),
+        "prop45": ref.verify_prop45(scenario, counts["prop45"], 0.05)}
+    assert run_trials(scenario, 5, 0.05, workers=workers) == ref.run_trials(scenario, 5, 0.05)
+
+
+# tracemalloc peak of one default family's trial suites, in float64 arrays of
+# CHUNK_ELEMENTS: measured 2.9-4.4 (abrupt, t = 32,768, one trial per block,
+# peaks highest; the parent commit's per-trial passes measured 0.4-4.4)
+BLOCK_PEAK_ARRAYS = 6
+
+
+@pytest.mark.parametrize("family", range(6))
+def test_trial_suites_peak_within_a_multiple_of_the_block_bound(family):
+    scenario = harness.default_families(0)[family]
+    counts = {"prop1": 40, "prop45": 40}
+    if scenario.kind == "linear_drift":
+        counts.update(prop2=40, prop3=40)
+    truth = segments(scenario)
+    truth.window_lambdas, truth.window_deltas  # the truth side is built once per scenario
+    harness.verify_trial_suites(scenario, {"prop1": 1}, 0.05)  # first-call allocations
+    tracemalloc.start()
+    try:
+        harness.verify_trial_suites(scenario, counts, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK_PEAK_ARRAYS * harness.CHUNK_ELEMENTS * 8
+
+
+def test_blocks_cut_at_the_suite_counts():
+    blocks = []
+
+    def record(lo, hi):
+        blocks.append((lo, hi))
+        return list(range(lo, hi))
+
+    assert harness._fan_out(record, (), 9, 1, 3, (4, 9, 7, 5)) == list(range(9))
+    assert blocks == [(0, 3), (3, 4), (4, 5), (5, 7), (7, 9)]
 
 
 def test_trial_suites_reject_a_bad_window_or_count():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from driftest import windows
-from driftest.dist import phi_empirical
+from driftest.dist import EmpiricalWindow, block_phis, phi_empirical
 from driftest.windows import (UNION_BOUND_CONSTANT, as_stream, build_ladder,
                               concentration_radius, dyadic_depth, ladder_phis, ladder_xis,
                               load_stream, parse_stream_text, union_log_weight)
@@ -69,6 +69,35 @@ def test_ladder_matches_brute_force_and_nests():
         for j in range(len(dicts) - 1):
             for sym, count in dicts[j].items():
                 assert count <= dicts[j + 1].get(sym, 0)
+
+
+@pytest.mark.parametrize("t", [1, 5, 64, 1000, 4097])
+def test_block_ladder_rows_equal_windows_counted_alone(t):
+    rng = np.random.default_rng(t)
+    streams = rng.integers(0, int(rng.integers(2, 40)), size=(5, t))
+    streams[3] = 7  # one symbol throughout
+    block = windows.LadderBlock(streams)
+    assert block.js == list(range(dyadic_depth(t) + 1))
+    phis = np.stack([block_phis(block.probs(c), block.runs(c)[2], 2**c)
+                     for c in range(len(block.js))], axis=1)
+    for i, stream in enumerate(streams):
+        for c, window in enumerate(block.ladder(i)):
+            alone = EmpiricalWindow(stream[t - 2**c:])
+            symbols, counts = np.unique(stream[t - 2**c:], return_counts=True)
+            assert window.size == alone.size == 2**c
+            for name, want in (("symbols", symbols), ("counts", counts), ("probs", None)):
+                got, expected = getattr(window, name), getattr(alone, name)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+                assert not got.flags.writeable
+                if want is not None:
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert phis[i, c] == phi_empirical(alone)
+    # one window size alone
+    one = windows.LadderBlock(streams, [dyadic_depth(t)])
+    assert one.js == [dyadic_depth(t)]
+    assert np.array_equal(block_phis(one.probs(0), one.runs(0)[2], 2**dyadic_depth(t)),
+                          phis[:, -1])
+    assert [w.symbols.tolist() for w in one.ladder(2)] == [block.ladder(2)[-1].symbols.tolist()]
 
 
 def test_depth():
