@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import EmpiricalWindow, Pmf, RowStack, lambda_complexity, rows_tv, sorted_union
+from .dist import EmpiricalWindow, Pmf, RowStack, lambda_complexity, sorted_union
 from .windows import (as_stream, build_ladder, check_delta, ladder_phis, ladder_xis,
                       union_log_weight)
 
@@ -184,14 +184,12 @@ def drift_sequence(truth) -> np.ndarray:
     """Drift-error sequence of a truth sequence, one value per window size.
 
     ``truth`` is a columnar ``driftgen.Truth``: run counts oldest first,
-    each run's row, and the distinct pmfs as rows on consecutive symbols.
-    Entry r-1 is the largest total variation distance from the final
-    distribution to any of the r most recent ones; starts at 0 and never
-    decreases.  Each distinct pmf is measured once, all rows that share a
-    layout against the final one at a time (``rows_tv``).
+    each run's row, and each row's TV to the final distribution
+    (``truth.gaps``, measured once per row as the truth is built).  Entry
+    r-1 is the largest total variation distance from the final distribution
+    to any of the r most recent ones; starts at 0 and never decreases.
     """
-    gaps = rows_tv(truth.starts, truth.widths, truth.probs, truth.current)
-    return np.maximum.accumulate(np.repeat(gaps[truth.rows[::-1]], truth.counts[::-1]))
+    return np.maximum.accumulate(np.repeat(truth.gaps[truth.rows[::-1]], truth.counts[::-1]))
 
 
 def q_curve(current: Pmf, drift: np.ndarray, delta: float) -> np.ndarray:

@@ -222,6 +222,9 @@ class Pmf:
 
 # elements of one 2-D chunk in the row-block operations, which bounds their temporaries
 CHUNK_ELEMENTS = 1 << 15
+# rows this wide on average are worked on one at a time: a few vector
+# operations per row then cost less than making temporaries of a chunk's size
+WIDE_ROW = 256
 
 
 def row_slices(rows: int, width: int) -> Iterator[slice]:
@@ -514,11 +517,16 @@ def rows_tv(starts: np.ndarray, widths: np.ndarray, probs: np.ndarray, q: Pmf) -
     each row's sum runs over the same values in the same order.  The layout
     is where the row starts against q and the union's width, so the rows
     that share one, whatever their own widths, are summed together, one
-    ``np.sum(axis=1)`` per chunk.
+    ``np.sum(axis=1)`` per chunk.  Rows of ``WIDE_ROW`` atoms or more on
+    average are measured one at a time instead (``_run_tv``), each on its
+    own atoms, with no matrix of the chunk's size.
     """
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+    if offsets[-1] >= WIDE_ROW * widths.size:
+        return np.array([_run_tv(q, start + np.arange(b - a), probs[a:b]) for start, a, b
+                         in zip(starts.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())])
     m = q.symbols.size
     q_lo, _ = _run_range(q)
-    offsets = np.concatenate(([0], np.cumsum(widths)))
     # a row past either end of q is laid out as a row adjacent to it
     d = np.clip(starts - q_lo, -widths, m)
     union = np.maximum(d + widths, m) - np.minimum(d, 0)

@@ -5,11 +5,12 @@ step, together with a sampler drawing one independent sample per step.
 The truth is held columnar (``Truth``, from ``segments``): the run
 lengths of the sequence, oldest first, and its distinct pmfs as rows.
 Every truth pmf lies on consecutive symbols, so a row is a first symbol,
-a width and a probability vector; the rows' probabilities lie back to
-back in one array, and each stretch of rows of one width is also a 2-D
-block.  The truth is built vectorized, checked once by ``Truth``, and
-cached once per scenario with the drift curve and the dyadic window
-averages read from it; no ``Pmf`` is built per step.
+a width and a parameter (a geometric p, a zipf exponent and its
+normalizer, a linear source mass, or none for a uniform row) from which a
+row source writes its probabilities on demand.  ``Truth`` writes every
+row once, a chunk at a time, checks it and reads from it the drift curve,
+the dyadic window averages and the sampler's CDF prefixes; it is cached
+once per scenario, and no ``Pmf`` is built per step.
 
 Sampling is inverse-CDF over sorted symbols, seeded from (scenario seed,
 trial index), so identical inputs reproduce identical streams on any
@@ -32,7 +33,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .adaptive import drift_sequence
-from .dist import CHUNK_ELEMENTS, MASS_TOL, Pmf, lambda_complexity, row_slices
+from .dist import (CHUNK_ELEMENTS, MASS_TOL, WIDE_ROW, Pmf, lambda_complexity, row_slices,
+                   rows_tv)
 from .windows import dyadic_depth
 
 TAIL_TOL = 1e-12
@@ -239,14 +241,16 @@ def _hurwitz_zeta(x: float, q: float) -> float:
 _ZIPF_MAX_ATOMS = 1 << (_MAX_TRUNCATED_SUPPORT.bit_length() - 1)
 
 
-def _zipf_atoms(s: float, near: int = 1) -> int:
+def _zipf_atoms(s: float, near: int = 1, total: float | None = None) -> int:
     """Atoms of the truncated zipf pmf, counted before it is built.
 
     The count is the smallest n with relative tail mass below TAIL_TOL.  Its
     search gallops out from ``near``, a neighbouring exponent's count on a
-    ramp, and bisects: O(log |count - near|) tail evaluations.
+    ramp, and bisects: O(log |count - near|) tail evaluations.  ``total``
+    is the normalizer ``_hurwitz_zeta(s, 1)``, computed here if not given.
     """
-    total = _hurwitz_zeta(s, 1)
+    if total is None:
+        total = _hurwitz_zeta(s, 1)
 
     def tail_too_heavy(n):  # False on a NaN tail, so its exponent gets one atom
         return n < 1 or _hurwitz_zeta(s, n + 1) / total >= TAIL_TOL
@@ -271,11 +275,14 @@ def _zipf_atoms(s: float, near: int = 1) -> int:
     return hi
 
 
-def _zipf_rows(s: np.ndarray, out: np.ndarray) -> None:
-    """Fill each row of ``out`` with the truncated zipf pmf on 1 .. width of one exponent."""
+def _zipf_rows(s: np.ndarray, norms: np.ndarray, out: np.ndarray) -> None:
+    """Fill each row of ``out`` with the truncated zipf pmf on 1 .. width of one exponent.
+
+    ``norms`` holds each exponent's normalizer, ``_hurwitz_zeta(s, 1)``.
+    """
     np.power(np.arange(1, out.shape[1] + 1, dtype=np.int64), -s[:, None], out=out,
              dtype=np.float64)
-    out /= np.array([_hurwitz_zeta(x, 1) for x in s.tolist()])[:, None]
+    out /= norms[:, None]
     _absorb_remainder(out)
 
 
@@ -285,105 +292,6 @@ def _stretches(values: np.ndarray) -> list[tuple[int, int]]:
         return []
     bounds = [0, *(np.flatnonzero(np.diff(values)) + 1).tolist(), values.size]
     return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _row_buffer(groups: list[tuple[int, int]]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One flat buffer for groups of (rows, width), and each group's 2-D view of it."""
-    probs = np.empty(sum(rows * width for rows, width in groups))
-    views, at = [], 0
-    for rows, width in groups:
-        views.append(probs[at:at + rows * width].reshape(rows, width))
-        at += rows * width
-    return probs, views
-
-
-# --- the columnar truth ----------------------------------------------------
-
-
-class Truth:
-    """A truth sequence, columnar: run lengths, and the distinct pmfs as rows.
-
-    ``counts[i]`` steps, oldest run first, follow the pmf of row
-    ``rows[i]``.  Rows never decrease along the runs, and every row is some
-    run's.  Row j puts ``probs[offsets[j] + m]`` on symbol ``starts[j] + m``
-    for m below ``widths[j]``, the rows' atoms lying back to back in
-    ``probs``; ``blocks`` views each longest stretch of rows of one width as
-    a read-only (starts, 2-D probs) pair.  The rows are checked once, as
-    ``Pmf`` checks its atoms, except that a zero atom raises instead of
-    being dropped, which would split the row's run of symbols.  A drifting
-    geometric or zipf schedule keeps one run per step even where steps share
-    a row, so that each step stays its own part of a window average.  The
-    curves read from the truth are computed once, on first use; the symbols
-    the window averages span are charged to the truth bound up front.
-    """
-
-    def __init__(self, counts, rows, starts, widths, probs: np.ndarray):
-        self.counts, self.rows, self.starts, self.widths = (
-            np.asarray(a, dtype=np.int64) for a in (counts, rows, starts, widths))
-        self.probs = probs
-        self.offsets = np.concatenate(([0], np.cumsum(self.widths)))
-        self.depth = dyadic_depth(int(np.sum(self.counts)))
-        # window j's average spans its runs, newest first, from their lowest
-        # start to their highest end (``_window_average``)
-        newest = self.rows[::-1]
-        last = np.searchsorted(np.cumsum(self.counts[::-1]), 2 ** np.arange(self.depth + 1))
-        spans = (np.maximum.accumulate(self.starts[newest] + self.widths[newest])[last]
-                 - np.minimum.accumulate(self.starts[newest])[last])
-        if int(np.sum(spans)) > _MAX_TRUNCATED_SUPPORT:
-            raise ValueError("the dyadic window averages need more than "
-                             f"{_MAX_TRUNCATED_SUPPORT} atoms")
-        if self.starts.min() < 0:
-            raise ValueError("symbols must be nonnegative integers")
-        if not np.all(np.isfinite(self.probs)):
-            raise ValueError("probabilities must be finite")
-        lowest = self.probs.min()
-        if lowest < 0.0:
-            raise ValueError("probabilities must be nonnegative")
-        if lowest == 0.0:
-            raise ValueError("a block row has a zero atom")
-        # cached and shared by every caller, so read-only like a Pmf
-        for array in (self.counts, self.rows, self.starts, self.widths, self.probs, self.offsets):
-            array.setflags(write=False)
-        self.blocks = tuple(
-            (self.starts[a:z], self.probs[self.offsets[a]:self.offsets[z]].reshape(
-                z - a, int(self.widths[a]))) for a, z in _stretches(self.widths))
-        for _, block in self.blocks:
-            mass = np.sum(block, axis=1)
-            worst = float(mass[np.argmax(np.abs(mass - 1.0))])
-            if abs(worst - 1.0) > MASS_TOL:
-                raise ValueError(f"pmf mass is {worst!r}, not 1 within {MASS_TOL}")
-        self.current = self.pmf(self.widths.size - 1)  # the final step's pmf
-
-    def row_probs(self, row: int) -> np.ndarray:
-        return self.probs[self.offsets[row]:self.offsets[row + 1]]
-
-    def pmf(self, row: int) -> Pmf:
-        """One row as a ``Pmf``."""
-        return Pmf(self.starts[row] + np.arange(self.widths[row]), self.row_probs(row))
-
-    @cached_property
-    def drift(self) -> np.ndarray:
-        """Drift errors for every window size 1..t (read-only)."""
-        curve = drift_sequence(self)
-        curve.setflags(write=False)
-        return curve
-
-    @cached_property
-    def window_averages(self) -> tuple[Pmf, ...]:
-        """Mean of the most recent 2^j true pmfs, j = 0 .. depth."""
-        ends = np.cumsum(self.counts[::-1])
-        return tuple(_window_average(self, ends, 2**j) for j in range(self.depth + 1))
-
-    @cached_property
-    def window_lambdas(self) -> tuple[float, ...]:
-        """Complexity of each window average at its own size."""
-        return tuple(lambda_complexity(average, 2**j)
-                     for j, average in enumerate(self.window_averages))
-
-    @cached_property
-    def window_deltas(self) -> tuple[float, ...]:
-        """Drift error of each dyadic window size."""
-        return tuple(float(self.drift[2**j - 1]) for j in range(self.depth + 1))
 
 
 def _atom_chunks(widths: np.ndarray) -> Iterator[slice]:
@@ -400,29 +308,266 @@ def _atom_chunks(widths: np.ndarray) -> Iterator[slice]:
         a = b
 
 
-def _window_average(truth: Truth, ends: np.ndarray, r: int) -> Pmf:
-    """Mean of the most recent r true pmfs; ``ends`` are the run ends counted from the newest.
+# --- row sources ------------------------------------------------------------
+#
+# A row source ``fill(a, z, out)`` writes the probabilities of rows [a, z),
+# all of one width, into the 2-D ``out``.  It keeps each row's parameter,
+# never its atoms, except for rows given as an array.
 
-    The runs in the window are its parts, newest first, each weighted by
-    its steps in the window over r.  Parts are added in that order, atom
-    after atom (``np.add.at``, a chunk at a time), onto the range of
-    symbols they cover; atoms nothing lands on stay zero, and ``Pmf`` drops
-    them.
+
+def _uniform_rows(a: int, z: int, out: np.ndarray) -> None:
+    """Rows uniform over their width; a row of width one is a point mass."""
+    out[:] = 1.0 / out.shape[1]
+
+
+def _linear_rows(k: int, alpha: np.ndarray) -> Callable:
+    """The source of linear drift: a row of width k + 1 puts ``alpha`` on symbol 0.
+
+    Its other k atoms share the rest; the frozen point mass and the rows of
+    a drained source are uniform over their width.
     """
-    parts = int(np.searchsorted(ends, r)) + 1
-    weights = truth.counts[::-1][:parts] / r
-    weights[-1] = (r - (int(ends[parts - 2]) if parts > 1 else 0)) / r
-    rows = truth.rows[::-1][:parts]
-    widths, starts = truth.widths[rows], truth.starts[rows]
-    lo, hi = int(starts.min()), int((starts + widths).max())
-    acc = np.zeros(hi - lo)
-    for chunk in _atom_chunks(widths):
-        n = widths[chunk]
-        within = np.arange(int(np.sum(n))) - np.repeat(np.cumsum(n) - n, n)
-        atoms = np.repeat(truth.offsets[rows[chunk]], n) + within
-        np.add.at(acc, np.repeat(starts[chunk] - lo, n) + within,
-                  np.repeat(weights[chunk], n) * truth.probs[atoms])
-    return Pmf(np.arange(lo, hi), acc)
+    def fill(a: int, z: int, out: np.ndarray) -> None:
+        if out.shape[1] == k + 1:
+            out[:, 0] = alpha[a:z]
+            out[:, 1:] = ((1.0 - alpha[a:z]) / k)[:, None]
+        else:
+            _uniform_rows(a, z, out)
+    return fill
+
+
+def _array_rows(probs, widths: np.ndarray) -> Callable:
+    """The source of rows given as one array of their atoms back to back."""
+    probs = np.asarray(probs, dtype=np.float64)
+    offsets = np.concatenate(([0], np.cumsum(widths)))
+
+    def fill(a: int, z: int, out: np.ndarray) -> None:
+        out[:] = probs[offsets[a]:offsets[z]].reshape(out.shape)
+    return fill
+
+
+# --- the columnar truth ----------------------------------------------------
+
+# atoms of each row's CDF that every draw searches first
+_CDF_PREFIX = 32
+
+
+class Truth:
+    """A truth sequence, columnar: run lengths, and the distinct pmfs as rows.
+
+    ``counts[i]`` steps, oldest run first, follow the pmf of row
+    ``rows[i]``.  Rows never decrease along the runs, and every row is some
+    run's.  Row j puts ``widths[j]`` probabilities on the consecutive
+    symbols from ``starts[j]``.  They are not kept: ``probs`` is a row
+    source (see above) that writes them from each row's parameter when they
+    are read, or an array of all rows' atoms back to back.
+
+    The rows are written once as the truth is built, a chunk of at most
+    ``CHUNK_ELEMENTS`` atoms (or one row) at a time, newest chunk first
+    (``_chunks``), and each chunk is read at once by every reader: the
+    checks, which are ``Pmf``'s except that a zero atom raises instead of
+    being dropped, which would split the row's run of symbols; each row's
+    TV to the final pmf (``gaps``, which the drift curve reads); with
+    ``prefixes``, each row's first ``_CDF_PREFIX`` atoms, which the sampler
+    searches first; and the dyadic window averages (``_WindowSums``).  So a
+    truth holds O(runs + rows + prefix atoms) numbers and its window
+    averages, and one chunk while it is built.  A drifting geometric or
+    zipf schedule keeps one run per step even where steps share a row, so
+    that each step stays its own part of a window average.  The symbols the
+    window averages span are charged to the truth bound up front.
+    """
+
+    def __init__(self, counts, rows, starts, widths, probs, prefixes: bool = True):
+        self.counts, self.rows, self.starts, self.widths = (
+            np.asarray(a, dtype=np.int64) for a in (counts, rows, starts, widths))
+        self._fill = probs if callable(probs) else _array_rows(probs, self.widths)
+        self.depth = dyadic_depth(int(np.sum(self.counts)))
+        sums = _WindowSums(self, [2**j for j in range(self.depth + 1)])
+        if self.starts.min() < 0:
+            raise ValueError("symbols must be nonnegative integers")
+        # cached and shared by every caller, so read-only like a Pmf
+        for array in (self.counts, self.rows, self.starts, self.widths):
+            array.setflags(write=False)
+        self._scan(sums, prefixes)
+        self.window_averages = sums.averages()  # mean of the most recent 2^j pmfs
+
+    def _scan(self, sums: _WindowSums, prefixes: bool) -> None:
+        """Write every row once and hand each chunk to every reader.
+
+        Once a check fails the other readers stop, but the checks run on,
+        so that the error is the one a check of all rows at once raises
+        first.  The newest chunk comes first, and its last row is the final
+        step's pmf, ``current``.
+        """
+        n = self.widths.size
+        self.gaps = np.empty(n)
+        if prefixes:
+            self.prefix_at = np.concatenate(([0], np.cumsum(np.minimum(self.widths,
+                                                                        _CDF_PREFIX))))
+            self.prefix = np.empty(int(self.prefix_at[-1]))
+        finite, lowest, off = True, math.inf, n  # off: the oldest row whose mass is off
+        for a, z, atoms in self._chunks():
+            bounds = np.concatenate(([0], np.cumsum(self.widths[a:z])))
+            finite = finite and bool(np.all(np.isfinite(atoms)))
+            lowest = min(lowest, float(atoms.min()))
+            for lo, hi in _stretches(self.widths[a:z]):
+                mass = np.sum(atoms[bounds[lo]:bounds[hi]].reshape(hi - lo, -1), axis=1)
+                wrong = np.flatnonzero(np.abs(mass - 1.0) > MASS_TOL)
+                if wrong.size:
+                    off = min(off, a + lo + int(wrong[0]))
+            if not finite or lowest <= 0.0 or off < n:
+                continue
+            if z == n:
+                self.current = Pmf(self.starts[-1] + np.arange(bounds[-1] - bounds[-2]),
+                                   atoms[bounds[-2]:])
+            self.gaps[a:z] = rows_tv(self.starts[a:z], self.widths[a:z], atoms, self.current)
+            if prefixes:
+                at = self.prefix_at[a:z + 1]
+                self.prefix[at[0]:at[-1]] = atoms if at[-1] - at[0] == atoms.size else atoms[
+                    np.repeat(bounds[:-1] - (at[:-1] - at[0]), np.diff(at))
+                    + np.arange(at[-1] - at[0])]
+            sums.add(a, z, atoms, bounds)
+        if not finite:
+            raise ValueError("probabilities must be finite")
+        if lowest < 0.0:
+            raise ValueError("probabilities must be nonnegative")
+        if lowest == 0.0:
+            raise ValueError("a block row has a zero atom")
+        if off < n:
+            # the oldest stretch of one width with a row off names its worst row
+            a, z = next((a, z) for a, z in _stretches(self.widths) if off < z)
+            mass = np.sum(self._rows(a, z).reshape(z - a, -1), axis=1)
+            worst = float(mass[np.argmax(np.abs(mass - 1.0))])
+            raise ValueError(f"pmf mass is {worst!r}, not 1 within {MASS_TOL}")
+        self.gaps.setflags(write=False)
+        if prefixes:
+            self.prefix.setflags(write=False)
+
+    def _chunks(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Rows [a, z) and their atoms back to back, newest chunk first.
+
+        A chunk holds at most ``CHUNK_ELEMENTS`` atoms, or one row.
+        """
+        for part in reversed(list(_atom_chunks(self.widths))):
+            yield part.start, part.stop, self._rows(part.start, part.stop)
+
+    def _rows(self, a: int, z: int) -> np.ndarray:
+        """The atoms of rows [a, z) back to back, written anew by the row source."""
+        widths = self.widths[a:z]
+        atoms = np.empty(int(np.sum(widths)))
+        at = 0
+        for lo, hi in _stretches(widths):
+            block = atoms[at:at + (hi - lo) * int(widths[lo])].reshape(hi - lo, -1)
+            self._fill(a + lo, a + hi, block)
+            at += block.size
+        return atoms
+
+    def row_probs(self, row: int) -> np.ndarray:
+        """One row's probabilities, written anew."""
+        return self._rows(row, row + 1)
+
+    def pmf(self, row: int) -> Pmf:
+        """One row as a ``Pmf``."""
+        return Pmf(self.starts[row] + np.arange(self.widths[row]), self.row_probs(row))
+
+    @property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each longest stretch of rows of one width as a read-only (starts, 2-D probs) pair.
+
+        Oldest first, and written anew on each read: it holds every atom.
+        """
+        out = []
+        for a, z in _stretches(self.widths):
+            probs = self._rows(a, z).reshape(z - a, -1)
+            probs.setflags(write=False)
+            out.append((self.starts[a:z], probs))
+        return tuple(out)
+
+    @cached_property
+    def drift(self) -> np.ndarray:
+        """Drift errors for every window size 1..t (read-only)."""
+        curve = drift_sequence(self)
+        curve.setflags(write=False)
+        return curve
+
+    @cached_property
+    def window_lambdas(self) -> tuple[float, ...]:
+        """Complexity of each window average at its own size."""
+        return tuple(lambda_complexity(average, 2**j)
+                     for j, average in enumerate(self.window_averages))
+
+    @cached_property
+    def window_deltas(self) -> tuple[float, ...]:
+        """Drift error of each dyadic window size."""
+        return tuple(float(self.drift[2**j - 1]) for j in range(self.depth + 1))
+
+
+class _WindowSums:
+    """The means of a truth's most recent r pmfs, one per r in ``rs``, summed as its rows arrive.
+
+    The runs in a window are its parts, newest first, each weighted by its
+    steps in the window over r.  The rows arrive newest chunk first
+    (``add``), so each window adds its parts in that order, atom after
+    atom, onto the range of symbols they cover; atoms nothing lands on stay
+    zero, and ``Pmf`` drops them.  The ranges are charged to the truth
+    bound before any is allocated.
+    """
+
+    def __init__(self, truth: Truth, rs: list[int]):
+        self.truth = truth
+        ends = np.cumsum(truth.counts[::-1])  # the run ends, counted from the newest
+        parts = np.searchsorted(ends, rs) + 1
+        self.reach = int(parts.max())  # the runs any window holds
+        newest = truth.rows[::-1]
+        lo = np.minimum.accumulate(truth.starts[newest])[parts - 1]
+        hi = np.maximum.accumulate(truth.starts[newest] + truth.widths[newest])[parts - 1]
+        if int(np.sum(hi - lo)) > _MAX_TRUNCATED_SUPPORT:
+            raise ValueError("the dyadic window averages need more than "
+                             f"{_MAX_TRUNCATED_SUPPORT} atoms")
+        # each window's size, parts, oldest part's weight and first symbol
+        self.windows = [(r, n, (r - (int(ends[n - 2]) if n > 1 else 0)) / r, first)
+                        for r, n, first in zip(rs, parts.tolist(), lo.tolist())]
+        self.sums = [np.zeros(span) for span in (hi - lo).tolist()]
+
+    def add(self, a: int, z: int, atoms: np.ndarray, bounds: np.ndarray) -> None:
+        """Add rows [a, z), row i's atoms at ``bounds[i - a]``, to every window holding them.
+
+        Rows of ``WIDE_ROW`` atoms or more on average are added a slice per
+        part; narrower ones by ``np.add.at``, at most ``CHUNK_ELEMENTS``
+        atoms at a time.  Either way each sum takes its parts in order.
+        """
+        truth = self.truth
+        runs = truth.rows.size
+        # the runs of these rows that some window holds, counted from the newest
+        k0 = runs - int(np.searchsorted(truth.rows, z))
+        k1 = min(runs - int(np.searchsorted(truth.rows, a)), self.reach)
+        rows = truth.rows[runs - k1:runs - k0][::-1]
+        widths, at, to = truth.widths[rows], bounds[rows - a], truth.starts[rows]
+        wide = bounds[-1] >= WIDE_ROW * (z - a)
+        for (r, parts, last, lo), acc in zip(self.windows, self.sums):
+            held = min(parts, k1) - k0
+            if held <= 0:
+                continue
+            weights = truth.counts[runs - k0 - held:runs - k0][::-1] / r
+            if k0 + held == parts:
+                weights[-1] = last
+            if wide:
+                for b, s, n, weight in zip(at[:held].tolist(), (to[:held] - lo).tolist(),
+                                           widths[:held].tolist(), weights.tolist()):
+                    acc[s:s + n] += weight * atoms[b:b + n]
+                continue
+            for part in _atom_chunks(widths[:held]):
+                n = widths[part]
+                within = np.arange(int(np.sum(n))) - np.repeat(np.cumsum(n) - n, n)
+                np.add.at(acc, np.repeat(to[part] - lo, n) + within,
+                          np.repeat(weights[part], n) * atoms[np.repeat(at[part], n) + within])
+
+    def averages(self) -> tuple[Pmf, ...]:
+        """The window averages, each sum freed once its ``Pmf`` holds it."""
+        out = []
+        for _, _, _, lo in self.windows:
+            acc = self.sums.pop(0)
+            out.append(Pmf(np.arange(lo, lo + acc.size), acc))
+        return tuple(out)
 
 
 # --- truth sequences -------------------------------------------------------
@@ -455,22 +600,17 @@ def _linear_truth(scenario: DriftScenario) -> Truth:
     # the frozen point mass is charged as one more drifting pmf
     runs = t_max - frozen + bool(frozen)
     _charge_truth_size(0, k + 1, runs)
-    alpha = _linear_alpha(scenario, np.arange(frozen + 1, t_max + 1))
+    # each row's source mass: the frozen point mass's 1, then one per step
+    alpha = np.concatenate(([1.0] if frozen else [],
+                            _linear_alpha(scenario, np.arange(frozen + 1, t_max + 1))))
     # a drained source (the final step, or every step at a zero rate) is a suffix
-    drifting = alpha[alpha > 0.0]
-    drained = alpha.size - drifting.size
-    probs, (point, mixed, uniform) = _row_buffer(
-        [(int(bool(frozen)), 1), (drifting.size, k + 1), (drained, k)])
-    point[:] = 1.0
-    mixed[:, 0] = drifting
-    mixed[:, 1:] = ((1.0 - drifting) / k)[:, None]
-    uniform[:] = 1.0 / k
+    drained = int(np.count_nonzero(alpha == 0.0))
     counts = np.ones(runs, dtype=np.int64)
     counts[0] = max(frozen, 1)
     starts = np.concatenate([np.zeros(runs - drained, dtype=np.int64),
                              np.ones(drained, dtype=np.int64)])
-    widths = np.repeat([1, k + 1, k], [point.shape[0], drifting.size, drained])
-    return Truth(counts, np.arange(runs), starts, widths, probs)
+    widths = np.repeat([1, k + 1, k], [int(bool(frozen)), runs - drained - bool(frozen), drained])
+    return Truth(counts, np.arange(runs), starts, widths, _linear_rows(k, alpha), prefixes=False)
 
 
 # chunk of schedule steps evaluated at once
@@ -555,16 +695,21 @@ def _ramp_atoms(params: np.ndarray, atoms: Callable[[float, int], int]) -> np.nd
 
 
 def _schedule_truth(scenario: DriftScenario) -> Truth:
-    """One row per distinct parameter, each group of one atom count built at once.
+    """One row per distinct parameter, written from its parameter when read.
 
-    A flat schedule, or a single step, is one run of one row.
+    A flat schedule, or a single step, is one run of one row.  A zipf row
+    keeps its exponent's normalizer, which the atom count's search shares.
     """
     if scenario.kind == "geometric_drift":
         start, end = scenario.geo_p_start, scenario.geo_p_end
-        atoms, family = _geometric_atoms, _geometric_rows
+        atoms = _geometric_atoms
     else:
         start, end = scenario.zipf_s_start, scenario.zipf_s_end
-        atoms, family = _zipf_atoms, _zipf_rows
+        norms: dict[float, float] = {}
+
+        def atoms(s: float, near: int = 1) -> int:
+            norms[s] = _hurwitz_zeta(s, 1)
+            return _zipf_atoms(s, near, norms[s])
     flat = start == end or scenario.t == 1
     if flat:
         params, steps = np.array([start]), np.array([scenario.t])
@@ -573,23 +718,28 @@ def _schedule_truth(scenario: DriftScenario) -> Truth:
     else:
         params, steps = _ramp_params(start, end, scenario.t)
         widths = _ramp_atoms(params, atoms)
-    groups = _stretches(widths)
-    probs, views = _row_buffer([(z - a, int(widths[a])) for a, z in groups])
-    for (a, z), view in zip(groups, views):
-        family(params[a:z], view)
+    if scenario.kind == "geometric_drift":
+        def rows(a: int, z: int, out: np.ndarray) -> None:
+            _geometric_rows(params[a:z], out)
+    else:
+        norm = np.array([norms[s] if s in norms else _hurwitz_zeta(s, 1)
+                         for s in params.tolist()])
+
+        def rows(a: int, z: int, out: np.ndarray) -> None:
+            _zipf_rows(params[a:z], norm[a:z], out)
     starts = np.full(params.size, 0 if scenario.kind == "geometric_drift" else 1)
     if flat:
-        return Truth(steps, [0], starts, widths, probs)
-    # each distinct pmf is built once, but every step keeps its own run
+        return Truth(steps, [0], starts, widths, rows, prefixes=False)
+    # each distinct pmf is one row, but every step keeps its own run
     return Truth(np.ones(scenario.t, dtype=np.int64), np.repeat(np.arange(params.size), steps),
-                 starts, widths, probs)
+                 starts, widths, rows)
 
 
 def _uniform_truth(counts, starts, k: int) -> Truth:
     """Runs of uniform pmfs on k consecutive symbols, run i from ``starts[i]``."""
     starts = np.asarray(starts, dtype=np.int64)
     return Truth(counts, np.arange(starts.size), starts, np.full(starts.size, k),
-                 np.full(starts.size * k, 1.0 / k))
+                 _uniform_rows, prefixes=False)
 
 
 @lru_cache(maxsize=32)
@@ -676,19 +826,15 @@ def _uniform_ranks(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return guess
 
 
-# atoms of each row's CDF that every draw searches first
-_CDF_PREFIX = 32
-
-
 def _sample_rows(truth: Truth, u: np.ndarray) -> np.ndarray:
     """Inverse CDF of each step's row for a block of draws, one trial per row of ``u``.
 
     Geometric and zipf mass sits in the first atoms, so every draw first
     counts the exact first ``_CDF_PREFIX`` entries of its step's row's CDF
     at or below it, padded with 1.0 past a shorter row's end; each step's
-    prefix is built once for all the block's trials.  Only a draw beyond it
-    builds its row's whole CDF, one row at a time for all the draws that
-    need it.
+    prefix is built, from the atoms ``Truth`` keeps, once for all the
+    block's trials.  Only a draw beyond it writes its row anew and builds
+    the row's whole CDF, one row at a time for all the draws that need it.
     """
     m, t = u.shape
     rows = np.repeat(truth.rows, truth.counts)
@@ -698,8 +844,8 @@ def _sample_rows(truth: Truth, u: np.ndarray) -> np.ndarray:
     for steps in row_slices(t, _CDF_PREFIX):
         row = rows[steps]
         width = truth.widths[row][:, None]
-        atom = np.minimum(truth.offsets[row][:, None] + cols, truth.probs.size - 1)
-        cdf = np.cumsum(np.where(cols < width, truth.probs[atom], 0.0), axis=1)
+        atom = np.minimum(truth.prefix_at[row][:, None] + cols, truth.prefix.size - 1)
+        cdf = np.cumsum(np.where(cols < width, truth.prefix[atom], 0.0), axis=1)
         cdf[cols >= width - 1] = 1.0  # each row's last atom, and the padding past it
         first = truth.starts[row]
         for trials in row_slices(m, cdf.size):
@@ -746,12 +892,12 @@ def sample_streams(scenario: DriftScenario, lo: int, hi: int) -> np.ndarray:
         block[u < alpha] = 0
         return block
     truth = segments(scenario)
-    # every row has row 0's probabilities, so a step's sample is its row's
-    # first symbol plus a rank read from one CDF
+    # every row has the final one's probabilities, so a step's sample is its
+    # row's first symbol plus a rank read from one CDF
     if scenario.kind in ("iid", "abrupt", "rotating_support"):
-        ranks = _uniform_ranks(truth.row_probs(0), u)
+        ranks = _uniform_ranks(truth.current.probs, u)
     elif truth.widths.size == 1:
-        ranks = _inverse_cdf(truth.row_probs(0), u)
+        ranks = _inverse_cdf(truth.current.probs, u)
     else:
         return _sample_rows(truth, u)
     return ranks + np.repeat(truth.starts[truth.rows], truth.counts)

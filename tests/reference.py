@@ -21,11 +21,12 @@ from driftest import driftgen, harness
 from driftest.adaptive import (CandidateRecord, Comparison, EstimateResult, StopReason,
                                argmin_prefer_large, fixed_window_estimate, q_curve,
                                realized_error_curve)
-from driftest.dist import EmpiricalWindow, Pmf, phi_empirical, sorted_union, tv_distance
+from driftest.dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical, rows_tv,
+                           sorted_union, tv_distance)
 from driftest.driftgen import (_MAX_TRUNCATED_SUPPORT, ABRUPT_POST_OFFSET, TAIL_TOL, Truth,
                                _charge_truth_size, _geometric_atoms, _hurwitz_zeta,
                                _linear_alpha, _trial_rng)
-from driftest.windows import build_ladder, concentration_radius
+from driftest.windows import build_ladder, concentration_radius, dyadic_depth
 
 # --- distributions ------------------------------------------------------------
 
@@ -299,6 +300,168 @@ def sample_stream(scenario, trial):
         out[pos:pos + count] = pmf.symbols[np.minimum(idx, pmf.symbols.size - 1)]
         pos += count
     return out
+
+
+# --- the materialised columnar truth -------------------------------------------
+#
+# The columnar truth as it was built before a truth kept its rows' parameters
+# instead of their atoms: every row's atoms lie back to back in one array,
+# each stretch of rows of one width built by one family call, and every
+# reader indexes that array.  The library's generated rows must equal it.
+
+
+def _zipf_rows(s, out):
+    """The zipf rows of one width, each normalizer computed here."""
+    np.power(np.arange(1, out.shape[1] + 1, dtype=np.int64), -s[:, None], out=out,
+             dtype=np.float64)
+    out /= np.array([_hurwitz_zeta(x, 1) for x in s.tolist()])[:, None]
+    driftgen._absorb_remainder(out)
+
+
+def _row_buffer(groups):
+    """One flat buffer for groups of (rows, width), and each group's 2-D view of it."""
+    probs = np.empty(sum(rows * width for rows, width in groups))
+    views, at = [], 0
+    for rows, width in groups:
+        views.append(probs[at:at + rows * width].reshape(rows, width))
+        at += rows * width
+    return probs, views
+
+
+class MaterializedTruth:
+    """Run counts, rows, and all rows' atoms in ``probs``, row j's from ``offsets[j]``."""
+
+    def __init__(self, counts, rows, starts, widths, probs):
+        self.counts, self.rows, self.starts, self.widths = (
+            np.asarray(a, dtype=np.int64) for a in (counts, rows, starts, widths))
+        self.probs = probs
+        self.offsets = np.concatenate(([0], np.cumsum(self.widths)))
+        self.current = self.pmf(self.widths.size - 1)
+        gaps = rows_tv(self.starts, self.widths, self.probs, self.current)
+        self.drift = np.maximum.accumulate(np.repeat(gaps[self.rows[::-1]], self.counts[::-1]))
+        ends = np.cumsum(self.counts[::-1])
+        depth = dyadic_depth(int(np.sum(self.counts)))
+        self.window_averages = tuple(self.window_average(ends, 2**j) for j in range(depth + 1))
+        self.window_lambdas = tuple(lambda_complexity(average, 2**j)
+                                    for j, average in enumerate(self.window_averages))
+
+    def row_probs(self, row):
+        return self.probs[self.offsets[row]:self.offsets[row + 1]]
+
+    def pmf(self, row):
+        return Pmf(self.starts[row] + np.arange(self.widths[row]), self.row_probs(row))
+
+    def window_average(self, ends, r):
+        """Mean of the most recent r pmfs: runs newest first, by ``np.add.at`` in chunks."""
+        parts = int(np.searchsorted(ends, r)) + 1
+        weights = self.counts[::-1][:parts] / r
+        weights[-1] = (r - (int(ends[parts - 2]) if parts > 1 else 0)) / r
+        rows = self.rows[::-1][:parts]
+        widths, starts = self.widths[rows], self.starts[rows]
+        lo, hi = int(starts.min()), int((starts + widths).max())
+        acc = np.zeros(hi - lo)
+        for chunk in driftgen._atom_chunks(widths):
+            n = widths[chunk]
+            within = np.arange(int(np.sum(n))) - np.repeat(np.cumsum(n) - n, n)
+            atoms = np.repeat(self.offsets[rows[chunk]], n) + within
+            np.add.at(acc, np.repeat(starts[chunk] - lo, n) + within,
+                      np.repeat(weights[chunk], n) * self.probs[atoms])
+        return Pmf(np.arange(lo, hi), acc)
+
+
+def window_average(truth, r):
+    """The library's mean of a ``Truth``'s most recent r pmfs, for any r, fed its rows as it reads them."""
+    sums = driftgen._WindowSums(truth, [r])
+    for a, z, atoms in truth._chunks():
+        sums.add(a, z, atoms, np.concatenate(([0], np.cumsum(truth.widths[a:z]))))
+    (average,) = sums.averages()
+    return average
+
+
+@lru_cache(maxsize=64)
+def materialized_segments(scenario):
+    """The scenario's truth with every row's atoms built up front."""
+    t_max, k = scenario.t, scenario.k
+    if scenario.kind in ("iid", "abrupt", "rotating_support"):
+        runs = segments(scenario)
+        starts = [int(pmf.symbols[0]) for _, pmf in runs]
+        return MaterializedTruth([count for count, _ in runs], np.arange(len(runs)), starts,
+                                 np.full(len(runs), k), np.full(len(runs) * k, 1.0 / k))
+    if scenario.kind == "linear_drift":
+        frozen = 0
+        while frozen < t_max and _linear_alpha(scenario, frozen + 1) >= 1.0:
+            frozen += 1
+        runs = t_max - frozen + bool(frozen)
+        alpha = _linear_alpha(scenario, np.arange(frozen + 1, t_max + 1))
+        drifting = alpha[alpha > 0.0]
+        drained = alpha.size - drifting.size
+        probs, (point, mixed, uniform) = _row_buffer(
+            [(int(bool(frozen)), 1), (drifting.size, k + 1), (drained, k)])
+        point[:] = 1.0
+        mixed[:, 0] = drifting
+        mixed[:, 1:] = ((1.0 - drifting) / k)[:, None]
+        uniform[:] = 1.0 / k
+        counts = np.ones(runs, dtype=np.int64)
+        counts[0] = max(frozen, 1)
+        starts = np.concatenate([np.zeros(runs - drained, dtype=np.int64),
+                                 np.ones(drained, dtype=np.int64)])
+        widths = np.repeat([1, k + 1, k], [point.shape[0], drifting.size, drained])
+        return MaterializedTruth(counts, np.arange(runs), starts, widths, probs)
+    if scenario.kind == "geometric_drift":
+        start, end = scenario.geo_p_start, scenario.geo_p_end
+        atoms, family = _geometric_atoms, driftgen._geometric_rows
+    else:
+        start, end = scenario.zipf_s_start, scenario.zipf_s_end
+        atoms, family = zipf_atoms, _zipf_rows
+    if start == end or t_max == 1:
+        params, steps, widths = [start], [t_max], [atoms(start)]
+    else:
+        params, steps, widths = zip(*ramp_atoms(start, end, t_max, atoms))
+    params, widths = np.array(params), np.array(widths)
+    groups = driftgen._stretches(widths)
+    probs, views = _row_buffer([(z - a, int(widths[a])) for a, z in groups])
+    for (a, z), view in zip(groups, views):
+        family(params[a:z], view)
+    starts = np.full(params.size, 0 if scenario.kind == "geometric_drift" else 1)
+    if len(params) == 1:
+        return MaterializedTruth([t_max], [0], starts, widths, probs)
+    return MaterializedTruth(np.ones(t_max, dtype=np.int64),
+                             np.repeat(np.arange(params.size), steps), starts, widths, probs)
+
+
+def materialized_sample_rows(truth, u):
+    """The inverse CDF of each step's row, each step's 32-entry prefix read from ``probs``."""
+    m, t = u.shape
+    rows = np.repeat(truth.rows, truth.counts)
+    out = np.empty(u.shape, dtype=np.int64)
+    cols = np.arange(driftgen._CDF_PREFIX)
+    for step in range(t):
+        row = int(rows[step])
+        width = int(truth.widths[row])
+        atom = np.minimum(truth.offsets[row] + cols, truth.probs.size - 1)
+        cdf = np.cumsum(np.where(cols < width, truth.probs[atom], 0.0))
+        cdf[cols >= width - 1] = 1.0
+        found = np.count_nonzero(cdf <= u[:, step, None], axis=1)
+        out[:, step] = truth.starts[row] + found
+        beyond = found == driftgen._CDF_PREFIX
+        out[beyond, step] = truth.starts[row] + driftgen._inverse_cdf(
+            truth.row_probs(row), u[beyond, step])
+    return out
+
+
+def materialized_sample_streams(scenario, lo, hi):
+    """``driftgen.sample_streams`` over the materialised truth, row 0 serving one-CDF kinds."""
+    if scenario.kind == "linear_drift":
+        return driftgen.sample_streams(scenario, lo, hi)
+    u = np.stack([_trial_rng(scenario, trial).random(scenario.t) for trial in range(lo, hi)])
+    truth = materialized_segments(scenario)
+    if scenario.kind in ("iid", "abrupt", "rotating_support"):
+        ranks = driftgen._uniform_ranks(truth.row_probs(0), u)
+    elif truth.widths.size == 1:
+        ranks = driftgen._inverse_cdf(truth.row_probs(0), u)
+    else:
+        return materialized_sample_rows(truth, u)
+    return ranks + np.repeat(truth.starts[truth.rows], truth.counts)
 
 
 # --- the oracle curve ---------------------------------------------------------

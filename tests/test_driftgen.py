@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driftest import driftgen
+from driftest import dist, driftgen
 from driftest.adaptive import drift_sequence
 from driftest.dist import Pmf, tv_distance
 from driftest.driftgen import (TAIL_TOL, DriftScenario, abrupt,
@@ -15,6 +15,7 @@ from driftest.driftgen import (TAIL_TOL, DriftScenario, abrupt,
                                parse_scenario_config, rotating_support,
                                sample_stream, scenario_delta, segments,
                                true_pmf, truth_pmfs, zipf_drift)
+from driftest.harness import default_families
 import reference as ref
 
 
@@ -444,11 +445,10 @@ def test_window_average_matches_mean_of_truth():
     for scenario in ALL_FAMILIES:
         truth = list(ref.truth_pmfs(scenario))
         columnar = segments(scenario)
-        ends = np.cumsum(columnar.counts[::-1])
         for r in (1, 2, scenario.t // 2, scenario.t):
             if r < 1:
                 continue
-            got = driftgen._window_average(columnar, ends, r)
+            got = ref.window_average(columnar, r)
             want = ref.mean_pmf(truth[len(truth) - r:])
             assert tv_distance(got, want) < 1e-12
 
@@ -522,7 +522,8 @@ def test_each_distinct_pmf_is_counted_and_built_once(family, atoms, scenario, mo
     built = _count_calls(monkeypatch, family)
     truth = segments(scenario)
     assert np.all(truth.counts == 1) and truth.counts.size == scenario.t
-    # one row per distinct parameter, built in one call per atom count
+    # one row per distinct parameter, written once, in one call per atom count
+    # (no chunk of these truths ends inside a stretch of one atom count)
     assert sum(params.size for params in built) == truth.widths.size == distinct
     assert len(built) == len(truth.blocks) == len({probs.shape[1] for _, probs in truth.blocks})
     # no parameter is counted twice, and no more are counted than exist
@@ -718,3 +719,142 @@ def test_truth_side_builds_pmfs_per_window_not_per_step(scenario, monkeypatch):
     sample_stream(scenario, 0)
     # the current pmf, then one average per dyadic window
     assert len(built) == 1 + truth.depth + 1
+
+
+# --- rows written on demand against the materialised truth --------------------
+
+# tests/test_robustness.py's ADMITTED configs at a small t, and the admitted RAMPS
+ADMITTED_SMALL = [
+    iid(k=4, t=5000, seed=80),
+    iid(k=4000, t=16, seed=81),
+    linear_drift(k=10, step_delta=1e-6, t=571, seed=82),
+    rotating_support(k=8, period=1, t=625, seed=83),
+    geometric_drift(0.9, 0.8, t=490, seed=84),
+    zipf_drift(5.0, 4.5, t=164, seed=85),
+]
+ADMITTED_RAMPS = [geometric_drift(start, end, t=t, seed=86) if family == "geometric"
+                  else zipf_drift(start, end, t=t, seed=86)
+                  for family, start, end, t in RAMPS[:5]]
+GENERATED = list(dict.fromkeys(ALL_FAMILIES + SAMPLED + REFERENCE_CASES + ADMITTED_SMALL
+                               + ADMITTED_RAMPS + list(default_families(0))))
+
+
+def _fresh_truth(scenario, monkeypatch):
+    """A truth built anew, past the cache, that the sampler reads as the scenario's."""
+    truth = driftgen.segments.__wrapped__(scenario)
+    monkeypatch.setattr(driftgen, "segments", lambda s: truth if s == scenario else None)
+    return truth
+
+
+# chunks of 2^15 atoms; of 1,000, which end inside runs of rows of one width and
+# where the width changes; of one row each.  Rows read a row at a time, or all at once.
+@pytest.mark.parametrize("scenario, chunk, wide", [
+    pytest.param(scenario, chunk, wide,
+                 id=f"{_case_id(scenario)}-seed{scenario.seed}-chunk{chunk}-wide{wide}")
+    for chunk, wide in [(1 << 15, 256), (1000, 256), (1000, 1), (1000, 10**9), (1, 256)]
+    for scenario in GENERATED if chunk > 1 or scenario.t <= 1024])
+def test_generated_rows_equal_the_materialised_truth(scenario, chunk, wide, monkeypatch):
+    monkeypatch.setattr(driftgen, "CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(driftgen, "WIDE_ROW", wide)
+    monkeypatch.setattr(dist, "WIDE_ROW", wide)
+    want = ref.materialized_segments(scenario)
+    truth = _fresh_truth(scenario, monkeypatch)
+    assert np.concatenate([atoms for _, _, atoms in truth._chunks()][::-1]).tolist() == (
+        want.probs.tolist())
+    for (starts, probs), (a, z) in zip(truth.blocks, driftgen._stretches(want.widths)):
+        assert starts.tolist() == want.starts[a:z].tolist()
+        assert probs.ravel().tolist() == want.probs[want.offsets[a]:want.offsets[z]].tolist()
+    assert all(truth.row_probs(row).tolist() == want.row_probs(row).tolist()
+               for row in range(truth.widths.size))
+    assert same_pmf(truth.current, want.current)
+    assert truth.drift.dtype == want.drift.dtype and truth.drift.tolist() == want.drift.tolist()
+    assert len(truth.window_averages) == len(want.window_averages)
+    assert all(same_pmf(got, average)
+               for got, average in zip(truth.window_averages, want.window_averages))
+    assert truth.window_lambdas == want.window_lambdas
+    block = driftgen.sample_streams(scenario, 0, 3)
+    assert block.tolist() == ref.materialized_sample_streams(scenario, 0, 3).tolist()
+    if scenario == geometric_drift(0.08, 0.05, t=300, seed=65):
+        assert np.sum(block >= driftgen._CDF_PREFIX) > 10  # draws past the prefix
+
+
+def test_small_chunks_end_inside_runs_of_one_width_and_where_it_changes(monkeypatch):
+    monkeypatch.setattr(driftgen, "CHUNK_ELEMENTS", 1000)
+    inside = between = 0
+    for scenario in GENERATED:
+        widths = segments(scenario).widths
+        for part in list(driftgen._atom_chunks(widths))[:-1]:
+            same = widths[part.stop - 1] == widths[part.stop]
+            inside += bool(same)
+            between += not same
+    assert inside > 100 and between > 100
+
+
+@pytest.mark.parametrize("scenario", [zipf_drift(5.0, 4.5, t=512, seed=87),
+                                      geometric_drift(0.3, 0.45, t=512, seed=88),
+                                      rotating_support(k=8, period=1, t=8192, seed=89),
+                                      linear_drift(k=10, step_delta=1e-3, t=1024, seed=90)],
+                         ids=lambda s: s.kind)
+def test_each_row_is_written_once_as_the_truth_is_built(scenario, monkeypatch):
+    written = []
+    rows = driftgen.Truth._rows
+
+    def counted(truth, a, z):
+        written.extend(range(a, z))
+        return rows(truth, a, z)
+
+    monkeypatch.setattr(driftgen.Truth, "_rows", counted)
+    truth = _fresh_truth(scenario, monkeypatch)
+    assert sorted(written) == list(range(truth.widths.size))
+    truth.drift, truth.window_averages, truth.window_lambdas, truth.window_deltas
+    assert len(written) == truth.widths.size
+    # sampling writes a row only for a draw past its CDF prefix
+    block = driftgen.sample_streams(scenario, 0, 4)
+    steps = np.repeat(truth.rows, truth.counts)
+    assert sorted(written[truth.widths.size:]) == sorted(
+        set(steps[np.nonzero(block >= truth.starts[steps] + driftgen._CDF_PREFIX)[1]].tolist()))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 15])
+def test_row_checks_keep_their_precedence_across_chunks(chunk, monkeypatch):
+    # each check's error wins over the later checks' wherever their rows lie
+    monkeypatch.setattr(driftgen, "CHUNK_ELEMENTS", chunk)
+    rows = {"nan": [math.nan, 1.0], "negative": [1.5, -0.5], "zero": [1.0, 0.0],
+            "light": [0.5, 0.4], "heavy": [0.5, 0.55], "ok": [0.5, 0.5]}
+    cases = [(["ok", "zero", "negative", "nan"], "probabilities must be finite"),
+             (["nan", "ok"], "probabilities must be finite"),
+             (["light", "zero", "negative"], "probabilities must be nonnegative"),
+             (["light", "zero", "ok"], "a block row has a zero atom"),
+             # within a stretch of one width, its worst row is named
+             (["ok", "light", "heavy", "ok"], "pmf mass is 0.9, "),
+             (["ok", "heavy", "light", "ok"], "pmf mass is 0.9, ")]
+    for names, message in cases:
+        probs = np.array([rows[name] for name in names])
+        with pytest.raises(ValueError, match=message):
+            driftgen.Truth(np.ones(len(names)), np.arange(len(names)), np.zeros(len(names)),
+                           np.full(len(names), 2), probs.ravel())
+    # of two stretches of one width with a row off, the older one's worst row is named
+    probs = np.array([0.5, 0.5, 0.4, 0.5, 0.5, 0.3, 1.3])
+    with pytest.raises(ValueError, match="pmf mass is 0.9, "):
+        driftgen.Truth(np.ones(4), np.arange(4), np.zeros(4), [2, 2, 1, 2], probs)
+
+
+def test_a_zipf_truth_holds_its_rows_parameters_not_their_atoms():
+    # zipf 5.0 -> 4.5 over 4,096 steps has 4,096 rows of 701 - 1,847 atoms,
+    # 4.74 million in all: 36.2 MiB as one array, and the old truth held them.
+    # Built, its curves read and a stream drawn, it peaked at 2.9 MiB under
+    # tracemalloc: the window averages, the 32-atom CDF prefixes (1 MiB), the
+    # per-row gaps and one chunk's rows and temporaries.  4 MiB leaves room for
+    # those and none for the rows' atoms, nor for a tenth of them.
+    scenario = zipf_drift(5.0, 4.5, t=4096, seed=91)
+    sample_stream(iid(k=3, t=8, seed=0), 0)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        truth = segments(scenario)
+        truth.drift, truth.window_averages, truth.window_lambdas
+        sample_stream(scenario, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(np.sum(truth.widths)) == 4_741_432
+    assert peak < 4 * 2**20
