@@ -12,13 +12,15 @@ returned estimate is always the largest accepted window.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .dist import EmpiricalWindow, Pmf, RowStack, lambda_complexity, sorted_union
+from .dist import (CHUNK_ELEMENTS, EmpiricalWindow, Pmf, RowStack, lambda_complexity,
+                   sorted_union)
 from .windows import (as_stream, build_ladder, check_delta, ladder_phis, ladder_xis,
                       union_log_weight)
 
@@ -181,27 +183,45 @@ def fixed_window_estimate(stream, r: int) -> Pmf:
 
 
 def drift_sequence(truth) -> np.ndarray:
-    """Drift-error sequence of a truth sequence, one value per window size.
+    """Drift-error sequence of a ``driftgen.Truth``, one value per window size 1..T.
 
-    ``truth`` is a columnar ``driftgen.Truth``: run counts oldest first,
-    each run's row, and each row's TV to the final distribution
-    (``truth.gaps``, measured once per row as the truth is built).  Entry
-    r-1 is the largest total variation distance from the final distribution
-    to any of the r most recent ones; starts at 0 and never decreases.
+    Entry r-1 is the largest total variation distance from the final
+    distribution to any of the r most recent ones: the truth's drift per
+    run (``Truth.run_drift``) repeated over the runs' steps.  It starts at
+    0 and never decreases.
     """
-    return np.maximum.accumulate(np.repeat(truth.gaps[truth.rows[::-1]], truth.counts[::-1]))
+    return truth.drift_at(np.arange(1, int(truth.run_ends[-1]) + 1))
 
 
-def q_curve(current: Pmf, drift: np.ndarray, delta: float) -> np.ndarray:
-    """Idealized selection objective over all window sizes 1..len(drift).
+def q_curve(current: Pmf, drift: np.ndarray, delta: float, first: int = 1) -> np.ndarray:
+    """Idealized selection objective over window sizes first .. first + len(drift) - 1.
 
     Complexity of the current distribution at budget r, plus the
-    union-weighted deviation term, plus the drift error at r (``drift`` is
-    the ``drift_sequence`` of the truth).
+    union-weighted deviation term, plus the drift error at r (``drift``
+    holds the ``drift_sequence`` of the truth at those sizes).  Every value
+    is computed elementwise, so it does not depend on the range asked for.
     """
-    rs = np.arange(1, drift.size + 1, dtype=np.float64)
+    rs = np.arange(first, first + drift.size, dtype=np.float64)
     deviation = np.sqrt(union_log_weight(rs, delta) / rs)
     return lambda_complexity(current, rs) + deviation + drift
+
+
+def q_minimum(truth, delta: float) -> tuple[float, int]:
+    """(q*, r*): the objective's least value over window sizes 1..T and its largest argmin.
+
+    ``q_curve`` of a ``driftgen.Truth``'s current pmf, one
+    ``CHUNK_ELEMENTS`` of sizes at a time, so that no T-length array is
+    made; a later block's tie wins, as the larger r.
+    """
+    t = int(truth.run_ends[-1])
+    best = (math.inf, 0)
+    for first in range(1, t + 1, CHUNK_ELEMENTS):
+        sizes = np.arange(first, min(first + CHUNK_ELEMENTS, t + 1))
+        q = q_curve(truth.current, truth.drift_at(sizes), delta, first)
+        i = argmin_prefer_large(q)
+        if q[i] <= best[0]:
+            best = (float(q[i]), first + i)
+    return best
 
 
 def argmin_prefer_large(values: np.ndarray) -> int:

@@ -5,18 +5,18 @@ arrays so every sum over a support runs in a fixed (sorted-symbol) order,
 which keeps all derived quantities bit-reproducible from run to run.
 
 Total variation is half the L1 distance over the sorted union of two
-supports.  ``tv_distance`` sorts that union; the other TV functions know
-its layout in advance and sort nothing, yet sum the same values in the
-same order, so each gives ``tv_distance``'s bits: ``run_tv`` when one side
-sits on consecutive symbols (a truth's current pmf), ``tv_within`` for a
-pair and ``RowStack`` for many rows when one side's symbols are among the
-other's (a window and its average, nested windows), ``block_tvs`` and
-``block_run_tvs`` for those two cases over rows of atoms laid back to back
-(a block of trials' windows of one size), and ``rows_tv`` for rows and a
-pmf all on consecutive symbols (the drift curve).  A row's sum is always
-one sum over one contiguous row holding exactly those values: a
-C-contiguous row of a 2-D array sums as the 1-D array does, and rows of
-unequal length are summed apart (``row_sums``), never padded.
+supports, and one kernel (``_tvs``) takes every TV here: a base row on a
+layout, less each row's atoms at their places, 0.5 times each row's sum of
+absolute values.  Three layouts feed it, each holding the values a pair's
+sorted union holds, in the same order, so each TV has ``tv_distance``'s
+bits: the union, sorted (``tv_distance``); a support that holds the rows'
+symbols (``block_tvs`` and ``RowStack``: a window and its average, nested
+windows); and a run of consecutive symbols with the other side's symbols
+around it (``run_tv``, ``block_run_tvs`` and ``rows_tv``: a truth's
+current pmf).  A row's sum is always one sum over one contiguous row
+holding exactly those values: a C-contiguous row of a 2-D array sums as
+the 1-D array does, and rows of unequal length are summed apart
+(``row_sums``), never padded.
 """
 
 from __future__ import annotations
@@ -71,14 +71,16 @@ def as_stream(samples) -> np.ndarray:
     return arr
 
 
-def _sorted_atoms(symbols, probs) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize (symbols, probs) into sorted, validated, read-only atom copies.
+def _sorted_atoms(symbols, probs, copy: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize (symbols, probs) into sorted, validated, read-only atoms.
 
     Atoms that arrive sorted cost one linear check; only other input is
-    argsorted and searched for duplicates.
+    argsorted and searched for duplicates.  Without ``copy``, int64 symbols
+    and float64 probabilities that arrive sorted, with no zero atom, are
+    kept as given, and made read-only.
     """
-    syms = int64_values(symbols, "symbols", copy=True)
-    w = np.array(probs, dtype=np.float64)
+    syms = int64_values(symbols, "symbols", copy=copy)
+    w = (np.array if copy else np.asarray)(probs, dtype=np.float64)
     if syms.ndim != 1 or w.ndim != 1 or syms.shape != w.shape:
         raise ValueError("symbols and weights must be 1-D arrays of equal length")
     if syms.size == 0:
@@ -154,12 +156,21 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        syms, probs = _sorted_atoms(self.symbols, self.probs)
+        self._set(*_sorted_atoms(self.symbols, self.probs))
+
+    def _set(self, syms: np.ndarray, probs: np.ndarray) -> None:
         total = float(np.sum(probs))
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"pmf mass is {total!r}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _adopt(cls, symbols: np.ndarray, probs: np.ndarray) -> "Pmf":
+        """The pmf of atoms its caller gives up: the constructor's checks, without its copies."""
+        pmf = cls.__new__(cls)
+        pmf._set(*_sorted_atoms(symbols, probs, copy=False))
+        return pmf
 
     @classmethod
     def from_dict(cls, atoms: Mapping[int, float]) -> "Pmf":
@@ -227,9 +238,14 @@ CHUNK_ELEMENTS = 1 << 15
 WIDE_ROW = 256
 
 
+def _rows_per_chunk(width: int) -> int:
+    """Rows of ``width`` elements in a chunk: at least one, at most one over ``CHUNK_ELEMENTS``."""
+    return max(1, CHUNK_ELEMENTS // width)
+
+
 def row_slices(rows: int, width: int) -> Iterator[slice]:
     """Consecutive slices of ``rows`` rows, each at most one row over ``CHUNK_ELEMENTS``."""
-    step = max(1, CHUNK_ELEMENTS // width)
+    step = _rows_per_chunk(width)
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
@@ -280,45 +296,84 @@ class EmpiricalWindow:
 Distribution = Union[Pmf, EmpiricalWindow]  # both carry sorted symbols and their probs
 
 
-def tv_distance(p: Distribution, q: Distribution) -> float:
-    """Total variation distance: half the L1 distance over the union support."""
-    union = sorted_union(p.symbols, q.symbols)
-    diff = np.zeros(union.size)
-    diff[np.searchsorted(union, p.symbols)] = p.probs
-    diff[np.searchsorted(union, q.symbols)] -= q.probs
-    return 0.5 * float(np.sum(np.abs(diff)))
+def row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[bounds[i]:bounds[i + 1]].sum()`` for every i, bit for bit.
 
-
-def _run_range(run: Pmf) -> tuple[int, int]:
-    """The first symbol and width of a pmf on consecutive symbols; raises for any other."""
-    lo, width = int(run.symbols[0]), run.symbols.size
-    if int(run.symbols[-1]) - lo != width - 1:
-        raise ValueError("run must sit on consecutive symbols")
-    return lo, width
-
-
-def run_tv(run: Pmf, q: Distribution) -> float:
-    """``tv_distance(run, q)`` bit for bit, for a pmf ``run`` on consecutive symbols [lo, hi).
-
-    Their sorted union is q's symbols below lo, then lo .. hi-1, then q's
-    symbols from hi on, so two ``searchsorted`` positions lay it out and no
-    union is sorted.  It holds the values ``tv_distance`` sums in the same
-    order (|a - b| equals |b - a|), so the sum is the same bits.  A truth's
-    current pmf is such a run, since a truth row has no zero atom.
+    The rows of one length are gathered into one C-contiguous matrix and
+    summed along its rows, each as its 1-D slice sums.  No row is padded:
+    a zero would move values between numpy's eight partial sums.
     """
-    return _run_tv(run, q.symbols, q.probs)
+    lengths = bounds[1:] - bounds[:-1]
+    distinct = set(lengths.tolist())
+    if len(distinct) == 1:  # the rows already lie as one matrix
+        return values[bounds[0]:bounds[-1]].reshape(lengths.size, distinct.pop()).sum(axis=1)
+    sums = np.empty(lengths.size)
+    for n in distinct:
+        rows = (lengths == n).nonzero()[0]
+        sums[rows] = values[bounds[rows, None] + np.arange(n)].sum(axis=1)
+    return sums
 
 
-def _run_tv(run: Pmf, symbols: np.ndarray, probs: np.ndarray) -> float:
-    """``run_tv`` against the atoms (symbols, probs) of a distribution."""
-    lo, width = _run_range(run)
-    a, b = symbols.searchsorted((lo, lo + width)).tolist()
-    diff = np.empty(a + width + symbols.size - b)
-    diff[:a] = probs[:a]
-    diff[a:a + width] = run.probs
-    diff[symbols[a:b] + (a - lo)] -= probs[a:b]
-    diff[a + width:] = probs[b:]
-    return 0.5 * float(np.abs(diff, out=diff).sum())
+def _tvs(base: np.ndarray, flat: np.ndarray, probs: np.ndarray, n: int,
+         keep: np.ndarray | None = None) -> np.ndarray:
+    """0.5 times each of n rows' sum of |base less the row's atoms|, on one layout: their TVs.
+
+    Atom i has probability ``probs[i]`` at ``flat[i]`` of the flat n x
+    |layout| matrix: its row is ``flat[i] // |layout|`` and its layout
+    place the remainder, and ``flat`` ascends.  A chunk of rows at a time
+    (as ``row_slices`` cuts them), one scatter writes every atom into a
+    zero matrix, which is then taken from ``base``: each place holds base
+    less the row's atom there, or base (x - 0.0 is x).  With ``keep``, a
+    mask of the layout's places, each row keeps only those places and its
+    own, in layout order, and is summed alone or with the rows of its kept
+    length (``row_sums``); without it each row sums whole.  The layout
+    builders make each row's kept values the ones its pair's sorted union
+    holds, in the same order (|a - b| equals |b - a|), and a C-contiguous
+    row sums as the 1-D array does, so every TV is the pair's
+    ``tv_distance`` bit for bit.
+    """
+    width = base.size
+    step = _rows_per_chunk(width)
+    sums = []
+    b = 0
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # the chunk's atoms, and their places in its matrix
+        a, b = b, flat.size if hi == n else int(flat.searchsorted(hi * width))
+        at = flat[a:b] - lo * width
+        diff = np.zeros((hi - lo, width))
+        diff.ravel()[at] = probs[a:b]
+        np.subtract(base, diff, out=diff)
+        np.abs(diff, out=diff)
+        if keep is None:
+            sums.append(diff.sum(axis=1))
+            continue
+        kept = np.empty(diff.shape, dtype=bool)
+        kept[:] = keep
+        kept.ravel()[at] = True
+        ends = np.cumsum(np.count_nonzero(kept, axis=1))
+        sums.append(row_sums(diff[kept], np.concatenate(([0], ends))))
+    return 0.5 * (sums[0] if len(sums) == 1 else np.concatenate(sums))
+
+
+def _rows_of(lengths: np.ndarray, width: int) -> np.ndarray:
+    """For rows of the given lengths laid back to back, each atom's row times ``width``."""
+    return np.arange(0, lengths.size * width, width).repeat(lengths)
+
+
+def tv_distance(p: Distribution, q: Distribution) -> float:
+    """Total variation distance: half the L1 distance over the union support.
+
+    The union layout: p's probabilities on the sorted union, less q's.
+    """
+    union = sorted_union(p.symbols, q.symbols)
+    base = np.zeros(union.size)
+    base[union.searchsorted(p.symbols)] = p.probs
+    places = union.searchsorted(q.symbols)
+    return float(_tvs(base, places, q.probs, 1)[0])
+
+
+# --- the subset layout: each row's symbols among q's --------------------------
 
 
 def _positions_within(symbols: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -333,178 +388,127 @@ def _positions_within(symbols: np.ndarray, support: np.ndarray) -> np.ndarray:
     return pos
 
 
-def tv_within(p: Distribution, q: Distribution) -> float:
-    """``tv_distance(p, q)`` bit for bit, for p's symbols among q's.
+def block_tvs(symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
+              q: Distribution) -> np.ndarray:
+    """``tv_distance(row, q)`` for rows whose atoms lie back to back, row i's at bounds[i]:bounds[i+1].
 
-    Their union is q's support, so no union is sorted: q's probabilities
-    less p's at their places.  |a - b| equals |b - a|, so the array holds
-    the values ``tv_distance`` sums, in the same order.
+    Each row's symbols are among q's, so their union is q's support and
+    none is sorted: q's probabilities, less each row's at their places
+    (``_tvs``).  A symbol q lacks raises.
     """
-    return _tv_within(p.symbols, p.probs, q)
+    flat = _positions_within(symbols, q.symbols)
+    flat += _rows_of(bounds[1:] - bounds[:-1], q.symbols.size)
+    return _tvs(q.probs, flat, probs, bounds.size - 1)
 
 
-def _tv_within(symbols: np.ndarray, probs: np.ndarray, q: Distribution) -> float:
-    """``tv_within`` of the atoms (symbols, probs) of a distribution."""
-    diff = q.probs.copy()
-    diff[_positions_within(symbols, q.symbols)] -= probs
-    return 0.5 * float(np.abs(diff, out=diff).sum())
-
-
-def _stack(ps: Sequence[Distribution]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The atoms of ``ps`` laid back to back: their symbols, their probabilities, their rows."""
-    return (np.concatenate([p.symbols for p in ps]), np.concatenate([p.probs for p in ps]),
-            np.repeat(np.arange(len(ps)), [p.symbols.size for p in ps]))
-
-
-def _stacked_tvs(symbols: np.ndarray, probs: np.ndarray, rows: np.ndarray, n: int,
-                 q: Distribution) -> np.ndarray:
-    """``tv_within`` of n distributions whose atoms lie back to back, atom i on row ``rows[i]``.
-
-    Each row of an n x |supp q| matrix starts as q's probabilities, and one
-    scatter subtracts every atom.  A C-contiguous row sums as a 1-D array
-    does, so each value is the same bits.
-    """
-    diff = np.empty((n, q.symbols.size))
-    diff[:] = q.probs
-    diff[rows, _positions_within(symbols, q.symbols)] -= probs
-    return 0.5 * np.abs(diff, out=diff).sum(axis=1)
-
-
-# atoms a full RowStack stack grows by beyond what it must hold
-_STACK_SLACK = 256
+# atoms a RowStack's stack makes room for before it first grows
+_STACK_START = 256
 
 
 class RowStack:
     """Distributions, the rows, whose TVs are taken to distributions holding their symbols.
 
-    ``tvs(q)`` is ``tv_within(row, q)`` for every row, bit for bit, from a
-    rows x |supp q| matrix built a chunk of rows at a time (``row_slices``),
-    each chunk from one ``searchsorted`` and one scatter of its rows' atoms
-    laid back to back; a chunk of one row takes that row's own arrays.  A
-    symbol of some row that q lacks raises.  While the matrix fits one
-    chunk, the atoms come from a stack that ``append`` extends by one row's,
-    so a q costs one search however many rows there are.  A full stack
-    grows to ``_STACK_SLACK`` atoms more than it must hold: a walk over
-    small supports allocates it once or twice, and one over large supports
-    holds little more than its atoms.  The first q too wide for that drops the stack: the walk's
-    candidates only widen, and appending on the wide side would only copy.
+    ``tvs(q)`` is ``tv_distance(row, q)`` for every row, bit for bit, on
+    q's support (the layout of ``block_tvs``).  While the rows x |supp q|
+    matrix fits one chunk, the rows' atoms and their row numbers come from
+    a stack that ``append`` extends by one row's, so a q costs one search
+    however many rows there are.  The first q too wide for that drops the
+    stack, and the rows are then laid out and searched a chunk at a time
+    (``row_slices``): the walk's candidates only widen, so the stack, which
+    at least doubles when full, never holds much more than a chunk's atoms.
+    A symbol of some row that q lacks raises.
     """
 
     def __init__(self, rows: Sequence[Distribution]):
-        self.rows = list(rows)
-        self._stack = _stack(self.rows)
-        self._atoms = self._stack[0].size
+        self.rows, self._atoms = [], 0
+        self._stack = (np.empty(_STACK_START, dtype=np.int64), np.empty(_STACK_START),
+                       np.empty(_STACK_START, dtype=np.int64))
+        for p in rows:
+            self.append(p)
 
     def append(self, p: Distribution) -> None:
         if self._stack is not None:
-            atoms = self._atoms + p.symbols.size
-            if atoms > self._stack[0].size:
-                grown = tuple(np.empty(atoms + _STACK_SLACK, dtype=a.dtype) for a in self._stack)
-                for new, old in zip(grown, self._stack):
-                    new[:self._atoms] = old[:self._atoms]
-                self._stack = grown
+            a, b = self._atoms, self._atoms + p.symbols.size
+            if b > self._stack[0].size:  # it grows by what it must hold: O(atoms) copies in all
+                self._stack = tuple(np.concatenate((x[:a], np.empty(b, dtype=x.dtype)))
+                                    for x in self._stack)
             symbols, probs, rows = self._stack
-            symbols[self._atoms:atoms] = p.symbols
-            probs[self._atoms:atoms] = p.probs
-            rows[self._atoms:atoms] = len(self.rows)
-            self._atoms = atoms
+            symbols[a:b] = p.symbols
+            probs[a:b] = p.probs
+            rows[a:b] = len(self.rows)
+            self._atoms = b
         self.rows.append(p)
 
     def tvs(self, q: Distribution) -> np.ndarray:
         n = len(self.rows)
         if self._stack is not None and n * q.symbols.size <= CHUNK_ELEMENTS:
-            symbols, probs, rows = self._stack
-            atoms = self._atoms
-            return _stacked_tvs(symbols[:atoms], probs[:atoms], rows[:atoms], n, q)
+            (symbols, probs, rows), k = self._stack, self._atoms
+            flat = _positions_within(symbols[:k], q.symbols)
+            flat += rows[:k] * q.symbols.size
+            return _tvs(q.probs, flat, probs[:k], n)
         self._stack = None
-        gaps = np.empty(n)
+        tvs = []
         for part in row_slices(n, q.symbols.size):
             chunk = self.rows[part]
-            gaps[part] = (tv_within(chunk[0], q) if len(chunk) == 1
-                          else _stacked_tvs(*_stack(chunk), len(chunk), q))
-        return gaps
+            tvs.append(block_tvs(np.concatenate([p.symbols for p in chunk]),
+                                 np.concatenate([p.probs for p in chunk]),
+                                 np.cumsum([0] + [p.symbols.size for p in chunk]), q))
+        return np.concatenate(tvs)
 
 
-def row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """``values[bounds[i]:bounds[i + 1]].sum()`` for every i, bit for bit.
+# --- the run layout: one side on consecutive symbols --------------------------
 
-    The rows of one length are gathered into one C-contiguous matrix and
-    summed along its rows, each as its 1-D slice sums.  No row is padded:
-    a zero would move values between numpy's eight partial sums.
+
+def _run_range(run: Pmf) -> tuple[int, int]:
+    """The first symbol and width of a pmf on consecutive symbols; raises for any other."""
+    lo, width = int(run.symbols[0]), run.symbols.size
+    if int(run.symbols[-1]) - lo != width - 1:
+        raise ValueError("run must sit on consecutive symbols")
+    return lo, width
+
+
+def _run_layout(run: Pmf, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of a run's symbols [lo, hi) and a sorted support, laid out without a sort.
+
+    It is the support's symbols below lo, then lo .. hi-1, then the
+    support's from hi on: two ``searchsorted`` positions.  Returns the
+    run's probabilities on it, zero elsewhere, and the places of the
+    support's symbols.  A truth's current pmf is such a run, since a truth
+    row has no zero atom.
     """
-    if bounds.size == 2:
-        return np.array([values[bounds[0]:bounds[1]].sum()])
-    lengths = bounds[1:] - bounds[:-1]
-    distinct = set(lengths.tolist())
-    if len(distinct) == 1:  # the rows already lie as one matrix
-        return values[bounds[0]:bounds[-1]].reshape(lengths.size, distinct.pop()).sum(axis=1)
-    sums = np.empty(lengths.size)
-    for n in distinct:
-        rows = (lengths == n).nonzero()[0]
-        sums[rows] = values[bounds[rows, None] + np.arange(n)].sum(axis=1)
-    return sums
+    lo, width = _run_range(run)
+    a, b = support.searchsorted((lo, lo + width)).tolist()
+    base = np.zeros(a + width + support.size - b)
+    base[a:a + width] = run.probs
+    places = np.arange(support.size)
+    places[a:b] = support[a:b] - (lo - a)
+    places[b:] += a + width - b
+    return base, places
 
 
-def _chunk_rows(bounds: np.ndarray, part: slice) -> np.ndarray:
-    """The row, counted from the chunk's first, of each atom of the rows in ``part``."""
-    return np.arange(part.stop - part.start).repeat(
-        bounds[part.start + 1:part.stop + 1] - bounds[part.start:part.stop])
+def run_tv(run: Pmf, q: Distribution) -> float:
+    """``tv_distance(run, q)`` bit for bit, for a pmf ``run`` on consecutive symbols [lo, hi).
 
-
-def block_tvs(symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
-              q: Distribution) -> np.ndarray:
-    """``tv_within(row, q)`` for rows whose atoms lie back to back, row i's at bounds[i]:bounds[i+1].
-
-    One matrix (``_stacked_tvs``) per chunk of rows (``row_slices``), and a
-    chunk of one row on its own atoms; a symbol q lacks raises.
+    q's row sums the whole run layout of q's support (``_run_layout``).
     """
-    if bounds.size == 2:
-        return np.array([_tv_within(symbols, probs, q)])
-    n = bounds.size - 1
-    gaps = np.empty(n)
-    for part in row_slices(n, q.symbols.size):
-        a, b = bounds[part.start], bounds[part.stop]
-        k = part.stop - part.start
-        gaps[part] = (_tv_within(symbols[a:b], probs[a:b], q) if k == 1 else
-                      _stacked_tvs(symbols[a:b], probs[a:b], _chunk_rows(bounds, part), k, q))
-    return gaps
+    base, places = _run_layout(run, q.symbols)
+    return float(_tvs(base, places, q.probs, 1)[0])
 
 
 def block_run_tvs(run: Pmf, symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
                   within: Distribution) -> np.ndarray:
     """``run_tv(run, row)`` for rows laid out as in ``block_tvs``, each row's symbols among ``within``'s.
 
-    A chunk of rows shares one layout, the union of ``within``'s symbols and
-    the run's: a matrix starts as the run's probabilities there, and one
-    scatter subtracts every atom.  Each row then keeps only the places of
-    its own symbols and the run's, in order, which are the values
-    ``run_tv`` sums, and is summed alone or with the rows of its kept
-    length (``row_sums``).  A single row is ``run_tv`` on its atoms.
+    All rows share the run layout of ``within``'s support, and each keeps
+    only the run's places, where its probabilities are positive, and its
+    own: its own run layout.  A symbol ``within`` lacks raises.
     """
-    if bounds.size == 2:
-        return np.array([_run_tv(run, symbols, probs)])
-    lo, width = _run_range(run)
-    union = sorted_union(within.symbols, run.symbols)
-    at = int(union.searchsorted(lo))
-    start = np.zeros(union.size)
-    start[at:at + width] = run.probs
-    in_run = np.zeros(union.size, dtype=bool)
-    in_run[at:at + width] = True
-    n = bounds.size - 1
-    gaps = np.empty(n)
-    for part in row_slices(n, union.size):
-        a, b = bounds[part.start], bounds[part.stop]
-        k = part.stop - part.start
-        rows, cols = _chunk_rows(bounds, part), _positions_within(symbols[a:b], union)
-        diff = np.empty((k, union.size))
-        diff[:] = start
-        diff[rows, cols] -= probs[a:b]
-        keep = np.empty((k, union.size), dtype=bool)
-        keep[:] = in_run
-        keep[rows, cols] = True
-        ends = np.cumsum(np.count_nonzero(keep, axis=1))
-        gaps[part] = 0.5 * row_sums(np.abs(diff[keep]), np.concatenate(([0], ends)))
-    return gaps
+    base, places = _run_layout(run, within.symbols)
+    flat = places[_positions_within(symbols, within.symbols)]
+    flat += _rows_of(bounds[1:] - bounds[:-1], base.size)
+    # where ``within``'s symbols are all the run's, every row sums the whole layout
+    keep = base > 0 if base.size > run.symbols.size else None
+    return _tvs(base, flat, probs, bounds.size - 1, keep=keep)
 
 
 def rows_tv(starts: np.ndarray, widths: np.ndarray, probs: np.ndarray, q: Pmf) -> np.ndarray:
@@ -512,41 +516,23 @@ def rows_tv(starts: np.ndarray, widths: np.ndarray, probs: np.ndarray, q: Pmf) -
 
     Row i puts its ``widths[i]`` probabilities, which follow the rows
     before it in the flat ``probs``, on the consecutive symbols from
-    ``starts[i]``; q must sit on consecutive symbols too.  Row and q are
-    laid out on their sorted union, as ``tv_distance`` lays them out, so
-    each row's sum runs over the same values in the same order.  The layout
-    is where the row starts against q and the union's width, so the rows
-    that share one, whatever their own widths, are summed together, one
-    ``np.sum(axis=1)`` per chunk.  Rows of ``WIDE_ROW`` atoms or more on
-    average are measured one at a time instead (``_run_tv``), each on its
-    own atoms, with no matrix of the chunk's size.
+    ``starts[i]``; q must sit on consecutive symbols too.  A row past
+    either end of q is moved next to it, which keeps the layout of its
+    union with q, so all rows fit one run layout: a range of consecutive
+    symbols around q's, where a symbol's place is its offset.  Each row
+    keeps q's places and its own.
     """
-    offsets = np.concatenate(([0], np.cumsum(widths)))
-    if offsets[-1] >= WIDE_ROW * widths.size:
-        return np.array([_run_tv(q, start + np.arange(b - a), probs[a:b]) for start, a, b
-                         in zip(starts.tolist(), offsets[:-1].tolist(), offsets[1:].tolist())])
-    m = q.symbols.size
-    q_lo, _ = _run_range(q)
-    # a row past either end of q is laid out as a row adjacent to it
-    d = np.clip(starts - q_lo, -widths, m)
-    union = np.maximum(d + widths, m) - np.minimum(d, 0)
-    layouts, which = np.unique((d + int(widths.max())) * (int(union.max()) + 1) + union,
-                               return_inverse=True)
-    gaps = np.empty(starts.size)
-    for k in range(layouts.size):
-        rows = np.flatnonzero(which == k)
-        first = rows[0]
-        row_at, q_at, width = max(int(d[first]), 0), max(-int(d[first]), 0), int(union[first])
-        for part in row_slices(rows.size, width):
-            chunk = rows[part]
-            n = widths[chunk]
-            within = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-            diff = np.zeros((chunk.size, width))
-            diff.ravel()[np.repeat(np.arange(chunk.size) * width + row_at, n) + within] = (
-                probs[np.repeat(offsets[chunk], n) + within])
-            diff[:, q_at:q_at + m] -= q.probs
-            gaps[chunk] = 0.5 * np.sum(np.abs(diff), axis=1)
-    return gaps
+    lo, m = _run_range(q)
+    d = np.clip(starts - lo, -widths, m)
+    first = min(int(d.min()), 0)  # the layout starts at symbol lo + first
+    base = np.zeros(max(int((d + widths).max()), m) - first)
+    base[-first:m - first] = q.probs
+    bounds = np.concatenate(([0], np.cumsum(widths)))
+    # each row's first atom's place in the flat matrix, less its offset in probs
+    shift = np.arange(0, widths.size * base.size, base.size) + d - first - bounds[:-1]
+    flat = np.arange(bounds[-1]) + np.repeat(shift, widths)
+    # q's atoms are positive; rows within q's symbols all sum q's whole layout
+    return _tvs(base, flat, probs, widths.size, keep=base > 0 if base.size > m else None)
 
 
 def lambda_complexity(p: Distribution, r):
@@ -556,18 +542,27 @@ def lambda_complexity(p: Distribution, r):
     threshold contribute sqrt(mass)/sqrt(r).  The tight rate for
     estimating the distribution from r samples.  Vectorized over ``r``: a
     scalar budget gives a float, an array of budgets an array, each from
-    prefix sums over the masses in ascending order.
+    prefix sums over the masses in ascending order.  A scalar budget
+    allocates only the sorted masses, and takes its two sums in place on
+    their two sides of 1/r, adding in the order the prefix sums add: the
+    window averages' complexities take scalar budgets, and a second array
+    the size of the widest average would set the peak of a long truth.
     """
     rs = np.asarray(r, dtype=np.float64)
     if rs.min() < 1:
         raise ValueError("sample budget r must be >= 1")
     w = np.sort(p.probs)
-    prefix_mass = np.concatenate([[0.0], np.cumsum(w)])
-    suffix_root = np.concatenate([[0.0], np.cumsum(np.sqrt(w)[::-1])])[::-1]
     # first index whose mass is >= 1/r
     idx = np.searchsorted(w, 1.0 / rs, side="left")
-    lam = prefix_mass[idx] + suffix_root[idx] / np.sqrt(rs)
-    return float(lam) if lam.ndim == 0 else lam
+    if rs.ndim == 0:
+        light, heavy = w[:idx], w[idx:][::-1]
+        mass = np.cumsum(light, out=light)[-1] if light.size else 0.0
+        np.sqrt(heavy, out=heavy)
+        root = np.cumsum(heavy, out=heavy)[-1] if heavy.size else 0.0
+        return float(mass + root / np.sqrt(rs))
+    prefix_mass = np.concatenate([[0.0], np.cumsum(w)])
+    suffix_root = np.concatenate([[0.0], np.cumsum(np.sqrt(w)[::-1])])[::-1]
+    return prefix_mass[idx] + suffix_root[idx] / np.sqrt(rs)
 
 
 def half_norm(p: Distribution) -> float:

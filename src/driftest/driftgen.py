@@ -32,7 +32,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .adaptive import drift_sequence
 from .dist import (CHUNK_ELEMENTS, MASS_TOL, WIDE_ROW, Pmf, lambda_complexity, row_slices,
                    rows_tv)
 from .windows import dyadic_depth
@@ -366,10 +365,11 @@ class Truth:
     (``_chunks``), and each chunk is read at once by every reader: the
     checks, which are ``Pmf``'s except that a zero atom raises instead of
     being dropped, which would split the row's run of symbols; each row's
-    TV to the final pmf (``gaps``, which the drift curve reads); with
+    TV to the final pmf, whose running max over the runs, newest first, is
+    the drift error of every window ending in each run (``run_drift``); with
     ``prefixes``, each row's first ``_CDF_PREFIX`` atoms, which the sampler
     searches first; and the dyadic window averages (``_WindowSums``).  So a
-    truth holds O(runs + rows + prefix atoms) numbers and its window
+    truth holds O(runs + prefix atoms) numbers and its window
     averages, and one chunk while it is built.  A drifting geometric or
     zipf schedule keeps one run per step even where steps share a row, so
     that each step stays its own part of a window average.  The symbols the
@@ -380,12 +380,13 @@ class Truth:
         self.counts, self.rows, self.starts, self.widths = (
             np.asarray(a, dtype=np.int64) for a in (counts, rows, starts, widths))
         self._fill = probs if callable(probs) else _array_rows(probs, self.widths)
-        self.depth = dyadic_depth(int(np.sum(self.counts)))
+        self.run_ends = np.cumsum(self.counts[::-1])  # the run ends, counted from the newest
+        self.depth = dyadic_depth(int(self.run_ends[-1]))
         sums = _WindowSums(self, [2**j for j in range(self.depth + 1)])
         if self.starts.min() < 0:
             raise ValueError("symbols must be nonnegative integers")
         # cached and shared by every caller, so read-only like a Pmf
-        for array in (self.counts, self.rows, self.starts, self.widths):
+        for array in (self.counts, self.rows, self.starts, self.widths, self.run_ends):
             array.setflags(write=False)
         self._scan(sums, prefixes)
         self.window_averages = sums.averages()  # mean of the most recent 2^j pmfs
@@ -399,7 +400,7 @@ class Truth:
         step's pmf, ``current``.
         """
         n = self.widths.size
-        self.gaps = np.empty(n)
+        gaps = np.empty(n)
         if prefixes:
             self.prefix_at = np.concatenate(([0], np.cumsum(np.minimum(self.widths,
                                                                         _CDF_PREFIX))))
@@ -419,7 +420,7 @@ class Truth:
             if z == n:
                 self.current = Pmf(self.starts[-1] + np.arange(bounds[-1] - bounds[-2]),
                                    atoms[bounds[-2]:])
-            self.gaps[a:z] = rows_tv(self.starts[a:z], self.widths[a:z], atoms, self.current)
+            gaps[a:z] = rows_tv(self.starts[a:z], self.widths[a:z], atoms, self.current)
             if prefixes:
                 at = self.prefix_at[a:z + 1]
                 self.prefix[at[0]:at[-1]] = atoms if at[-1] - at[0] == atoms.size else atoms[
@@ -438,7 +439,8 @@ class Truth:
             mass = np.sum(self._rows(a, z).reshape(z - a, -1), axis=1)
             worst = float(mass[np.argmax(np.abs(mass - 1.0))])
             raise ValueError(f"pmf mass is {worst!r}, not 1 within {MASS_TOL}")
-        self.gaps.setflags(write=False)
+        self.run_drift = np.maximum.accumulate(gaps[self.rows[::-1]])
+        self.run_drift.setflags(write=False)
         if prefixes:
             self.prefix.setflags(write=False)
 
@@ -482,12 +484,12 @@ class Truth:
             out.append((self.starts[a:z], probs))
         return tuple(out)
 
-    @cached_property
-    def drift(self) -> np.ndarray:
-        """Drift errors for every window size 1..t (read-only)."""
-        curve = drift_sequence(self)
-        curve.setflags(write=False)
-        return curve
+    def drift_at(self, r):
+        """The drift error of the r most recent steps, for a size or an array of sizes.
+
+        They end in the first run whose ``run_ends`` entry reaches r.
+        """
+        return self.run_drift[self.run_ends.searchsorted(r)]
 
     @cached_property
     def window_lambdas(self) -> tuple[float, ...]:
@@ -498,7 +500,7 @@ class Truth:
     @cached_property
     def window_deltas(self) -> tuple[float, ...]:
         """Drift error of each dyadic window size."""
-        return tuple(float(self.drift[2**j - 1]) for j in range(self.depth + 1))
+        return tuple(self.drift_at(2 ** np.arange(self.depth + 1)).tolist())
 
 
 class _WindowSums:
@@ -514,7 +516,7 @@ class _WindowSums:
 
     def __init__(self, truth: Truth, rs: list[int]):
         self.truth = truth
-        ends = np.cumsum(truth.counts[::-1])  # the run ends, counted from the newest
+        ends = truth.run_ends
         parts = np.searchsorted(ends, rs) + 1
         self.reach = int(parts.max())  # the runs any window holds
         newest = truth.rows[::-1]
@@ -562,11 +564,19 @@ class _WindowSums:
                           np.repeat(weights[part], n) * atoms[np.repeat(at[part], n) + within])
 
     def averages(self) -> tuple[Pmf, ...]:
-        """The window averages, each sum freed once its ``Pmf`` holds it."""
+        """The window averages, each holding its sum without a copy (``Pmf._adopt``).
+
+        The windows are nested, and their symbols are read-only views of one
+        ``np.arange`` over the widest span; an average that drops a zero atom
+        keeps its own copies.
+        """
+        first = self.windows[-1][3]  # the last window is the widest
+        symbols = np.arange(first, first + self.sums[-1].size)
+        symbols.setflags(write=False)
         out = []
-        for _, _, _, lo in self.windows:
+        for *_, lo in self.windows:
             acc = self.sums.pop(0)
-            out.append(Pmf(np.arange(lo, lo + acc.size), acc))
+            out.append(Pmf._adopt(symbols[lo - first:lo - first + acc.size], acc))
         return tuple(out)
 
 
@@ -782,7 +792,7 @@ def scenario_delta(scenario: DriftScenario, r: int) -> float:
     """Exact drift error of the most recent r steps, from the true pmfs."""
     if not 1 <= r <= scenario.t:
         raise ValueError(f"window size {r} outside [1, {scenario.t}]")
-    return float(segments(scenario).drift[r - 1])
+    return float(segments(scenario).drift_at(r))
 
 
 # --- sampling --------------------------------------------------------------

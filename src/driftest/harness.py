@@ -25,8 +25,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import driftgen
-from .adaptive import (adaptive_estimate, argmin_prefer_large, q_curve,
-                       realized_error_curve, walk_ladder)
+from .adaptive import (EstimateResult, argmin_prefer_large, q_minimum, realized_error_curve,
+                       walk_ladder)
 from .dist import (CHUNK_ELEMENTS, Pmf, block_phis, block_run_tvs, block_tvs, half_norm,
                    lambda_complexity, run_tv, tv_distance)
 from .driftgen import DriftScenario, Truth, linear_drift, sample_streams, segments
@@ -145,29 +145,30 @@ def _block_size(scenario: DriftScenario) -> int:
     return max(1, CHUNK_ELEMENTS // scenario.t)
 
 
-def _window_columns(ladders: LadderBlock, truth: Truth, current: bool,
-                    phis: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _window_columns(ladders: LadderBlock, truth: Truth, average: bool, current: bool,
+                    phis: bool) -> tuple[np.ndarray | None, ...]:
     """Each window's TV to its own window average, to the current pmf and its phi.
 
-    Rows are trials and columns ``ladders.js``; the TVs to the current pmf
-    and the phis are computed only when asked for.  A window's samples were
-    drawn from the steps its average mixes, so its symbols are among the
-    average's (``block_tvs``), and the current pmf sits on consecutive
-    symbols (``block_run_tvs``): no union of a window's is sorted.  The
+    Rows are trials and columns ``ladders.js``; each is computed only when
+    asked for.  A window's samples were drawn from the steps its average
+    mixes, so its symbols are among the average's (``block_tvs``), and the
+    current pmf sits on consecutive symbols (``block_run_tvs``): no union
+    of a window's is sorted.  The
     sizes go largest first, so each size's temporaries meet only the
     windows at least as large.
     """
     shape = (ladders.rows, len(ladders.js))
-    to_average = np.empty(shape)
+    to_average = np.empty(shape) if average else None
     to_current = np.empty(shape) if current else None
     phi = np.empty(shape) if phis else None
     for c in reversed(range(shape[1])):
         symbols, _, bounds = ladders.runs(c)
         probs = ladders.probs(c)
-        average = truth.window_averages[ladders.js[c]]
-        to_average[:, c] = block_tvs(symbols, probs, bounds, average)
+        within = truth.window_averages[ladders.js[c]]
+        if average:
+            to_average[:, c] = block_tvs(symbols, probs, bounds, within)
         if current:
-            to_current[:, c] = block_run_tvs(truth.current, symbols, probs, bounds, average)
+            to_current[:, c] = block_run_tvs(truth.current, symbols, probs, bounds, within)
         if phis:
             phi[:, c] = block_phis(probs, bounds, 2**ladders.js[c])
     return to_average, to_current, phi
@@ -191,48 +192,13 @@ def _prop3_held(phis: np.ndarray, radii: np.ndarray, truth: Truth,
 def _oracle_reads(stream: np.ndarray, current: Pmf) -> tuple:
     """The oracle curve where a trial's metrics read it.
 
-    At every dyadic size, which the walk may choose, then the oracle window
-    and the curve there, at T and at 1.
+    At every dyadic size, which the walk may choose, then the curve at the
+    oracle window and that window, at T and at 1.
     """
     errs = realized_error_curve(stream, current)
     r_oracle = argmin_prefer_large(errs) + 1
     at_dyadic = errs[(1 << np.arange(dyadic_depth(errs.size) + 1)) - 1].tolist()
-    return at_dyadic, r_oracle, float(errs[r_oracle - 1]), float(errs[-1]), float(errs[0])
-
-
-def _trial_metrics(scenario: DriftScenario, delta: float, q_star: float,
-                   r_star: int, lo: int, hi: int) -> list[TrialMetrics]:
-    """The metrics of trials lo .. hi-1, drawn and laddered as one block.
-
-    Each trial's oracle curve is read (``_oracle_reads``) before the
-    ladders are built, so that the streams are freed once they are sorted.
-    """
-    truth = segments(scenario)
-    streams = sample_streams(scenario, lo, hi)
-    oracles = [_oracle_reads(stream, truth.current) for stream in streams]
-    ladders = LadderBlock(streams)
-    del streams
-    to_average, _, phis = _window_columns(ladders, truth, current=False, phis=True)
-    radii = concentration_radius(np.arange(len(ladders.js)), delta)
-    xis = phis + radii
-    emp_ok, true_ok = _prop3_held(phis, radii, truth, to_average)
-    rows = []
-    for i, (trial, (at_dyadic, r_oracle, err_oracle, err_full, err_last)) in enumerate(
-            zip(range(lo, hi), oracles)):
-        result = walk_ladder(ladders.ladder(i), phis[i].tolist(), xis[i].tolist())
-        rows.append(TrialMetrics(
-            trial=trial,
-            chosen_r=result.chosen_window,
-            err_adaptive=at_dyadic[result.chosen_window.bit_length() - 1],
-            err_oracle=err_oracle,
-            r_oracle=r_oracle,
-            err_full_window=err_full,
-            err_last_sample=err_last,
-            q_star=q_star,
-            r_star=r_star,
-            prop3_held=bool(emp_ok[i] and true_ok[i]),
-        ))
-    return rows
+    return at_dyadic, float(errs[r_oracle - 1]), r_oracle, float(errs[-1]), float(errs[0])
 
 
 def _check_trials(trials: int) -> None:
@@ -246,11 +212,10 @@ def run_trials(scenario: DriftScenario, trials: int, delta: float,
     # both checked before the truth side is built
     check_delta(delta)
     _check_trials(trials)
-    truth = segments(scenario)
-    q = q_curve(truth.current, truth.drift, delta)
-    r_star = argmin_prefer_large(q) + 1
-    return _fan_out(_trial_metrics, (scenario, delta, float(q[r_star - 1]), r_star),
-                    trials, workers, _block_size(scenario))
+    q_star, r_star = q_minimum(segments(scenario), delta)
+    rows = _trial_rows(scenario, {"metrics": trials}, delta, None, workers)["metrics"]
+    return [TrialMetrics(trial, *metrics[:-1], q_star, r_star, metrics[-1])
+            for trial, metrics in enumerate(rows)]
 
 
 def write_trials_csv(rows: Sequence[TrialMetrics], scenario: DriftScenario,
@@ -285,14 +250,13 @@ def _prop2_failures(r: int, phis: np.ndarray, gaps: np.ndarray, delta: float,
     return list(zip((gaps > deviation_bound).tolist(), (phis > complexity_bound).tolist()))
 
 
-def _prop45_slacks(ladder, phis: list[float], xis: list[float], bounds: list[float],
+def _prop45_slacks(result: EstimateResult, bounds: list[float],
                    to_current: list[float]) -> tuple[list[float], list[float]]:
     """The walk's (continue, stop) slacks, for a trial inside the simultaneous-bounds event.
 
-    ``bounds`` are the windows' xi plus drift error, and ``to_current``
-    their TVs to the current pmf.
+    ``result`` is the trial's walk, ``bounds`` are the windows' xi plus
+    drift error, and ``to_current`` their TVs to the current pmf.
     """
-    result = walk_ladder(ladder, phis, xis)
     # continue condition: every accepted window beyond the first is
     # within five times the best bound among the earlier accepted ones
     continue_slacks = []
@@ -314,24 +278,38 @@ def _suite_block(scenario: DriftScenario, delta: float | None, r: int | None,
                  trials: tuple[tuple[str, int], ...], lo: int, hi: int) -> list[dict]:
     """Trials lo .. hi-1 of every suite among ``trials`` (name, count) whose count exceeds them.
 
-    A block never straddles a count, so each of its trials serves the same
-    suites.  The block's streams are drawn at once and laddered at once;
-    prop2 alone sorts only its one window, since the ladder would cost
-    several times that window.  Each window's TV to its window average,
-    its TV to the current pmf (for prop1 and prop45) and its phi (for all
-    but prop1 alone) are computed once, a window size at a time across the
-    block; prop45 walks each trial's own ladder.
+    The suites are verify's prop1, prop2, prop3 and prop45, simulate's
+    metrics and the scaling study's error, which is asked for alone.  A
+    block never straddles a count, so each of its trials serves the same
+    suites.  The block's streams are drawn at once; the metrics read each
+    one's oracle curve (``_oracle_reads``), and then the streams are
+    laddered at once and freed once they are sorted.  prop2 alone sorts
+    only its one window, since the ladder would cost several times that
+    window.  Each window's
+    TV to its window average (for all but the error), its TV to the
+    current pmf (for prop1 and prop45) and its phi (for all but prop1
+    alone) are computed once, a window size at a time across the block;
+    each trial's ladder is walked once, for the metrics, the error and
+    prop45, and the error takes only its chosen window's TV to the current
+    pmf (``run_tv``).
     Results by trial, then by name: prop1's slacks; prop2's and prop3's
     (deviation failed, complexity failed); prop45's (continue, stop)
-    slacks, or None outside the simultaneous-bounds event.
+    slacks, or None outside the simultaneous-bounds event; the metrics'
+    (chosen_r, err_adaptive, err_oracle, r_oracle, err_full_window,
+    err_last_sample, prop3_held); the error's TV from the current pmf to
+    the estimate.
     """
     suites = {name for name, n in trials if lo < n}
     truth = segments(scenario)
     j_r = r.bit_length() - 1 if "prop2" in suites else None  # prop2's window is window j_r
-    ladders = LadderBlock(sample_streams(scenario, lo, hi),
-                          [j_r] if suites == {"prop2"} else None)
+    streams = sample_streams(scenario, lo, hi)
+    oracles = ([_oracle_reads(stream, truth.current) for stream in streams]
+               if "metrics" in suites else None)
+    ladders = LadderBlock(streams, [j_r] if suites == {"prop2"} else None)
+    del streams
     to_average, to_current, phis = _window_columns(
-        ladders, truth, current=bool(suites & {"prop1", "prop45"}), phis=suites != {"prop1"})
+        ladders, truth, average=suites != {"error"}, current=bool(suites & {"prop1", "prop45"}),
+        phis=suites != {"prop1"})
     out = [{} for _ in range(lo, hi)]
     if "prop1" in suites:
         # estimation error minus statistical plus drift error, per window
@@ -345,20 +323,31 @@ def _suite_block(scenario: DriftScenario, delta: float | None, r: int | None,
         for row, failed in zip(out, _prop2_failures(r, phis[:, c], to_average[:, c], delta,
                                                     truth)):
             row["prop2"] = failed
-    if suites & {"prop3", "prop45"}:
-        radii = concentration_radius(np.arange(len(ladders.js)), delta)
-        emp_ok, true_ok = _prop3_held(phis, radii, truth, to_average)
+    if not suites & {"prop3", "prop45", "metrics", "error"}:
+        return out
+    radii = concentration_radius(np.arange(len(ladders.js)), delta)
+    xis = phis + radii
+    if suites == {"error"}:
+        for i, row in enumerate(out):
+            ladder = ladders.ladder(i)
+            result = walk_ladder(ladder, phis[i].tolist(), xis[i].tolist())
+            row["error"] = run_tv(truth.current, ladder[result.accepted[-1].index])
+        return out
+    emp_ok, true_ok = _prop3_held(phis, radii, truth, to_average)
+    bounds = xis + np.array(truth.window_deltas)
+    for i, row in enumerate(out):
+        held = bool(emp_ok[i] and true_ok[i])
         if "prop3" in suites:
-            for row, emp, true in zip(out, emp_ok.tolist(), true_ok.tolist()):
-                row["prop3"] = (not emp, not true)
+            row["prop3"] = (not emp_ok[i], not true_ok[i])
+        if "metrics" in suites or ("prop45" in suites and held):
+            result = walk_ladder(ladders.ladder(i), phis[i].tolist(), xis[i].tolist())
         if "prop45" in suites:
-            xis = phis + radii
-            bounds = xis + np.array(truth.window_deltas)
-            for i, row in enumerate(out):
-                row["prop45"] = (_prop45_slacks(ladders.ladder(i), phis[i].tolist(),
-                                                xis[i].tolist(), bounds[i].tolist(),
-                                                to_current[i].tolist())
-                                 if emp_ok[i] and true_ok[i] else None)
+            row["prop45"] = (_prop45_slacks(result, bounds[i].tolist(), to_current[i].tolist())
+                             if held else None)
+        if "metrics" in suites:
+            at_dyadic, *oracle = oracles[i]
+            row["metrics"] = (result.chosen_window,
+                              at_dyadic[result.chosen_window.bit_length() - 1], *oracle, held)
     return out
 
 
@@ -588,12 +577,6 @@ def scaling_horizon(k: int, step_delta: float) -> int:
     return horizon
 
 
-def _scaling_errors(scenario: DriftScenario, delta: float, lo: int, hi: int) -> list[float]:
-    current = segments(scenario).current
-    return [run_tv(current, adaptive_estimate(stream, delta).estimate)
-            for stream in sample_streams(scenario, lo, hi)]
-
-
 def scaling_experiment(k: int, deltas: Sequence[float], trials: int,
                        delta: float = 0.05, seed: int = 0,
                        workers: int = 1) -> ScalingResult:
@@ -609,8 +592,7 @@ def scaling_experiment(k: int, deltas: Sequence[float], trials: int,
     for step_delta in deltas:
         horizon = scaling_horizon(k, step_delta)
         scenario = linear_drift(k, step_delta, horizon, seed=seed)
-        errors = _fan_out(_scaling_errors, (scenario, delta), trials, workers,
-                          _block_size(scenario))
+        errors = _trial_rows(scenario, {"error": trials}, delta, None, workers)["error"]
         points.append(ScalingPoint(step_delta, horizon, sum(errors) / trials))
     xs = np.log10([p.step_delta for p in points])
     ys = np.log10([p.mean_error for p in points])

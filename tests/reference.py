@@ -17,7 +17,7 @@ from itertools import chain, groupby, repeat
 
 import numpy as np
 
-from driftest import driftgen, harness
+from driftest import adaptive, driftgen, harness
 from driftest.adaptive import (CandidateRecord, Comparison, EstimateResult, StopReason,
                                argmin_prefer_large, fixed_window_estimate, q_curve,
                                realized_error_curve)
@@ -57,6 +57,34 @@ def sorted_atoms(symbols, probs):
     syms.setflags(write=False)
     w.setflags(write=False)
     return syms, w
+
+
+def tv_union(p, q):
+    """Total variation on the sorted union of two supports, summed as one 1-D array.
+
+    Every TV of the library, whatever layout it takes, must give these bits.
+    """
+    union = sorted_union(p.symbols, q.symbols)
+    diff = np.zeros(union.size)
+    diff[np.searchsorted(union, p.symbols)] = p.probs
+    diff[np.searchsorted(union, q.symbols)] -= q.probs
+    return 0.5 * float(np.sum(np.abs(diff)))
+
+
+def lambda_complexity(p, r):
+    """The complexity functional at one budget, by Python loops over the sorted masses.
+
+    The masses below 1/r are added from the smallest up, the roots of the
+    others from the largest down, as the library's prefix sums add them.
+    """
+    masses = sorted(p.probs.tolist())
+    light = [m for m in masses if m < 1.0 / r]
+    mass = root = 0.0
+    for m in light:
+        mass += m
+    for m in reversed(masses[len(light):]):
+        root += math.sqrt(m)
+    return mass + root / math.sqrt(r)
 
 
 def mixture(parts):
@@ -621,7 +649,7 @@ def trial_metrics(scenario, delta, q_star, r_star, trial):
 
 def run_trials(scenario, trials, delta):
     truth = driftgen.segments(scenario)
-    q = q_curve(truth.current, truth.drift, delta)
+    q = q_curve(truth.current, adaptive.drift_sequence(truth), delta)
     r_star = argmin_prefer_large(q) + 1
     return [trial_metrics(scenario, delta, float(q[r_star - 1]), r_star, trial)
             for trial in range(trials)]

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from driftest import Pmf, adaptive_estimate, dist, fixed_window_estimate, tv_distance
-from driftest.adaptive import (argmin_prefer_large, drift_sequence, q_curve,
+from driftest import Pmf, adaptive, adaptive_estimate, dist, fixed_window_estimate, tv_distance
+from driftest.adaptive import (argmin_prefer_large, drift_sequence, q_curve, q_minimum,
                                realized_error_curve, walk_ladder)
 from driftest.driftgen import (abrupt, geometric_drift, iid, linear_drift,
                                rotating_support, sample_stream, segments, zipf_drift)
@@ -281,6 +281,40 @@ def test_q_curve_rejects_bad_delta():
         with warnings.catch_warnings(), pytest.raises(ValueError, match="delta"):
             warnings.simplefilter("error")
             q_curve(Pmf.point_mass(1), drift, delta)
+
+
+# the golden files' scenarios and the verify families, the acceptance suite's
+# simulated scenarios, a point-mass truth and a rotating truth of 8,192 runs
+OBJECTIVE_SCENARIOS = GOLDEN_WALKS + [
+    linear_drift(k=10, step_delta=1e-3, t=1024, seed=101), iid(k=20, t=4096, seed=8),
+    abrupt(k=20, change_point=256, t=4096, seed=88), iid(k=1, t=5000, seed=0),
+    rotating_support(k=8, period=1, t=8192, seed=3)]
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 1000, 7])
+def test_q_minimum_equals_the_argmin_of_the_whole_curve(chunk, monkeypatch):
+    # blocks of 2^15 sizes (one block for every scenario here), of 1,000, and of 7
+    monkeypatch.setattr(adaptive, "CHUNK_ELEMENTS", chunk)
+    for scenario in OBJECTIVE_SCENARIOS:
+        if chunk == 7 and scenario.t > 8192:
+            continue
+        truth = segments(scenario)
+        for delta in (0.05, 0.3):
+            q = q_curve(truth.current, drift_sequence(truth), delta)
+            r = argmin_prefer_large(q) + 1
+            assert q_minimum(truth, delta) == (float(q[r - 1]), r)
+
+
+def test_q_minimum_takes_the_largest_of_tied_sizes_across_blocks(monkeypatch):
+    # an objective whose least value is taken at every multiple of 7
+    def tied(current, drift, delta, first=1):
+        return np.where(np.arange(first, first + drift.size) % 7 == 0, 0.25, 1.0)
+
+    monkeypatch.setattr(adaptive, "q_curve", tied)
+    truth = segments(rotating_support(k=8, period=1, t=8192, seed=0))
+    for chunk in (5, 7, 64, 1 << 15):
+        monkeypatch.setattr(adaptive, "CHUNK_ELEMENTS", chunk)
+        assert q_minimum(truth, 0.05) == (0.25, 8190)
 
 
 def test_realized_error_curve_matches_fixed_windows():

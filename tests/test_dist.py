@@ -19,6 +19,7 @@ from driftest.driftgen import Truth, sample_stream, segments
 from driftest.harness import default_families, random_pmf
 from driftest.windows import build_ladder
 from reference import mean_pmf, sorted_atoms
+import reference as ref
 
 
 def brute_tv(p, q):
@@ -654,3 +655,123 @@ def test_row_stack_equals_tv_distance_as_the_rows_widen():
         stack.append(ladder[j])
     with pytest.raises(ValueError, match="not within"):
         dist.RowStack([EmpiricalWindow([4])]).tvs(EmpiricalWindow([5, 6]))
+
+
+# --- the one TV kernel, layout by layout, against the union reference ---------
+
+
+def _pmf_on(symbols, rng):
+    symbols = np.unique(np.asarray(symbols, dtype=np.int64))
+    return Pmf(symbols, rng.dirichlet(np.ones(symbols.size)))
+
+
+def _laid_back_to_back(rows):
+    bounds = np.concatenate(([0], np.cumsum([p.symbols.size for p in rows])))
+    return (np.concatenate([p.symbols for p in rows]), np.concatenate([p.probs for p in rows]),
+            bounds)
+
+
+def _chunked(monkeypatch):
+    """The rows and the layout width of each call of the kernel, ``dist._tvs``."""
+    asked = []
+    tvs = dist._tvs
+
+    def recorded(base, flat, probs, n, keep=None):
+        asked.append((n, base.size))
+        return tvs(base, flat, probs, n, keep)
+    monkeypatch.setattr(dist, "_tvs", recorded)
+    return asked
+
+
+def _crosses_a_chunk_edge(asked):
+    """Whether some call cut its rows into chunks of several rows, the last one short."""
+    steps = [(rows, max(1, dist.CHUNK_ELEMENTS // width)) for rows, width in asked]
+    return any(1 < step < rows and rows % step for rows, step in steps)
+
+
+# rows per block on both sides of a chunk edge when a chunk holds three rows
+ROW_COUNTS = (1, 2, 3, 4, 7)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_the_union_and_subset_layouts_equal_the_union_reference(chunk_rows, monkeypatch):
+    rng = np.random.default_rng(41)
+    q = _pmf_on(np.arange(10, 60, 2), rng)
+    asked = _chunked(monkeypatch)
+    if chunk_rows:
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * q.symbols.size)
+    # one atom, every atom, and rows of unequal length, all among q's symbols
+    rows = [_pmf_on([10], rng), _pmf_on(q.symbols, rng), _pmf_on([58, 12], rng),
+            _pmf_on(rng.choice(q.symbols, 9), rng), _pmf_on(q.symbols[::3], rng),
+            EmpiricalWindow(rng.choice(q.symbols, 40)), _pmf_on(q.symbols[-4:], rng)]
+    for n in ROW_COUNTS:
+        want = [ref.tv_union(p, q) for p in rows[:n]]
+        assert dist.block_tvs(*_laid_back_to_back(rows[:n]), q).tolist() == want
+        assert dist.RowStack(rows[:n]).tvs(q).tolist() == want
+    if chunk_rows:
+        assert _crosses_a_chunk_edge(asked)
+    # the union layout: disjoint, nested, interleaved and equal supports
+    for p in rows + [_pmf_on([0, 1], rng), _pmf_on([99, 200], rng), _pmf_on([11, 13, 61], rng),
+                     _pmf_on(np.arange(0, 100, 3), rng), q]:
+        assert tv_distance(p, q) == ref.tv_union(p, q)
+        assert tv_distance(q, p) == ref.tv_union(q, p)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_the_run_layout_equals_the_union_reference(chunk_rows, monkeypatch):
+    rng = np.random.default_rng(42)
+    run = _pmf_on(np.arange(40, 52), rng)
+    # rows below the run, above it, past either end, inside it and around it
+    rows = [_pmf_on([3, 17, 39], rng), _pmf_on([52, 60, 90], rng), _pmf_on([38, 39, 40, 45], rng),
+            _pmf_on([50, 51, 52, 53], rng), _pmf_on([44], rng), _pmf_on([0, 41, 70], rng),
+            _pmf_on(np.arange(30, 65), rng)]
+    within = _pmf_on(np.concatenate([p.symbols for p in rows]), rng)
+    asked = _chunked(monkeypatch)
+    if chunk_rows:
+        width = sorted_union(within.symbols, run.symbols).size
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * width)
+    for n in ROW_COUNTS:
+        want = [ref.tv_union(run, p) for p in rows[:n]]
+        assert dist.block_run_tvs(run, *_laid_back_to_back(rows[:n]), within).tolist() == want
+        assert [dist.run_tv(run, p) for p in rows[:n]] == want
+    if chunk_rows:
+        assert _crosses_a_chunk_edge(asked)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_rows_on_consecutive_symbols_equal_the_union_reference(chunk_rows, monkeypatch):
+    rng = np.random.default_rng(43)
+    q = _pmf_on(np.arange(100, 110), rng)
+    # (start, width): far below, adjacent below, past the lower end, inside,
+    # equal, covering, past the upper end, adjacent above, far above
+    spans = [(3, 4), (96, 4), (97, 6), (102, 3), (100, 10), (95, 20), (107, 8), (110, 2),
+             (400, 5)]
+    starts, widths = (np.array(column) for column in zip(*spans))
+    pmfs = [Pmf(s + np.arange(w), rng.dirichlet(np.ones(w))) for s, w in spans]
+    asked = _chunked(monkeypatch)
+    if chunk_rows:
+        # the layout is 95 .. 114, 20 places: the far rows are moved next to q
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * 20)
+    for order in (np.arange(len(spans)), rng.permutation(len(spans))):
+        for n in ROW_COUNTS + (len(spans),):
+            rows = order[:n]
+            got = dist.rows_tv(starts[rows], widths[rows],
+                               np.concatenate([pmfs[i].probs for i in rows]), q)
+            assert got.tolist() == [ref.tv_union(q, pmfs[i]) for i in rows]
+    assert set(asked) >= {(len(spans), 20)}
+    if chunk_rows:
+        assert _crosses_a_chunk_edge(asked)
+
+
+def test_scalar_lambda_equals_the_array_path_and_the_reference():
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        p = random_pmf(rng, max_support=int(rng.integers(1, 200)))
+        # r = 1 puts every atom of a pmf without a point mass below 1/r, and
+        # 2 / min(p) puts none there
+        budgets = [1, 2, 7, 64, 1000, 2 / float(p.probs.min()), float(rng.uniform(1, 10**6))]
+        array = lambda_complexity(p, np.array(budgets))
+        for r, from_array in zip(budgets, array.tolist()):
+            got = lambda_complexity(p, r)
+            assert isinstance(got, float)
+            assert got == from_array == ref.lambda_complexity(p, r)

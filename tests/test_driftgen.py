@@ -97,7 +97,7 @@ def test_every_family_produces_valid_pmfs():
 
 def test_every_family_has_monotone_drift():
     for scenario in ALL_FAMILIES:
-        curve = segments(scenario).drift
+        curve = drift_sequence(segments(scenario))
         assert curve[0] == 0.0
         assert np.all(np.diff(curve) >= -1e-15)
 
@@ -261,7 +261,7 @@ def test_drift_curve_matches_per_step_reference(scenario):
     want = ref.drift_sequence_per_step(ref.truth_pmfs(scenario))
     got = drift_sequence(segments(scenario))
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(segments(scenario).drift, want)
+    assert [scenario_delta(scenario, r) for r in range(1, scenario.t + 1)] == want.tolist()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 10, 20, 1000, 10**5])
@@ -588,7 +588,8 @@ def test_columnar_truth_equals_the_per_pmf_reference(scenario):
                for row, (_, pmf) in zip(truth.rows.tolist(), runs))
     assert same_pmf(truth.current, runs[-1][1])
     drift = ref.drift_sequence(runs)
-    assert truth.drift.dtype == drift.dtype and np.array_equal(truth.drift, drift)
+    got = drift_sequence(truth)
+    assert got.dtype == drift.dtype and np.array_equal(got, drift)
     assert len(truth.window_averages) == truth.depth + 1 == scenario.t.bit_length()
     for j, average in enumerate(truth.window_averages):
         assert same_pmf(average, ref.suffix_average(scenario, 2**j))
@@ -705,17 +706,18 @@ def test_ramp_params_stop_once_the_bound_must_reject():
     geometric_drift(0.3, 0.45, t=512, seed=72),
 ], ids=lambda s: s.kind)
 def test_truth_side_builds_pmfs_per_window_not_per_step(scenario, monkeypatch):
-    # a per-step path would build one Pmf per step or per block of steps
+    # a per-step path would build one Pmf per step or per block of steps;
+    # every Pmf, built or adopting its arrays, checks its atoms once
     built = []
-    check = Pmf.__post_init__
+    check = dist._sorted_atoms
 
-    def counted(pmf):
-        built.append(pmf)
-        check(pmf)
+    def counted(*args, **kwargs):
+        built.append(args)
+        return check(*args, **kwargs)
 
-    monkeypatch.setattr(Pmf, "__post_init__", counted)
+    monkeypatch.setattr(dist, "_sorted_atoms", counted)
     truth = segments(scenario)
-    truth.drift, truth.window_averages, truth.window_lambdas, truth.window_deltas
+    truth.window_averages, truth.window_lambdas, truth.window_deltas
     sample_stream(scenario, 0)
     # the current pmf, then one average per dyadic window
     assert len(built) == 1 + truth.depth + 1
@@ -767,7 +769,8 @@ def test_generated_rows_equal_the_materialised_truth(scenario, chunk, wide, monk
     assert all(truth.row_probs(row).tolist() == want.row_probs(row).tolist()
                for row in range(truth.widths.size))
     assert same_pmf(truth.current, want.current)
-    assert truth.drift.dtype == want.drift.dtype and truth.drift.tolist() == want.drift.tolist()
+    drift = drift_sequence(truth)
+    assert drift.dtype == want.drift.dtype and drift.tolist() == want.drift.tolist()
     assert len(truth.window_averages) == len(want.window_averages)
     assert all(same_pmf(got, average)
                for got, average in zip(truth.window_averages, want.window_averages))
@@ -806,7 +809,7 @@ def test_each_row_is_written_once_as_the_truth_is_built(scenario, monkeypatch):
     monkeypatch.setattr(driftgen.Truth, "_rows", counted)
     truth = _fresh_truth(scenario, monkeypatch)
     assert sorted(written) == list(range(truth.widths.size))
-    truth.drift, truth.window_averages, truth.window_lambdas, truth.window_deltas
+    truth.window_averages, truth.window_lambdas, truth.window_deltas
     assert len(written) == truth.widths.size
     # sampling writes a row only for a draw past its CDF prefix
     block = driftgen.sample_streams(scenario, 0, 4)
@@ -839,22 +842,40 @@ def test_row_checks_keep_their_precedence_across_chunks(chunk, monkeypatch):
         driftgen.Truth(np.ones(4), np.arange(4), np.zeros(4), [2, 2, 1, 2], probs)
 
 
-def test_a_zipf_truth_holds_its_rows_parameters_not_their_atoms():
+def _window_sums_bound(truth):
+    """The averages' sums and widest span, and eight chunk-sized float64 arrays, in bytes."""
+    spans = sum(average.symbols.size for average in truth.window_averages)
+    widest = truth.window_averages[-1].symbols.size
+    return 8 * (spans + widest + 8 * driftgen.CHUNK_ELEMENTS)
+
+
+@pytest.mark.parametrize("scenario, atoms, bound", [
     # zipf 5.0 -> 4.5 over 4,096 steps has 4,096 rows of 701 - 1,847 atoms,
     # 4.74 million in all: 36.2 MiB as one array, and the old truth held them.
     # Built, its curves read and a stream drawn, it peaked at 2.9 MiB under
     # tracemalloc: the window averages, the 32-atom CDF prefixes (1 MiB), the
     # per-row gaps and one chunk's rows and temporaries.  4 MiB leaves room for
     # those and none for the rows' atoms, nor for a tenth of them.
-    scenario = zipf_drift(5.0, 4.5, t=4096, seed=91)
+    (zipf_drift(5.0, 4.5, t=4096, seed=91), 4_741_432, lambda truth: 4 * 2**20),
+    # rotating k = 8, period 1, over 8,192 steps: its 14 window averages span
+    # 131,064 symbols (1 MiB of sums), the widest 65,536 (0.5 MiB of symbols,
+    # which every average views).  It peaked at 3.26 MiB, and at 4.32 MiB when
+    # each average held its own symbols, its sum was copied into its Pmf, and
+    # each complexity built full prefix-sum arrays.  The bound is the sums, the
+    # widest span and eight chunk-sized float64 arrays (2 MiB, 3.5 MiB in all):
+    # one chunk's rows, their places, their TV matrix and the sums' index
+    # temporaries.
+    (rotating_support(k=8, period=1, t=8192, seed=92), 65_536, _window_sums_bound),
+], ids=["zipf", "rotating"])
+def test_a_truth_holds_neither_its_rows_atoms_nor_copies_of_its_sums(scenario, atoms, bound):
     sample_stream(iid(k=3, t=8, seed=0), 0)  # first-call allocations stay out of the count
     tracemalloc.start()
     try:
         truth = segments(scenario)
-        truth.drift, truth.window_averages, truth.window_lambdas
+        truth.window_averages, truth.window_lambdas
         sample_stream(scenario, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert int(np.sum(truth.widths)) == 4_741_432
-    assert peak < 4 * 2**20
+    assert int(np.sum(truth.widths)) == atoms
+    assert peak < bound(truth)

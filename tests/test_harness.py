@@ -139,14 +139,15 @@ def test_one_ladder_per_trial(monkeypatch):
     assert ladders == [list(range(11))] * 5 + [list(range(10))] * 6
 
 
-def test_drift_sequence_runs_once_per_scenario(monkeypatch):
-    from driftest import adaptive, driftgen
-    counts = [_count_calls(monkeypatch, module, "drift_sequence")
-              for module in (driftgen, adaptive)]
+def test_run_drift_is_measured_once_per_scenario(monkeypatch):
+    # the rows' TVs to the current pmf, which the per-run drift is the running
+    # max of: this truth's 26 rows are one chunk, so one call measures them all
+    calls = _count_calls(monkeypatch, driftgen, "rows_tv")
     scenario = rotating_support(k=3, period=5, t=128, seed=424242)
     run_trials(scenario, 3, 0.05)
     run_trials(scenario, 2, 0.1)
-    assert sum(len(calls) for calls in counts) == 1
+    assert len(calls) == 1
+    assert segments(scenario).run_drift.size == 26
 
 
 class _RecordingPool:

@@ -65,42 +65,65 @@ ADMITTED = {
 }
 
 
+# peak RSS bounds of admitted rows, in MB: the largest window's trial measured
+# 820 MB (1,125 MB while the objective held T-length curves)
+ADMITTED_PEAK_MB = {"iid_largest_window": 900}
+
+# Forks the CLI and writes its peak RSS, in KiB, to the file named first.  A
+# child forked from pytest itself would count pytest's own pages, which it
+# shares until its exec, in its peak; this launcher is small.
+_LAUNCHER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "driftest.cli", *sys.argv[2:]])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
 
 
-def _run_capped(*argv):
-    """Run the CLI under the address-space cap; its process and wall seconds."""
+def _run_capped(*argv, rss_path):
+    """Run the CLI under the address-space cap; its process, wall seconds and peak RSS in MB."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "driftest.cli", *argv],
+        [sys.executable, "-c", _LAUNCHER, str(rss_path), *argv],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=_limit_address_space)
-    return proc, time.monotonic() - start
+    elapsed = time.monotonic() - start
+    return proc, elapsed, int(rss_path.read_text()) / 1024
 
 
 def _simulate_one_trial(text, tmp_path):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text + "seed = 0\n")
-    return _run_capped("simulate", "--scenario", str(cfg), "--trials", "1", "--output", "-")
+    return _run_capped("simulate", "--scenario", str(cfg), "--trials", "1", "--output", "-",
+                       rss_path=tmp_path / "rss")
 
 
 @pytest.mark.parametrize("name", sorted(ADMITTED))
 def test_largest_admitted_scenario_runs_within_the_limits(name, tmp_path):
     text = ADMITTED[name]
-    proc, elapsed = _simulate_one_trial(text, tmp_path)
+    proc, elapsed, peak_mb = _simulate_one_trial(text, tmp_path)
     assert proc.returncode == 0, proc.stderr
     header, row = proc.stdout.splitlines()  # one trial
     t = dict(zip(header.split(","), row.split(",")))["T"]
     assert f"\nt = {t}\n" in text
     assert elapsed < 20.0
+    if name in ADMITTED_PEAK_MB:
+        assert peak_mb < ADMITTED_PEAK_MB[name]
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_oversized_scenario_exits_two(name, tmp_path):
     text, reason = CONFIGS[name]
-    proc, elapsed = _simulate_one_trial(text, tmp_path)
+    proc, elapsed, _ = _simulate_one_trial(text, tmp_path)
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("driftest: error:"), proc.stderr
@@ -123,7 +146,8 @@ def test_estimate_on_a_long_stream_runs_within_the_limits(edit, tmp_path):
     samples = np.random.default_rng(0).zipf(2.0, t) % 10**6
     stream = tmp_path / "stream.txt"
     stream.write_text(edit("\n".join(map(str, samples.tolist())) + "\n"))
-    proc, elapsed = _run_capped("estimate", "--input", str(stream), "--output", "-")
+    proc, elapsed, _ = _run_capped("estimate", "--input", str(stream), "--output", "-",
+                                   rss_path=tmp_path / "rss")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["chosen_window"] <= t
     assert proc.stderr.startswith(f"estimate: T={t} "), proc.stderr
@@ -138,7 +162,8 @@ def test_estimate_on_distinct_samples_runs_within_the_limits(tmp_path):
     stream.write_text("\n".join(map(str, np.random.default_rng(0).permutation(t).tolist()))
                       + "\n")
     out = tmp_path / "estimate.json"
-    proc, elapsed = _run_capped("estimate", "--input", str(stream), "--output", str(out))
+    proc, elapsed, _ = _run_capped("estimate", "--input", str(stream), "--output", str(out),
+                                   rss_path=tmp_path / "rss")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"estimate: T={t} chosen_window={t} stop=exhausted\n"
     with open(out, "rb") as fh:
