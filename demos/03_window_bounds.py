@@ -22,7 +22,7 @@ for scenario in (iid(k=8, t=4096, seed=3),
     print(f"   {'j':>2} {'r':>5} {'support':>7} {'xi bound':>9} {'realized':>9}")
     for j, window in enumerate(ladder):
         realized = tv_distance(current, window)
-        print(f"   {j:>2} {window.size:>5} {window.symbols.size:>7} "
+        print(f"   {j:>2} {2**j:>5} {window.symbols.size:>7} "
               f"{xis[j]:>9.4f} {realized:>9.4f}")
     print()
 

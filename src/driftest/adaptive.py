@@ -6,7 +6,8 @@ new candidate is accepted, its empirical distribution is compared with
 every accepted window: a total variation gap of at least three times the
 old bound plus the new bound certifies that real drift separates the two
 windows, so extending further cannot help and the walk stops.  The
-returned estimate is always the largest accepted window.
+returned estimate is always the largest accepted window.  Windows, the
+estimate and the baselines are all ``Pmf``s.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import (CHUNK_ELEMENTS, EmpiricalWindow, Pmf, RowStack, lambda_complexity,
-                   sorted_union)
+from .dist import CHUNK_ELEMENTS, Pmf, RowStack, lambda_complexity, sorted_runs, sorted_union
 from .windows import (as_stream, build_ladder, check_delta, ladder_phis, ladder_xis,
                       union_log_weight)
 
@@ -114,7 +114,7 @@ def adaptive_estimate(stream, delta: float) -> EstimateResult:
     return walk_ladder(ladder, phis, ladder_xis(phis, delta))
 
 
-def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
+def walk_ladder(ladder: Sequence[Pmf], phis: Sequence[float],
                 xis: Sequence[float]) -> EstimateResult:
     """Run the adaptive window selection over an already built ladder.
 
@@ -130,7 +130,8 @@ def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
     stacked once when its window is accepted (``RowStack``).  The stop test
     takes the thresholds of all accepted windows at once and stops at the
     first one met; the evaluations are kept as plain lists
-    (``EstimateResult.compared``).
+    (``EstimateResult.compared``).  The estimate is a copy of the chosen
+    window, which may view a block's arrays.
     """
     accepted = [CandidateRecord(0, 1, phis[0], xis[0])]
     indices = [0]  # of the accepted windows
@@ -165,9 +166,10 @@ def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
         stack.append(ladder[j])
 
     chosen = accepted[-1]
+    window = ladder[chosen.index]
     return EstimateResult(
         chosen_window=chosen.size,
-        estimate=ladder[chosen.index].to_pmf(),
+        estimate=Pmf(window.symbols, window.probs),
         accepted=tuple(accepted),
         stop=stop,
         compared=(ls, js, tvs, thresholds),
@@ -175,11 +177,14 @@ def walk_ladder(ladder: Sequence[EmpiricalWindow], phis: Sequence[float],
 
 
 def fixed_window_estimate(stream, r: int) -> Pmf:
-    """Empirical distribution of the most recent r samples."""
+    """Empirical distribution of the most recent r samples: one sort and one run-length pass."""
     arr = as_stream(stream)
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)):
+        raise ValueError(f"window size {r!r} is not an integer")
     if not 1 <= r <= arr.size:
         raise ValueError(f"window size {r} outside [1, {arr.size}]")
-    return EmpiricalWindow(arr[arr.size - r:]).to_pmf()
+    symbols, counts, _ = sorted_runs(np.sort(arr[arr.size - r:])[None])
+    return Pmf._adopt(symbols, counts / float(r))
 
 
 def drift_sequence(truth) -> np.ndarray:

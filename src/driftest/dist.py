@@ -3,6 +3,9 @@
 Symbols are nonnegative integers.  Supports are finite and stored as sorted
 arrays so every sum over a support runs in a fixed (sorted-symbol) order,
 which keeps all derived quantities bit-reproducible from run to run.
+A window of samples is a ``Pmf`` too: its probabilities are its counts
+over its size (``windows.LadderBlock``), and its empirical complexity is
+``block_phis``.
 
 Total variation is half the L1 distance over the sorted union of two
 supports, and one kernel (``_tvs``) takes every TV here: a base row on a
@@ -22,8 +25,8 @@ the 1-D array does, and rows of unequal length are summed apart
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,32 +50,20 @@ def int64_values(values, what: str, copy: bool = False) -> np.ndarray:
     return arr.astype(np.int64, copy=copy)
 
 
-def _stream_array(samples) -> np.ndarray:
-    """``samples`` as a one-dimensional, non-empty int64 array: ``as_stream`` but its sign check.
-
-    The checks take O(1) on int64 input.
-    """
+def as_stream(samples) -> np.ndarray:
+    """Validate a sample stream (oldest first) into an int64 array."""
     arr = int64_values(samples, "samples")
     if arr.ndim != 1:
         raise ValueError("a sample stream must be one-dimensional")
     if arr.size == 0:
         raise ValueError("empty sample stream")
-    return arr
-
-
-_NEGATIVE_SAMPLES = "samples must be nonnegative integers"
-
-
-def as_stream(samples) -> np.ndarray:
-    """Validate a sample stream (oldest first) into an int64 array."""
-    arr = _stream_array(samples)
     if np.any(arr < 0):
-        raise ValueError(_NEGATIVE_SAMPLES)
+        raise ValueError("samples must be nonnegative integers")
     return arr
 
 
 def _sorted_atoms(symbols, probs, copy: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize (symbols, probs) into sorted, validated, read-only atoms.
+    """Normalize (symbols, probs) into sorted, validated, read-only atoms of mass 1.
 
     Atoms that arrive sorted cost one linear check; only other input is
     argsorted and searched for duplicates.  Without ``copy``, int64 symbols
@@ -103,6 +94,9 @@ def _sorted_atoms(symbols, probs, copy: bool = True) -> tuple[np.ndarray, np.nda
         syms, w = syms[keep], w[keep]
         if syms.size == 0:
             raise ValueError("pmf has no positive-mass atoms")
+    total = float(np.sum(w))
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"pmf mass is {total!r}, not 1 within {MASS_TOL}")
     syms.setflags(write=False)
     w.setflags(write=False)
     return syms, w
@@ -158,19 +152,25 @@ class Pmf:
     def __post_init__(self):
         self._set(*_sorted_atoms(self.symbols, self.probs))
 
-    def _set(self, syms: np.ndarray, probs: np.ndarray) -> None:
-        total = float(np.sum(probs))
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"pmf mass is {total!r}, not 1 within {MASS_TOL}")
-        object.__setattr__(self, "symbols", syms)
+    def _set(self, symbols: np.ndarray, probs: np.ndarray) -> None:
+        object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "probs", probs)
+
+    @classmethod
+    def _unchecked(cls, symbols: np.ndarray, probs: np.ndarray) -> "Pmf":
+        """The pmf of atoms that are valid by construction, taken as given: nothing is checked.
+
+        The symbols must be sorted, distinct and nonnegative, the
+        probabilities positive with mass 1, and both arrays read-only.
+        """
+        pmf = cls.__new__(cls)
+        pmf._set(symbols, probs)
+        return pmf
 
     @classmethod
     def _adopt(cls, symbols: np.ndarray, probs: np.ndarray) -> "Pmf":
         """The pmf of atoms its caller gives up: the constructor's checks, without its copies."""
-        pmf = cls.__new__(cls)
-        pmf._set(*_sorted_atoms(symbols, probs, copy=False))
-        return pmf
+        return cls._unchecked(*_sorted_atoms(symbols, probs, copy=False))
 
     @classmethod
     def from_dict(cls, atoms: Mapping[int, float]) -> "Pmf":
@@ -249,53 +249,6 @@ def row_slices(rows: int, width: int) -> Iterator[slice]:
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class EmpiricalWindow:
-    """Symbol counts of a run of samples, such as a stream's most recent ones.
-
-    Built from the samples alone: one sort and one run-length pass
-    (``sorted_runs``) give the sorted symbols and their counts, and the
-    samples are checked as ``as_stream`` checks them, with the same errors,
-    but with no pass of their own: the lowest sample is the first symbol.
-    Immutable, with read-only arrays.  ``windows.LadderBlock`` builds the
-    windows of many streams at once and hands each its runs (``of_runs``).
-    """
-
-    symbols: np.ndarray
-    counts: np.ndarray
-    size: int
-    probs: np.ndarray = field(repr=False)  # counts / size
-
-    def __init__(self, samples):
-        arr = _stream_array(samples)
-        symbols, counts, _ = sorted_runs(np.sort(arr)[None])
-        if symbols[0] < 0:
-            raise ValueError(_NEGATIVE_SAMPLES)
-        probs = counts / float(arr.size)
-        for array in (symbols, counts, probs):
-            array.setflags(write=False)
-        self._set(symbols, counts, int(arr.size), probs)
-
-    def _set(self, symbols, counts, size, probs) -> None:
-        for name, value in (("symbols", symbols), ("counts", counts),
-                            ("size", size), ("probs", probs)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def of_runs(cls, symbols: np.ndarray, counts: np.ndarray, size: int,
-                probs: np.ndarray) -> "EmpiricalWindow":
-        """The window of ``size`` samples whose sorted runs are given, read-only, with their probs."""
-        window = cls.__new__(cls)
-        window._set(symbols, counts, size, probs)
-        return window
-
-    def to_pmf(self) -> Pmf:
-        return Pmf(self.symbols, self.probs)
-
-
-Distribution = Union[Pmf, EmpiricalWindow]  # both carry sorted symbols and their probs
-
-
 def row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """``values[bounds[i]:bounds[i + 1]].sum()`` for every i, bit for bit.
 
@@ -361,7 +314,7 @@ def _rows_of(lengths: np.ndarray, width: int) -> np.ndarray:
     return np.arange(0, lengths.size * width, width).repeat(lengths)
 
 
-def tv_distance(p: Distribution, q: Distribution) -> float:
+def tv_distance(p: Pmf, q: Pmf) -> float:
     """Total variation distance: half the L1 distance over the union support.
 
     The union layout: p's probabilities on the sorted union, less q's.
@@ -389,7 +342,7 @@ def _positions_within(symbols: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def block_tvs(symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
-              q: Distribution) -> np.ndarray:
+              q: Pmf) -> np.ndarray:
     """``tv_distance(row, q)`` for rows whose atoms lie back to back, row i's at bounds[i]:bounds[i+1].
 
     Each row's symbols are among q's, so their union is q's support and
@@ -406,7 +359,7 @@ _STACK_START = 256
 
 
 class RowStack:
-    """Distributions, the rows, whose TVs are taken to distributions holding their symbols.
+    """Pmfs, the rows, whose TVs are taken to pmfs holding their symbols.
 
     ``tvs(q)`` is ``tv_distance(row, q)`` for every row, bit for bit, on
     q's support (the layout of ``block_tvs``).  While the rows x |supp q|
@@ -419,14 +372,14 @@ class RowStack:
     A symbol of some row that q lacks raises.
     """
 
-    def __init__(self, rows: Sequence[Distribution]):
+    def __init__(self, rows: Sequence[Pmf]):
         self.rows, self._atoms = [], 0
         self._stack = (np.empty(_STACK_START, dtype=np.int64), np.empty(_STACK_START),
                        np.empty(_STACK_START, dtype=np.int64))
         for p in rows:
             self.append(p)
 
-    def append(self, p: Distribution) -> None:
+    def append(self, p: Pmf) -> None:
         if self._stack is not None:
             a, b = self._atoms, self._atoms + p.symbols.size
             if b > self._stack[0].size:  # it grows by what it must hold: O(atoms) copies in all
@@ -439,7 +392,7 @@ class RowStack:
             self._atoms = b
         self.rows.append(p)
 
-    def tvs(self, q: Distribution) -> np.ndarray:
+    def tvs(self, q: Pmf) -> np.ndarray:
         n = len(self.rows)
         if self._stack is not None and n * q.symbols.size <= CHUNK_ELEMENTS:
             (symbols, probs, rows), k = self._stack, self._atoms
@@ -486,7 +439,7 @@ def _run_layout(run: Pmf, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return base, places
 
 
-def run_tv(run: Pmf, q: Distribution) -> float:
+def run_tv(run: Pmf, q: Pmf) -> float:
     """``tv_distance(run, q)`` bit for bit, for a pmf ``run`` on consecutive symbols [lo, hi).
 
     q's row sums the whole run layout of q's support (``_run_layout``).
@@ -496,7 +449,7 @@ def run_tv(run: Pmf, q: Distribution) -> float:
 
 
 def block_run_tvs(run: Pmf, symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
-                  within: Distribution) -> np.ndarray:
+                  within: Pmf) -> np.ndarray:
     """``run_tv(run, row)`` for rows laid out as in ``block_tvs``, each row's symbols among ``within``'s.
 
     All rows share the run layout of ``within``'s support, and each keeps
@@ -535,7 +488,7 @@ def rows_tv(starts: np.ndarray, widths: np.ndarray, probs: np.ndarray, q: Pmf) -
     return _tvs(base, flat, probs, widths.size, keep=base > 0 if base.size > m else None)
 
 
-def lambda_complexity(p: Distribution, r):
+def lambda_complexity(p: Pmf, r):
     """Learning-complexity functional at sample budget r.
 
     Atoms below mass 1/r contribute linearly; atoms at or above the
@@ -565,24 +518,18 @@ def lambda_complexity(p: Distribution, r):
     return prefix_mass[idx] + suffix_root[idx] / np.sqrt(rs)
 
 
-def half_norm(p: Distribution) -> float:
+def half_norm(p: Pmf) -> float:
     """Squared sum of root masses; lies in [1, support size]."""
     s = float(np.sum(np.sqrt(p.probs)))
     return s * s
 
 
 def block_phis(probs: np.ndarray, bounds: np.ndarray, size: int) -> np.ndarray:
-    """``phi_empirical`` of windows of ``size`` samples laid out as in ``block_tvs``, bit for bit.
+    """The empirical complexity phi of windows of ``size`` samples, laid out as in ``block_tvs``.
 
-    Each is one sum over its own window's root probabilities (``row_sums``).
+    A window's phi is the sum of sqrt(count / r) over sqrt(r), r its size:
+    sqrt(half_norm(window) / r), computable from the samples alone, and an
+    upper bound on the statistical error of the window's estimate.  Each is
+    one sum over its own window's root probabilities (``row_sums``).
     """
     return row_sums(np.sqrt(probs), bounds) / math.sqrt(size)
-
-
-def phi_empirical(w: EmpiricalWindow) -> float:
-    """Empirical complexity of a window: sum of sqrt(counts/r) over sqrt(r).
-
-    Equals sqrt(half_norm(w) / r); computable from the samples alone and
-    upper-bounds the statistical error of the window's estimate.
-    """
-    return float(np.sum(np.sqrt(w.probs)) / math.sqrt(w.size))

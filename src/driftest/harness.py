@@ -201,9 +201,15 @@ def _oracle_reads(stream: np.ndarray, current: Pmf) -> tuple:
     return at_dyadic, float(errs[r_oracle - 1]), r_oracle, float(errs[-1]), float(errs[0])
 
 
+# every trial's row is kept until its run ends: at the cap that is at most about 0.8 GB
+MAX_TRIALS = 500_000
+
+
 def _check_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}")
 
 
 def run_trials(scenario: DriftScenario, trials: int, delta: float,

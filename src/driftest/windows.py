@@ -2,8 +2,10 @@
 
 A stream of ``T`` samples (oldest first) induces one empirical window per
 dyadic size 2^j, j = 0 .. floor(log2 T), each over the most recent 2^j
-samples.  For every window we can compute a data-dependent high-probability
-upper bound on its statistical error; the bound carries a union-bound
+samples.  A window is a ``Pmf``: its empirical distribution, the only thing
+the estimator reads from it.  For every window we can compute a
+data-dependent high-probability upper bound on its statistical error, its
+phi (``dist.block_phis``) plus a radius; the bound carries a union-bound
 weight over all dyadic sizes so that it holds for all of them at once.
 """
 
@@ -14,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import EmpiricalWindow, as_stream, phi_empirical, sorted_runs
+from .dist import Pmf, as_stream, block_phis, sorted_runs
 
 # Union-bound weight constant: 4 * pi^2 / 3.  With per-size failure shares
 # delta * (6/pi^2) / (j+1)^2 this makes the simultaneous bound hold with
@@ -42,10 +44,9 @@ class LadderBlock:
     counts are kept in 32 bits and the probabilities computed when read
     (``probs(c)``), so a block holds 12 bytes per atom, and a reader that
     takes the sizes largest first meets each size's temporaries with only
-    the larger windows built.  ``window(i, c)`` is row i's window as an
-    ``EmpiricalWindow``, equal to the one counted from its own samples: the
-    same symbols, counts and probabilities, bit for bit, and the same
-    dtypes (int64 counts).  Sorting costs
+    the larger windows built.  ``window(i, c)`` is row i's window as a
+    ``Pmf``, equal to the one counted from its own samples: the same
+    symbols and probabilities, bit for bit.  Sorting costs
     O(m T log T) for m streams, and samples older than the largest window
     are never touched.
     """
@@ -75,22 +76,24 @@ class LadderBlock:
         """The probabilities of the windows of size 2^js[c], laid out as their counts."""
         return self.runs(c)[1] / float(2**self.js[c])
 
-    def window(self, i: int, c: int) -> EmpiricalWindow:
+    def window(self, i: int, c: int) -> Pmf:
+        """Row i's window of size 2^js[c]: a view of its symbols, and its counts over its size.
+
+        Its runs are sorted, distinct and positive, and its samples were
+        checked as a stream's, so its atoms are not checked again.
+        """
         symbols, counts, bounds = self.runs(c)
         a, b = bounds[i], bounds[i + 1]
-        size = 2**self.js[c]
-        counts = counts[a:b].astype(np.int64)
-        probs = counts / float(size)
-        counts.setflags(write=False)
+        probs = counts[a:b] / float(2**self.js[c])
         probs.setflags(write=False)
-        return EmpiricalWindow.of_runs(symbols[a:b], counts, size, probs)
+        return Pmf._unchecked(symbols[a:b], probs)
 
-    def ladder(self, i: int) -> tuple[EmpiricalWindow, ...]:
+    def ladder(self, i: int) -> tuple[Pmf, ...]:
         """Row i's windows, in the order of ``js``."""
         return tuple(self.window(i, c) for c in range(len(self.js)))
 
 
-def build_ladder(stream) -> tuple[EmpiricalWindow, ...]:
+def build_ladder(stream) -> tuple[Pmf, ...]:
     """The dyadic suffix windows of a stream, each counted from its own samples.
 
     Window j holds the most recent 2^j samples, j = 0 .. floor(log2 T): the
@@ -132,9 +135,10 @@ def concentration_radius(j, delta: float):
     return float(radius) if radius.ndim == 0 else radius
 
 
-def ladder_phis(ladder: Sequence[EmpiricalWindow]) -> list[float]:
-    """Empirical complexity of every window, computed once and passed to its readers."""
-    return [phi_empirical(w) for w in ladder]
+def ladder_phis(ladder: Sequence[Pmf]) -> list[float]:
+    """Each window's phi, window j holding 2^j samples: ``block_phis`` of a one-row block."""
+    return [float(block_phis(w.probs, np.array([0, w.probs.size]), 2**j)[0])
+            for j, w in enumerate(ladder)]
 
 
 def ladder_xis(phis: Sequence[float], delta: float) -> list[float]:

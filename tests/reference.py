@@ -1,9 +1,12 @@
 """Brute-force references that the fast paths in ``driftest`` are tested against.
 
 Each function is a slow, direct form of a library routine, and the tests
-compare the two with exact equality.  The walk and the trial suites at
-the end are the forms that take one ``tv_distance`` per window pair and
-draw and ladder each suite's streams on their own.  The per-step truth path below
+compare the two with exact equality.  Windows are counted here with
+``np.unique`` and their phi summed in Python, one addition at a time in
+numpy's pairwise order, so no window or phi comes from the library.  The
+walk and the trial suites at the end are the forms that take one
+``tv_distance`` per window pair and draw and ladder each suite's streams
+on their own.  The per-step truth path below
 (``segments``, ``truth_pmfs``, ``drift_sequence``, ``suffix_average``)
 holds the truth as one validated ``Pmf`` per distinct step and averages
 windows through ``mixture``: it is the form the library's columnar truth
@@ -19,14 +22,12 @@ import numpy as np
 
 from driftest import adaptive, driftgen, harness
 from driftest.adaptive import (CandidateRecord, Comparison, EstimateResult, StopReason,
-                               argmin_prefer_large, fixed_window_estimate, q_curve,
-                               realized_error_curve)
-from driftest.dist import (EmpiricalWindow, Pmf, lambda_complexity, phi_empirical, rows_tv,
-                           sorted_union, tv_distance)
+                               argmin_prefer_large, q_curve, realized_error_curve)
+from driftest.dist import Pmf, lambda_complexity, rows_tv, sorted_union, tv_distance
 from driftest.driftgen import (_MAX_TRUNCATED_SUPPORT, ABRUPT_POST_OFFSET, TAIL_TOL, Truth,
                                _charge_truth_size, _geometric_atoms, _hurwitz_zeta,
                                _linear_alpha, _trial_rng)
-from driftest.windows import build_ladder, concentration_radius, dyadic_depth
+from driftest.windows import concentration_radius, dyadic_depth
 
 # --- distributions ------------------------------------------------------------
 
@@ -144,6 +145,66 @@ def parse_lines(text):
                 raise ValueError(
                     f"line {lineno}: sample {int(line)} exceeds the int64 range") from None
         raise
+
+
+# --- windows, each counted from its own samples --------------------------------
+
+
+def window_counts(samples):
+    """The distinct samples, sorted, and how often each occurs: one ``np.unique``."""
+    return np.unique(np.asarray(samples, dtype=np.int64), return_counts=True)
+
+
+def window(samples):
+    """The empirical pmf of some samples: each distinct sample's count over their number."""
+    symbols, counts = window_counts(samples)
+    return Pmf(symbols, counts / float(len(samples)))
+
+
+def numpy_sum(values):
+    """``np.sum`` of a list of floats, one addition at a time, as numpy's pairwise sum adds.
+
+    Under 8 values are added in order.  Up to 128 go to eight partial sums,
+    value i to sum i % 8, which are added as a tree; the values past the
+    last multiple of 8 are then added in order.  More are split in two at
+    a multiple of 8 below half, and the halves' sums added.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        tail = n - n % 8
+        partial = list(values[:8])
+        for i in range(8, tail):
+            partial[i % 8] += values[i]
+        total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
+                 + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
+        for value in values[tail:]:
+            total += value
+        return total
+    half = n // 2 - (n // 2) % 8
+    return numpy_sum(values[:half]) + numpy_sum(values[half:])
+
+
+def phi(samples):
+    """The empirical complexity of r samples' window: the sum of sqrt(count / r), over sqrt(r)."""
+    r = len(samples)
+    _, counts = window_counts(samples)
+    return numpy_sum([math.sqrt(count / r) for count in counts.tolist()]) / math.sqrt(r)
+
+
+def suffixes(stream):
+    """The most recent 2^j samples of a stream, j = 0 .. floor(log2 T)."""
+    arr = np.asarray(stream)
+    return [arr[arr.size - 2**j:] for j in range(dyadic_depth(arr.size) + 1)]
+
+
+def ladder(stream):
+    """The dyadic suffix windows of a stream, each counted from its own samples."""
+    return [window(suffix) for suffix in suffixes(stream)]
 
 
 # --- the per-step truth -------------------------------------------------------
@@ -497,7 +558,7 @@ def materialized_sample_streams(scenario, lo, hi):
 
 def brute_force_error_curve(stream, target):
     """TV from target to the empirical pmf of every suffix window, one window at a time."""
-    return np.array([tv_distance(target, fixed_window_estimate(stream, r))
+    return np.array([tv_distance(target, window(stream[len(stream) - r:]))
                      for r in range(1, len(stream) + 1)])
 
 
@@ -518,30 +579,35 @@ def error_curve_by_codes(stream, target):
 # --- the walk, one pair at a time ---------------------------------------------
 
 
-def ladder_xis(ladder, delta):
-    """Each window's bound, its phi computed here: phi plus the radius at 2^j."""
-    radii = concentration_radius(np.arange(len(ladder)), delta)
-    return [phi_empirical(w) + radius for w, radius in zip(ladder, radii.tolist())]
+def ladder_phis(stream):
+    """Each dyadic window's phi, window j from the most recent 2^j samples."""
+    return [phi(suffix) for suffix in suffixes(stream)]
 
 
-def walk_ladder(ladder, xis):
+def ladder_xis(phis, delta):
+    """Each window's bound: its phi plus the radius at 2^j."""
+    radii = concentration_radius(np.arange(len(phis)), delta)
+    return [value + radius for value, radius in zip(phis, radii.tolist())]
+
+
+def walk_ladder(windows, phis, xis):
     """The adaptive walk with one ``tv_distance`` per (accepted, candidate) pair.
 
     Each candidate is compared with the accepted windows in order, and the
-    comparisons stop at the first violation; phi is recomputed per record.
+    comparisons stop at the first violation.
     """
     def record(j):
-        return CandidateRecord(j, 2**j, phi_empirical(ladder[j]), xis[j])
+        return CandidateRecord(j, 2**j, phis[j], xis[j])
 
     accepted = [record(0)]
     comparisons = []
     stop = StopReason("exhausted")
-    for j in range(1, len(ladder)):
+    for j in range(1, len(windows)):
         if not xis[j] < accepted[-1].xi:
             continue
         violated = False
         for cand in accepted:
-            gap = tv_distance(ladder[cand.index], ladder[j])
+            gap = tv_distance(windows[cand.index], windows[j])
             threshold = 3.0 * cand.xi + xis[j]
             comparisons.append(Comparison(cand.index, j, gap, threshold))
             if gap >= threshold:
@@ -552,31 +618,30 @@ def walk_ladder(ladder, xis):
             break
         accepted.append(record(j))
     chosen = accepted[-1]
-    return EstimateResult(chosen_window=chosen.size,
-                          estimate=ladder[chosen.index].to_pmf(),
+    return EstimateResult(chosen_window=chosen.size, estimate=windows[chosen.index],
                           accepted=tuple(accepted), stop=stop,
                           compared=tuple([getattr(c, name) for c in comparisons]
                                          for name in ("l", "j", "tv", "threshold")))
 
 
 def adaptive_estimate(stream, delta):
-    ladder = build_ladder(stream)
-    return walk_ladder(ladder, ladder_xis(ladder, delta))
+    phis = ladder_phis(stream)
+    return walk_ladder(ladder(stream), phis, ladder_xis(phis, delta))
 
 
 # --- the trial suites, each drawing and laddering its own streams -------------
 
 
-def prop3_held(ladder, delta, truth):
+def prop3_held(stream, delta, truth):
     """Whether each simultaneous inequality held, each TV through ``tv_distance``."""
     emp_ok = True
     true_ok = True
-    radii = concentration_radius(np.arange(len(ladder)), delta)
-    for j, (w, radius) in enumerate(zip(ladder, radii.tolist())):
-        phi = phi_empirical(w)
-        if tv_distance(w, truth.window_averages[j]) > phi + radius:
+    radii = concentration_radius(np.arange(dyadic_depth(len(stream)) + 1), delta)
+    for j, (suffix, radius) in enumerate(zip(suffixes(stream), radii.tolist())):
+        w_phi = phi(suffix)
+        if tv_distance(window(suffix), truth.window_averages[j]) > w_phi + radius:
             emp_ok = False
-        if phi > 4.0 * truth.window_lambdas[j] + radius:
+        if w_phi > 4.0 * truth.window_lambdas[j] + radius:
             true_ok = False
         if not (emp_ok or true_ok):
             break
@@ -585,44 +650,46 @@ def prop3_held(ladder, delta, truth):
 
 def prop1_trial(scenario, trial):
     truth = driftgen.segments(scenario)
-    ladder = build_ladder(driftgen.sample_stream(scenario, trial))
+    windows = ladder(driftgen.sample_stream(scenario, trial))
     return [tv_distance(truth.current, w)
             - (tv_distance(truth.window_averages[j], w) + truth.window_deltas[j])
-            for j, w in enumerate(ladder)]
+            for j, w in enumerate(windows)]
 
 
 def prop2_trial(scenario, r, delta, trial):
     truth = driftgen.segments(scenario)
     j = r.bit_length() - 1
-    window = EmpiricalWindow(driftgen.sample_stream(scenario, trial)[-r:])
-    phi = phi_empirical(window)
-    deviation_bound = phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
+    samples = driftgen.sample_stream(scenario, trial)[-r:]
+    w_phi = phi(samples)
+    deviation_bound = w_phi + 3.0 * math.sqrt(math.log(4.0 / delta) / (2.0 * r))
     complexity_bound = 4.0 * truth.window_lambdas[j] + math.sqrt(math.log(4.0 / delta) / r)
-    return (tv_distance(window, truth.window_averages[j]) > deviation_bound,
-            phi > complexity_bound)
+    return (tv_distance(window(samples), truth.window_averages[j]) > deviation_bound,
+            w_phi > complexity_bound)
 
 
 def prop3_trial(scenario, delta, trial):
-    ladder = build_ladder(driftgen.sample_stream(scenario, trial))
-    emp_ok, true_ok = prop3_held(ladder, delta, driftgen.segments(scenario))
+    stream = driftgen.sample_stream(scenario, trial)
+    emp_ok, true_ok = prop3_held(stream, delta, driftgen.segments(scenario))
     return not emp_ok, not true_ok
 
 
 def prop45_trial(scenario, delta, trial):
     truth = driftgen.segments(scenario)
-    ladder = build_ladder(driftgen.sample_stream(scenario, trial))
-    emp_ok, true_ok = prop3_held(ladder, delta, truth)
+    stream = driftgen.sample_stream(scenario, trial)
+    emp_ok, true_ok = prop3_held(stream, delta, truth)
     if not (emp_ok and true_ok):
         return None
-    xis = ladder_xis(ladder, delta)
-    result = walk_ladder(ladder, xis)
+    windows = ladder(stream)
+    phis = ladder_phis(stream)
+    xis = ladder_xis(phis, delta)
+    result = walk_ladder(windows, phis, xis)
     bounds = [xis[j] + truth.window_deltas[j] for j in range(truth.depth + 1)]
     continue_slacks = []
     best = math.inf
     for cand in result.accepted:
         if best < math.inf:
             continue_slacks.append(
-                tv_distance(truth.current, ladder[cand.index]) - 5.0 * best)
+                tv_distance(truth.current, windows[cand.index]) - 5.0 * best)
         best = min(best, bounds[cand.index])
     stop_slacks = []
     if result.stop.kind == "violation":
@@ -638,7 +705,7 @@ def trial_metrics(scenario, delta, q_star, r_star, trial):
     result = adaptive_estimate(stream, delta)
     errs = realized_error_curve(stream, truth.current)
     r_oracle = argmin_prefer_large(errs) + 1
-    emp_ok, true_ok = prop3_held(build_ladder(stream), delta, truth)
+    emp_ok, true_ok = prop3_held(stream, delta, truth)
     return harness.TrialMetrics(
         trial=trial, chosen_r=result.chosen_window,
         err_adaptive=float(errs[result.chosen_window - 1]),

@@ -143,12 +143,36 @@ GOLDEN_WALKS = [
                          ids=lambda s: f"{s.kind}-t{s.t}-seed{s.seed}")
 def test_walk_of_a_ladder_equals_the_per_pair_walk(scenario):
     for trial in range(3):
-        ladder = build_ladder(sample_stream(scenario, trial))
+        stream = sample_stream(scenario, trial)
+        ladder = build_ladder(stream)
         phis = ladder_phis(ladder)
         got = walk_ladder(ladder, phis, ladder_xis(phis, 0.05))
-        want = ref.walk_ladder(ladder, ref.ladder_xis(ladder, 0.05))
+        want_phis = ref.ladder_phis(stream)
+        want = ref.walk_ladder(ref.ladder(stream), want_phis, ref.ladder_xis(want_phis, 0.05))
         assert (got.accepted, got.stop, got.comparisons) == (
             want.accepted, want.stop, want.comparisons)
+
+
+# the streams of the acceptance suite's criteria, the largest at its full 2^20 samples
+ACCEPTANCE_WALKS = [
+    linear_drift(k=10, step_delta=1e-3, t=1024, seed=101), *default_families(6),
+    *default_families(7), iid(k=20, t=4096, seed=8), iid(k=20, t=4096, seed=9),
+    abrupt(k=20, change_point=256, t=4096, seed=88), abrupt(k=6, change_point=64, t=512, seed=11),
+    zipf_drift(3.0, 3.0, t=2**20, seed=11),
+]
+
+
+@pytest.mark.parametrize("scenario", list(dict.fromkeys(GOLDEN_WALKS + ACCEPTANCE_WALKS)),
+                         ids=lambda s: f"{s.kind}-t{s.t}-seed{s.seed}")
+def test_estimate_equals_the_chosen_window_counted_alone(scenario):
+    for trial in range(1 if scenario.t > 2**15 else 2):
+        stream = sample_stream(scenario, trial)
+        result = adaptive_estimate(stream, 0.05)
+        want = ref.window(stream[stream.size - result.chosen_window:])
+        for got, expected in ((result.estimate.symbols, want.symbols),
+                              (result.estimate.probs, want.probs)):
+            assert got.dtype == expected.dtype and bool((got == expected).all())
+            assert not got.flags.writeable
 
 
 def test_walk_and_json_in_small_chunks(monkeypatch):
@@ -165,7 +189,7 @@ def test_walk_and_json_in_small_chunks(monkeypatch):
 
 
 def test_walk_rejects_windows_that_are_not_nested():
-    ladder = (dist.EmpiricalWindow([4]), dist.EmpiricalWindow([5, 6]))
+    ladder = (ref.window([4]), ref.window([5, 6]))
     with pytest.raises(ValueError, match="not within"):
         walk_ladder(ladder, [1.0, 1.0], [9.0, 5.0])
 
@@ -198,6 +222,11 @@ def test_fixed_window_examples():
         fixed_window_estimate([5, 5], 3)
     with pytest.raises(ValueError):
         fixed_window_estimate([5, 5], 0)
+    # a whole float and a bool are not taken as window sizes
+    for r in (2.0, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            fixed_window_estimate([5, 5], r)
+    assert fixed_window_estimate([5, 7], np.int64(1)).as_dict() == {7: 1.0}
 
 
 def test_drift_sequence_no_drift():

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from driftest import dist
-from driftest.dist import (EmpiricalWindow, Pmf, _sorted_atoms, half_norm,
-                           lambda_complexity, phi_empirical, sorted_union,
-                           tv_distance)
+from driftest.adaptive import adaptive_estimate, fixed_window_estimate
+from driftest.dist import (Pmf, _sorted_atoms, as_stream, block_phis, half_norm,
+                           lambda_complexity, sorted_union, tv_distance)
 from driftest.driftgen import Truth, sample_stream, segments
 from driftest.harness import default_families, random_pmf
 from driftest.windows import build_ladder
@@ -61,8 +61,8 @@ def test_tv_hand_example():
     assert tv_distance(p, q) == pytest.approx(0.25, abs=1e-15)
 
 
-def test_tv_accepts_windows():
-    w = EmpiricalWindow([1, 1, 2, 2])
+def test_tv_accepts_ladder_windows():
+    w = build_ladder([1, 1, 2, 2])[2]
     p = Pmf.from_dict({1: 0.5, 2: 0.5})
     assert tv_distance(w, p) == 0.0
     assert tv_distance(w, Pmf.point_mass(1)) == pytest.approx(0.5)
@@ -111,7 +111,7 @@ def test_lambda_matches_reference_on_pmfs_and_windows():
         if rng.random() < 0.5:
             p = random_pmf(rng)
         else:
-            p = EmpiricalWindow(
+            p = ref.window(
                 rng.integers(0, 30, size=int(rng.integers(1, 400))))
         rs = rng.integers(1, 2**16 + 1, size=8)
         curve = lambda_complexity(p, rs)
@@ -126,8 +126,8 @@ def test_lambda_at_threshold_budget_matches_reference():
     # 1/r equal to an atom's mass, for a pmf and for a window's frequency
     cases = [(Pmf.uniform(range(4)), 4), (Pmf.from_dict({0: 0.25, 1: 0.75}), 4),
              (Pmf.from_dict({0: 0.5, 3: 0.375, 9: 0.125}), 8),
-             (EmpiricalWindow([1, 1, 2, 3, 3, 3, 3, 3]), 4),
-             (EmpiricalWindow([5] * 3 + [6]), 4)]
+             (ref.window([1, 1, 2, 3, 3, 3, 3, 3]), 4),
+             (ref.window([5] * 3 + [6]), 4)]
     for p, r in cases:
         assert np.any(p.probs == 1.0 / r)
         want = reference_lambda(p, r)
@@ -201,30 +201,37 @@ def test_half_norm_two_atoms():
     assert expected == pytest.approx(1.8660254037844386, abs=1e-12)
 
 
-def test_window_probs_are_counts_over_size():
+def test_ladder_windows_are_read_only_counts_over_size():
     rng = np.random.default_rng(12)
-    windows = [EmpiricalWindow(rng.integers(0, k, size=n))
-               for k, n in ((1, 1), (3, 7), (40, 500), (1000, 333))]
-    windows += build_ladder(rng.integers(0, 9, size=300))
-    for w in windows:
-        assert w.probs.dtype == np.float64
-        assert np.array_equal(w.probs, w.counts / w.size)
-        assert not w.probs.flags.writeable
-        assert np.array_equal(w.to_pmf().probs, w.probs)
+    for stream in (rng.integers(0, 9, size=300), rng.integers(0, 1000, size=333), [7]):
+        result = adaptive_estimate(stream, 0.05)
+        for j, (w, suffix) in enumerate(zip(build_ladder(stream), ref.suffixes(stream))):
+            symbols, counts = ref.window_counts(suffix)
+            assert w.symbols.dtype == np.int64 and np.array_equal(w.symbols, symbols)
+            assert w.probs.dtype == np.float64 and np.array_equal(w.probs, counts / 2**j)
+            assert not w.symbols.flags.writeable and not w.probs.flags.writeable
+        for array in (result.estimate.symbols, result.estimate.probs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+def phi_of(samples):
+    """The library's phi of the window of some samples: ``block_phis`` of one row."""
+    w = ref.window(samples)
+    return float(block_phis(w.probs, np.array([0, w.probs.size]), len(samples))[0])
 
 
 def test_phi_single_symbol():
-    assert phi_empirical(EmpiricalWindow([5] * 4)) == pytest.approx(0.5)
+    assert phi_of([5] * 4) == pytest.approx(0.5)
 
 
 def test_phi_mixed_counts():
-    w = EmpiricalWindow([0, 0, 1, 2])
-    assert phi_empirical(w) == pytest.approx((math.sqrt(0.5) + 0.5 + 0.5) / 2, abs=1e-15)
+    assert phi_of([0, 0, 1, 2]) == pytest.approx((math.sqrt(0.5) + 0.5 + 0.5) / 2, abs=1e-15)
 
 
 def test_phi_all_distinct():
-    w = EmpiricalWindow([0, 1, 2, 3])
-    assert phi_empirical(w) == pytest.approx(1.0, abs=1e-15)
+    assert phi_of([0, 1, 2, 3]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_phi_equals_root_half_norm_over_r():
@@ -232,9 +239,17 @@ def test_phi_equals_root_half_norm_over_r():
     for _ in range(200):
         r = int(rng.integers(1, 512))
         samples = rng.integers(0, 40, size=r)
-        w = EmpiricalWindow(samples)
-        assert phi_empirical(w) == pytest.approx(
-            math.sqrt(half_norm(w) / r), abs=1e-12)
+        assert phi_of(samples) == pytest.approx(
+            math.sqrt(half_norm(ref.window(samples)) / r), abs=1e-12)
+
+
+def test_phi_equals_the_reference_sum_bit_for_bit():
+    # supports across numpy's pairwise-sum regimes: under 8, 8-128, over 128
+    rng = np.random.default_rng(4)
+    for k in (3, 8, 100, 129, 3000):
+        for r in (1, 64, 1000, 4096):
+            samples = rng.integers(0, k, size=r)
+            assert phi_of(samples) == ref.phi(samples)
 
 
 def test_mean_of_identical_is_identity():
@@ -294,25 +309,24 @@ def test_pmf_json_round_trip_sorted():
 def test_pmf_write_json_equals_json_dumps(monkeypatch, chunk):
     monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
     for p in (Pmf.point_mass(0), Pmf.from_dict({9: 0.25, 2: 0.75}),
-              EmpiricalWindow(np.random.default_rng(5).integers(0, 50, 999)).to_pmf(),
+              ref.window(np.random.default_rng(5).integers(0, 50, 999)),
               random_pmf(np.random.default_rng(6))):
         fh = io.StringIO()
         p.write_json(fh)
         assert fh.getvalue() == json.dumps(p.to_json_obj())
 
 
-def test_window_validation():
+@pytest.mark.parametrize("take", [as_stream, build_ladder,
+                                  lambda samples: fixed_window_estimate(samples, 1)],
+                         ids=["as_stream", "build_ladder", "fixed_window_estimate"])
+def test_sample_validation(take):
     with pytest.raises(ValueError, match="empty sample stream"):
-        EmpiricalWindow([])
+        take([])
     with pytest.raises(ValueError, match="samples must be nonnegative"):
-        EmpiricalWindow([4, -1])
+        take([4, -1])
     # a 2-D array is refused, not flattened into one window
     with pytest.raises(ValueError, match="one-dimensional"):
-        EmpiricalWindow(np.array([[4, 4], [7, 7]]))
-    w = EmpiricalWindow([4, 4, 7])
-    assert w.size == 3
-    assert list(w.counts) == [2, 1]
-    assert w.to_pmf().as_dict() == {4: 2 / 3, 7: 1 / 3}
+        take(np.array([[4, 4], [7, 7]]))
 
 
 def test_arrays_are_read_only():
@@ -426,7 +440,7 @@ def test_non_integer_symbols_are_rejected_not_truncated(name):
     with pytest.raises(ValueError, match="must be integers within the int64 range"):
         Pmf(symbols, [0.5, 0.5])
     with pytest.raises(ValueError, match="must be integers within the int64 range"):
-        EmpiricalWindow(symbols)
+        build_ladder(symbols)
 
 
 def test_non_integer_constructor_symbols_are_rejected():
@@ -547,7 +561,7 @@ def test_block_tvs_equal_tv_distance_bit_for_bit(chunk, monkeypatch):
 
 
 def test_block_tvs_reject_a_symbol_the_layout_lacks():
-    block = _block_of([EmpiricalWindow([1, 2]), EmpiricalWindow([2, 9])])
+    block = _block_of([ref.window([1, 2]), ref.window([2, 9])])
     q = Pmf.uniform(range(1, 4))
     with pytest.raises(ValueError, match="not within"):
         dist.block_tvs(*block, q)
@@ -587,7 +601,7 @@ def test_tvs_within_equals_tv_distance_bit_for_bit(monkeypatch):
 ])
 def test_tvs_within_rejects_a_symbol_q_lacks(p, q):
     with pytest.raises(ValueError, match="not within"):
-        dist.RowStack([EmpiricalWindow([1]), EmpiricalWindow(p)]).tvs(EmpiricalWindow(q))
+        dist.RowStack([ref.window([1]), ref.window(p)]).tvs(ref.window(q))
 
 
 def _run_tv_cases(rng, lo, width):
@@ -612,7 +626,7 @@ def test_run_tv_equals_tv_distance_bit_for_bit(width):
     for name, symbols in _run_tv_cases(rng, lo, width).items():
         symbols = np.unique(symbols)
         q = Pmf(symbols, rng.dirichlet(np.ones(symbols.size)))
-        window = EmpiricalWindow(rng.choice(symbols, size=50))
+        window = ref.window(rng.choice(symbols, size=50))
         for other in (q, window):
             assert dist.run_tv(run, other) == tv_distance(run, other), name
             assert dist.run_tv(run, other) == tv_distance(other, run), name
@@ -637,8 +651,8 @@ def test_run_tv_of_the_current_pmf_on_the_verify_ladders():
 
 def test_row_stack_equals_tv_distance_per_row_across_chunks():
     rng = np.random.default_rng(23)
-    q = EmpiricalWindow(rng.integers(0, 1000, size=20000))
-    rows = [EmpiricalWindow(rng.choice(q.symbols, size=n)) for n in rng.integers(1, 3000, 45)]
+    q = ref.window(rng.integers(0, 1000, size=20000))
+    rows = [ref.window(rng.choice(q.symbols, size=n)) for n in rng.integers(1, 3000, 45)]
     # a row alone, several rows in one chunk, and rows over several chunks
     assert 5 * q.symbols.size <= dist.CHUNK_ELEMENTS < len(rows) * q.symbols.size
     for ps in (rows[:1], rows[:5], rows):
@@ -654,7 +668,7 @@ def test_row_stack_equals_tv_distance_as_the_rows_widen():
         assert stack.tvs(ladder[j]).tolist() == [tv_distance(w, ladder[j]) for w in ladder[:j]]
         stack.append(ladder[j])
     with pytest.raises(ValueError, match="not within"):
-        dist.RowStack([EmpiricalWindow([4])]).tvs(EmpiricalWindow([5, 6]))
+        dist.RowStack([ref.window([4])]).tvs(ref.window([5, 6]))
 
 
 # --- the one TV kernel, layout by layout, against the union reference ---------
@@ -703,7 +717,7 @@ def test_the_union_and_subset_layouts_equal_the_union_reference(chunk_rows, monk
     # one atom, every atom, and rows of unequal length, all among q's symbols
     rows = [_pmf_on([10], rng), _pmf_on(q.symbols, rng), _pmf_on([58, 12], rng),
             _pmf_on(rng.choice(q.symbols, 9), rng), _pmf_on(q.symbols[::3], rng),
-            EmpiricalWindow(rng.choice(q.symbols, 40)), _pmf_on(q.symbols[-4:], rng)]
+            ref.window(rng.choice(q.symbols, 40)), _pmf_on(q.symbols[-4:], rng)]
     for n in ROW_COUNTS:
         want = [ref.tv_union(p, q) for p in rows[:n]]
         assert dist.block_tvs(*_laid_back_to_back(rows[:n]), q).tolist() == want

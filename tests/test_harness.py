@@ -416,9 +416,10 @@ def _prop45_evaluations(scenario, trials, delta):
     side = segments(scenario)
     continued = stopped = 0
     for trial in range(trials):
-        ladder = build_ladder(sample_stream(scenario, trial))
-        if not all(ref.prop3_held(ladder, delta, side)):
+        stream = sample_stream(scenario, trial)
+        if not all(ref.prop3_held(stream, delta, side)):
             continue
+        ladder = build_ladder(stream)
         phis = ladder_phis(ladder)
         result = walk_ladder(ladder, phis, ladder_xis(phis, delta))
         continued += max(0, len(result.accepted) - 1)
@@ -618,6 +619,9 @@ def test_truth_side_is_shared_across_deltas(monkeypatch):
     ("prop45", 5, -0.5, "delta must lie"),
     ("prop45", 0, 0.05, "trials must be >= 1"),
     ("prop1", 0, 0.05, "trials must be >= 1"),
+    ("run_trials", harness.MAX_TRIALS + 1, 0.05, "trials must be at most 500000"),
+    ("prop2", harness.MAX_TRIALS + 1, 0.05, "trials must be at most"),
+    ("prop1", harness.MAX_TRIALS + 1, 0.05, "trials must be at most"),
 ])
 def test_bad_arguments_are_rejected_before_the_truth_side(suite, trials, delta, message,
                                                           monkeypatch):

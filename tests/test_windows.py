@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from driftest import windows
-from driftest.dist import EmpiricalWindow, block_phis, phi_empirical
+from driftest.dist import block_phis
 from driftest.windows import (UNION_BOUND_CONSTANT, as_stream, build_ladder,
                               concentration_radius, dyadic_depth, ladder_phis, ladder_xis,
                               load_stream, parse_stream_text, union_log_weight)
 from reference import dump_stream, parse_lines
+import reference as ref
 
 
 def brute_ladder(stream):
@@ -26,7 +27,9 @@ def brute_ladder(stream):
 
 
 def ladder_as_dicts(ladder):
-    return [dict(zip(w.symbols.tolist(), w.counts.tolist())) for w in ladder]
+    """Each window's symbol counts, window j's probabilities times its 2^j samples."""
+    return [dict(zip(w.symbols.tolist(), (w.probs * 2**j).astype(np.int64).tolist()))
+            for j, w in enumerate(ladder)]
 
 
 def test_ladder_hand_example():
@@ -82,16 +85,11 @@ def test_block_ladder_rows_equal_windows_counted_alone(t):
                      for c in range(len(block.js))], axis=1)
     for i, stream in enumerate(streams):
         for c, window in enumerate(block.ladder(i)):
-            alone = EmpiricalWindow(stream[t - 2**c:])
-            symbols, counts = np.unique(stream[t - 2**c:], return_counts=True)
-            assert window.size == alone.size == 2**c
-            for name, want in (("symbols", symbols), ("counts", counts), ("probs", None)):
-                got, expected = getattr(window, name), getattr(alone, name)
-                assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+            symbols, counts = ref.window_counts(stream[t - 2**c:])
+            for got, want in ((window.symbols, symbols), (window.probs, counts / 2**c)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
                 assert not got.flags.writeable
-                if want is not None:
-                    assert got.dtype == want.dtype and np.array_equal(got, want), name
-            assert phis[i, c] == phi_empirical(alone)
+            assert phis[i, c] == ref.phi(stream[t - 2**c:])
     # one window size alone
     one = windows.LadderBlock(streams, [dyadic_depth(t)])
     assert one.js == [dyadic_depth(t)]
@@ -198,14 +196,15 @@ def test_xi_validation():
 
 
 def test_ladder_xis_align_with_windows():
-    ladder = build_ladder([1, 1, 2, 3, 1, 2, 1, 1])
+    stream = [1, 1, 2, 3, 1, 2, 1, 1]
+    ladder = build_ladder(stream)
     phis = ladder_phis(ladder)
     xis = ladder_xis(phis, 0.1)
     assert len(phis) == len(xis) == len(ladder)
     for j, value in enumerate(xis):
         assert type(value) is float
-        assert phis[j] == phi_empirical(ladder[j])
-        assert value == phi_empirical(ladder[j]) + scalar_radius(j, 0.1)
+        assert phis[j] == ref.phi(stream[8 - 2**j:])
+        assert value == phis[j] + scalar_radius(j, 0.1)
 
 
 def test_parse_stream_text():
