@@ -16,11 +16,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dist import CHUNK_ELEMENTS, Pmf, RowStack, lambda_complexity, sorted_runs, sorted_union
+from .dist import (CHUNK_ELEMENTS, Block, Pmf, groups, lambda_complexity, row_edges,
+                   segment_tvs, sorted_runs, sorted_union)
 from .windows import (as_stream, build_ladder, check_delta, ladder_phis, ladder_xis,
                       union_log_weight)
 
@@ -120,60 +121,240 @@ def walk_ladder(ladder: Sequence[Pmf], phis: Sequence[float],
 
     ``phis`` and ``xis`` are the windows' complexities and statistical-error
     bounds, ``ladder_phis(ladder)`` and ``ladder_xis(phis, delta)``.  The
-    candidate list starts at window index 0; index j is considered only
-    when its bound is strictly below every accepted bound (accepted bounds
-    strictly decrease, so the last one is the smallest); the stop test uses
-    >= so boundary equality stops.  Each window holds every smaller one's
-    samples, so candidate j's distances to all accepted windows are taken
-    together on j's symbols: O(accepted * |supp j|), no union sorted, and
-    for narrow candidates one search of the accepted windows' atoms, each
-    stacked once when its window is accepted (``RowStack``).  The stop test
-    takes the thresholds of all accepted windows at once and stops at the
-    first one met; the evaluations are kept as plain lists
-    (``EstimateResult.compared``).  The estimate is a copy of the chosen
-    window, which may view a block's arrays.
+    walk is the one-trial ``walk_block``; the evaluations are kept as plain
+    lists (``EstimateResult.compared``).  The estimate is a copy of the
+    chosen window, which may view a block's arrays.
     """
-    accepted = [CandidateRecord(0, 1, phis[0], xis[0])]
-    indices = [0]  # of the accepted windows
-    triple_xis = np.empty(len(ladder))  # 3 xi of each accepted window
-    triple_xis[0] = 3.0 * xis[0]
-    stack = RowStack(ladder[:1])  # the accepted windows
-    ls: list[int] = []
-    js: list[int] = []
-    tvs: list[float] = []
-    thresholds: list[float] = []
-    stop = StopReason("exhausted")
-
-    for j in range(1, len(ladder)):
-        if not xis[j] < accepted[-1].xi:
-            continue
-        n = len(accepted)
-        gaps = stack.tvs(ladder[j])
-        bars = triple_xis[:n] + xis[j]
-        # the accepted windows are compared in order, up to the first that stops the walk
-        hits = (gaps >= bars).nonzero()[0]
-        compared = int(hits[0]) + 1 if hits.size else n
-        ls += indices[:compared]
-        js += [j] * compared
-        tvs += gaps[:compared].tolist()
-        thresholds += bars[:compared].tolist()
-        if hits.size:
-            stop = StopReason("violation", j=j, l=indices[compared - 1])
-            break
-        accepted.append(CandidateRecord(j, 2**j, phis[j], xis[j]))
-        indices.append(j)
-        triple_xis[n] = 3.0 * xis[j]
-        stack.append(ladder[j])
-
-    chosen = accepted[-1]
-    window = ladder[chosen.index]
+    walk = walk_block([(w.symbols, w.probs, np.array([0, w.symbols.size])) for w in ladder],
+                      np.array([xis]))
+    indices = walk.accepted[0].nonzero()[0].tolist()
+    j, l = walk.stop[0].tolist()
+    window = ladder[indices[-1]]
     return EstimateResult(
-        chosen_window=chosen.size,
+        chosen_window=2**indices[-1],
         estimate=Pmf(window.symbols, window.probs),
-        accepted=tuple(accepted),
-        stop=stop,
-        compared=(ls, js, tvs, thresholds),
+        accepted=tuple(CandidateRecord(c, 2**c, phis[c], xis[c]) for c in indices),
+        stop=StopReason("exhausted") if j < 0 else StopReason("violation", j=j, l=l),
+        compared=walk.compared(0),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class BlockWalk:
+    """The walks of a block of trials.
+
+    ``accepted`` has a row per trial and a column per window index, true
+    where the trial accepted the window; ``stop`` holds each trial's
+    violating (j, l), or (-1, -1) where it ran out of windows; ``records``
+    holds the evaluations in the order they were made, as arrays of
+    (trials, l, j, TVs, thresholds), a run of candidate indices at a time.
+    """
+
+    accepted: np.ndarray
+    stop: np.ndarray
+    records: list[tuple[np.ndarray, ...]]
+
+    @property
+    def chosen(self) -> np.ndarray:
+        """Each trial's chosen window index: the largest it accepted."""
+        return self.accepted.shape[1] - 1 - self.accepted[:, ::-1].argmax(axis=1)
+
+    def compared(self, i: int) -> tuple[list[int], list[int], list[float], list[float]]:
+        """Trial i's evaluations as ``EstimateResult.compared`` holds them."""
+        columns = [[], [], [], []]
+        for trials, *values in self.records:
+            mine = trials == i
+            for column, value in zip(columns, values):
+                column += value[mine].tolist()
+        return tuple(columns)
+
+
+def walk_block(windows: Sequence[Block], xis: np.ndarray) -> BlockWalk:
+    """The adaptive walk of every trial of a block, in lockstep over the window indices.
+
+    ``windows[c]`` holds the block's windows of index c as a ``Block``, a
+    row per trial, and row i of ``xis`` holds trial i's windows'
+    statistical-error bounds.  Each trial's candidate list starts at window
+    index 0; index j is considered only when its bound is strictly below
+    every accepted bound (accepted bounds strictly decrease, so the last
+    one is the smallest: the least bound below j).  At each j, the TVs of
+    every window l < j a trial would have accepted to its window j are
+    taken together, each pair on the trial's window j: a trial's windows
+    are nested suffixes, so that window holds the pair's union
+    (``segment_tvs``).  For the trials that consider j, they are compared
+    with 3 xi_l + xi_j in order of l, up to the first that stops the
+    trial's walk (>=, so boundary equality stops).  The pairs compared, and
+    their values and order, are exactly those of a trial walked alone.
+
+    A key stands for a (trial, symbol) pair: the symbol, plus the trial
+    times the span of the block's symbols, so that keys ascend trial by
+    trial.  Where that would pass the int64 range, the trials are walked
+    apart.  The windows a trial would accept are stacked once
+    (``_stacked``), and the candidate indices are taken in runs, with one
+    kernel call per run and piece of the stack: a trial's first hit in a
+    run, in order of j and l, stops it, and its pairs after that are taken
+    but not read.  Pieces and runs hold at most an eighth of
+    ``CHUNK_ELEMENTS`` atoms, or one window or index, so the walk's
+    temporaries stay near one kernel chunk's, a long stream's wide windows
+    are never copied, and a one-trial block of short windows takes one
+    call.
+    """
+    m, depth = xis.shape
+    largest = windows[-1][0]  # the largest windows hold every symbol
+    low, high = (int(largest.min()), int(largest.max())) if m > 1 else (0, 0)
+    if (m - 1) * (high - low + 1) > np.iinfo(np.int64).max - high:
+        return _walked_apart(windows, xis)
+
+    def window(c: int, first: int = 0, end: int = m) -> Block:
+        """The windows of index c of trials first .. end-1, their symbols as keys."""
+        symbols, probs, bounds = _trials_of(windows[c], first, end)
+        if m > 1:
+            if symbols.min() < low or symbols.max() > high:
+                raise ValueError("a support is not within the one it is compared with")
+            symbols = symbols - low + np.repeat(np.arange(first, end) * (high - low + 1),
+                                                bounds[1:] - bounds[:-1])
+        return symbols, probs, bounds
+
+    # where each trial would accept: below the least bound before it
+    accepts = np.ones((m, depth), dtype=bool)
+    accepts[:, 1:] = xis[:, 1:] < np.minimum.accumulate(xis, axis=1)[:, :-1]
+    # the stack's pieces and the runs of candidate indices hold few enough
+    # atoms that the walk's temporaries stay near one kernel chunk's
+    limit = CHUNK_ELEMENTS // 8
+    pieces = _stacked(window, accepts, xis, limit)
+    # the atoms of the pairs at each index: of the windows below it
+    pairs = np.zeros(depth)
+    for piece in pieces:
+        pairs[1:] += np.bincount(piece.ls, np.diff(piece.bounds), depth).cumsum()[:-1]
+    stop = np.full((m, 2), -1)
+    walking = np.ones(m, dtype=bool)
+    records = []
+    j = 1
+    while j < depth and walking.any():
+        js = j + (walking[:, None] & accepts[:, j:]).any(axis=0).nonzero()[0]
+        if not js.size:
+            break
+        js = js[:max(1, int(pairs[js].cumsum().searchsorted(limit, "right")))].tolist()
+        j = js[-1] + 1
+        # one kernel call per piece, its windows below each index of the run
+        # laid out on its trials' windows of that index
+        rows = []
+        for piece in pieces:
+            parts = [(c, *piece.below(c)) for c in js]
+            parts = [part for part in parts if part[2].size]
+            if parts:
+                first, end = int(piece.trials[0]), int(piece.trials[-1]) + 1
+                tvs = segment_tvs([(block, window(c, first, end), trials - first)
+                                   for c, block, trials, _, _ in parts])
+                for c, _, trials, ls, triples in parts:
+                    rows.append((c, tvs[:trials.size], trials, ls, triples))
+                    tvs = tvs[trials.size:]
+        rows.sort(key=lambda row: row[0])  # index by index, and the pieces in order
+        cs, tvs, trials, ls, triples = zip(*rows)
+        cs = np.repeat(cs, [t.size for t in trials])
+        tvs, trials, ls, triples = map(np.concatenate, (tvs, trials, ls, triples))
+        thresholds = triples + xis[trials, cs]
+        # the rows of the trials that consider their j, each trial's in order of j and l
+        shown = walking[trials] & accepts[trials, cs]
+        hits = ((tvs >= thresholds) & shown).nonzero()[0]
+        if hits.size:
+            # each stopped trial's first hit, and its rows up to it
+            stopped, first = np.unique(trials[hits], return_index=True)
+            first = hits[first]
+            up_to = np.full(m, tvs.size)
+            up_to[stopped] = first
+            shown &= np.arange(tvs.size) <= up_to[trials]
+            stop[stopped, 0] = cs[first]
+            stop[stopped, 1] = ls[first]
+            walking[stopped] = False
+        records.append(tuple(column[shown] for column in (trials, ls, cs, tvs, thresholds)))
+    # a stopped trial accepted only the windows below the index it stopped at
+    accepts &= np.arange(depth) < np.where(stop[:, :1] < 0, depth, stop[:, :1])
+    return BlockWalk(accepts, stop, records)
+
+
+def _trials_of(block: Block, first: int, end: int) -> Block:
+    """The rows first .. end-1 of a block, viewed."""
+    keys, probs, bounds = block
+    if first == 0 and end == bounds.size - 1:
+        return block
+    atoms = slice(bounds[first], bounds[end])
+    return keys[atoms], probs[atoms], bounds[first:end + 1] - bounds[first]
+
+
+def _walked_apart(windows: Sequence[Block], xis: np.ndarray) -> BlockWalk:
+    """``walk_block`` of each trial alone, as one ``BlockWalk``."""
+    walks = [walk_block([_trials_of(block, i, i + 1) for block in windows], xis[i:i + 1])
+             for i in range(xis.shape[0])]
+    return BlockWalk(np.concatenate([walk.accepted for walk in walks]),
+                     np.concatenate([walk.stop for walk in walks]),
+                     [(trials + i, *rest) for i, walk in enumerate(walks)
+                      for trials, *rest in walk.records])
+
+
+@dataclass(frozen=True, eq=False)
+class _Piece:
+    """Windows of a block stacked back to back: their keys, probabilities and bounds.
+
+    Each window's trial, index l and 3 xi_l go with it, trial by trial and
+    each trial's in order of l.
+    """
+
+    keys: np.ndarray
+    probs: np.ndarray
+    bounds: np.ndarray
+    trials: np.ndarray
+    ls: np.ndarray
+    triples: np.ndarray
+
+    def below(self, j: int) -> tuple:
+        """The windows below index j, as a ``Block``, with their trials, l and 3 xi_l.
+
+        Where they are the first n windows, as one trial's are, or all of
+        them, they are views.
+        """
+        if self.trials[0] == self.trials[-1]:  # one trial's windows, in order of l
+            n = int(self.ls.searchsorted(j))
+        else:
+            rows = self.ls < j
+            n = rows.size if rows.all() else -1
+        if n >= 0:
+            atoms, bounds, rows = slice(self.bounds[n]), self.bounds[:n + 1], slice(n)
+        else:
+            counts = self.bounds[1:] - self.bounds[:-1]
+            atoms, bounds = rows.repeat(counts), row_edges(counts[rows])
+        return ((self.keys[atoms], self.probs[atoms], bounds), self.trials[rows], self.ls[rows],
+                self.triples[rows])
+
+
+def _stacked(window: Callable[[int], Block], accepts: np.ndarray, xis: np.ndarray,
+             limit: int) -> list[_Piece]:
+    """The windows below the largest that each trial would accept, in pieces.
+
+    The windows go trial by trial, and each trial's in order of l, so that
+    a trial's windows share its layout in the kernel; they are cut into
+    pieces of at most ``limit`` atoms, or of one window (``groups``).  A
+    piece of all of one index's windows views its arrays, as a long
+    stream's wide windows do.
+    """
+    trials, ls = accepts[:, :-1].nonzero()  # trial by trial, each in order of l
+    blocks = [window(l) for l in range(accepts.shape[1] - 1)]
+    if not ls.size:
+        return []
+    bounds = np.stack([bounds for _, _, bounds in blocks])
+    firsts = bounds[ls, trials]
+    counts = bounds[ls, trials + 1] - firsts
+    triples = 3.0 * xis[trials, ls]
+    pieces = []
+    for part in groups(counts.tolist(), limit):
+        keys, probs, _ = blocks[ls[part.start]]
+        if part.stop - part.start > 1 or counts[part.start] < keys.size:
+            keys, probs = (np.concatenate([blocks[l][column][f:f + n] for l, f, n in zip(
+                ls[part].tolist(), firsts[part].tolist(), counts[part].tolist())])
+                for column in (0, 1))
+        pieces.append(_Piece(keys, probs, row_edges(counts[part]), trials[part], ls[part],
+                             triples[part]))
+    return pieces
 
 
 def fixed_window_estimate(stream, r: int) -> Pmf:

@@ -8,23 +8,23 @@ over its size (``windows.LadderBlock``), and its empirical complexity is
 ``block_phis``.
 
 Total variation is half the L1 distance over the sorted union of two
-supports, and one kernel (``_tvs``) takes every TV here: a base row on a
-layout, less each row's atoms at their places, 0.5 times each row's sum of
-absolute values.  Three layouts feed it, each holding the values a pair's
-sorted union holds, in the same order, so each TV has ``tv_distance``'s
-bits: the union, sorted (``tv_distance``); a support that holds the rows'
-symbols (``block_tvs`` and ``RowStack``: a window and its average, nested
-windows); and a run of consecutive symbols with the other side's symbols
-around it (``run_tv``, ``block_run_tvs`` and ``rows_tv``: a truth's
-current pmf).  A row's sum is always one sum over one contiguous row
-holding exactly those values: a C-contiguous row of a 2-D array sums as
-the 1-D array does, and rows of unequal length are summed apart
-(``row_sums``), never padded.
+supports, and one kernel (``_tvs``) takes every TV here: rows laid back to
+back, each a segment of one base less its atoms, 0.5 times each row's sum
+of absolute values.  Rows may lie on segments of different widths, and
+rows that share a segment take it by broadcasting.  Three layouts feed it,
+each holding the values a pair's sorted union holds, in the same order, so
+each TV has ``tv_distance``'s bits: the union, sorted (``tv_distance``); a
+support that holds the rows' symbols (``block_tvs``, windows and their
+averages, and ``segment_tvs``, the walk's nested windows); and a run of
+consecutive symbols with the other side's symbols around it (``run_tv``,
+``block_run_tvs`` and ``rows_tv``: a truth's current pmf).  A row's
+sum is always one sum over one contiguous row holding exactly those
+values: a C-contiguous row of a 2-D array sums as the 1-D array does, and
+rows of unequal length are summed apart (``row_sums``), never padded.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -238,14 +238,9 @@ CHUNK_ELEMENTS = 1 << 15
 WIDE_ROW = 256
 
 
-def _rows_per_chunk(width: int) -> int:
-    """Rows of ``width`` elements in a chunk: at least one, at most one over ``CHUNK_ELEMENTS``."""
-    return max(1, CHUNK_ELEMENTS // width)
-
-
 def row_slices(rows: int, width: int) -> Iterator[slice]:
     """Consecutive slices of ``rows`` rows, each at most one row over ``CHUNK_ELEMENTS``."""
-    step = _rows_per_chunk(width)
+    step = max(1, CHUNK_ELEMENTS // width)
     return (slice(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
@@ -253,8 +248,9 @@ def row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """``values[bounds[i]:bounds[i + 1]].sum()`` for every i, bit for bit.
 
     The rows of one length are gathered into one C-contiguous matrix and
-    summed along its rows, each as its 1-D slice sums.  No row is padded:
-    a zero would move values between numpy's eight partial sums.
+    summed along its rows, each as its 1-D slice sums; rows of one length
+    that lie back to back are that matrix already.  No row is padded: a
+    zero would move values between numpy's eight partial sums.
     """
     lengths = bounds[1:] - bounds[:-1]
     distinct = set(lengths.tolist())
@@ -263,55 +259,101 @@ def row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     sums = np.empty(lengths.size)
     for n in distinct:
         rows = (lengths == n).nonzero()[0]
-        sums[rows] = values[bounds[rows, None] + np.arange(n)].sum(axis=1)
+        first, last = int(rows[0]), int(rows[-1])
+        if last - first == rows.size - 1:
+            sums[first:last + 1] = values[bounds[first]:bounds[last + 1]].reshape(-1, n).sum(axis=1)
+        else:
+            sums[rows] = values[bounds[rows, None] + np.arange(n)].sum(axis=1)
     return sums
 
 
-def _tvs(base: np.ndarray, flat: np.ndarray, probs: np.ndarray, n: int,
-         keep: np.ndarray | None = None) -> np.ndarray:
-    """0.5 times each of n rows' sum of |base less the row's atoms|, on one layout: their TVs.
+def _tvs(base: np.ndarray, starts: np.ndarray, edges: np.ndarray, flat: np.ndarray,
+         probs: np.ndarray, bounds: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """0.5 times each row's sum of |its segment of base less its atoms|: the rows' TVs.
 
-    Atom i has probability ``probs[i]`` at ``flat[i]`` of the flat n x
-    |layout| matrix: its row is ``flat[i] // |layout|`` and its layout
-    place the remainder, and ``flat`` ascends.  A chunk of rows at a time
-    (as ``row_slices`` cuts them), one scatter writes every atom into a
-    zero matrix, which is then taken from ``base``: each place holds base
-    less the row's atom there, or base (x - 0.0 is x).  With ``keep``, a
-    mask of the layout's places, each row keeps only those places and its
-    own, in layout order, and is summed alone or with the rows of its kept
-    length (``row_sums``); without it each row sums whole.  The layout
-    builders make each row's kept values the ones its pair's sorted union
-    holds, in the same order (|a - b| equals |b - a|), and a C-contiguous
-    row sums as the 1-D array does, so every TV is the pair's
-    ``tv_distance`` bit for bit.
+    The rows lie back to back in one flat layout, row i at
+    ``edges[i]:edges[i + 1]``, where it holds the segment of ``base`` from
+    ``starts[i]`` less its atoms.  Row i's atoms are
+    ``bounds[i]:bounds[i + 1]`` of ``probs``, at their places ``flat`` in
+    the layout, which ascend.  A chunk of rows at a time (consecutive rows
+    of at most ``CHUNK_ELEMENTS`` places in all, or one wider row, or the
+    rows of its first segment where they fill half of it), each place
+    comes to hold base less the row's atom there, or base (x - 0.0 is x):
+    where the chunk's rows hold one segment (one start and width), one
+    scatter writes every atom into a zero matrix, which is taken from the
+    segment by broadcasting; otherwise the rows' segments are gathered
+    from ``base`` and the atoms taken from them.  With ``keep``, a mask
+    aligned with ``base``, each row keeps only the places its segment's
+    mask keeps and its own, in layout order, and is summed alone or with
+    the rows of its kept length (``row_sums``); without it each row sums
+    its whole segment.  The layout builders make
+    each row's kept values the ones its pair's sorted union holds, in the
+    same order (|a - b| equals |b - a|), and a row sums as the 1-D array
+    does, so every TV is the pair's ``tv_distance`` bit for bit.  No row is
+    padded.
     """
-    width = base.size
-    step = _rows_per_chunk(width)
-    sums = []
-    b = 0
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        # the chunk's atoms, and their places in its matrix
-        a, b = b, flat.size if hi == n else int(flat.searchsorted(hi * width))
-        at = flat[a:b] - lo * width
-        diff = np.zeros((hi - lo, width))
-        diff.ravel()[at] = probs[a:b]
-        np.subtract(base, diff, out=diff)
+    n, total = edges.size - 1, int(edges[-1])
+    sums = np.empty(n)
+    lo = 0
+    while lo < n:
+        first = int(edges[lo])
+        hi = n if total - first <= CHUNK_ELEMENTS else max(
+            lo + 1, int(edges.searchsorted(first + CHUNK_ELEMENTS, "right")) - 1)
+        start, shared = int(starts[lo]), hi - lo == 1
+        if not shared:
+            widths = edges[lo + 1:hi + 1] - edges[lo:hi]
+            same = (starts[lo + 1:hi] == start) & (widths[1:] == widths[0])
+            shared = bool(same.all())
+            if not shared:
+                # a chunk mostly of its first segment ends with it, to be broadcast
+                end = lo + 1 + int(same.argmin())
+                if 2 * int(edges[end]) >= int(edges[hi]) + first:
+                    hi, shared = end, True
+        lay = edges[lo:hi + 1] - first if first else edges[:hi + 1]  # the chunk's rows' edges
+        a, b = int(bounds[lo]), int(bounds[hi])
+        at = flat[a:b] - first if first else flat[a:b]
+        if shared:
+            seg = slice(start, start + int(lay[1]))
+            diff = np.zeros(int(lay[-1]))
+            diff[at] = probs[a:b]
+            rows = diff.reshape(hi - lo, -1)  # a matrix of the rows, one width
+            np.subtract(base[seg], rows, out=rows)
+        else:
+            # each place's index in base: a row's first is its start, and
+            # the rest follow one by one
+            seg = np.ones(int(lay[-1]), dtype=np.int64)
+            seg[lay[:-1]] = starts[lo:hi]
+            seg[lay[1:-1]] -= starts[lo:hi - 1] + (lay[1:-1] - lay[:-2] - 1)
+            np.cumsum(seg, out=seg)
+            diff = base[seg]
+            diff[at] -= probs[a:b]
+            rows = None
         np.abs(diff, out=diff)
-        if keep is None:
-            sums.append(diff.sum(axis=1))
-            continue
-        kept = np.empty(diff.shape, dtype=bool)
-        kept[:] = keep
-        kept.ravel()[at] = True
-        ends = np.cumsum(np.count_nonzero(kept, axis=1))
-        sums.append(row_sums(diff[kept], np.concatenate(([0], ends))))
-    return 0.5 * (sums[0] if len(sums) == 1 else np.concatenate(sums))
+        if keep is not None:
+            kept = np.zeros(diff.shape, dtype=bool)
+            kept[at] = True
+            (kept if rows is None else kept.reshape(rows.shape))[...] |= keep[seg]
+            sums[lo:hi] = row_sums(diff[kept], np.concatenate(([0], np.cumsum(kept)[lay[1:] - 1])))
+        elif rows is not None:
+            sums[lo:hi] = rows.sum(axis=1)
+        else:
+            sums[lo:hi] = row_sums(diff, lay)
+        lo = hi
+    return 0.5 * sums
 
 
-def _rows_of(lengths: np.ndarray, width: int) -> np.ndarray:
-    """For rows of the given lengths laid back to back, each atom's row times ``width``."""
-    return np.arange(0, lengths.size * width, width).repeat(lengths)
+def row_edges(widths) -> np.ndarray:
+    """Rows' edges in a flat layout of rows of these widths laid back to back."""
+    edges = np.zeros(len(widths) + 1, dtype=np.int64)
+    np.cumsum(widths, out=edges[1:])
+    return edges
+
+
+def _one_row(base: np.ndarray, places: np.ndarray, probs: np.ndarray,
+             keep: np.ndarray | None = None) -> float:
+    """The TV of one row on the whole of ``base`` (``_tvs``)."""
+    return float(_tvs(base, np.zeros(1, dtype=np.int64), np.array([0, base.size]), places, probs,
+                      np.array([0, probs.size]), keep)[0])
 
 
 def tv_distance(p: Pmf, q: Pmf) -> float:
@@ -322,14 +364,13 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
     union = sorted_union(p.symbols, q.symbols)
     base = np.zeros(union.size)
     base[union.searchsorted(p.symbols)] = p.probs
-    places = union.searchsorted(q.symbols)
-    return float(_tvs(base, places, q.probs, 1)[0])
+    return _one_row(base, union.searchsorted(q.symbols), q.probs)
 
 
-# --- the subset layout: each row's symbols among q's --------------------------
+# --- the subset layout: each row's symbols among its layout's -----------------
 
 
-def _positions_within(symbols: np.ndarray, support: np.ndarray) -> np.ndarray:
+def positions_within(symbols: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Where each of ``symbols`` sits in the sorted ``support``; raises if it lacks one.
 
     A symbol past the support's last is placed at its end, where ``take``
@@ -341,72 +382,107 @@ def _positions_within(symbols: np.ndarray, support: np.ndarray) -> np.ndarray:
     return pos
 
 
-def block_tvs(symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
-              q: Pmf) -> np.ndarray:
-    """``tv_distance(row, q)`` for rows whose atoms lie back to back, row i's at bounds[i]:bounds[i+1].
+# a block of rows laid back to back: its atoms' symbols and probabilities, row
+# i's at bounds[i]:bounds[i + 1], from bounds[0] = 0 to the arrays' end
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    Each row's symbols are among q's, so their union is q's support and
-    none is sorted: q's probabilities, less each row's at their places
-    (``_tvs``).  A symbol q lacks raises.
+
+def _equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same values."""
+    return a is b or (a.size == b.size and bool((a == b).all()))
+
+
+def _cat(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays back to back; one array is itself, not a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def joined_bounds(blocks: Sequence[Block]) -> np.ndarray:
+    """The rows' atom bounds of several blocks whose atoms are laid back to back, block by block."""
+    if len(blocks) == 1:
+        return blocks[0][2]
+    firsts = np.cumsum([0] + [probs.size for _, probs, _ in blocks])
+    return np.concatenate([bounds[:-1] + first for (_, _, bounds), first in zip(blocks, firsts)]
+                          + [firsts[-1:]])
+
+
+def joined(blocks: Sequence[Block]) -> Block:
+    """The rows of several blocks as one block, laid back to back."""
+    return (_cat([symbols for symbols, _, _ in blocks]), _cat([probs for _, probs, _ in blocks]),
+            joined_bounds(blocks))
+
+
+def groups(sizes: Sequence[int], limit: int | None = None) -> list[slice]:
+    """Consecutive slices of items of these sizes, each at most ``limit`` in all, or one item.
+
+    ``limit`` is ``CHUNK_ELEMENTS`` unless given.
     """
-    flat = _positions_within(symbols, q.symbols)
-    flat += _rows_of(bounds[1:] - bounds[:-1], q.symbols.size)
-    return _tvs(q.probs, flat, probs, bounds.size - 1)
+    limit = CHUNK_ELEMENTS if limit is None else limit
+    cuts, total = [0], 0
+    for i, size in enumerate(sizes):
+        if i > cuts[-1] and total + size > limit:
+            cuts.append(i)
+            total = 0
+        total += size
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [len(sizes)])] if sizes else []
 
 
-# atoms a RowStack's stack makes room for before it first grows
-_STACK_START = 256
+def block_tvs(blocks: Sequence[Block], qs: Sequence[Pmf]) -> np.ndarray:
+    """``tv_distance(row, q)`` for the rows of each block against its q, back to back.
 
-
-class RowStack:
-    """Pmfs, the rows, whose TVs are taken to pmfs holding their symbols.
-
-    ``tvs(q)`` is ``tv_distance(row, q)`` for every row, bit for bit, on
-    q's support (the layout of ``block_tvs``).  While the rows x |supp q|
-    matrix fits one chunk, the rows' atoms and their row numbers come from
-    a stack that ``append`` extends by one row's, so a q costs one search
-    however many rows there are.  The first q too wide for that drops the
-    stack, and the rows are then laid out and searched a chunk at a time
-    (``row_slices``): the walk's candidates only widen, so the stack, which
-    at least doubles when full, never holds much more than a chunk's atoms.
-    A symbol of some row that q lacks raises.
+    Block k's symbols are among ``qs[k]``'s, so each row's union with q is
+    q's support and none is sorted: the subset layout, q's probabilities
+    less the row's at their places.  Every block takes one kernel call
+    together, block k's rows on segment k of one base; a pmf equal to the
+    one before it shares its segment, as an iid truth's window averages
+    all do.  A symbol q lacks raises.
     """
+    segment = np.cumsum([k == 0 or not (_equal(q.symbols, qs[k - 1].symbols)
+                                        and _equal(q.probs, qs[k - 1].probs))
+                         for k, q in enumerate(qs)]) - 1
+    distinct = [q for k, q in enumerate(qs) if k == 0 or segment[k] > segment[k - 1]]
+    starts = row_edges([q.symbols.size for q in distinct])[segment]
+    rows = [bounds.size - 1 for _, _, bounds in blocks]
+    edges, bounds = row_edges(np.repeat([q.symbols.size for q in qs], rows)), joined_bounds(blocks)
+    flat = _cat([positions_within(symbols, q.symbols) for (symbols, _, _), q in zip(blocks, qs)])
+    flat += edges[:-1].repeat(bounds[1:] - bounds[:-1])
+    return _tvs(_cat([q.probs for q in distinct]), starts.repeat(rows), edges, flat,
+                _cat([probs for _, probs, _ in blocks]), bounds)
 
-    def __init__(self, rows: Sequence[Pmf]):
-        self.rows, self._atoms = [], 0
-        self._stack = (np.empty(_STACK_START, dtype=np.int64), np.empty(_STACK_START),
-                       np.empty(_STACK_START, dtype=np.int64))
-        for p in rows:
-            self.append(p)
 
-    def append(self, p: Pmf) -> None:
-        if self._stack is not None:
-            a, b = self._atoms, self._atoms + p.symbols.size
-            if b > self._stack[0].size:  # it grows by what it must hold: O(atoms) copies in all
-                self._stack = tuple(np.concatenate((x[:a], np.empty(b, dtype=x.dtype)))
-                                    for x in self._stack)
-            symbols, probs, rows = self._stack
-            symbols[a:b] = p.symbols
-            probs[a:b] = p.probs
-            rows[a:b] = len(self.rows)
-            self._atoms = b
-        self.rows.append(p)
+def segment_tvs(parts: Sequence[tuple[Block, Block, np.ndarray]]) -> np.ndarray:
+    """``tv_distance(row, its layout segment)`` for the rows of every part, back to back.
 
-    def tvs(self, q: Pmf) -> np.ndarray:
-        n = len(self.rows)
-        if self._stack is not None and n * q.symbols.size <= CHUNK_ELEMENTS:
-            (symbols, probs, rows), k = self._stack, self._atoms
-            flat = _positions_within(symbols[:k], q.symbols)
-            flat += rows[:k] * q.symbols.size
-            return _tvs(q.probs, flat, probs[:k], n)
-        self._stack = None
-        tvs = []
-        for part in row_slices(n, q.symbols.size):
-            chunk = self.rows[part]
-            tvs.append(block_tvs(np.concatenate([p.symbols for p in chunk]),
-                                 np.concatenate([p.probs for p in chunk]),
-                                 np.cumsum([0] + [p.symbols.size for p in chunk]), q))
-        return np.concatenate(tvs)
+    A part is (rows, layout, segments): rows laid out as a ``Block`` of
+    keys, probabilities and bounds, a layout whose segment k holds the
+    keys and probabilities at ``layout[2][k]:layout[2][k + 1]``, and each
+    row's segment, whose keys hold the row's.  A key stands for a symbol,
+    made to ascend over its whole layout (segment by segment), so one
+    search places every atom of a part; a key its layout lacks raises.
+    Every part takes one kernel call together, on the layouts'
+    probabilities back to back.
+    """
+    layouts, rows = [layout for _, layout, _ in parts], [rows for rows, _, _ in parts]
+    counts = [segments.size for _, _, segments in parts]
+    # each row's segment among all the layouts' back to back, and its place there
+    base_bounds = joined_bounds(layouts)
+    segment = np.repeat(np.cumsum([0] + [b.size - 1 for _, _, b in layouts[:-1]]), counts)
+    segment += _cat([segments for _, _, segments in parts])
+    starts = base_bounds[segment]
+    edges = row_edges(np.diff(base_bounds)[segment])
+    bounds = joined_bounds(rows)
+    # an atom's place: its position in its layout, less its segment's start
+    # there, plus its row's edge in the flat layout
+    flat = np.empty(int(bounds[-1]), dtype=np.int64)
+    for (keys, _, _), (layout_keys, _, _), a in zip(rows, layouts, bounds[np.cumsum([0] + counts)]):
+        at = flat[a:a + keys.size]
+        at[:] = layout_keys.searchsorted(keys)
+        if (layout_keys.take(at, mode="clip") != keys).any():
+            raise ValueError("a support is not within the one it is compared with")
+    firsts = np.repeat(np.cumsum([0] + [layout[1].size for layout in layouts[:-1]]), counts)
+    flat += (edges[:-1] - starts + firsts).repeat(bounds[1:] - bounds[:-1])
+    return _tvs(_cat([layout[1] for layout in layouts]), starts, edges, flat,
+                _cat([probs for _, probs, _ in rows]), bounds)
 
 
 # --- the run layout: one side on consecutive symbols --------------------------
@@ -445,23 +521,40 @@ def run_tv(run: Pmf, q: Pmf) -> float:
     q's row sums the whole run layout of q's support (``_run_layout``).
     """
     base, places = _run_layout(run, q.symbols)
-    return float(_tvs(base, places, q.probs, 1)[0])
+    return _one_row(base, places, q.probs)
 
 
-def block_run_tvs(run: Pmf, symbols: np.ndarray, probs: np.ndarray, bounds: np.ndarray,
-                  within: Pmf) -> np.ndarray:
-    """``run_tv(run, row)`` for rows laid out as in ``block_tvs``, each row's symbols among ``within``'s.
+def block_run_tvs(run: Pmf, block: Block) -> np.ndarray:
+    """``run_tv(run, row)`` for every row of a block, bit for bit, each on its own run layout.
 
-    All rows share the run layout of ``within``'s support, and each keeps
-    only the run's places, where its probabilities are positive, and its
-    own: its own run layout.  A symbol ``within`` lacks raises.
+    Row i's run layout is its symbols below lo, then lo .. hi-1, then its
+    symbols from hi on (``_run_layout``).  With a_i of its symbols below
+    lo, that is the segment of one base (zeros, the run's probabilities,
+    zeros) that starts a_i places before the run, so every row of every
+    window size takes one kernel call and no layout wider than a row's
+    own is made.
     """
-    base, places = _run_layout(run, within.symbols)
-    flat = places[_positions_within(symbols, within.symbols)]
-    flat += _rows_of(bounds[1:] - bounds[:-1], base.size)
-    # where ``within``'s symbols are all the run's, every row sums the whole layout
-    keep = base > 0 if base.size > run.symbols.size else None
-    return _tvs(base, flat, probs, bounds.size - 1, keep=keep)
+    symbols, probs, bounds = block
+    lo, width = _run_range(run)
+    counts = bounds[1:] - bounds[:-1]
+    below, inside = (np.diff(np.concatenate(([0], np.cumsum(symbols < edge)))[bounds])
+                     for edge in (lo, lo + width))
+    inside -= below
+    pad = int(below.max())
+    base = np.zeros(pad + width + int((counts - below - inside).max()))
+    base[pad:pad + width] = run.probs
+    edges = row_edges(counts - inside + width)
+    # an atom's place in its row's layout is its index i in the row, plus
+    # the run's symbols below it, less the row's own among them:
+    # i + clip(s - lo, 0, width) - clip(i - below, 0, inside)
+    index = np.arange(symbols.size)
+    index -= bounds[:-1].repeat(counts)
+    flat = np.clip(symbols - lo, 0, width)
+    flat += index
+    index -= below.repeat(counts)
+    flat -= np.clip(index, 0, inside.repeat(counts), out=index)
+    flat += edges[:-1].repeat(counts)
+    return _tvs(base, pad - below, edges, flat, probs, bounds)
 
 
 def rows_tv(starts: np.ndarray, widths: np.ndarray, probs: np.ndarray, q: Pmf) -> np.ndarray:
@@ -480,12 +573,12 @@ def rows_tv(starts: np.ndarray, widths: np.ndarray, probs: np.ndarray, q: Pmf) -
     first = min(int(d.min()), 0)  # the layout starts at symbol lo + first
     base = np.zeros(max(int((d + widths).max()), m) - first)
     base[-first:m - first] = q.probs
-    bounds = np.concatenate(([0], np.cumsum(widths)))
-    # each row's first atom's place in the flat matrix, less its offset in probs
-    shift = np.arange(0, widths.size * base.size, base.size) + d - first - bounds[:-1]
-    flat = np.arange(bounds[-1]) + np.repeat(shift, widths)
+    bounds = row_edges(widths)
+    edges = np.arange(0, (widths.size + 1) * base.size, base.size)
+    flat = np.arange(bounds[-1]) + np.repeat(edges[:-1] + d - first - bounds[:-1], widths)
     # q's atoms are positive; rows within q's symbols all sum q's whole layout
-    return _tvs(base, flat, probs, widths.size, keep=base > 0 if base.size > m else None)
+    return _tvs(base, np.zeros(widths.size, dtype=np.int64), edges, flat, probs, bounds,
+                keep=base > 0 if base.size > m else None)
 
 
 def lambda_complexity(p: Pmf, r):
@@ -524,12 +617,13 @@ def half_norm(p: Pmf) -> float:
     return s * s
 
 
-def block_phis(probs: np.ndarray, bounds: np.ndarray, size: int) -> np.ndarray:
-    """The empirical complexity phi of windows of ``size`` samples, laid out as in ``block_tvs``.
+def block_phis(probs: np.ndarray, bounds: np.ndarray, size) -> np.ndarray:
+    """The empirical complexity phi of windows laid out as a ``Block``, of ``size`` samples each.
 
-    A window's phi is the sum of sqrt(count / r) over sqrt(r), r its size:
+    ``size`` is one size for all windows, or each window's.  A window's phi
+    is the sum of sqrt(count / r) over sqrt(r), r its size:
     sqrt(half_norm(window) / r), computable from the samples alone, and an
     upper bound on the statistical error of the window's estimate.  Each is
     one sum over its own window's root probabilities (``row_sums``).
     """
-    return row_sums(np.sqrt(probs), bounds) / math.sqrt(size)
+    return row_sums(np.sqrt(probs), bounds) / np.sqrt(size)

@@ -25,10 +25,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import driftgen
-from .adaptive import (EstimateResult, argmin_prefer_large, q_minimum, realized_error_curve,
-                       walk_ladder)
-from .dist import (CHUNK_ELEMENTS, Pmf, block_phis, block_run_tvs, block_tvs, half_norm,
-                   lambda_complexity, run_tv, tv_distance)
+from .adaptive import argmin_prefer_large, q_minimum, realized_error_curve, walk_block
+from .dist import (CHUNK_ELEMENTS, Pmf, block_phis, block_run_tvs, block_tvs, groups, half_norm,
+                   joined, joined_bounds, lambda_complexity, run_tv, tv_distance)
 from .driftgen import DriftScenario, Truth, linear_drift, sample_streams, segments
 from .windows import LadderBlock, check_delta, concentration_radius, dyadic_depth
 
@@ -145,33 +144,39 @@ def _block_size(scenario: DriftScenario) -> int:
     return max(1, CHUNK_ELEMENTS // scenario.t)
 
 
-def _window_columns(ladders: LadderBlock, truth: Truth, average: bool, current: bool,
-                    phis: bool) -> tuple[np.ndarray | None, ...]:
+def _window_columns(ladders: LadderBlock, blocks: list, truth: Truth, average: bool,
+                    current: bool, phis: bool) -> tuple[np.ndarray | None, ...]:
     """Each window's TV to its own window average, to the current pmf and its phi.
 
-    Rows are trials and columns ``ladders.js``; each is computed only when
-    asked for.  A window's samples were drawn from the steps its average
-    mixes, so its symbols are among the average's (``block_tvs``), and the
-    current pmf sits on consecutive symbols (``block_run_tvs``): no union
-    of a window's is sorted.  The
-    sizes go largest first, so each size's temporaries meet only the
-    windows at least as large.
+    Rows are trials and columns ``ladders.js``, whose windows ``blocks``
+    holds (``LadderBlock.block``); each is computed only when asked for.
+    A window's samples were drawn from the steps its average mixes, so its
+    symbols are among the average's (``block_tvs``), and the current pmf
+    sits on consecutive symbols (``block_run_tvs``): no union of a window's
+    is sorted.  Each kind of TV takes one kernel call for every run of
+    window sizes whose rows span at most ``CHUNK_ELEMENTS`` places, or for
+    one size whose rows span more (their work dwarfs a call's), so
+    verify's blocks take one each; the phis take one ``row_sums``.
     """
-    shape = (ladders.rows, len(ladders.js))
-    to_average = np.empty(shape) if average else None
-    to_current = np.empty(shape) if current else None
-    phi = np.empty(shape) if phis else None
-    for c in reversed(range(shape[1])):
-        symbols, _, bounds = ladders.runs(c)
-        probs = ladders.probs(c)
-        within = truth.window_averages[ladders.js[c]]
-        if average:
-            to_average[:, c] = block_tvs(symbols, probs, bounds, within)
-        if current:
-            to_current[:, c] = block_run_tvs(truth.current, symbols, probs, bounds, within)
-        if phis:
-            phi[:, c] = block_phis(probs, bounds, 2**ladders.js[c])
-    return to_average, to_current, phi
+    averages = [truth.window_averages[j] for j in ladders.js]
+    to_average, to_current = [], []
+    if average:
+        for part in groups([ladders.rows * q.symbols.size for q in averages]):
+            to_average.append(block_tvs(blocks[part], averages[part]))
+    if current:
+        for part in groups([probs.size + ladders.rows * truth.current.symbols.size
+                            for _, probs, _ in blocks]):
+            to_current.append(block_run_tvs(truth.current, joined(blocks[part])))
+
+    def columns(values: list[np.ndarray]) -> np.ndarray:
+        return np.concatenate(values).reshape(len(blocks), ladders.rows).T
+
+    return (columns(to_average) if average else None,
+            columns(to_current) if current else None,
+            columns([block_phis(np.concatenate([probs for _, probs, _ in blocks]),
+                                joined_bounds(blocks),
+                                np.repeat(2**np.array(ladders.js), ladders.rows))])
+            if phis else None)
 
 
 def _prop3_held(phis: np.ndarray, radii: np.ndarray, truth: Truth,
@@ -256,28 +261,27 @@ def _prop2_failures(r: int, phis: np.ndarray, gaps: np.ndarray, delta: float,
     return list(zip((gaps > deviation_bound).tolist(), (phis > complexity_bound).tolist()))
 
 
-def _prop45_slacks(result: EstimateResult, bounds: list[float],
+def _prop45_slacks(accepted: list[int], stop: list[int], bounds: list[float],
                    to_current: list[float]) -> tuple[list[float], list[float]]:
     """The walk's (continue, stop) slacks, for a trial inside the simultaneous-bounds event.
 
-    ``result`` is the trial's walk, ``bounds`` are the windows' xi plus
-    drift error, and ``to_current`` their TVs to the current pmf.
+    ``accepted`` are the indices of the windows the trial's walk accepted
+    and ``stop`` its violating (j, l), or (-1, -1); ``bounds`` are the
+    windows' xi plus drift error, and ``to_current`` their TVs to the
+    current pmf.
     """
     # continue condition: every accepted window beyond the first is
     # within five times the best bound among the earlier accepted ones
     continue_slacks = []
     best = math.inf
-    for cand in result.accepted:
+    for c in accepted:
         if best < math.inf:
-            continue_slacks.append(to_current[cand.index] - 5.0 * best)
-        best = min(best, bounds[cand.index])
+            continue_slacks.append(to_current[c] - 5.0 * best)
+        best = min(best, bounds[c])
     # stop condition: the flagged accepted window stays within twice the
     # bound of every window at least as large as the rejected candidate
-    stop_slacks = []
-    if result.stop.kind == "violation":
-        u_l = bounds[result.stop.l]
-        stop_slacks = [u_l - 2.0 * bound for bound in bounds[result.stop.j:]]
-    return continue_slacks, stop_slacks
+    j, l = stop
+    return continue_slacks, [bounds[l] - 2.0 * bound for bound in bounds[j:]] if j >= 0 else []
 
 
 def _suite_block(scenario: DriftScenario, delta: float | None, r: int | None,
@@ -291,13 +295,13 @@ def _suite_block(scenario: DriftScenario, delta: float | None, r: int | None,
     one's oracle curve (``_oracle_reads``), and then the streams are
     laddered at once and freed once they are sorted.  prop2 alone sorts
     only its one window, since the ladder would cost several times that
-    window.  Each window's
-    TV to its window average (for all but the error), its TV to the
-    current pmf (for prop1 and prop45) and its phi (for all but prop1
-    alone) are computed once, a window size at a time across the block;
-    each trial's ladder is walked once, for the metrics, the error and
-    prop45, and the error takes only its chosen window's TV to the current
-    pmf (``run_tv``).
+    window.  Each window's TV to its window average (for all but the
+    error), its TV to the current pmf (for prop1, prop45 and the error)
+    and its phi (for all but prop1 alone) are computed once, every window
+    size of the block together (``_window_columns``); the block's trials
+    are walked together once (``walk_block``), for the metrics, the error
+    and prop45, and the error is the chosen window's TV to the current
+    pmf.
     Results by trial, then by name: prop1's slacks; prop2's and prop3's
     (deviation failed, complexity failed); prop45's (continue, stop)
     slacks, or None outside the simultaneous-bounds event; the metrics'
@@ -313,9 +317,11 @@ def _suite_block(scenario: DriftScenario, delta: float | None, r: int | None,
                if "metrics" in suites else None)
     ladders = LadderBlock(streams, [j_r] if suites == {"prop2"} else None)
     del streams
+    # each size sorted largest first, so its temporaries meet only the windows at least as large
+    blocks = [ladders.block(c) for c in reversed(range(len(ladders.js)))][::-1]
     to_average, to_current, phis = _window_columns(
-        ladders, truth, average=suites != {"error"}, current=bool(suites & {"prop1", "prop45"}),
-        phis=suites != {"prop1"})
+        ladders, blocks, truth, average=suites != {"error"},
+        current=bool(suites & {"prop1", "prop45", "error"}), phis=suites != {"prop1"})
     out = [{} for _ in range(lo, hi)]
     if "prop1" in suites:
         # estimation error minus statistical plus drift error, per window
@@ -333,11 +339,10 @@ def _suite_block(scenario: DriftScenario, delta: float | None, r: int | None,
         return out
     radii = concentration_radius(np.arange(len(ladders.js)), delta)
     xis = phis + radii
+    walk = walk_block(blocks, xis) if suites & {"prop45", "metrics", "error"} else None
     if suites == {"error"}:
-        for i, row in enumerate(out):
-            ladder = ladders.ladder(i)
-            result = walk_ladder(ladder, phis[i].tolist(), xis[i].tolist())
-            row["error"] = run_tv(truth.current, ladder[result.accepted[-1].index])
+        for row, error in zip(out, to_current[np.arange(len(out)), walk.chosen].tolist()):
+            row["error"] = error
         return out
     emp_ok, true_ok = _prop3_held(phis, radii, truth, to_average)
     bounds = xis + np.array(truth.window_deltas)
@@ -345,15 +350,14 @@ def _suite_block(scenario: DriftScenario, delta: float | None, r: int | None,
         held = bool(emp_ok[i] and true_ok[i])
         if "prop3" in suites:
             row["prop3"] = (not emp_ok[i], not true_ok[i])
-        if "metrics" in suites or ("prop45" in suites and held):
-            result = walk_ladder(ladders.ladder(i), phis[i].tolist(), xis[i].tolist())
         if "prop45" in suites:
-            row["prop45"] = (_prop45_slacks(result, bounds[i].tolist(), to_current[i].tolist())
-                             if held else None)
+            row["prop45"] = (_prop45_slacks(walk.accepted[i].nonzero()[0].tolist(),
+                                            walk.stop[i].tolist(), bounds[i].tolist(),
+                                            to_current[i].tolist()) if held else None)
         if "metrics" in suites:
+            chosen = int(walk.chosen[i])
             at_dyadic, *oracle = oracles[i]
-            row["metrics"] = (result.chosen_window,
-                              at_dyadic[result.chosen_window.bit_length() - 1], *oracle, held)
+            row["metrics"] = (2**chosen, at_dyadic[chosen], *oracle, held)
     return out
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import Pmf, as_stream, block_phis, sorted_runs
+from .dist import Block, Pmf, as_stream, block_phis, sorted_runs
 
 # Union-bound weight constant: 4 * pi^2 / 3.  With per-size failure shares
 # delta * (6/pi^2) / (j+1)^2 this makes the simultaneous bound hold with
@@ -75,6 +75,11 @@ class LadderBlock:
     def probs(self, c: int) -> np.ndarray:
         """The probabilities of the windows of size 2^js[c], laid out as their counts."""
         return self.runs(c)[1] / float(2**self.js[c])
+
+    def block(self, c: int) -> Block:
+        """The windows of size 2^js[c] as a ``dist.Block``: symbols, probabilities and bounds."""
+        symbols, _, bounds = self.runs(c)
+        return symbols, self.probs(c), bounds
 
     def window(self, i: int, c: int) -> Pmf:
         """Row i's window of size 2^js[c]: a view of its symbols, and its counts over its size.

@@ -11,10 +11,10 @@ import pytest
 from driftest import Pmf, adaptive, adaptive_estimate, dist, fixed_window_estimate, tv_distance
 from driftest.adaptive import (argmin_prefer_large, drift_sequence, q_curve, q_minimum,
                                realized_error_curve, walk_ladder)
-from driftest.driftgen import (abrupt, geometric_drift, iid, linear_drift,
-                               rotating_support, sample_stream, segments, zipf_drift)
+from driftest.driftgen import (abrupt, geometric_drift, iid, linear_drift, rotating_support,
+                               sample_stream, sample_streams, segments, zipf_drift)
 from driftest.harness import default_families, random_pmf
-from driftest.windows import build_ladder, ladder_phis, ladder_xis
+from driftest.windows import LadderBlock, build_ladder, ladder_phis, ladder_xis
 import reference as ref
 from reference import brute_force_error_curve, columnar, error_curve_by_codes
 
@@ -173,6 +173,78 @@ def test_estimate_equals_the_chosen_window_counted_alone(scenario):
                               (result.estimate.probs, want.probs)):
             assert got.dtype == expected.dtype and bool((got == expected).all())
             assert not got.flags.writeable
+
+
+# trials walked per family, cut into blocks of 1, 2, 3 and all of them
+BLOCK_TRIALS = 7
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("family", range(6))
+def test_block_walk_equals_the_per_pair_walk(family, seed, monkeypatch):
+    scenario = default_families(seed)[family]
+    streams = [sample_stream(scenario, trial) for trial in range(BLOCK_TRIALS)]
+    xis, want = [], []
+    for stream in streams:
+        phis = ref.ladder_phis(stream)
+        xis.append(ref.ladder_xis(phis, 0.05))
+        want.append(ref.walk_ladder(ref.ladder(stream), phis, xis[-1]))
+    # a chunk of the kernel holds a few rows, so chunks cut inside one
+    # trial's rows, and the stacked windows take several pieces
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 24)
+    monkeypatch.setattr(adaptive, "CHUNK_ELEMENTS", 64)
+    widths = []
+    tvs = dist._tvs
+    monkeypatch.setattr(dist, "_tvs", lambda base, starts, edges, *rest: (
+        widths.append(int(edges[-1])), tvs(base, starts, edges, *rest))[1])
+    for size in (1, 2, 3, BLOCK_TRIALS):
+        for lo in range(0, BLOCK_TRIALS, size):
+            hi = min(lo + size, BLOCK_TRIALS)
+            block = LadderBlock(sample_streams(scenario, lo, hi))
+            walk = adaptive.walk_block([block.block(c) for c in range(len(block.js))],
+                                       np.array(xis[lo:hi]))
+            for i, expected in enumerate(want[lo:hi]):
+                accepted = walk.accepted[i].nonzero()[0].tolist()
+                assert accepted == [c.index for c in expected.accepted]
+                assert 2 ** int(walk.chosen[i]) == expected.chosen_window
+                j, l = walk.stop[i].tolist()
+                assert (j, l) == ((expected.stop.j, expected.stop.l)
+                                  if expected.stop.kind == "violation" else (-1, -1))
+                assert walk.compared(i) == expected.compared
+    assert max(widths) > dist.CHUNK_ELEMENTS
+    if scenario.kind == "abrupt":
+        assert any(expected.stop.kind == "violation" for expected in want)
+
+
+def test_a_tv_equal_to_its_threshold_stops_the_walk():
+    # windows [1] and [0, 1] are 0.5 apart, and 3 * 5/32 + 1/32 is 0.5 exactly
+    ladder = build_ladder([0, 1])
+    xis = [5 / 32, 1 / 32]
+    result = walk_ladder(ladder, xis, xis)
+    assert result.compared == ([0], [1], [0.5], [0.5])
+    assert (result.stop.kind, result.stop.j, result.stop.l) == ("violation", 1, 0)
+    assert result.chosen_window == 1
+    # and in a block, beside a trial that does not stop
+    block = LadderBlock(np.array([[0, 1], [1, 1]]))
+    walk = adaptive.walk_block([block.block(c) for c in range(2)], np.array([xis, xis]))
+    assert walk.stop.tolist() == [[1, 0], [-1, -1]]
+    assert walk.chosen.tolist() == [0, 1]
+
+
+def test_block_walk_of_symbols_too_far_apart_for_one_key_range():
+    # three trials' symbols span more than a third of the int64 range, so a
+    # (trial, symbol) key would pass it: the trials are walked apart
+    rng = np.random.default_rng(19)
+    streams = rng.integers(0, 4, size=(3, 256)) * (2**61) + rng.integers(0, 3, size=(3, 256))
+    block = LadderBlock(streams)
+    windows = [block.block(c) for c in range(len(block.js))]
+    for xis in ([ref.ladder_xis(ref.ladder_phis(stream), 0.05) for stream in streams],
+                [[5.0 - 0.01 * c for c in range(len(block.js))]] * 3):  # bounds that decrease
+        walk = adaptive.walk_block(windows, np.array(xis))
+        for i, stream in enumerate(streams):
+            want = ref.walk_ladder(ref.ladder(stream), xis[i], xis[i])
+            assert walk.accepted[i].nonzero()[0].tolist() == [c.index for c in want.accepted]
+            assert walk.compared(i) == want.compared
 
 
 def test_walk_and_json_in_small_chunks(monkeypatch):

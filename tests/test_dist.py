@@ -549,24 +549,47 @@ def test_block_tvs_equal_tv_distance_bit_for_bit(chunk, monkeypatch):
     for scenario in default_families(1):
         truth = segments(scenario)
         ladders = [build_ladder(sample_stream(scenario, trial)) for trial in range(5)]
+        blocks, want_average, want_current = [], [], []
         for j, average in enumerate(truth.window_averages):
             rows = [ladder[j] for ladder in ladders]
             block = _block_of(rows)
-            assert dist.block_tvs(*block, average).tolist() == [
+            assert dist.block_tvs([block], [average]).tolist() == [
                 tv_distance(w, average) for w in rows]
-            assert dist.block_run_tvs(truth.current, *block, average).tolist() == [
+            assert dist.block_run_tvs(truth.current, block).tolist() == [
                 tv_distance(truth.current, w) for w in rows]
-            assert dist.block_run_tvs(truth.current, *_block_of(rows[:1]),
-                                      average).tolist() == [tv_distance(truth.current, rows[0])]
+            assert dist.block_run_tvs(truth.current, _block_of(rows[:1])).tolist() == [
+                tv_distance(truth.current, rows[0])]
+            blocks.append(block)
+            want_average += [tv_distance(w, average) for w in rows]
+            want_current += [tv_distance(truth.current, w) for w in rows]
+        # every size at once, each block on its own average's segment
+        assert dist.block_tvs(blocks, truth.window_averages).tolist() == want_average
+        joined = (np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks]),
+                  dist.joined_bounds(blocks))
+        assert dist.block_run_tvs(truth.current, joined).tolist() == want_current
+
+
+def test_block_tvs_share_the_segment_of_equal_pmfs():
+    # an equal pmf after another shares its segment; one apart from it does not
+    rng = np.random.default_rng(28)
+    q = _pmf_on(np.arange(0, 30, 3), rng)
+    qs = [q, Pmf(q.symbols.copy(), q.probs.copy()), _pmf_on([3, 6, 9], rng), q]
+    rows = [[_pmf_on(rng.choice(p.symbols, 2), rng) for _ in range(3)] for p in qs]
+    asked = []
+    tvs = dist._tvs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dist, "_tvs", lambda base, *rest: (asked.append(base.size),
+                                                         tvs(base, *rest))[1])
+        got = dist.block_tvs([_block_of(block) for block in rows], qs)
+    assert got.tolist() == [ref.tv_union(p, q) for block, q in zip(rows, qs) for p in block]
+    assert asked == [10 + 3 + 10]
 
 
 def test_block_tvs_reject_a_symbol_the_layout_lacks():
     block = _block_of([ref.window([1, 2]), ref.window([2, 9])])
     q = Pmf.uniform(range(1, 4))
     with pytest.raises(ValueError, match="not within"):
-        dist.block_tvs(*block, q)
-    with pytest.raises(ValueError, match="not within"):
-        dist.block_run_tvs(Pmf.uniform(range(2, 3)), *block, q)
+        dist.block_tvs([block], [q])
 
 
 def test_rows_tv_needs_q_on_consecutive_symbols():
@@ -574,23 +597,28 @@ def test_rows_tv_needs_q_on_consecutive_symbols():
         dist.rows_tv(np.array([0]), np.array([1]), np.ones(1), Pmf.from_dict({0: 0.5, 2: 0.5}))
 
 
-def test_tvs_within_equals_tv_distance_bit_for_bit(monkeypatch):
+def _segment_tvs(rows, q):
+    """``segment_tvs`` of rows against the one segment q, their symbols as keys."""
+    return dist.segment_tvs([(_block_of(rows), (q.symbols, q.probs, np.array([0, q.support_size])),
+                              np.zeros(len(rows), dtype=np.int64))])
+
+
+def test_segment_tvs_of_nested_windows_equal_the_union_reference(monkeypatch):
     # nested suffix windows, a window against pmfs holding its symbols, and
     # widths across the pairwise-sum regimes (under 8, 8-128, over 128)
     rng = np.random.default_rng(22)
     for k, t in ((5, 600), (60, 3000), (900, 5000)):
         ladder = build_ladder(rng.integers(0, k, size=t))
         q = ladder[-1]
-        want = [tv_distance(w, q) for w in ladder]
-        assert dist.RowStack(ladder).tvs(q).tolist() == want
+        want = [ref.tv_union(w, q) for w in ladder]
+        assert _segment_tvs(ladder, q).tolist() == want
         wider = Pmf(np.arange(k + 3), rng.dirichlet(np.ones(k + 3)))
-        assert dist.RowStack(ladder).tvs(wider).tolist() == [tv_distance(w, wider)
-                                                             for w in ladder]
+        assert _segment_tvs(ladder, wider).tolist() == [ref.tv_union(w, wider) for w in ladder]
         # several chunks of rows, and one row per chunk when a row is wider
         monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 2 * q.symbols.size)
-        assert dist.RowStack(ladder).tvs(q).tolist() == want
+        assert _segment_tvs(ladder, q).tolist() == want
         monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 1)
-        assert dist.RowStack(ladder).tvs(q).tolist() == want
+        assert _segment_tvs(ladder, q).tolist() == want
         monkeypatch.undo()
 
 
@@ -599,9 +627,9 @@ def test_tvs_within_equals_tv_distance_bit_for_bit(monkeypatch):
     ([5], [1, 2]),  # a symbol past q's last
     ([0, 1], [1, 2]),  # a symbol before q's first
 ])
-def test_tvs_within_rejects_a_symbol_q_lacks(p, q):
+def test_segment_tvs_reject_a_symbol_q_lacks(p, q):
     with pytest.raises(ValueError, match="not within"):
-        dist.RowStack([ref.window([1]), ref.window(p)]).tvs(ref.window(q))
+        _segment_tvs([ref.window([1]), ref.window(p)], ref.window(q))
 
 
 def _run_tv_cases(rng, lo, width):
@@ -649,26 +677,54 @@ def test_run_tv_of_the_current_pmf_on_the_verify_ladders():
             assert dist.run_tv(truth.current, average) == tv_distance(average, truth.current)
 
 
-def test_row_stack_equals_tv_distance_per_row_across_chunks():
+def test_segment_tvs_equal_the_union_reference_across_chunks():
     rng = np.random.default_rng(23)
     q = ref.window(rng.integers(0, 1000, size=20000))
     rows = [ref.window(rng.choice(q.symbols, size=n)) for n in rng.integers(1, 3000, 45)]
     # a row alone, several rows in one chunk, and rows over several chunks
     assert 5 * q.symbols.size <= dist.CHUNK_ELEMENTS < len(rows) * q.symbols.size
     for ps in (rows[:1], rows[:5], rows):
-        assert dist.RowStack(ps).tvs(q).tolist() == [tv_distance(p, q) for p in ps]
+        assert _segment_tvs(ps, q).tolist() == [ref.tv_union(p, q) for p in ps]
 
 
-def test_row_stack_equals_tv_distance_as_the_rows_widen():
-    # the stack serves the narrow candidates, and chunks once a candidate is wide
+def test_segment_tvs_equal_the_union_reference_as_the_candidates_widen():
+    # the walk's pairs: each window against every smaller one, narrow
+    # candidates several to a chunk and wide ones a row per chunk
     ladder = build_ladder(np.random.default_rng(24).integers(0, 3000, size=20000))
     assert len(ladder) * ladder[-1].symbols.size > dist.CHUNK_ELEMENTS
-    stack = dist.RowStack(ladder[:1])
     for j in range(1, len(ladder)):
-        assert stack.tvs(ladder[j]).tolist() == [tv_distance(w, ladder[j]) for w in ladder[:j]]
-        stack.append(ladder[j])
+        assert _segment_tvs(ladder[:j], ladder[j]).tolist() == [
+            ref.tv_union(w, ladder[j]) for w in ladder[:j]]
     with pytest.raises(ValueError, match="not within"):
-        dist.RowStack([ref.window([4])]).tvs(ref.window([5, 6]))
+        _segment_tvs([ref.window([4])], ref.window([5, 6]))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 40])
+def test_segment_tvs_on_several_segments_equal_the_union_reference(chunk, monkeypatch):
+    # rows of unequal length on the segments of three pmfs, in mixed order;
+    # a key is the segment times 1000 plus the symbol, so keys ascend
+    if chunk:
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(27)
+    qs = [_pmf_on(rng.choice(100, size=n, replace=False), rng) for n in (12, 30, 5)]
+    layout = (np.concatenate([k * 1000 + q.symbols for k, q in enumerate(qs)]),
+              np.concatenate([q.probs for q in qs]),
+              np.cumsum([0] + [q.support_size for q in qs]))
+    segments = np.array([2, 0, 1, 1, 0, 2, 1])
+    rows = [_pmf_on(rng.choice(qs[k].symbols, size=rng.integers(1, qs[k].support_size + 1)), rng)
+            for k in segments]
+    keys, probs, bounds = _block_of(rows)
+    keys = keys + 1000 * np.repeat(segments, np.diff(bounds))
+    want = [ref.tv_union(p, qs[k]) for p, k in zip(rows, segments)]
+    assert dist.segment_tvs([((keys, probs, bounds), layout, segments)]).tolist() == want
+    # the same rows as parts of their own, on layouts of their own
+    parts = [((keys[a:b], probs[a:b], np.array([0, b - a])), layout, segments[i:i + 1])
+             for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    assert dist.segment_tvs(parts).tolist() == want
+    with pytest.raises(ValueError, match="not within"):
+        # a symbol of segment 1 that segment 0 lacks
+        missing = np.setdiff1d(qs[1].symbols, qs[0].symbols)[:1]
+        dist.segment_tvs([((missing, np.ones(1), np.array([0, 1])), layout, np.array([0]))])
 
 
 # --- the one TV kernel, layout by layout, against the union reference ---------
@@ -686,21 +742,30 @@ def _laid_back_to_back(rows):
 
 
 def _chunked(monkeypatch):
-    """The rows and the layout width of each call of the kernel, ``dist._tvs``."""
+    """The rows' widths of each call of the kernel, ``dist._tvs``."""
     asked = []
     tvs = dist._tvs
 
-    def recorded(base, flat, probs, n, keep=None):
-        asked.append((n, base.size))
-        return tvs(base, flat, probs, n, keep)
+    def recorded(base, starts, edges, flat, probs, bounds, keep=None):
+        asked.append(np.diff(edges).tolist())
+        return tvs(base, starts, edges, flat, probs, bounds, keep)
     monkeypatch.setattr(dist, "_tvs", recorded)
     return asked
 
 
 def _crosses_a_chunk_edge(asked):
     """Whether some call cut its rows into chunks of several rows, the last one short."""
-    steps = [(rows, max(1, dist.CHUNK_ELEMENTS // width)) for rows, width in asked]
-    return any(1 < step < rows and rows % step for rows, step in steps)
+    for widths in asked:
+        chunks, rows, width = [], 0, 0
+        for w in widths:  # a chunk takes rows while they fit, and at least one
+            if rows and width + w > dist.CHUNK_ELEMENTS:
+                chunks.append(rows)
+                rows, width = 0, 0
+            rows, width = rows + 1, width + w
+        chunks.append(rows)
+        if len(chunks) > 1 and max(chunks) > 1 and chunks[-1] < max(chunks):
+            return True
+    return False
 
 
 # rows per block on both sides of a chunk edge when a chunk holds three rows
@@ -720,8 +785,8 @@ def test_the_union_and_subset_layouts_equal_the_union_reference(chunk_rows, monk
             ref.window(rng.choice(q.symbols, 40)), _pmf_on(q.symbols[-4:], rng)]
     for n in ROW_COUNTS:
         want = [ref.tv_union(p, q) for p in rows[:n]]
-        assert dist.block_tvs(*_laid_back_to_back(rows[:n]), q).tolist() == want
-        assert dist.RowStack(rows[:n]).tvs(q).tolist() == want
+        assert dist.block_tvs([_laid_back_to_back(rows[:n])], [q]).tolist() == want
+        assert _segment_tvs(rows[:n], q).tolist() == want
     if chunk_rows:
         assert _crosses_a_chunk_edge(asked)
     # the union layout: disjoint, nested, interleaved and equal supports
@@ -739,14 +804,13 @@ def test_the_run_layout_equals_the_union_reference(chunk_rows, monkeypatch):
     rows = [_pmf_on([3, 17, 39], rng), _pmf_on([52, 60, 90], rng), _pmf_on([38, 39, 40, 45], rng),
             _pmf_on([50, 51, 52, 53], rng), _pmf_on([44], rng), _pmf_on([0, 41, 70], rng),
             _pmf_on(np.arange(30, 65), rng)]
-    within = _pmf_on(np.concatenate([p.symbols for p in rows]), rng)
     asked = _chunked(monkeypatch)
     if chunk_rows:
-        width = sorted_union(within.symbols, run.symbols).size
-        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * width)
+        # each row lies on its own run layout, the first five 13-16 places wide
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * 15)
     for n in ROW_COUNTS:
         want = [ref.tv_union(run, p) for p in rows[:n]]
-        assert dist.block_run_tvs(run, *_laid_back_to_back(rows[:n]), within).tolist() == want
+        assert dist.block_run_tvs(run, _laid_back_to_back(rows[:n])).tolist() == want
         assert [dist.run_tv(run, p) for p in rows[:n]] == want
     if chunk_rows:
         assert _crosses_a_chunk_edge(asked)
@@ -772,7 +836,7 @@ def test_rows_on_consecutive_symbols_equal_the_union_reference(chunk_rows, monke
             got = dist.rows_tv(starts[rows], widths[rows],
                                np.concatenate([pmfs[i].probs for i in rows]), q)
             assert got.tolist() == [ref.tv_union(q, pmfs[i]) for i in rows]
-    assert set(asked) >= {(len(spans), 20)}
+    assert [20] * len(spans) in asked
     if chunk_rows:
         assert _crosses_a_chunk_edge(asked)
 

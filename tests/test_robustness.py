@@ -8,6 +8,7 @@ killed) instead of exiting 0 or 2.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -88,16 +89,68 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
 
 
+def _run_launcher(launcher, path, argv, timeout):
+    """Run a launcher under the address-space cap, in a session of its own.
+
+    On a timeout the whole process group is killed, the child the launcher
+    forked with it, and ``subprocess.TimeoutExpired`` is raised.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
+    with subprocess.Popen([sys.executable, "-c", launcher, str(path), *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                          preexec_fn=_limit_address_space, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
 def _run_capped(*argv, rss_path):
     """Run the CLI under the address-space cap; its process, wall seconds and peak RSS in MB."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", DRIFTEST_THREADS="1")
     start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, str(rss_path), *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=_limit_address_space)
+    proc = _run_launcher(_LAUNCHER, rss_path, argv, timeout=120)
     elapsed = time.monotonic() - start
     return proc, elapsed, int(rss_path.read_text()) / 1024
+
+
+# the launcher's shape around a child that sleeps: it writes its own pid
+# and its child's to the file named first
+_SLEEPER = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-c", "import time; time.sleep(60)"])
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{os.getpid()} {pid}")
+os.wait4(pid, 0)
+"""
+
+
+def _running(pid):
+    """Whether a process runs: it exists, and is not a zombie waiting to be reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_a_timed_out_run_leaves_no_process_behind(tmp_path):
+    pids = tmp_path / "pids"
+    with pytest.raises(subprocess.TimeoutExpired):
+        _run_launcher(_SLEEPER, pids, [], timeout=1)
+    deadline = time.monotonic() + 10
+    launcher, child = map(int, pids.read_text().split())
+    while (_running(launcher) or _running(child)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _running(launcher) and not _running(child)
 
 
 def _simulate_one_trial(text, tmp_path):
