@@ -178,73 +178,64 @@ def walk_block(windows: Sequence[Block], xis: np.ndarray) -> BlockWalk:
     index 0; index j is considered only when its bound is strictly below
     every accepted bound (accepted bounds strictly decrease, so the last
     one is the smallest: the least bound below j).  At each j, the TVs of
-    every window l < j a trial would have accepted to its window j are
-    taken together, each pair on the trial's window j: a trial's windows
-    are nested suffixes, so that window holds the pair's union
-    (``segment_tvs``).  For the trials that consider j, they are compared
-    with 3 xi_l + xi_j in order of l, up to the first that stops the
-    trial's walk (>=, so boundary equality stops).  The pairs compared, and
+    every window l < j that a trial still walking and considering j has
+    accepted to its window j are taken together, each pair on the trial's
+    window j: a trial's windows are nested suffixes, so that window holds
+    the pair's union (``segment_tvs``).  They are compared with
+    3 xi_l + xi_j in order of l, up to the first that stops the trial's
+    walk (>=, so boundary equality stops).  The pairs compared, and
     their values and order, are exactly those of a trial walked alone.
 
-    A key stands for a (trial, symbol) pair: the symbol, plus the trial
-    times the span of the block's symbols, so that keys ascend trial by
-    trial.  Where that would pass the int64 range, the trials are walked
-    apart.  The windows a trial would accept are stacked once
-    (``_stacked``), and the candidate indices are taken in runs, with one
-    kernel call per run and piece of the stack: a trial's first hit in a
-    run, in order of j and l, stops it, and its pairs after that are taken
-    but not read.  Pieces and runs hold at most an eighth of
-    ``CHUNK_ELEMENTS`` atoms, or one window or index, so the walk's
-    temporaries stay near one kernel chunk's, a long stream's wide windows
-    are never copied, and a one-trial block of short windows takes one
-    call.
+    In a block of several trials, a key stands for a (trial, symbol) pair
+    (``_keys``), so that keys ascend trial by trial.  The windows a trial
+    would accept are stacked once (``_stacked``), and the candidate
+    indices are taken in runs, with one kernel call per run and piece of
+    the stack.  A call's rows are the pairs of the trials that still walk
+    and consider the pair's j; a trial's first hit in a run, in order of j
+    and l, stops it, and its pairs after that in the run are taken but not
+    read.
+    Pieces and runs hold at most an eighth of ``CHUNK_ELEMENTS`` atoms, or
+    one window or index, so the walk's temporaries stay near one kernel
+    chunk's, a long stream's wide windows are never copied, and a
+    one-trial block of short windows takes one call.
     """
     m, depth = xis.shape
-    largest = windows[-1][0]  # the largest windows hold every symbol
-    low, high = (int(largest.min()), int(largest.max())) if m > 1 else (0, 0)
-    if (m - 1) * (high - low + 1) > np.iinfo(np.int64).max - high:
-        return _walked_apart(windows, xis)
-
-    def window(c: int, first: int = 0, end: int = m) -> Block:
-        """The windows of index c of trials first .. end-1, their symbols as keys."""
-        symbols, probs, bounds = _trials_of(windows[c], first, end)
-        if m > 1:
-            if symbols.min() < low or symbols.max() > high:
-                raise ValueError("a support is not within the one it is compared with")
-            symbols = symbols - low + np.repeat(np.arange(first, end) * (high - low + 1),
-                                                bounds[1:] - bounds[:-1])
-        return symbols, probs, bounds
-
+    key = _keys(windows) if m > 1 else lambda block: block
     # where each trial would accept: below the least bound before it
     accepts = np.ones((m, depth), dtype=bool)
     accepts[:, 1:] = xis[:, 1:] < np.minimum.accumulate(xis, axis=1)[:, :-1]
     # the stack's pieces and the runs of candidate indices hold few enough
     # atoms that the walk's temporaries stay near one kernel chunk's
     limit = CHUNK_ELEMENTS // 8
-    pieces = _stacked(window, accepts, xis, limit)
-    # the atoms of the pairs at each index: of the windows below it
-    pairs = np.zeros(depth)
-    for piece in pieces:
-        pairs[1:] += np.bincount(piece.ls, np.diff(piece.bounds), depth).cumsum()[:-1]
+    bounds = np.stack([bounds for _, _, bounds in windows], axis=1)  # a column per index
+    pieces = _stacked([key(block) for block in windows[:-1]], accepts, bounds, xis, limit)
+    # the atoms of each trial's pairs at each index: of its windows below it
+    atoms = np.zeros((m, depth), dtype=np.int64)
+    np.cumsum(np.where(accepts, np.diff(bounds, axis=0), 0)[:, :-1], axis=1, out=atoms[:, 1:])
     stop = np.full((m, 2), -1)
     walking = np.ones(m, dtype=bool)
     records = []
     j = 1
     while j < depth and walking.any():
-        js = j + (walking[:, None] & accepts[:, j:]).any(axis=0).nonzero()[0]
+        # the indices some walking trial considers, and their pairs' atoms
+        considers = walking[:, None] & accepts
+        pairs = (atoms[:, j:] * considers[:, j:]).sum(axis=0)
+        js = j + pairs.nonzero()[0]  # every trial accepts window 0, so a pair has atoms
         if not js.size:
             break
-        js = js[:max(1, int(pairs[js].cumsum().searchsorted(limit, "right")))].tolist()
+        js = js[:max(1, int(pairs[js - j].cumsum().searchsorted(limit, "right")))].tolist()
         j = js[-1] + 1
-        # one kernel call per piece, its windows below each index of the run
-        # laid out on its trials' windows of that index
+        # one kernel call per piece, the windows below each index of the
+        # run of the trials that consider it, each laid out on its trial's
+        # window of that index
+        layouts = {c: key(windows[c]) for c in js}
         rows = []
         for piece in pieces:
-            parts = [(c, *piece.below(c)) for c in js]
+            parts = [(c, *piece.below(c, considers[:, c])) for c in js]
             parts = [part for part in parts if part[2].size]
             if parts:
                 first, end = int(piece.trials[0]), int(piece.trials[-1]) + 1
-                tvs = segment_tvs([(block, window(c, first, end), trials - first)
+                tvs = segment_tvs([(block, _trials_of(layouts[c], first, end), trials - first)
                                    for c, block, trials, _, _ in parts])
                 for c, _, trials, ls, triples in parts:
                     rows.append((c, tvs[:trials.size], trials, ls, triples))
@@ -254,16 +245,15 @@ def walk_block(windows: Sequence[Block], xis: np.ndarray) -> BlockWalk:
         cs = np.repeat(cs, [t.size for t in trials])
         tvs, trials, ls, triples = map(np.concatenate, (tvs, trials, ls, triples))
         thresholds = triples + xis[trials, cs]
-        # the rows of the trials that consider their j, each trial's in order of j and l
-        shown = walking[trials] & accepts[trials, cs]
-        hits = ((tvs >= thresholds) & shown).nonzero()[0]
+        # each trial's rows in order of j and l, shown up to its first hit
+        shown = slice(None)
+        hits = (tvs >= thresholds).nonzero()[0]
         if hits.size:
-            # each stopped trial's first hit, and its rows up to it
             stopped, first = np.unique(trials[hits], return_index=True)
             first = hits[first]
             up_to = np.full(m, tvs.size)
             up_to[stopped] = first
-            shown &= np.arange(tvs.size) <= up_to[trials]
+            shown = np.arange(tvs.size) <= up_to[trials]
             stop[stopped, 0] = cs[first]
             stop[stopped, 1] = ls[first]
             walking[stopped] = False
@@ -273,6 +263,29 @@ def walk_block(windows: Sequence[Block], xis: np.ndarray) -> BlockWalk:
     return BlockWalk(accepts, stop, records)
 
 
+def _keys(windows: Sequence[Block]) -> Callable[[Block], Block]:
+    """What puts a (trial, symbol) key in place of each symbol of a block's windows of one index.
+
+    A key is the symbol, less the least symbol, plus the trial times the
+    span of the symbols, so that keys ascend trial by trial; the largest
+    windows hold every symbol.  A block whose keys would pass the int64
+    range raises: a scenario's symbols span far less.
+    """
+    largest, _, bounds = windows[-1]
+    low, high = int(largest.min()), int(largest.max())
+    if (bounds.size - 2) * (high - low + 1) > np.iinfo(np.int64).max - high:
+        raise ValueError("the block's symbols span too wide a range to key them by trial")
+    offsets = np.arange(bounds.size - 1) * (high - low + 1) - low
+
+    def key(block: Block) -> Block:
+        symbols, probs, bounds = block
+        if symbols.min() < low or symbols.max() > high:
+            raise ValueError("a support is not within the one it is compared with")
+        return symbols + offsets.repeat(bounds[1:] - bounds[:-1]), probs, bounds
+
+    return key
+
+
 def _trials_of(block: Block, first: int, end: int) -> Block:
     """The rows first .. end-1 of a block, viewed."""
     keys, probs, bounds = block
@@ -280,16 +293,6 @@ def _trials_of(block: Block, first: int, end: int) -> Block:
         return block
     atoms = slice(bounds[first], bounds[end])
     return keys[atoms], probs[atoms], bounds[first:end + 1] - bounds[first]
-
-
-def _walked_apart(windows: Sequence[Block], xis: np.ndarray) -> BlockWalk:
-    """``walk_block`` of each trial alone, as one ``BlockWalk``."""
-    walks = [walk_block([_trials_of(block, i, i + 1) for block in windows], xis[i:i + 1])
-             for i in range(xis.shape[0])]
-    return BlockWalk(np.concatenate([walk.accepted for walk in walks]),
-                     np.concatenate([walk.stop for walk in walks]),
-                     [(trials + i, *rest) for i, walk in enumerate(walks)
-                      for trials, *rest in walk.records])
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,16 +310,16 @@ class _Piece:
     ls: np.ndarray
     triples: np.ndarray
 
-    def below(self, j: int) -> tuple:
-        """The windows below index j, as a ``Block``, with their trials, l and 3 xi_l.
+    def below(self, j: int, trials: np.ndarray) -> tuple:
+        """The windows below index j of the trials ``trials`` marks, as a ``Block``.
 
-        Where they are the first n windows, as one trial's are, or all of
-        them, they are views.
+        With them come their trials, l and 3 xi_l.  Where they are the
+        first n windows, as one trial's are, or all of them, they are views.
         """
         if self.trials[0] == self.trials[-1]:  # one trial's windows, in order of l
-            n = int(self.ls.searchsorted(j))
+            n = int(self.ls.searchsorted(j)) if trials[self.trials[0]] else 0
         else:
-            rows = self.ls < j
+            rows = (self.ls < j) & trials[self.trials]
             n = rows.size if rows.all() else -1
         if n >= 0:
             atoms, bounds, rows = slice(self.bounds[n]), self.bounds[:n + 1], slice(n)
@@ -327,29 +330,28 @@ class _Piece:
                 self.triples[rows])
 
 
-def _stacked(window: Callable[[int], Block], accepts: np.ndarray, xis: np.ndarray,
-             limit: int) -> list[_Piece]:
+def _stacked(windows: Sequence[Block], accepts: np.ndarray, bounds: np.ndarray,
+             xis: np.ndarray, limit: int) -> list[_Piece]:
     """The windows below the largest that each trial would accept, in pieces.
 
     The windows go trial by trial, and each trial's in order of l, so that
     a trial's windows share its layout in the kernel; they are cut into
     pieces of at most ``limit`` atoms, or of one window (``groups``).  A
     piece of all of one index's windows views its arrays, as a long
-    stream's wide windows do.
+    stream's wide windows do.  Column c of ``bounds`` holds the bounds of
+    the windows of index c.
     """
     trials, ls = accepts[:, :-1].nonzero()  # trial by trial, each in order of l
-    blocks = [window(l) for l in range(accepts.shape[1] - 1)]
     if not ls.size:
         return []
-    bounds = np.stack([bounds for _, _, bounds in blocks])
-    firsts = bounds[ls, trials]
-    counts = bounds[ls, trials + 1] - firsts
+    firsts = bounds[trials, ls]
+    counts = bounds[trials + 1, ls] - firsts
     triples = 3.0 * xis[trials, ls]
     pieces = []
     for part in groups(counts.tolist(), limit):
-        keys, probs, _ = blocks[ls[part.start]]
+        keys, probs, _ = windows[ls[part.start]]
         if part.stop - part.start > 1 or counts[part.start] < keys.size:
-            keys, probs = (np.concatenate([blocks[l][column][f:f + n] for l, f, n in zip(
+            keys, probs = (np.concatenate([windows[l][column][f:f + n] for l, f, n in zip(
                 ls[part].tolist(), firsts[part].tolist(), counts[part].tolist())])
                 for column in (0, 1))
         pieces.append(_Piece(keys, probs, row_edges(counts[part]), trials[part], ls[part],

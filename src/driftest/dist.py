@@ -276,13 +276,15 @@ def _tvs(base: np.ndarray, starts: np.ndarray, edges: np.ndarray, flat: np.ndarr
     ``starts[i]`` less its atoms.  Row i's atoms are
     ``bounds[i]:bounds[i + 1]`` of ``probs``, at their places ``flat`` in
     the layout, which ascend.  A chunk of rows at a time (consecutive rows
-    of at most ``CHUNK_ELEMENTS`` places in all, or one wider row, or the
-    rows of its first segment where they fill half of it), each place
-    comes to hold base less the row's atom there, or base (x - 0.0 is x):
-    where the chunk's rows hold one segment (one start and width), one
-    scatter writes every atom into a zero matrix, which is taken from the
-    segment by broadcasting; otherwise the rows' segments are gathered
-    from ``base`` and the atoms taken from them.  With ``keep``, a mask
+    of at most ``CHUNK_ELEMENTS`` places in all, or one wider row), each
+    place comes to hold base less the row's atom there, or base
+    (x - 0.0 is x), in one of two ways.  Where the chunk's rows hold one
+    segment (one start and width), as a lone row does, one scatter writes
+    every atom into a zero matrix, which is taken from the segment by
+    broadcasting; otherwise the rows' segments are gathered from ``base``
+    by an index of every place, and the atoms taken from them.  The
+    broadcast makes no index: a lone row of a long stream's widest window
+    would need one as large as its values.  With ``keep``, a mask
     aligned with ``base``, each row keeps only the places its segment's
     mask keeps and its own, in layout order, and is summed alone or with
     the rows of its kept length (``row_sums``); without it each row sums
@@ -302,13 +304,7 @@ def _tvs(base: np.ndarray, starts: np.ndarray, edges: np.ndarray, flat: np.ndarr
         start, shared = int(starts[lo]), hi - lo == 1
         if not shared:
             widths = edges[lo + 1:hi + 1] - edges[lo:hi]
-            same = (starts[lo + 1:hi] == start) & (widths[1:] == widths[0])
-            shared = bool(same.all())
-            if not shared:
-                # a chunk mostly of its first segment ends with it, to be broadcast
-                end = lo + 1 + int(same.argmin())
-                if 2 * int(edges[end]) >= int(edges[hi]) + first:
-                    hi, shared = end, True
+            shared = bool(((starts[lo + 1:hi] == start) & (widths[1:] == widths[0])).all())
         lay = edges[lo:hi + 1] - first if first else edges[:hi + 1]  # the chunk's rows' edges
         a, b = int(bounds[lo]), int(bounds[hi])
         at = flat[a:b] - first if first else flat[a:b]

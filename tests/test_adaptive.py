@@ -231,20 +231,46 @@ def test_a_tv_equal_to_its_threshold_stops_the_walk():
     assert walk.chosen.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("streams, xis, chunk, rows", [
+    # trial 0 stops at j = 1 ([1] and [0, 1] are 0.5 apart) and trial 1
+    # walks on; in runs of one index, trial 0 takes no row after j = 1
+    ([[1] * 14 + [0, 1], [1] * 16], [[0.01 * (5 - c) for c in range(5)]] * 2, 8, 1 + 10),
+    # no stop (every threshold is over 1); trial 1's bounds let it consider
+    # indices 2 and 4 only, and in one piece and one run it takes rows there
+    (np.random.default_rng(20).integers(0, 4, size=(2, 16)).tolist(),
+     [[0.6 - 0.05 * c for c in range(5)], [0.6, 0.7, 0.5, 0.55, 0.4]], None, 10 + 1 + 2),
+])
+def test_a_walk_takes_kernel_rows_only_of_trials_that_consider_the_index(
+        streams, xis, chunk, rows, monkeypatch):
+    block = LadderBlock(np.array(streams))
+    if chunk is not None:
+        monkeypatch.setattr(adaptive, "CHUNK_ELEMENTS", chunk)
+    taken = []
+    segment_tvs = adaptive.segment_tvs
+    monkeypatch.setattr(adaptive, "segment_tvs", lambda parts: (
+        taken.append(sum(trials.size for _, _, trials in parts)), segment_tvs(parts))[1])
+    walk = adaptive.walk_block([block.block(c) for c in range(5)], np.array(xis))
+    for i, stream in enumerate(streams):
+        want = ref.walk_ladder(ref.ladder(np.array(stream)), xis[i], xis[i])
+        assert walk.accepted[i].nonzero()[0].tolist() == [c.index for c in want.accepted]
+        assert walk.compared(i) == want.compared
+    assert sum(taken) == rows == sum(len(walk.compared(i)[0]) for i in range(len(streams)))
+
+
 def test_block_walk_of_symbols_too_far_apart_for_one_key_range():
     # three trials' symbols span more than a third of the int64 range, so a
-    # (trial, symbol) key would pass it: the trials are walked apart
+    # (trial, symbol) key would pass it: the block is refused, and each
+    # trial still walks alone, where no key is offset
     rng = np.random.default_rng(19)
     streams = rng.integers(0, 4, size=(3, 256)) * (2**61) + rng.integers(0, 3, size=(3, 256))
     block = LadderBlock(streams)
-    windows = [block.block(c) for c in range(len(block.js))]
-    for xis in ([ref.ladder_xis(ref.ladder_phis(stream), 0.05) for stream in streams],
-                [[5.0 - 0.01 * c for c in range(len(block.js))]] * 3):  # bounds that decrease
-        walk = adaptive.walk_block(windows, np.array(xis))
-        for i, stream in enumerate(streams):
-            want = ref.walk_ladder(ref.ladder(stream), xis[i], xis[i])
-            assert walk.accepted[i].nonzero()[0].tolist() == [c.index for c in want.accepted]
-            assert walk.compared(i) == want.compared
+    xis = np.array([ref.ladder_xis(ref.ladder_phis(stream), 0.05) for stream in streams])
+    with pytest.raises(ValueError, match="too wide a range"):
+        adaptive.walk_block([block.block(c) for c in range(len(block.js))], xis)
+    for i, stream in enumerate(streams):
+        want = ref.walk_ladder(ref.ladder(stream), xis[i].tolist(), xis[i].tolist())
+        assert walk_ladder(build_ladder(stream), xis[i].tolist(), xis[i].tolist()).compared == \
+            want.compared
 
 
 def test_walk_and_json_in_small_chunks(monkeypatch):
