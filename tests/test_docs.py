@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import driftest
+from manifest import check
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -36,5 +37,6 @@ def test_demo_runs(demo, tmp_path):
     src = os.path.dirname(os.path.dirname(driftest.__file__))
     env = dict(os.environ, PYTHONPATH=src, DRIFTEST_THREADS="1")
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    check(f"demo {demo.name}", [proc.stdout])

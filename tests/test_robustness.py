@@ -16,6 +16,8 @@ import time
 import numpy as np
 import pytest
 
+from manifest import check, file_chunks
+
 resource = pytest.importorskip("resource")
 
 ADDRESS_SPACE_LIMIT = 1536 * 2**20
@@ -231,6 +233,8 @@ def test_estimate_on_distinct_samples_runs_within_the_limits(tmp_path):
         assert fh.read() == b"}\n"
     assert elapsed < 20.0
     assert peak_mb < DISTINCT_PEAK_MB
+    # the file holds what --output - would print
+    check("driftest estimate --input {distinct_2^22} --output -", file_chunks(out))
 
 
 # every trial's row is kept until the run ends, so a trial count past the
