@@ -16,12 +16,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dist import (CHUNK_ELEMENTS, Block, Pmf, groups, lambda_complexity, row_edges,
-                   segment_tvs, sorted_runs, sorted_union)
+from .dist import (CHUNK_ELEMENTS, Block, Pmf, _cat, groups, lambda_complexity, row_edges,
+                   sorted_runs, sorted_union)
 from .windows import (as_stream, build_ladder, check_delta, ladder_phis, ladder_xis,
                       union_log_weight)
 
@@ -121,10 +121,15 @@ def walk_ladder(ladder: Sequence[Pmf], phis: Sequence[float],
 
     ``phis`` and ``xis`` are the windows' complexities and statistical-error
     bounds, ``ladder_phis(ladder)`` and ``ladder_xis(phis, delta)``.  The
-    walk is the one-trial ``walk_block``; the evaluations are kept as plain
-    lists (``EstimateResult.compared``).  The estimate is a copy of the
-    chosen window, which may view a block's arrays.
+    walk is the one-row ``walk_block``, exact only on windows of counts:
+    window j's probabilities must be counts over 2^j, as ``build_ladder``
+    makes them, or it raises.  The evaluations are plain lists
+    (``EstimateResult.compared``); the estimate copies the chosen window.
     """
+    for j, window in enumerate(ladder):
+        for lo in range(0, window.probs.size, CHUNK_ELEMENTS):
+            if np.fmod(window.probs[lo:lo + CHUNK_ELEMENTS] * 2.0**j, 1.0).any():
+                raise ValueError(f"window {j}'s probabilities are not counts over 2^{j}")
     walk = walk_block([(w.symbols, w.probs, np.array([0, w.symbols.size])) for w in ladder],
                       np.array([xis]))
     indices = walk.accepted[0].nonzero()[0].tolist()
@@ -147,7 +152,7 @@ class BlockWalk:
     where the trial accepted the window; ``stop`` holds each trial's
     violating (j, l), or (-1, -1) where it ran out of windows; ``records``
     holds the evaluations in the order they were made, as arrays of
-    (trials, l, j, TVs, thresholds), a run of candidate indices at a time.
+    (trials, l, j, TVs, thresholds), a candidate index at a time.
     """
 
     accepted: np.ndarray
@@ -172,191 +177,101 @@ class BlockWalk:
 def walk_block(windows: Sequence[Block], xis: np.ndarray) -> BlockWalk:
     """The adaptive walk of every trial of a block, in lockstep over the window indices.
 
-    ``windows[c]`` holds the block's windows of index c as a ``Block``, a
-    row per trial, and row i of ``xis`` holds trial i's windows'
-    statistical-error bounds.  Each trial's candidate list starts at window
-    index 0; index j is considered only when its bound is strictly below
-    every accepted bound (accepted bounds strictly decrease, so the last
-    one is the smallest: the least bound below j).  At each j, the TVs of
-    every window l < j that a trial still walking and considering j has
-    accepted to its window j are taken together, each pair on the trial's
-    window j: a trial's windows are nested suffixes, so that window holds
-    the pair's union (``segment_tvs``).  They are compared with
-    3 xi_l + xi_j in order of l, up to the first that stops the trial's
-    walk (>=, so boundary equality stops).  The pairs compared, and
-    their values and order, are exactly those of a trial walked alone.
-
-    In a block of several trials, a key stands for a (trial, symbol) pair
-    (``_keys``), so that keys ascend trial by trial.  The windows a trial
-    would accept are stacked once (``_stacked``), and the candidate
-    indices are taken in runs, with one kernel call per run and piece of
-    the stack.  A call's rows are the pairs of the trials that still walk
-    and consider the pair's j; a trial's first hit in a run, in order of j
-    and l, stops it, and its pairs after that in the run are taken but not
-    read.
-    Pieces and runs hold at most an eighth of ``CHUNK_ELEMENTS`` atoms, or
-    one window or index, so the walk's temporaries stay near one kernel
-    chunk's, a long stream's wide windows are never copied, and a
-    one-trial block of short windows takes one call.
+    ``windows[c]`` holds the block's windows of index c, of counts over 2^c
+    (``LadderBlock.block``), a row per trial; row i of ``xis`` holds trial
+    i's bounds.  A trial considers index j only when xi_j is strictly below
+    every bound it accepted (the last, since they decrease), and then
+    compares each accepted window l < j with its window j, in order of l,
+    up to the first pair whose TV reaches 3 xi_l + xi_j (>=).  A trial's
+    windows are nested, so a pair's TV is exactly (sum over window l's
+    symbols of |c_l 2^(j-l) - c_j|, plus 2^j less c_j's sum there) over
+    2^(j+1), c the counts: ``tv_distance``'s float in any order of
+    summation.  An index's pairs go a chunk at a time (``groups``).
     """
     m, depth = xis.shape
-    key = _keys(windows) if m > 1 else lambda block: block
     # where each trial would accept: below the least bound before it
     accepts = np.ones((m, depth), dtype=bool)
     accepts[:, 1:] = xis[:, 1:] < np.minimum.accumulate(xis, axis=1)[:, :-1]
-    # the stack's pieces and the runs of candidate indices hold few enough
-    # atoms that the walk's temporaries stay near one kernel chunk's
-    limit = CHUNK_ELEMENTS // 8
+    # the pairs each trial compares unless it stops first: index by index,
+    # each index's in order of l, and trial by trial, so that the pairs of
+    # trials that follow one another lie back to back in window l
+    js, ls, trials = (accepts.T[:, None, :] & accepts.T
+                      & np.tri(depth, k=-1, dtype=bool)[:, :, None]).nonzero()
+    at = js.searchsorted(np.arange(depth + 1)).tolist()  # index j's at at[j]:at[j + 1]
     bounds = np.stack([bounds for _, _, bounds in windows], axis=1)  # a column per index
-    pieces = _stacked([key(block) for block in windows[:-1]], accepts, bounds, xis, limit)
-    # the atoms of each trial's pairs at each index: of its windows below it
-    atoms = np.zeros((m, depth), dtype=np.int64)
-    np.cumsum(np.where(accepts, np.diff(bounds, axis=0), 0)[:, :-1], axis=1, out=atoms[:, 1:])
+    firsts = bounds[trials, ls]
+    sizes = bounds[trials + 1, ls] - firsts
+    thresholds = 3.0 * xis[trials, ls] + xis[trials, js]
+    keys = _keys(windows, bounds) if m > 1 else [symbols for symbols, _, _ in windows]
+    probs = [probs for _, probs, _ in windows]
     stop = np.full((m, 2), -1)
     walking = np.ones(m, dtype=bool)
     records = []
-    j = 1
-    while j < depth and walking.any():
-        # the indices some walking trial considers, and their pairs' atoms
-        considers = walking[:, None] & accepts
-        pairs = (atoms[:, j:] * considers[:, j:]).sum(axis=0)
-        js = j + pairs.nonzero()[0]  # every trial accepts window 0, so a pair has atoms
-        if not js.size:
-            break
-        js = js[:max(1, int(pairs[js - j].cumsum().searchsorted(limit, "right")))].tolist()
-        j = js[-1] + 1
-        # one kernel call per piece, the windows below each index of the
-        # run of the trials that consider it, each laid out on its trial's
-        # window of that index
-        layouts = {c: key(windows[c]) for c in js}
-        rows = []
-        for piece in pieces:
-            parts = [(c, *piece.below(c, considers[:, c])) for c in js]
-            parts = [part for part in parts if part[2].size]
-            if parts:
-                first, end = int(piece.trials[0]), int(piece.trials[-1]) + 1
-                tvs = segment_tvs([(block, _trials_of(layouts[c], first, end), trials - first)
-                                   for c, block, trials, _, _ in parts])
-                for c, _, trials, ls, triples in parts:
-                    rows.append((c, tvs[:trials.size], trials, ls, triples))
-                    tvs = tvs[trials.size:]
-        rows.sort(key=lambda row: row[0])  # index by index, and the pieces in order
-        cs, tvs, trials, ls, triples = zip(*rows)
-        cs = np.repeat(cs, [t.size for t in trials])
-        tvs, trials, ls, triples = map(np.concatenate, (tvs, trials, ls, triples))
-        thresholds = triples + xis[trials, cs]
-        # each trial's rows in order of j and l, shown up to its first hit
+    for j in range(1, depth):
+        pairs = slice(at[j], at[j + 1])
+        if len(records) and not walking.all():  # only the trials still walking
+            pairs = np.arange(at[j], at[j + 1])[walking[trials[pairs]]]
+        t, l, f, n = trials[pairs], ls[pairs], firsts[pairs], sizes[pairs]
+        if not t.size:
+            continue
+        tvs = _cat([_pair_tvs(keys, probs, j, l[part], f[part], n[part]) for part in groups(n)])
+        # each trial's pairs up to its first hit, which stops its walk
         shown = slice(None)
-        hits = (tvs >= thresholds).nonzero()[0]
+        hits = (tvs >= thresholds[pairs]).nonzero()[0]
         if hits.size:
-            stopped, first = np.unique(trials[hits], return_index=True)
+            stopped, first = np.unique(t[hits], return_index=True)
             first = hits[first]
             up_to = np.full(m, tvs.size)
             up_to[stopped] = first
-            shown = np.arange(tvs.size) <= up_to[trials]
-            stop[stopped, 0] = cs[first]
-            stop[stopped, 1] = ls[first]
+            shown = np.arange(tvs.size) <= up_to[t]
+            stop[stopped, 0], stop[stopped, 1] = j, l[first]
             walking[stopped] = False
-        records.append(tuple(column[shown] for column in (trials, ls, cs, tvs, thresholds)))
+        records.append(tuple(column[shown] for column in (
+            t, l, js[pairs], tvs, thresholds[pairs])))
     # a stopped trial accepted only the windows below the index it stopped at
     accepts &= np.arange(depth) < np.where(stop[:, :1] < 0, depth, stop[:, :1])
     return BlockWalk(accepts, stop, records)
 
 
-def _keys(windows: Sequence[Block]) -> Callable[[Block], Block]:
-    """What puts a (trial, symbol) key in place of each symbol of a block's windows of one index.
-
-    A key is the symbol, less the least symbol, plus the trial times the
-    span of the symbols, so that keys ascend trial by trial; the largest
-    windows hold every symbol.  A block whose keys would pass the int64
-    range raises: a scenario's symbols span far less.
+def _pair_tvs(keys: list[np.ndarray], probs: list[np.ndarray], j: int, ls: np.ndarray,
+              firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The TVs of pairs of windows l < j, pair i's window l the ``sizes[i]`` atoms
+    from ``firsts[i]`` of index ``ls[i]``'s: each (S + 1) / 2, S the sum of
+    |p_l - p_j| - p_j, integers over 2^j, over window l's symbols.
     """
-    largest, _, bounds = windows[-1]
-    low, high = int(largest.min()), int(largest.max())
-    if (bounds.size - 2) * (high - low + 1) > np.iinfo(np.int64).max - high:
+    # runs of pairs whose atoms lie back to back in one index's windows, each
+    # from its head's first atom to its tail's end
+    ends = firsts + sizes
+    head = np.ones(ls.size + 1, dtype=bool)
+    head[1:-1] = (ls[1:] != ls[:-1]) | (firsts[1:] != ends[:-1])
+    at = list(zip(ls[head[:-1]].tolist(), firsts[head[:-1]].tolist(), ends[head[1:]].tolist()))
+    symbols = _cat([keys[c][a:b] for c, a, b in at])
+    within = keys[j].searchsorted(symbols)
+    if (keys[j].take(within, mode="clip") != symbols).any():
+        raise ValueError("a support is not within the one it is compared with")
+    there = probs[j][within]
+    del within  # a lone pair's temporaries are its window's size: at most two at once
+    terms = _cat([probs[c][a:b] for c, a, b in at]) - there
+    np.abs(terms, out=terms)
+    terms -= there
+    return 0.5 * (np.add.reduceat(terms, row_edges(sizes)[:-1]) + 1.0)
+
+
+def _keys(windows: Sequence[Block], bounds: np.ndarray) -> list[np.ndarray]:
+    """Each index's windows' symbols as (trial, symbol) keys, which ascend trial by trial.
+
+    A key is the symbol less the block's least, plus the trial times the
+    block's span; a block whose keys would pass int64 raises.  Column c of
+    ``bounds`` bounds the windows of index c.
+    """
+    keys = np.concatenate([symbols for symbols, _, _ in windows])
+    low, high = int(keys.min()), int(keys.max())
+    m = bounds.shape[0] - 1
+    if (m - 1) * (high - low + 1) > np.iinfo(np.int64).max - high:
         raise ValueError("the block's symbols span too wide a range to key them by trial")
-    offsets = np.arange(bounds.size - 1) * (high - low + 1) - low
-
-    def key(block: Block) -> Block:
-        symbols, probs, bounds = block
-        if symbols.min() < low or symbols.max() > high:
-            raise ValueError("a support is not within the one it is compared with")
-        return symbols + offsets.repeat(bounds[1:] - bounds[:-1]), probs, bounds
-
-    return key
-
-
-def _trials_of(block: Block, first: int, end: int) -> Block:
-    """The rows first .. end-1 of a block, viewed."""
-    keys, probs, bounds = block
-    if first == 0 and end == bounds.size - 1:
-        return block
-    atoms = slice(bounds[first], bounds[end])
-    return keys[atoms], probs[atoms], bounds[first:end + 1] - bounds[first]
-
-
-@dataclass(frozen=True, eq=False)
-class _Piece:
-    """Windows of a block stacked back to back: their keys, probabilities and bounds.
-
-    Each window's trial, index l and 3 xi_l go with it, trial by trial and
-    each trial's in order of l.
-    """
-
-    keys: np.ndarray
-    probs: np.ndarray
-    bounds: np.ndarray
-    trials: np.ndarray
-    ls: np.ndarray
-    triples: np.ndarray
-
-    def below(self, j: int, trials: np.ndarray) -> tuple:
-        """The windows below index j of the trials ``trials`` marks, as a ``Block``.
-
-        With them come their trials, l and 3 xi_l.  Where they are the
-        first n windows, as one trial's are, or all of them, they are views.
-        """
-        if self.trials[0] == self.trials[-1]:  # one trial's windows, in order of l
-            n = int(self.ls.searchsorted(j)) if trials[self.trials[0]] else 0
-        else:
-            rows = (self.ls < j) & trials[self.trials]
-            n = rows.size if rows.all() else -1
-        if n >= 0:
-            atoms, bounds, rows = slice(self.bounds[n]), self.bounds[:n + 1], slice(n)
-        else:
-            counts = self.bounds[1:] - self.bounds[:-1]
-            atoms, bounds = rows.repeat(counts), row_edges(counts[rows])
-        return ((self.keys[atoms], self.probs[atoms], bounds), self.trials[rows], self.ls[rows],
-                self.triples[rows])
-
-
-def _stacked(windows: Sequence[Block], accepts: np.ndarray, bounds: np.ndarray,
-             xis: np.ndarray, limit: int) -> list[_Piece]:
-    """The windows below the largest that each trial would accept, in pieces.
-
-    The windows go trial by trial, and each trial's in order of l, so that
-    a trial's windows share its layout in the kernel; they are cut into
-    pieces of at most ``limit`` atoms, or of one window (``groups``).  A
-    piece of all of one index's windows views its arrays, as a long
-    stream's wide windows do.  Column c of ``bounds`` holds the bounds of
-    the windows of index c.
-    """
-    trials, ls = accepts[:, :-1].nonzero()  # trial by trial, each in order of l
-    if not ls.size:
-        return []
-    firsts = bounds[trials, ls]
-    counts = bounds[trials + 1, ls] - firsts
-    triples = 3.0 * xis[trials, ls]
-    pieces = []
-    for part in groups(counts.tolist(), limit):
-        keys, probs, _ = windows[ls[part.start]]
-        if part.stop - part.start > 1 or counts[part.start] < keys.size:
-            keys, probs = (np.concatenate([windows[l][column][f:f + n] for l, f, n in zip(
-                ls[part].tolist(), firsts[part].tolist(), counts[part].tolist())])
-                for column in (0, 1))
-        pieces.append(_Piece(keys, probs, row_edges(counts[part]), trials[part], ls[part],
-                             triples[part]))
-    return pieces
+    offsets = np.arange(m) * (high - low + 1) - low
+    keys += np.tile(offsets, bounds.shape[1]).repeat(np.diff(bounds, axis=0).T.ravel())
+    return np.split(keys, np.cumsum(bounds[-1])[:-1])
 
 
 def fixed_window_estimate(stream, r: int) -> Pmf:

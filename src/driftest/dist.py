@@ -8,19 +8,15 @@ over its size (``windows.LadderBlock``), and its empirical complexity is
 ``block_phis``.
 
 Total variation is half the L1 distance over the sorted union of two
-supports, and one kernel (``_tvs``) takes every TV here: rows laid back to
-back, each a segment of one base less its atoms, 0.5 times each row's sum
-of absolute values.  Rows may lie on segments of different widths, and
-rows that share a segment take it by broadcasting.  Three layouts feed it,
-each holding the values a pair's sorted union holds, in the same order, so
-each TV has ``tv_distance``'s bits: the union, sorted (``tv_distance``); a
-support that holds the rows' symbols (``block_tvs``, windows and their
-averages, and ``segment_tvs``, the walk's nested windows); and a run of
-consecutive symbols with the other side's symbols around it (``run_tv``,
-``block_run_tvs`` and ``rows_tv``: a truth's current pmf).  A row's
-sum is always one sum over one contiguous row holding exactly those
-values: a C-contiguous row of a 2-D array sums as the 1-D array does, and
-rows of unequal length are summed apart (``row_sums``), never padded.
+supports.  One kernel (``_tvs``) takes every TV of a pmf here, each row a
+segment of one base less its atoms, laid out so that it holds the values
+the pair's sorted union holds, in the same order, and sums as the 1-D
+array does (``row_sums``): each TV has ``tv_distance``'s bits.  The
+layouts are the union, sorted (``tv_distance``); a support holding the
+rows' symbols (``block_tvs``: windows against their averages); and a run
+of consecutive symbols (``run_tv``, ``block_run_tvs``, ``rows_tv``: a
+truth's current pmf).  The adaptive walk compares windows of counts,
+whose TVs are exact integer sums, without the kernel.
 """
 
 from __future__ import annotations
@@ -271,28 +267,20 @@ def _tvs(base: np.ndarray, starts: np.ndarray, edges: np.ndarray, flat: np.ndarr
          probs: np.ndarray, bounds: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
     """0.5 times each row's sum of |its segment of base less its atoms|: the rows' TVs.
 
-    The rows lie back to back in one flat layout, row i at
-    ``edges[i]:edges[i + 1]``, where it holds the segment of ``base`` from
-    ``starts[i]`` less its atoms.  Row i's atoms are
-    ``bounds[i]:bounds[i + 1]`` of ``probs``, at their places ``flat`` in
-    the layout, which ascend.  A chunk of rows at a time (consecutive rows
-    of at most ``CHUNK_ELEMENTS`` places in all, or one wider row), each
-    place comes to hold base less the row's atom there, or base
-    (x - 0.0 is x), in one of two ways.  Where the chunk's rows hold one
-    segment (one start and width), as a lone row does, one scatter writes
-    every atom into a zero matrix, which is taken from the segment by
-    broadcasting; otherwise the rows' segments are gathered from ``base``
-    by an index of every place, and the atoms taken from them.  The
-    broadcast makes no index: a lone row of a long stream's widest window
-    would need one as large as its values.  With ``keep``, a mask
-    aligned with ``base``, each row keeps only the places its segment's
-    mask keeps and its own, in layout order, and is summed alone or with
-    the rows of its kept length (``row_sums``); without it each row sums
-    its whole segment.  The layout builders make
-    each row's kept values the ones its pair's sorted union holds, in the
-    same order (|a - b| equals |b - a|), and a row sums as the 1-D array
-    does, so every TV is the pair's ``tv_distance`` bit for bit.  No row is
-    padded.
+    Row i lies at ``edges[i]:edges[i + 1]`` of one flat layout, holding
+    the segment of ``base`` from ``starts[i]``; its atoms are
+    ``bounds[i]:bounds[i + 1]`` of ``probs``, at their ascending places
+    ``flat``.  A chunk of rows at a time (at most ``CHUNK_ELEMENTS`` places,
+    or one wider row), each place comes to hold base less the row's atom
+    there, or base (x - 0.0 is x).  Where the chunk's rows hold one
+    segment, as a lone row does, one scatter writes the atoms into a zero
+    matrix taken from the segment by broadcasting; otherwise an index of
+    every place gathers the rows' segments.  The broadcast serves the
+    one-row calls of ``tv_distance`` and ``run_tv`` (with it, the 60,000
+    of the metric campaigns take 12 µs each rather than 20) and the rows of
+    ``block_tvs`` that share an iid truth's average.  With ``keep``, a
+    mask aligned with ``base``, each row keeps only the places its
+    segment's mask keeps and its own.  No row is padded.
     """
     n, total = edges.size - 1, int(edges[-1])
     sums = np.empty(n)
@@ -408,19 +396,16 @@ def joined(blocks: Sequence[Block]) -> Block:
             joined_bounds(blocks))
 
 
-def groups(sizes: Sequence[int], limit: int | None = None) -> list[slice]:
-    """Consecutive slices of items of these sizes, each at most ``limit`` in all, or one item.
-
-    ``limit`` is ``CHUNK_ELEMENTS`` unless given.
-    """
-    limit = CHUNK_ELEMENTS if limit is None else limit
-    cuts, total = [0], 0
-    for i, size in enumerate(sizes):
-        if i > cuts[-1] and total + size > limit:
-            cuts.append(i)
-            total = 0
-        total += size
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:] + [len(sizes)])] if sizes else []
+def groups(sizes) -> list[slice]:
+    """Consecutive slices of items of these sizes, each ``CHUNK_ELEMENTS`` at most, or one item."""
+    ends = np.cumsum(sizes)
+    if ends.size and ends[-1] <= CHUNK_ELEMENTS:
+        return [slice(0, ends.size)]
+    cuts = [0]
+    while cuts[-1] < ends.size:
+        start = ends[cuts[-1]] - sizes[cuts[-1]]
+        cuts.append(max(cuts[-1] + 1, int(ends.searchsorted(start + CHUNK_ELEMENTS, "right"))))
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
 def block_tvs(blocks: Sequence[Block], qs: Sequence[Pmf]) -> np.ndarray:
@@ -444,41 +429,6 @@ def block_tvs(blocks: Sequence[Block], qs: Sequence[Pmf]) -> np.ndarray:
     flat += edges[:-1].repeat(bounds[1:] - bounds[:-1])
     return _tvs(_cat([q.probs for q in distinct]), starts.repeat(rows), edges, flat,
                 _cat([probs for _, probs, _ in blocks]), bounds)
-
-
-def segment_tvs(parts: Sequence[tuple[Block, Block, np.ndarray]]) -> np.ndarray:
-    """``tv_distance(row, its layout segment)`` for the rows of every part, back to back.
-
-    A part is (rows, layout, segments): rows laid out as a ``Block`` of
-    keys, probabilities and bounds, a layout whose segment k holds the
-    keys and probabilities at ``layout[2][k]:layout[2][k + 1]``, and each
-    row's segment, whose keys hold the row's.  A key stands for a symbol,
-    made to ascend over its whole layout (segment by segment), so one
-    search places every atom of a part; a key its layout lacks raises.
-    Every part takes one kernel call together, on the layouts'
-    probabilities back to back.
-    """
-    layouts, rows = [layout for _, layout, _ in parts], [rows for rows, _, _ in parts]
-    counts = [segments.size for _, _, segments in parts]
-    # each row's segment among all the layouts' back to back, and its place there
-    base_bounds = joined_bounds(layouts)
-    segment = np.repeat(np.cumsum([0] + [b.size - 1 for _, _, b in layouts[:-1]]), counts)
-    segment += _cat([segments for _, _, segments in parts])
-    starts = base_bounds[segment]
-    edges = row_edges(np.diff(base_bounds)[segment])
-    bounds = joined_bounds(rows)
-    # an atom's place: its position in its layout, less its segment's start
-    # there, plus its row's edge in the flat layout
-    flat = np.empty(int(bounds[-1]), dtype=np.int64)
-    for (keys, _, _), (layout_keys, _, _), a in zip(rows, layouts, bounds[np.cumsum([0] + counts)]):
-        at = flat[a:a + keys.size]
-        at[:] = layout_keys.searchsorted(keys)
-        if (layout_keys.take(at, mode="clip") != keys).any():
-            raise ValueError("a support is not within the one it is compared with")
-    firsts = np.repeat(np.cumsum([0] + [layout[1].size for layout in layouts[:-1]]), counts)
-    flat += (edges[:-1] - starts + firsts).repeat(bounds[1:] - bounds[:-1])
-    return _tvs(_cat([layout[1] for layout in layouts]), starts, edges, flat,
-                _cat([probs for _, probs, _ in rows]), bounds)
 
 
 # --- the run layout: one side on consecutive symbols --------------------------

@@ -32,8 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dist import (CHUNK_ELEMENTS, MASS_TOL, WIDE_ROW, Pmf, lambda_complexity, row_slices,
-                   rows_tv)
+from .dist import MASS_TOL, WIDE_ROW, Pmf, groups, lambda_complexity, row_slices, rows_tv
 from .windows import dyadic_depth
 
 TAIL_TOL = 1e-12
@@ -293,20 +292,6 @@ def _stretches(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _atom_chunks(widths: np.ndarray) -> Iterator[slice]:
-    """Consecutive slices of rows of these widths, each at most ``CHUNK_ELEMENTS`` atoms.
-
-    A row wider than that is a slice of its own.
-    """
-    ends = np.cumsum(widths)
-    a = 0
-    while a < widths.size:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - widths[a] + CHUNK_ELEMENTS,
-                                           side="right")))
-        yield slice(a, b)
-        a = b
-
-
 # --- row sources ------------------------------------------------------------
 #
 # A row source ``fill(a, z, out)`` writes the probabilities of rows [a, z),
@@ -447,9 +432,9 @@ class Truth:
     def _chunks(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """Rows [a, z) and their atoms back to back, newest chunk first.
 
-        A chunk holds at most ``CHUNK_ELEMENTS`` atoms, or one row.
+        A chunk holds at most ``CHUNK_ELEMENTS`` atoms, or one row (``groups``).
         """
-        for part in reversed(list(_atom_chunks(self.widths))):
+        for part in reversed(groups(self.widths)):
             yield part.start, part.stop, self._rows(part.start, part.stop)
 
     def _rows(self, a: int, z: int) -> np.ndarray:
@@ -557,7 +542,7 @@ class _WindowSums:
                                            widths[:held].tolist(), weights.tolist()):
                     acc[s:s + n] += weight * atoms[b:b + n]
                 continue
-            for part in _atom_chunks(widths[:held]):
+            for part in groups(widths[:held]):
                 n = widths[part]
                 within = np.arange(int(np.sum(n))) - np.repeat(np.cumsum(n) - n, n)
                 np.add.at(acc, np.repeat(to[part] - lo, n) + within,

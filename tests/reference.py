@@ -20,7 +20,7 @@ from itertools import chain, groupby, repeat
 
 import numpy as np
 
-from driftest import adaptive, driftgen, harness
+from driftest import adaptive, dist, driftgen, harness
 from driftest.adaptive import (CandidateRecord, Comparison, EstimateResult, StopReason,
                                argmin_prefer_large, q_curve, realized_error_curve)
 from driftest.dist import Pmf, lambda_complexity, rows_tv, sorted_union, tv_distance
@@ -449,7 +449,7 @@ class MaterializedTruth:
         widths, starts = self.widths[rows], self.starts[rows]
         lo, hi = int(starts.min()), int((starts + widths).max())
         acc = np.zeros(hi - lo)
-        for chunk in driftgen._atom_chunks(widths):
+        for chunk in dist.groups(widths):
             n = widths[chunk]
             within = np.arange(int(np.sum(n))) - np.repeat(np.cumsum(n) - n, n)
             atoms = np.repeat(self.offsets[rows[chunk]], n) + within
@@ -622,6 +622,19 @@ def walk_ladder(windows, phis, xis):
                           accepted=tuple(accepted), stop=stop,
                           compared=tuple([getattr(c, name) for c in comparisons]
                                          for name in ("l", "j", "tv", "threshold")))
+
+
+def walk_tv(stream, l, j):
+    """The TV of a stream's windows l < j by the integer formula, from their samples.
+
+    Window c's probabilities are its counts over 2^c, so the TV is
+    (sum over window l's symbols of |c_l 2^(j-l) - c_j|, plus 2^j less c_j's
+    sum there) over 2^(j+1), summed in Python integers.
+    """
+    older, newer = Counter(stream[len(stream) - 2**l:].tolist()), Counter(
+        stream[len(stream) - 2**j:].tolist())
+    gap = sum(abs(count * 2**(j - l) - newer[s]) for s, count in older.items())
+    return (gap + 2**j - sum(newer[s] for s in older)) / 2**(j + 1)
 
 
 def adaptive_estimate(stream, delta):

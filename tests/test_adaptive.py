@@ -189,14 +189,20 @@ def test_block_walk_equals_the_per_pair_walk(family, seed, monkeypatch):
         phis = ref.ladder_phis(stream)
         xis.append(ref.ladder_xis(phis, 0.05))
         want.append(ref.walk_ladder(ref.ladder(stream), phis, xis[-1]))
-    # a chunk of the kernel holds a few rows, so chunks cut inside one
-    # trial's rows, and the stacked windows take several pieces
-    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 24)
-    monkeypatch.setattr(adaptive, "CHUNK_ELEMENTS", 64)
-    widths = []
-    tvs = dist._tvs
-    monkeypatch.setattr(dist, "_tvs", lambda base, starts, edges, *rest: (
-        widths.append(int(edges[-1])), tvs(base, starts, edges, *rest))[1])
+    # every TV the walk compares is the integer formula's
+    for stream, expected in zip(streams, want):
+        for l, j, tv in zip(*expected.compared[:3]):
+            assert ref.walk_tv(stream, l, j) == tv
+    # a chunk holds pairs of 2 atoms in all, or one wider pair, so chunks
+    # cut inside one index's pairs
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 2)
+    chunks = []
+
+    def groups(sizes):
+        parts = dist.groups(sizes)
+        chunks.append([sizes[part].tolist() for part in parts])
+        return parts
+    monkeypatch.setattr(adaptive, "groups", groups)
     for size in (1, 2, 3, BLOCK_TRIALS):
         for lo in range(0, BLOCK_TRIALS, size):
             hi = min(lo + size, BLOCK_TRIALS)
@@ -211,7 +217,10 @@ def test_block_walk_equals_the_per_pair_walk(family, seed, monkeypatch):
                 assert (j, l) == ((expected.stop.j, expected.stop.l)
                                   if expected.stop.kind == "violation" else (-1, -1))
                 assert walk.compared(i) == expected.compared
-    assert max(widths) > dist.CHUNK_ELEMENTS
+    assert any(len(parts) > 1 for parts in chunks)
+    # chunks of several pairs, and of one pair wider than a chunk
+    assert any(len(part) > 1 for parts in chunks for part in parts)
+    assert any(part[0] > dist.CHUNK_ELEMENTS for parts in chunks for part in parts)
     if scenario.kind == "abrupt":
         assert any(expected.stop.kind == "violation" for expected in want)
 
@@ -233,22 +242,22 @@ def test_a_tv_equal_to_its_threshold_stops_the_walk():
 
 @pytest.mark.parametrize("streams, xis, chunk, rows", [
     # trial 0 stops at j = 1 ([1] and [0, 1] are 0.5 apart) and trial 1
-    # walks on; in runs of one index, trial 0 takes no row after j = 1
+    # walks on; in chunks of a pair or two, trial 0 takes no pair after j = 1
     ([[1] * 14 + [0, 1], [1] * 16], [[0.01 * (5 - c) for c in range(5)]] * 2, 8, 1 + 10),
     # no stop (every threshold is over 1); trial 1's bounds let it consider
-    # indices 2 and 4 only, and in one piece and one run it takes rows there
+    # indices 2 and 4 only, and in one chunk per index it takes pairs there
     (np.random.default_rng(20).integers(0, 4, size=(2, 16)).tolist(),
      [[0.6 - 0.05 * c for c in range(5)], [0.6, 0.7, 0.5, 0.55, 0.4]], None, 10 + 1 + 2),
 ])
-def test_a_walk_takes_kernel_rows_only_of_trials_that_consider_the_index(
+def test_a_walk_gathers_pairs_only_of_trials_that_consider_the_index(
         streams, xis, chunk, rows, monkeypatch):
     block = LadderBlock(np.array(streams))
     if chunk is not None:
-        monkeypatch.setattr(adaptive, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
     taken = []
-    segment_tvs = adaptive.segment_tvs
-    monkeypatch.setattr(adaptive, "segment_tvs", lambda parts: (
-        taken.append(sum(trials.size for _, _, trials in parts)), segment_tvs(parts))[1])
+    pair_tvs = adaptive._pair_tvs
+    monkeypatch.setattr(adaptive, "_pair_tvs", lambda keys, probs, j, ls, *rest: (
+        taken.append(ls.size), pair_tvs(keys, probs, j, ls, *rest))[1])
     walk = adaptive.walk_block([block.block(c) for c in range(5)], np.array(xis))
     for i, stream in enumerate(streams):
         want = ref.walk_ladder(ref.ladder(np.array(stream)), xis[i], xis[i])
@@ -286,10 +295,28 @@ def test_walk_and_json_in_small_chunks(monkeypatch):
     assert _json_text(got) == json.dumps(want.to_json_obj())
 
 
-def test_walk_rejects_windows_that_are_not_nested():
-    ladder = (ref.window([4]), ref.window([5, 6]))
+@pytest.mark.parametrize("ladder", [
+    (ref.window([4]), ref.window([5, 6])),
+    # window 1 holds a symbol between window 2's, past its last, and before its first
+    (ref.window([1]), ref.window([1, 3]), ref.window([1, 2, 4, 4])),
+    (ref.window([1]), ref.window([1, 5]), ref.window([1, 1, 2, 2])),
+    (ref.window([1]), ref.window([0, 1]), ref.window([1, 1, 2, 2])),
+], ids=["disjoint", "between", "past_the_last", "before_the_first"])
+def test_walk_rejects_windows_that_are_not_nested(ladder):
+    xis = [9.0, 5.0, 3.0][:len(ladder)]
     with pytest.raises(ValueError, match="not within"):
-        walk_ladder(ladder, [1.0, 1.0], [9.0, 5.0])
+        walk_ladder(ladder, xis, xis)
+
+
+@pytest.mark.parametrize("ladder", [
+    (ref.window([0]), Pmf.from_dict({0: 1 / 3, 1: 2 / 3})),  # window j's thirds
+    (Pmf.from_dict({0: 1 / 3, 1: 2 / 3}), ref.window([0, 1])),  # window l's thirds
+    (ref.window([0]), Pmf.from_dict({0: 0.5, 1: 0.5 + 1e-12})),  # a mass just off 1
+], ids=["window_j", "window_l", "mass"])
+def test_walk_rejects_windows_that_are_not_counts_of_their_samples(ladder):
+    # a pair's TV is an exact integer sum only on windows of counts over 2^j
+    with pytest.raises(ValueError, match="not counts over 2"):
+        walk_ladder(ladder, [9.0, 5.0], [9.0, 5.0])
 
 
 def test_small_abrupt_horizon_never_stops():

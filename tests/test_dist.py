@@ -597,41 +597,6 @@ def test_rows_tv_needs_q_on_consecutive_symbols():
         dist.rows_tv(np.array([0]), np.array([1]), np.ones(1), Pmf.from_dict({0: 0.5, 2: 0.5}))
 
 
-def _segment_tvs(rows, q):
-    """``segment_tvs`` of rows against the one segment q, their symbols as keys."""
-    return dist.segment_tvs([(_block_of(rows), (q.symbols, q.probs, np.array([0, q.support_size])),
-                              np.zeros(len(rows), dtype=np.int64))])
-
-
-def test_segment_tvs_of_nested_windows_equal_the_union_reference(monkeypatch):
-    # nested suffix windows, a window against pmfs holding its symbols, and
-    # widths across the pairwise-sum regimes (under 8, 8-128, over 128)
-    rng = np.random.default_rng(22)
-    for k, t in ((5, 600), (60, 3000), (900, 5000)):
-        ladder = build_ladder(rng.integers(0, k, size=t))
-        q = ladder[-1]
-        want = [ref.tv_union(w, q) for w in ladder]
-        assert _segment_tvs(ladder, q).tolist() == want
-        wider = Pmf(np.arange(k + 3), rng.dirichlet(np.ones(k + 3)))
-        assert _segment_tvs(ladder, wider).tolist() == [ref.tv_union(w, wider) for w in ladder]
-        # several chunks of rows, and one row per chunk when a row is wider
-        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 2 * q.symbols.size)
-        assert _segment_tvs(ladder, q).tolist() == want
-        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 1)
-        assert _segment_tvs(ladder, q).tolist() == want
-        monkeypatch.undo()
-
-
-@pytest.mark.parametrize("p, q", [
-    ([1, 9], [1, 2, 3]),  # a symbol between q's
-    ([5], [1, 2]),  # a symbol past q's last
-    ([0, 1], [1, 2]),  # a symbol before q's first
-])
-def test_segment_tvs_reject_a_symbol_q_lacks(p, q):
-    with pytest.raises(ValueError, match="not within"):
-        _segment_tvs([ref.window([1]), ref.window(p)], ref.window(q))
-
-
 def _run_tv_cases(rng, lo, width):
     """Supports below, inside, above and straddling [lo, lo + width), and apart from it."""
     hi = lo + width
@@ -675,56 +640,6 @@ def test_run_tv_of_the_current_pmf_on_the_verify_ladders():
                 assert dist.run_tv(truth.current, window) == tv_distance(truth.current, window)
         for average in truth.window_averages:
             assert dist.run_tv(truth.current, average) == tv_distance(average, truth.current)
-
-
-def test_segment_tvs_equal_the_union_reference_across_chunks():
-    rng = np.random.default_rng(23)
-    q = ref.window(rng.integers(0, 1000, size=20000))
-    rows = [ref.window(rng.choice(q.symbols, size=n)) for n in rng.integers(1, 3000, 45)]
-    # a row alone, several rows in one chunk, and rows over several chunks
-    assert 5 * q.symbols.size <= dist.CHUNK_ELEMENTS < len(rows) * q.symbols.size
-    for ps in (rows[:1], rows[:5], rows):
-        assert _segment_tvs(ps, q).tolist() == [ref.tv_union(p, q) for p in ps]
-
-
-def test_segment_tvs_equal_the_union_reference_as_the_candidates_widen():
-    # the walk's pairs: each window against every smaller one, narrow
-    # candidates several to a chunk and wide ones a row per chunk
-    ladder = build_ladder(np.random.default_rng(24).integers(0, 3000, size=20000))
-    assert len(ladder) * ladder[-1].symbols.size > dist.CHUNK_ELEMENTS
-    for j in range(1, len(ladder)):
-        assert _segment_tvs(ladder[:j], ladder[j]).tolist() == [
-            ref.tv_union(w, ladder[j]) for w in ladder[:j]]
-    with pytest.raises(ValueError, match="not within"):
-        _segment_tvs([ref.window([4])], ref.window([5, 6]))
-
-
-@pytest.mark.parametrize("chunk", [None, 1, 40])
-def test_segment_tvs_on_several_segments_equal_the_union_reference(chunk, monkeypatch):
-    # rows of unequal length on the segments of three pmfs, in mixed order;
-    # a key is the segment times 1000 plus the symbol, so keys ascend
-    if chunk:
-        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
-    rng = np.random.default_rng(27)
-    qs = [_pmf_on(rng.choice(100, size=n, replace=False), rng) for n in (12, 30, 5)]
-    layout = (np.concatenate([k * 1000 + q.symbols for k, q in enumerate(qs)]),
-              np.concatenate([q.probs for q in qs]),
-              np.cumsum([0] + [q.support_size for q in qs]))
-    segments = np.array([2, 0, 1, 1, 0, 2, 1])
-    rows = [_pmf_on(rng.choice(qs[k].symbols, size=rng.integers(1, qs[k].support_size + 1)), rng)
-            for k in segments]
-    keys, probs, bounds = _block_of(rows)
-    keys = keys + 1000 * np.repeat(segments, np.diff(bounds))
-    want = [ref.tv_union(p, qs[k]) for p, k in zip(rows, segments)]
-    assert dist.segment_tvs([((keys, probs, bounds), layout, segments)]).tolist() == want
-    # the same rows as parts of their own, on layouts of their own
-    parts = [((keys[a:b], probs[a:b], np.array([0, b - a])), layout, segments[i:i + 1])
-             for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
-    assert dist.segment_tvs(parts).tolist() == want
-    with pytest.raises(ValueError, match="not within"):
-        # a symbol of segment 1 that segment 0 lacks
-        missing = np.setdiff1d(qs[1].symbols, qs[0].symbols)[:1]
-        dist.segment_tvs([((missing, np.ones(1), np.array([0, 1])), layout, np.array([0]))])
 
 
 # --- the one TV kernel, layout by layout, against the union reference ---------
@@ -786,7 +701,6 @@ def test_the_union_and_subset_layouts_equal_the_union_reference(chunk_rows, monk
     for n in ROW_COUNTS:
         want = [ref.tv_union(p, q) for p in rows[:n]]
         assert dist.block_tvs([_laid_back_to_back(rows[:n])], [q]).tolist() == want
-        assert _segment_tvs(rows[:n], q).tolist() == want
     if chunk_rows:
         assert _crosses_a_chunk_edge(asked)
     # the union layout: disjoint, nested, interleaved and equal supports

@@ -756,7 +756,7 @@ def _fresh_truth(scenario, monkeypatch):
     for chunk, wide in [(1 << 15, 256), (1000, 256), (1000, 1), (1000, 10**9), (1, 256)]
     for scenario in GENERATED if chunk > 1 or scenario.t <= 1024])
 def test_generated_rows_equal_the_materialised_truth(scenario, chunk, wide, monkeypatch):
-    monkeypatch.setattr(driftgen, "CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
     monkeypatch.setattr(driftgen, "WIDE_ROW", wide)
     monkeypatch.setattr(dist, "WIDE_ROW", wide)
     want = ref.materialized_segments(scenario)
@@ -782,11 +782,11 @@ def test_generated_rows_equal_the_materialised_truth(scenario, chunk, wide, monk
 
 
 def test_small_chunks_end_inside_runs_of_one_width_and_where_it_changes(monkeypatch):
-    monkeypatch.setattr(driftgen, "CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", 1000)
     inside = between = 0
     for scenario in GENERATED:
         widths = segments(scenario).widths
-        for part in list(driftgen._atom_chunks(widths))[:-1]:
+        for part in dist.groups(widths)[:-1]:
             same = widths[part.stop - 1] == widths[part.stop]
             inside += bool(same)
             between += not same
@@ -821,7 +821,7 @@ def test_each_row_is_written_once_as_the_truth_is_built(scenario, monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 3, 1 << 15])
 def test_row_checks_keep_their_precedence_across_chunks(chunk, monkeypatch):
     # each check's error wins over the later checks' wherever their rows lie
-    monkeypatch.setattr(driftgen, "CHUNK_ELEMENTS", chunk)
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
     rows = {"nan": [math.nan, 1.0], "negative": [1.5, -0.5], "zero": [1.0, 0.0],
             "light": [0.5, 0.4], "heavy": [0.5, 0.55], "ok": [0.5, 0.5]}
     cases = [(["ok", "zero", "negative", "nan"], "probabilities must be finite"),
@@ -846,7 +846,7 @@ def _window_sums_bound(truth):
     """The averages' sums and widest span, and eight chunk-sized float64 arrays, in bytes."""
     spans = sum(average.symbols.size for average in truth.window_averages)
     widest = truth.window_averages[-1].symbols.size
-    return 8 * (spans + widest + 8 * driftgen.CHUNK_ELEMENTS)
+    return 8 * (spans + widest + 8 * dist.CHUNK_ELEMENTS)
 
 
 @pytest.mark.parametrize("scenario, atoms, bound", [

@@ -567,19 +567,25 @@ def test_trial_suites_peak_within_a_multiple_of_the_block_bound(family):
 @pytest.mark.parametrize("family", range(6))
 def test_kernel_calls_per_block_do_not_grow_with_its_trials(family, monkeypatch):
     # the TVs to the window averages and to the current pmf take at most one
-    # call per window size each, and the walk one per run of candidate sizes
-    # and piece of its stack: a bound in the window sizes, however many trials
+    # call per window size each, and the walk, whose TVs are integer sums,
+    # none: a bound in the window sizes, however many trials
     scenario = harness.default_families(0)[family]
     calls = []
     tvs = dist._tvs
     monkeypatch.setattr(dist, "_tvs", lambda *args, **kwargs: (calls.append(1),
                                                               tvs(*args, **kwargs))[1])
+    walks = []
+    walk_block = harness.walk_block
+    monkeypatch.setattr(harness, "walk_block", lambda *args: (
+        walks.append(len(calls)), walk_block(*args), walks.append(len(calls)))[1])
     sizes = segments(scenario).depth + 1
     suites = (("prop1", 64), ("prop3", 64), ("prop45", 64), ("metrics", 64))
     for trials in sorted({1, 2, harness._block_size(scenario)}):
         calls.clear()
+        walks.clear()
         harness._suite_block(scenario, 0.05, None, suites, 0, trials)
-        assert 2 < len(calls) <= 3 * sizes
+        assert 2 <= len(calls) <= 2 * sizes
+        assert len(walks) == 2 and walks[0] == walks[1]
 
 
 def test_blocks_cut_at_the_suite_counts():
