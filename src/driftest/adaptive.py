@@ -209,7 +209,7 @@ def walk_block(windows: Sequence[Block], xis: np.ndarray) -> BlockWalk:
     records = []
     for j in range(1, depth):
         pairs = slice(at[j], at[j + 1])
-        if len(records) and not walking.all():  # only the trials still walking
+        if not walking.all():  # only the trials still walking
             pairs = np.arange(at[j], at[j + 1])[walking[trials[pairs]]]
         t, l, f, n = trials[pairs], ls[pairs], firsts[pairs], sizes[pairs]
         if not t.size:
