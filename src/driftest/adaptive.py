@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import (CHUNK_ELEMENTS, Block, Pmf, _cat, groups, lambda_complexity, row_edges,
-                   sorted_runs, sorted_union)
+                   row_slices, sorted_runs, sorted_union)
 from .windows import (as_stream, build_ladder, check_delta, ladder_phis, ladder_xis,
                       union_log_weight)
 
@@ -127,8 +127,8 @@ def walk_ladder(ladder: Sequence[Pmf], phis: Sequence[float],
     (``EstimateResult.compared``); the estimate copies the chosen window.
     """
     for j, window in enumerate(ladder):
-        for lo in range(0, window.probs.size, CHUNK_ELEMENTS):
-            if np.fmod(window.probs[lo:lo + CHUNK_ELEMENTS] * 2.0**j, 1.0).any():
+        for part in row_slices(window.probs.size, 1):
+            if np.fmod(window.probs[part] * 2.0**j, 1.0).any():
                 raise ValueError(f"window {j}'s probabilities are not counts over 2^{j}")
     walk = walk_block([(w.symbols, w.probs, np.array([0, w.symbols.size])) for w in ladder],
                       np.array([xis]))

@@ -399,8 +399,6 @@ def joined(blocks: Sequence[Block]) -> Block:
 def groups(sizes) -> list[slice]:
     """Consecutive slices of items of these sizes, each ``CHUNK_ELEMENTS`` at most, or one item."""
     ends = np.cumsum(sizes)
-    if ends.size and ends[-1] <= CHUNK_ELEMENTS:
-        return [slice(0, ends.size)]
     cuts = [0]
     while cuts[-1] < ends.size:
         start = ends[cuts[-1]] - sizes[cuts[-1]]

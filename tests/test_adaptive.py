@@ -313,8 +313,12 @@ def test_walk_rejects_windows_that_are_not_nested(ladder):
     (Pmf.from_dict({0: 1 / 3, 1: 2 / 3}), ref.window([0, 1])),  # window l's thirds
     (ref.window([0]), Pmf.from_dict({0: 0.5, 1: 0.5 + 1e-12})),  # a mass just off 1
 ], ids=["window_j", "window_l", "mass"])
-def test_walk_rejects_windows_that_are_not_counts_of_their_samples(ladder):
-    # a pair's TV is an exact integer sum only on windows of counts over 2^j
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_walk_rejects_windows_that_are_not_counts_of_their_samples(ladder, chunk, monkeypatch):
+    # a pair's TV is an exact integer sum only on windows of counts over 2^j;
+    # in chunks of one atom, the mass case's off atom is in the second
+    if chunk is not None:
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
     with pytest.raises(ValueError, match="not counts over 2"):
         walk_ladder(ladder, [9.0, 5.0], [9.0, 5.0])
 
