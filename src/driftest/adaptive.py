@@ -264,14 +264,14 @@ def _keys(windows: Sequence[Block], bounds: np.ndarray) -> list[np.ndarray]:
     block's span; a block whose keys would pass int64 raises.  Column c of
     ``bounds`` bounds the windows of index c.
     """
-    keys = np.concatenate([symbols for symbols, _, _ in windows])
-    low, high = int(keys.min()), int(keys.max())
+    low = min(int(symbols.min()) for symbols, _, _ in windows)
+    high = max(int(symbols.max()) for symbols, _, _ in windows)
     m = bounds.shape[0] - 1
     if (m - 1) * (high - low + 1) > np.iinfo(np.int64).max - high:
         raise ValueError("the block's symbols span too wide a range to key them by trial")
     offsets = np.arange(m) * (high - low + 1) - low
-    keys += np.tile(offsets, bounds.shape[1]).repeat(np.diff(bounds, axis=0).T.ravel())
-    return np.split(keys, np.cumsum(bounds[-1])[:-1])
+    return [symbols + offsets.repeat(np.diff(bounds[:, c]))
+            for c, (symbols, _, _) in enumerate(windows)]
 
 
 def fixed_window_estimate(stream, r: int) -> Pmf:
