@@ -250,7 +250,7 @@ def _pair_tvs(keys: list[np.ndarray], probs: list[np.ndarray], j: int, ls: np.nd
     if (keys[j].take(within, mode="clip") != symbols).any():
         raise ValueError("a support is not within the one it is compared with")
     there = probs[j][within]
-    del within  # a lone pair's temporaries are its window's size: at most two at once
+    del symbols, within  # a lone pair's temporaries are its window's size: at most two at once
     terms = _cat([probs[c][a:b] for c, a, b in at]) - there
     np.abs(terms, out=terms)
     terms -= there
