@@ -8,15 +8,11 @@ over its size (``windows.LadderBlock``), and its empirical complexity is
 ``block_phis``.
 
 Total variation is half the L1 distance over the sorted union of two
-supports.  One kernel (``_tvs``) takes every TV of a pmf here, each row a
-segment of one base less its atoms, laid out so that it holds the values
-the pair's sorted union holds, in the same order, and sums as the 1-D
-array does (``row_sums``): each TV has ``tv_distance``'s bits.  The
-layouts are the union, sorted (``tv_distance``); a support holding the
-rows' symbols (``block_tvs``: windows against their averages); and a run
-of consecutive symbols (``run_tv``, ``block_run_tvs``, ``rows_tv``: a
-truth's current pmf).  The adaptive walk compares windows of counts,
-whose TVs are exact integer sums, without the kernel.
+supports, summed as one 1-D array (``tv_distance``).  ``block_tvs`` takes
+the TVs of many rows, each against its own pmf, with those bits: each row
+lies on its sorted union with its pmf, laid out without a sort.  The
+adaptive walk compares windows of counts, whose TVs are exact integer
+sums, without either.
 """
 
 from __future__ import annotations
@@ -229,9 +225,6 @@ class Pmf:
 
 # elements of one 2-D chunk in the row-block operations, which bounds their temporaries
 CHUNK_ELEMENTS = 1 << 15
-# rows this wide on average are worked on one at a time: a few vector
-# operations per row then cost less than making temporaries of a chunk's size
-WIDE_ROW = 256
 
 
 def row_slices(rows: int, width: int) -> Iterator[slice]:
@@ -249,11 +242,10 @@ def row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     zero would move values between numpy's eight partial sums.
     """
     lengths = bounds[1:] - bounds[:-1]
-    distinct = set(lengths.tolist())
-    if len(distinct) == 1:  # the rows already lie as one matrix
-        return values[bounds[0]:bounds[-1]].reshape(lengths.size, distinct.pop()).sum(axis=1)
+    if (lengths == lengths[0]).all():  # the rows already lie as one matrix
+        return values[bounds[0]:bounds[-1]].reshape(lengths.size, int(lengths[0])).sum(axis=1)
     sums = np.empty(lengths.size)
-    for n in distinct:
+    for n in set(lengths.tolist()):
         rows = (lengths == n).nonzero()[0]
         first, last = int(rows[0]), int(rows[-1])
         if last - first == rows.size - 1:
@@ -263,69 +255,6 @@ def row_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _tvs(base: np.ndarray, starts: np.ndarray, edges: np.ndarray, flat: np.ndarray,
-         probs: np.ndarray, bounds: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
-    """0.5 times each row's sum of |its segment of base less its atoms|: the rows' TVs.
-
-    Row i lies at ``edges[i]:edges[i + 1]`` of one flat layout, holding
-    the segment of ``base`` from ``starts[i]``; its atoms are
-    ``bounds[i]:bounds[i + 1]`` of ``probs``, at their ascending places
-    ``flat``.  A chunk of rows at a time (at most ``CHUNK_ELEMENTS`` places,
-    or one wider row), each place comes to hold base less the row's atom
-    there, or base (x - 0.0 is x).  Where the chunk's rows hold one
-    segment, as a lone row does, one scatter writes the atoms into a zero
-    matrix taken from the segment by broadcasting; otherwise an index of
-    every place gathers the rows' segments.  The broadcast serves the
-    one-row calls of ``tv_distance`` and ``run_tv`` (with it, the 60,000
-    of the metric campaigns take 12 µs each rather than 20) and the rows of
-    ``block_tvs`` that share an iid truth's average.  With ``keep``, a
-    mask aligned with ``base``, each row keeps only the places its
-    segment's mask keeps and its own.  No row is padded.
-    """
-    n, total = edges.size - 1, int(edges[-1])
-    sums = np.empty(n)
-    lo = 0
-    while lo < n:
-        first = int(edges[lo])
-        hi = n if total - first <= CHUNK_ELEMENTS else max(
-            lo + 1, int(edges.searchsorted(first + CHUNK_ELEMENTS, "right")) - 1)
-        start, shared = int(starts[lo]), hi - lo == 1
-        if not shared:
-            widths = edges[lo + 1:hi + 1] - edges[lo:hi]
-            shared = bool(((starts[lo + 1:hi] == start) & (widths[1:] == widths[0])).all())
-        lay = edges[lo:hi + 1] - first if first else edges[:hi + 1]  # the chunk's rows' edges
-        a, b = int(bounds[lo]), int(bounds[hi])
-        at = flat[a:b] - first if first else flat[a:b]
-        if shared:
-            seg = slice(start, start + int(lay[1]))
-            diff = np.zeros(int(lay[-1]))
-            diff[at] = probs[a:b]
-            rows = diff.reshape(hi - lo, -1)  # a matrix of the rows, one width
-            np.subtract(base[seg], rows, out=rows)
-        else:
-            # each place's index in base: a row's first is its start, and
-            # the rest follow one by one
-            seg = np.ones(int(lay[-1]), dtype=np.int64)
-            seg[lay[:-1]] = starts[lo:hi]
-            seg[lay[1:-1]] -= starts[lo:hi - 1] + (lay[1:-1] - lay[:-2] - 1)
-            np.cumsum(seg, out=seg)
-            diff = base[seg]
-            diff[at] -= probs[a:b]
-            rows = None
-        np.abs(diff, out=diff)
-        if keep is not None:
-            kept = np.zeros(diff.shape, dtype=bool)
-            kept[at] = True
-            (kept if rows is None else kept.reshape(rows.shape))[...] |= keep[seg]
-            sums[lo:hi] = row_sums(diff[kept], np.concatenate(([0], np.cumsum(kept)[lay[1:] - 1])))
-        elif rows is not None:
-            sums[lo:hi] = rows.sum(axis=1)
-        else:
-            sums[lo:hi] = row_sums(diff, lay)
-        lo = hi
-    return 0.5 * sums
-
-
 def row_edges(widths) -> np.ndarray:
     """Rows' edges in a flat layout of rows of these widths laid back to back."""
     edges = np.zeros(len(widths) + 1, dtype=np.int64)
@@ -333,47 +262,22 @@ def row_edges(widths) -> np.ndarray:
     return edges
 
 
-def _one_row(base: np.ndarray, places: np.ndarray, probs: np.ndarray,
-             keep: np.ndarray | None = None) -> float:
-    """The TV of one row on the whole of ``base`` (``_tvs``)."""
-    return float(_tvs(base, np.zeros(1, dtype=np.int64), np.array([0, base.size]), places, probs,
-                      np.array([0, probs.size]), keep)[0])
-
-
 def tv_distance(p: Pmf, q: Pmf) -> float:
     """Total variation distance: half the L1 distance over the union support.
 
-    The union layout: p's probabilities on the sorted union, less q's.
+    p's probabilities on the sorted union, less q's, summed as one 1-D
+    array: the definition whose bits every TV here has.
     """
     union = sorted_union(p.symbols, q.symbols)
-    base = np.zeros(union.size)
-    base[union.searchsorted(p.symbols)] = p.probs
-    return _one_row(base, union.searchsorted(q.symbols), q.probs)
-
-
-# --- the subset layout: each row's symbols among its layout's -----------------
-
-
-def positions_within(symbols: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Where each of ``symbols`` sits in the sorted ``support``; raises if it lacks one.
-
-    A symbol past the support's last is placed at its end, where ``take``
-    reads the last symbol back, so one comparison finds it too.
-    """
-    pos = support.searchsorted(symbols)
-    if (support.take(pos, mode="clip") != symbols).any():
-        raise ValueError("a support is not within the one it is compared with")
-    return pos
+    diff = np.zeros(union.size)
+    diff[union.searchsorted(p.symbols)] = p.probs
+    diff[union.searchsorted(q.symbols)] -= q.probs
+    return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
 # a block of rows laid back to back: its atoms' symbols and probabilities, row
 # i's at bounds[i]:bounds[i + 1], from bounds[0] = 0 to the arrays' end
 Block = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays hold the same values."""
-    return a is b or (a.size == b.size and bool((a == b).all()))
 
 
 def _cat(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -390,12 +294,6 @@ def joined_bounds(blocks: Sequence[Block]) -> np.ndarray:
                           + [firsts[-1:]])
 
 
-def joined(blocks: Sequence[Block]) -> Block:
-    """The rows of several blocks as one block, laid back to back."""
-    return (_cat([symbols for symbols, _, _ in blocks]), _cat([probs for _, probs, _ in blocks]),
-            joined_bounds(blocks))
-
-
 def groups(sizes) -> list[slice]:
     """Consecutive slices of items of these sizes, each ``CHUNK_ELEMENTS`` at most, or one item."""
     ends = np.cumsum(sizes)
@@ -406,123 +304,100 @@ def groups(sizes) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
+def _places_in(symbols: np.ndarray, q: Pmf) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each symbol's place in q's sorted support, and which symbols q lacks (None for none).
+
+    A symbol q lacks takes the place of q's first symbol above it.  When q
+    sits on consecutive symbols, as a truth row and a current pmf do, a
+    place is the symbol's offset, found without a search.
+    """
+    lo, m = int(q.symbols[0]), q.symbols.size
+    if int(q.symbols[-1]) - lo == m - 1:
+        places = symbols - lo
+        if int(places.min()) >= 0 and int(places.max()) < m:
+            return places, None
+        lack = (places < 0) | (places >= m)
+        return np.clip(places, 0, m, out=places), lack
+    places = q.symbols.searchsorted(symbols)
+    lack = q.symbols.take(places, mode="clip") != symbols
+    return places, lack if lack.any() else None
+
+
+def _tv_chunk(pieces: list[tuple[np.ndarray, np.ndarray, Pmf, int]], atoms: np.ndarray,
+               sizes: np.ndarray) -> np.ndarray:
+    """The TVs of a chunk's rows, given as pieces (symbols, probabilities, q, rows) of one q each.
+
+    Row i holds ``atoms[i]`` atoms and its q ``sizes[i]``; its union with q
+    holds those of its symbols q lacks besides.  Where no row has such a
+    symbol, each piece's rows lie on q's support as one matrix, and q's
+    probabilities are taken from its rows by broadcasting.  Temporaries are
+    freed once read: a chunk's peak is part of a truth's.
+    """
+    places, lacks = zip(*[_places_in(symbols, q) for symbols, _, q, _ in pieces])
+    at = _cat(places)
+    del places
+    if all(lack is None for lack in lacks):
+        # every row lies on its q's support, so a piece's rows are a matrix
+        edges = row_edges(sizes)
+        at += np.repeat(edges[:-1], atoms)
+        diff = np.zeros(int(edges[-1]))
+        diff[at] = _cat([probs for _, probs, _, _ in pieces])
+        first = 0
+        for _, _, q, rows in pieces:
+            rest = diff[first:first + rows * q.symbols.size].reshape(rows, -1)
+            np.subtract(rest, q.probs, out=rest)
+            first += rest.size
+    else:
+        lack = _cat([np.zeros(symbols.size, dtype=bool) if lack is None else lack
+                     for lack, (symbols, _, _, _) in zip(lacks, pieces)])
+        del lacks
+        below = np.cumsum(lack)  # the chunk's lacking symbols up to each atom
+        before = np.concatenate(([0], below[np.cumsum(atoms) - 1]))  # ... before each row
+        edges = row_edges(sizes + np.diff(before))
+        below -= lack
+        at += below
+        del below
+        at += np.repeat(edges[:-1] - before[:-1], atoms)
+        diff = np.zeros(int(edges[-1]))
+        diff[at] = _cat([probs for _, probs, _, _ in pieces])
+        free = np.ones(diff.size, dtype=bool)  # q's places
+        free[at[lack]] = False
+        diff[free] -= _cat([np.tile(q.probs, rows) for _, _, q, rows in pieces])
+    return 0.5 * row_sums(np.abs(diff, out=diff), edges)
+
+
 def block_tvs(blocks: Sequence[Block], qs: Sequence[Pmf]) -> np.ndarray:
-    """``tv_distance(row, q)`` for the rows of each block against its q, back to back.
+    """``tv_distance(row, q)`` for the rows of each block against its q, back to back, bit for bit.
 
-    Block k's symbols are among ``qs[k]``'s, so each row's union with q is
-    q's support and none is sorted: the subset layout, q's probabilities
-    less the row's at their places.  Every block takes one kernel call
-    together, block k's rows on segment k of one base; a pmf equal to the
-    one before it shares its segment, as an iid truth's window averages
-    all do.  A symbol q lacks raises.
+    Row i lies on its sorted union with its q, laid out without a sort: an
+    atom's place is its place in q plus the row's symbols q lacks below it
+    (``_places_in``), and q's atoms fill the other places.  Each place holds
+    the row's probability less q's, whose absolute value is the one
+    ``tv_distance`` sums there (|a - b| is |b - a|), and each row sums as
+    its 1-D layout (``row_sums``).  The rows go a chunk at a time, each at
+    most ``CHUNK_ELEMENTS`` atoms of rows and of their qs, or one row
+    (``groups``); a chunk may hold rows of several blocks.
     """
-    segment = np.cumsum([k == 0 or not (_equal(q.symbols, qs[k - 1].symbols)
-                                        and _equal(q.probs, qs[k - 1].probs))
-                         for k, q in enumerate(qs)]) - 1
-    distinct = [q for k, q in enumerate(qs) if k == 0 or segment[k] > segment[k - 1]]
-    starts = row_edges([q.symbols.size for q in distinct])[segment]
-    rows = [bounds.size - 1 for _, _, bounds in blocks]
-    edges, bounds = row_edges(np.repeat([q.symbols.size for q in qs], rows)), joined_bounds(blocks)
-    flat = _cat([positions_within(symbols, q.symbols) for (symbols, _, _), q in zip(blocks, qs)])
-    flat += edges[:-1].repeat(bounds[1:] - bounds[:-1])
-    return _tvs(_cat([q.probs for q in distinct]), starts.repeat(rows), edges, flat,
-                _cat([probs for _, probs, _ in blocks]), bounds)
-
-
-# --- the run layout: one side on consecutive symbols --------------------------
-
-
-def _run_range(run: Pmf) -> tuple[int, int]:
-    """The first symbol and width of a pmf on consecutive symbols; raises for any other."""
-    lo, width = int(run.symbols[0]), run.symbols.size
-    if int(run.symbols[-1]) - lo != width - 1:
-        raise ValueError("run must sit on consecutive symbols")
-    return lo, width
-
-
-def _run_layout(run: Pmf, support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted union of a run's symbols [lo, hi) and a sorted support, laid out without a sort.
-
-    It is the support's symbols below lo, then lo .. hi-1, then the
-    support's from hi on: two ``searchsorted`` positions.  Returns the
-    run's probabilities on it, zero elsewhere, and the places of the
-    support's symbols.  A truth's current pmf is such a run, since a truth
-    row has no zero atom.
-    """
-    lo, width = _run_range(run)
-    a, b = support.searchsorted((lo, lo + width)).tolist()
-    base = np.zeros(a + width + support.size - b)
-    base[a:a + width] = run.probs
-    places = np.arange(support.size)
-    places[a:b] = support[a:b] - (lo - a)
-    places[b:] += a + width - b
-    return base, places
-
-
-def run_tv(run: Pmf, q: Pmf) -> float:
-    """``tv_distance(run, q)`` bit for bit, for a pmf ``run`` on consecutive symbols [lo, hi).
-
-    q's row sums the whole run layout of q's support (``_run_layout``).
-    """
-    base, places = _run_layout(run, q.symbols)
-    return _one_row(base, places, q.probs)
-
-
-def block_run_tvs(run: Pmf, block: Block) -> np.ndarray:
-    """``run_tv(run, row)`` for every row of a block, bit for bit, each on its own run layout.
-
-    Row i's run layout is its symbols below lo, then lo .. hi-1, then its
-    symbols from hi on (``_run_layout``).  With a_i of its symbols below
-    lo, that is the segment of one base (zeros, the run's probabilities,
-    zeros) that starts a_i places before the run, so every row of every
-    window size takes one kernel call and no layout wider than a row's
-    own is made.
-    """
-    symbols, probs, bounds = block
-    lo, width = _run_range(run)
-    counts = bounds[1:] - bounds[:-1]
-    below, inside = (np.diff(np.concatenate(([0], np.cumsum(symbols < edge)))[bounds])
-                     for edge in (lo, lo + width))
-    inside -= below
-    pad = int(below.max())
-    base = np.zeros(pad + width + int((counts - below - inside).max()))
-    base[pad:pad + width] = run.probs
-    edges = row_edges(counts - inside + width)
-    # an atom's place in its row's layout is its index i in the row, plus
-    # the run's symbols below it, less the row's own among them:
-    # i + clip(s - lo, 0, width) - clip(i - below, 0, inside)
-    index = np.arange(symbols.size)
-    index -= bounds[:-1].repeat(counts)
-    flat = np.clip(symbols - lo, 0, width)
-    flat += index
-    index -= below.repeat(counts)
-    flat -= np.clip(index, 0, inside.repeat(counts), out=index)
-    flat += edges[:-1].repeat(counts)
-    return _tvs(base, pad - below, edges, flat, probs, bounds)
-
-
-def rows_tv(starts: np.ndarray, widths: np.ndarray, probs: np.ndarray, q: Pmf) -> np.ndarray:
-    """``tv_distance(q, row)`` for every row, bit for bit.
-
-    Row i puts its ``widths[i]`` probabilities, which follow the rows
-    before it in the flat ``probs``, on the consecutive symbols from
-    ``starts[i]``; q must sit on consecutive symbols too.  A row past
-    either end of q is moved next to it, which keeps the layout of its
-    union with q, so all rows fit one run layout: a range of consecutive
-    symbols around q's, where a symbol's place is its offset.  Each row
-    keeps q's places and its own.
-    """
-    lo, m = _run_range(q)
-    d = np.clip(starts - lo, -widths, m)
-    first = min(int(d.min()), 0)  # the layout starts at symbol lo + first
-    base = np.zeros(max(int((d + widths).max()), m) - first)
-    base[-first:m - first] = q.probs
-    bounds = row_edges(widths)
-    edges = np.arange(0, (widths.size + 1) * base.size, base.size)
-    flat = np.arange(bounds[-1]) + np.repeat(edges[:-1] + d - first - bounds[:-1], widths)
-    # q's atoms are positive; rows within q's symbols all sum q's whole layout
-    return _tvs(base, np.zeros(widths.size, dtype=np.int64), edges, flat, probs, bounds,
-                keep=base > 0 if base.size > m else None)
+    counts = [bounds.size - 1 for _, _, bounds in blocks]
+    firsts = row_edges(counts).tolist()  # each block's first row among all rows
+    owner = np.repeat(np.arange(len(blocks)), counts)
+    atoms = np.diff(joined_bounds(blocks))
+    sizes = np.array([q.symbols.size for q in qs])[owner]
+    tvs = np.empty(atoms.size)
+    for part in groups(atoms + sizes):
+        pieces = []  # consecutive blocks against one q are one piece
+        for k in range(int(owner[part.start]), int(owner[part.stop - 1]) + 1):
+            symbols, probs, bounds = blocks[k]
+            a, z = max(part.start, firsts[k]) - firsts[k], min(part.stop, firsts[k + 1]) - firsts[k]
+            edge = slice(int(bounds[a]), int(bounds[z]))
+            if not pieces or pieces[-1][2] is not qs[k]:
+                pieces.append(([], [], qs[k], []))
+            pieces[-1][0].append(symbols[edge])
+            pieces[-1][1].append(probs[edge])
+            pieces[-1][3].append(z - a)
+        tvs[part] = _tv_chunk([(_cat(symbols), _cat(probs), q, sum(rows))
+                                for symbols, probs, q, rows in pieces], atoms[part], sizes[part])
+    return tvs
 
 
 def lambda_complexity(p: Pmf, r):

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .dist import MASS_TOL, WIDE_ROW, Pmf, groups, lambda_complexity, row_slices, rows_tv
+from .dist import MASS_TOL, Pmf, block_tvs, groups, lambda_complexity, row_slices
 from .windows import dyadic_depth
 
 TAIL_TOL = 1e-12
@@ -333,6 +333,9 @@ def _array_rows(probs, widths: np.ndarray) -> Callable:
 
 # atoms of each row's CDF that every draw searches first
 _CDF_PREFIX = 32
+# rows this wide on average are added to the window sums one at a time: a few
+# vector operations per row then cost less than making temporaries of a chunk's size
+WIDE_ROW = 256
 
 
 class Truth:
@@ -405,7 +408,10 @@ class Truth:
             if z == n:
                 self.current = Pmf(self.starts[-1] + np.arange(bounds[-1] - bounds[-2]),
                                    atoms[bounds[-2]:])
-            gaps[a:z] = rows_tv(self.starts[a:z], self.widths[a:z], atoms, self.current)
+            symbols = np.repeat(self.starts[a:z] - bounds[:-1], self.widths[a:z])
+            symbols += np.arange(atoms.size)
+            gaps[a:z] = block_tvs([(symbols, atoms, bounds)], [self.current])
+            del symbols
             if prefixes:
                 at = self.prefix_at[a:z + 1]
                 self.prefix[at[0]:at[-1]] = atoms if at[-1] - at[0] == atoms.size else atoms[

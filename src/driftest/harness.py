@@ -26,8 +26,8 @@ import numpy as np
 
 from . import driftgen
 from .adaptive import argmin_prefer_large, q_minimum, realized_error_curve, walk_block
-from .dist import (CHUNK_ELEMENTS, Pmf, block_phis, block_run_tvs, block_tvs, groups, half_norm,
-                   joined, joined_bounds, lambda_complexity, run_tv, tv_distance)
+from .dist import (CHUNK_ELEMENTS, Pmf, block_phis, block_tvs, groups, half_norm, joined_bounds,
+                   lambda_complexity, tv_distance)
 from .driftgen import DriftScenario, Truth, linear_drift, sample_streams, segments
 from .windows import LadderBlock, check_delta, concentration_radius, dyadic_depth
 
@@ -150,13 +150,10 @@ def _window_columns(ladders: LadderBlock, blocks: list, truth: Truth, average: b
 
     Rows are trials and columns ``ladders.js``, whose windows ``blocks``
     holds (``LadderBlock.block``); each is computed only when asked for.
-    A window's samples were drawn from the steps its average mixes, so its
-    symbols are among the average's (``block_tvs``), and the current pmf
-    sits on consecutive symbols (``block_run_tvs``): no union of a window's
-    is sorted.  Each kind of TV takes one kernel call for every run of
-    window sizes whose rows span at most ``CHUNK_ELEMENTS`` places, or for
-    one size whose rows span more (their work dwarfs a call's), so
-    verify's blocks take one each; the phis take one ``row_sums``.
+    Each kind of TV takes one ``block_tvs`` call for every run of window
+    sizes whose rows span at most ``CHUNK_ELEMENTS`` places, or for one size
+    whose rows span more (their work dwarfs a call's), so verify's blocks
+    take one each; the phis take one ``row_sums``.
     """
     averages = [truth.window_averages[j] for j in ladders.js]
     to_average, to_current = [], []
@@ -166,7 +163,7 @@ def _window_columns(ladders: LadderBlock, blocks: list, truth: Truth, average: b
     if current:
         for part in groups([probs.size + ladders.rows * truth.current.symbols.size
                             for _, probs, _ in blocks]):
-            to_current.append(block_run_tvs(truth.current, joined(blocks[part])))
+            to_current.append(block_tvs(blocks[part], [truth.current] * len(blocks[part])))
 
     def columns(values: list[np.ndarray]) -> np.ndarray:
         return np.concatenate(values).reshape(len(blocks), ladders.rows).T
@@ -401,10 +398,12 @@ def _suite_report(name: str, slacks: Mapping[str, Sequence[float]], tol: float,
 
 def _prop1_report(scenario: DriftScenario, rows: list[list[float]], tol: float) -> SuiteReport:
     truth = segments(scenario)
+    averages = truth.window_averages
+    to_current = block_tvs([(q.symbols, q.probs, np.array([0, q.symbols.size])) for q in averages],
+                           [truth.current] * len(averages))
     return _suite_report("prop1", {
         "decomposition": list(chain.from_iterable(rows)),
-        "averaging": [run_tv(truth.current, average) - drift for average, drift
-                      in zip(truth.window_averages, truth.window_deltas)],
+        "averaging": (to_current - truth.window_deltas).tolist(),
     }, tol)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from driftest import adaptive, dist, driftgen, harness
 from driftest.adaptive import (CandidateRecord, Comparison, EstimateResult, StopReason,
                                argmin_prefer_large, q_curve, realized_error_curve)
-from driftest.dist import Pmf, lambda_complexity, rows_tv, sorted_union, tv_distance
+from driftest.dist import Pmf, lambda_complexity, sorted_union, tv_distance
 from driftest.driftgen import (_MAX_TRUNCATED_SUPPORT, ABRUPT_POST_OFFSET, TAIL_TOL, Truth,
                                _charge_truth_size, _geometric_atoms, _hurwitz_zeta,
                                _linear_alpha, _trial_rng)
@@ -426,7 +426,7 @@ class MaterializedTruth:
         self.probs = probs
         self.offsets = np.concatenate(([0], np.cumsum(self.widths)))
         self.current = self.pmf(self.widths.size - 1)
-        gaps = rows_tv(self.starts, self.widths, self.probs, self.current)
+        gaps = np.array([tv_union(self.current, self.pmf(row)) for row in range(self.widths.size)])
         self.drift = np.maximum.accumulate(np.repeat(gaps[self.rows[::-1]], self.counts[::-1]))
         ends = np.cumsum(self.counts[::-1])
         depth = dyadic_depth(int(np.sum(self.counts)))

@@ -494,7 +494,13 @@ def test_range_block_rejects_negative_starts_and_freezes_its_arrays():
         assert not starts.flags.writeable and not probs.flags.writeable
 
 
-def test_rows_tv_equals_tv_distance_bit_for_bit():
+def _on_runs(starts, widths, probs):
+    """A block of rows on the consecutive symbols from ``starts``, each ``widths`` wide."""
+    bounds = np.concatenate(([0], np.cumsum(widths)))
+    return np.repeat(starts - bounds[:-1], widths) + np.arange(bounds[-1]), probs, bounds
+
+
+def test_block_tvs_of_rows_on_consecutive_symbols_equal_tv_distance_bit_for_bit():
     # rows below, overlapping, nested in, adjacent to, and above q
     rng = np.random.default_rng(21)
     for width, q_width in ((1, 1), (3, 5), (8, 8), (20, 4), (130, 70)):
@@ -502,15 +508,14 @@ def test_rows_tv_equals_tv_distance_bit_for_bit():
         q = Pmf(np.arange(q_lo, q_lo + q_width), rng.dirichlet(np.ones(q_width)))
         starts = np.arange(q_lo - width - 3, q_lo + q_width + 4)
         probs = rng.dirichlet(np.ones(width), size=starts.size)
-        got = dist.rows_tv(starts, np.full(starts.size, width), probs.ravel(), q)
+        got = dist.block_tvs([_on_runs(starts, np.full(starts.size, width), probs.ravel())], [q])
         want = [tv_distance(q, Pmf(start + np.arange(width), row))
                 for start, row in zip(starts, probs)]
         assert got.tolist() == want
 
 
-def test_rows_tv_sums_rows_of_any_width_that_share_a_layout():
-    # rows nested in q at one start share q's layout whatever their widths,
-    # as do rows of one width apart from q; here every row is summed at once
+def test_block_tvs_sum_rows_of_any_width_against_one_q():
+    # rows nested in q, apart from it and across its ends, of many widths
     rng = np.random.default_rng(25)
     q = Pmf(np.arange(10, 60), rng.dirichlet(np.ones(50)))
     widths = np.array([1, 7, 50, 8, 33, 3, 12, 12, 2, 40])
@@ -519,11 +524,11 @@ def test_rows_tv_sums_rows_of_any_width_that_share_a_layout():
     offsets = np.concatenate(([0], np.cumsum(widths)))
     want = [tv_distance(q, Pmf(start + np.arange(n), probs[a:b]))
             for start, n, a, b in zip(starts, widths, offsets[:-1], offsets[1:])]
-    assert dist.rows_tv(starts, widths, probs, q).tolist() == want
-    for chunk in (1, 60, 150):  # a row per chunk, and chunks across the rows of a layout
+    assert dist.block_tvs([_on_runs(starts, widths, probs)], [q]).tolist() == want
+    for chunk in (1, 60, 150):  # a row per chunk, and chunks of several rows
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dist, "CHUNK_ELEMENTS", chunk)
-            assert dist.rows_tv(starts, widths, probs, q).tolist() == want
+            assert dist.block_tvs([_on_runs(starts, widths, probs)], [q]).tolist() == want
 
 
 def test_row_sums_equal_each_row_summed_alone():
@@ -555,46 +560,44 @@ def test_block_tvs_equal_tv_distance_bit_for_bit(chunk, monkeypatch):
             block = _block_of(rows)
             assert dist.block_tvs([block], [average]).tolist() == [
                 tv_distance(w, average) for w in rows]
-            assert dist.block_run_tvs(truth.current, block).tolist() == [
+            assert dist.block_tvs([block], [truth.current]).tolist() == [
                 tv_distance(truth.current, w) for w in rows]
-            assert dist.block_run_tvs(truth.current, _block_of(rows[:1])).tolist() == [
+            assert dist.block_tvs([_block_of(rows[:1])], [truth.current]).tolist() == [
                 tv_distance(truth.current, rows[0])]
             blocks.append(block)
             want_average += [tv_distance(w, average) for w in rows]
             want_current += [tv_distance(truth.current, w) for w in rows]
-        # every size at once, each block on its own average's segment
+        # every size at once, each block against its own pmf
         assert dist.block_tvs(blocks, truth.window_averages).tolist() == want_average
-        joined = (np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks]),
-                  dist.joined_bounds(blocks))
-        assert dist.block_run_tvs(truth.current, joined).tolist() == want_current
+        assert dist.block_tvs(blocks, [truth.current] * len(blocks)).tolist() == want_current
 
 
-def test_block_tvs_share_the_segment_of_equal_pmfs():
-    # an equal pmf after another shares its segment; one apart from it does not
+def test_block_tvs_chunk_rows_of_several_blocks_together(monkeypatch):
+    # blocks against equal pmfs, and against others, share chunks: each
+    # chunk's rows are summed at once, whatever block they come from
     rng = np.random.default_rng(28)
     q = _pmf_on(np.arange(0, 30, 3), rng)
     qs = [q, Pmf(q.symbols.copy(), q.probs.copy()), _pmf_on([3, 6, 9], rng), q]
     rows = [[_pmf_on(rng.choice(p.symbols, 2), rng) for _ in range(3)] for p in qs]
-    asked = []
-    tvs = dist._tvs
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dist, "_tvs", lambda base, *rest: (asked.append(base.size),
-                                                         tvs(base, *rest))[1])
-        got = dist.block_tvs([_block_of(block) for block in rows], qs)
+    calls = _chunked(monkeypatch)
+    got = dist.block_tvs([_block_of(block) for block in rows], qs)
     assert got.tolist() == [ref.tv_union(p, q) for block, q in zip(rows, qs) for p in block]
-    assert asked == [10 + 3 + 10]
+    assert calls == [[[10] * 6 + [3] * 3 + [10] * 3]]
 
 
-def test_block_tvs_reject_a_symbol_the_layout_lacks():
-    block = _block_of([ref.window([1, 2]), ref.window([2, 9])])
-    q = Pmf.uniform(range(1, 4))
-    with pytest.raises(ValueError, match="not within"):
-        dist.block_tvs([block], [q])
+def test_block_tvs_give_a_row_with_symbols_q_lacks_the_union_bits():
+    rows = [ref.window([1, 2]), ref.window([2, 9]), ref.window([0, 0, 4]), ref.window([7])]
+    for q in (Pmf.uniform(range(1, 4)), Pmf.from_dict({1: 0.25, 3: 0.75})):
+        assert dist.block_tvs([_block_of(rows)], [q]).tolist() == [
+            ref.tv_union(p, q) for p in rows]
 
 
-def test_rows_tv_needs_q_on_consecutive_symbols():
-    with pytest.raises(ValueError, match="consecutive"):
-        dist.rows_tv(np.array([0]), np.array([1]), np.ones(1), Pmf.from_dict({0: 0.5, 2: 0.5}))
+@pytest.mark.parametrize("row, q", [
+    (Pmf.point_mass(0), Pmf.from_dict({0: 0.5, 2: 0.5})),
+    (Pmf.from_dict({0: 0.5, 2: 0.5}), Pmf.point_mass(1)),
+], ids=["q-apart-from-a-run", "row-apart-from-a-run"])
+def test_block_tvs_need_no_run_of_consecutive_symbols(row, q):
+    assert dist.block_tvs([_block_of([row])], [q]).tolist() == [ref.tv_union(row, q)]
 
 
 def _run_tv_cases(rng, lo, width):
@@ -611,8 +614,9 @@ def _run_tv_cases(rng, lo, width):
 
 
 @pytest.mark.parametrize("width", [1, 7, 60, 300])
-def test_run_tv_equals_tv_distance_bit_for_bit(width):
-    # widths across numpy's pairwise-sum regimes (under 8, 8-128, over 128)
+def test_block_tvs_against_a_run_equal_tv_distance_bit_for_bit(width):
+    # widths across numpy's pairwise-sum regimes (under 8, 8-128, over 128);
+    # each pair both ways, the run as the row and as q
     rng = np.random.default_rng(31 + width)
     lo = 100
     run = Pmf(lo + np.arange(width), rng.dirichlet(np.ones(width)))
@@ -621,28 +625,28 @@ def test_run_tv_equals_tv_distance_bit_for_bit(width):
         q = Pmf(symbols, rng.dirichlet(np.ones(symbols.size)))
         window = ref.window(rng.choice(symbols, size=50))
         for other in (q, window):
-            assert dist.run_tv(run, other) == tv_distance(run, other), name
-            assert dist.run_tv(run, other) == tv_distance(other, run), name
+            want = tv_distance(run, other)
+            assert want == tv_distance(other, run), name
+            assert dist.block_tvs([_block_of([other])], [run]).tolist() == [want], name
+            assert dist.block_tvs([_block_of([run])], [other]).tolist() == [want], name
 
 
-def test_run_tv_needs_a_run_of_consecutive_symbols():
-    with pytest.raises(ValueError, match="consecutive"):
-        dist.run_tv(Pmf.from_dict({0: 0.5, 2: 0.5}), Pmf.point_mass(1))
-
-
-def test_run_tv_of_the_current_pmf_on_the_verify_ladders():
+def test_block_tvs_of_the_current_pmf_on_the_verify_ladders():
     # the current pmf against every window of verify's ladders at 50 trials,
     # and against every window average
     for scenario in default_families(0):
         truth = segments(scenario)
         for trial in range(50):
-            for window in build_ladder(sample_stream(scenario, trial)):
-                assert dist.run_tv(truth.current, window) == tv_distance(truth.current, window)
-        for average in truth.window_averages:
-            assert dist.run_tv(truth.current, average) == tv_distance(average, truth.current)
+            ladder = build_ladder(sample_stream(scenario, trial))
+            assert dist.block_tvs([_block_of(ladder)], [truth.current]).tolist() == [
+                tv_distance(truth.current, window) for window in ladder]
+        averages = truth.window_averages
+        assert dist.block_tvs([_block_of([average]) for average in averages],
+                              [truth.current] * len(averages)).tolist() == [
+            tv_distance(average, truth.current) for average in averages]
 
 
-# --- the one TV kernel, layout by layout, against the union reference ---------
+# --- every row on its union with its q, against the union reference ----------
 
 
 def _pmf_on(symbols, rng):
@@ -650,35 +654,28 @@ def _pmf_on(symbols, rng):
     return Pmf(symbols, rng.dirichlet(np.ones(symbols.size)))
 
 
-def _laid_back_to_back(rows):
-    bounds = np.concatenate(([0], np.cumsum([p.symbols.size for p in rows])))
-    return (np.concatenate([p.symbols for p in rows]), np.concatenate([p.probs for p in rows]),
-            bounds)
-
-
 def _chunked(monkeypatch):
-    """The rows' widths of each call of the kernel, ``dist._tvs``."""
-    asked = []
-    tvs = dist._tvs
+    """Each ``block_tvs`` call's chunks, each the widths of its rows' layouts.
 
-    def recorded(base, starts, edges, flat, probs, bounds, keep=None):
-        asked.append(np.diff(edges).tolist())
-        return tvs(base, starts, edges, flat, probs, bounds, keep)
-    monkeypatch.setattr(dist, "_tvs", recorded)
-    return asked
+    A chunk's rows are summed by one ``row_sums`` call.
+    """
+    calls = []
+    block_tvs, row_sums = dist.block_tvs, dist.row_sums
+    monkeypatch.setattr(dist, "block_tvs", lambda *args: (calls.append([]), block_tvs(*args))[1])
+    monkeypatch.setattr(dist, "row_sums", lambda values, bounds: (
+        calls[-1].append(np.diff(bounds).tolist()), row_sums(values, bounds))[1])
+    return calls
 
 
-def _crosses_a_chunk_edge(asked):
-    """Whether some call cut its rows into chunks of several rows, the last one short."""
-    for widths in asked:
-        chunks, rows, width = [], 0, 0
-        for w in widths:  # a chunk takes rows while they fit, and at least one
-            if rows and width + w > dist.CHUNK_ELEMENTS:
-                chunks.append(rows)
-                rows, width = 0, 0
-            rows, width = rows + 1, width + w
-        chunks.append(rows)
-        if len(chunks) > 1 and max(chunks) > 1 and chunks[-1] < max(chunks):
+def _crosses_a_chunk_edge(calls):
+    """Whether some call cut its rows into chunks of several rows, the last one short.
+
+    A chunk of several rows never spans more than ``CHUNK_ELEMENTS`` places.
+    """
+    for chunks in calls:
+        assert all(len(widths) == 1 or sum(widths) <= dist.CHUNK_ELEMENTS for widths in chunks)
+        rows = [len(widths) for widths in chunks]
+        if len(rows) > 1 and max(rows) > 1 and rows[-1] < max(rows):
             return True
     return False
 
@@ -688,22 +685,23 @@ ROW_COUNTS = (1, 2, 3, 4, 7)
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 3])
-def test_the_union_and_subset_layouts_equal_the_union_reference(chunk_rows, monkeypatch):
+def test_rows_within_q_and_the_union_equal_the_union_reference(chunk_rows, monkeypatch):
     rng = np.random.default_rng(41)
     q = _pmf_on(np.arange(10, 60, 2), rng)
-    asked = _chunked(monkeypatch)
+    calls = _chunked(monkeypatch)
     if chunk_rows:
-        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * q.symbols.size)
+        # a chunk holds each row's atoms and q's: about 3 of the first rows
+        monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * (q.symbols.size + 8))
     # one atom, every atom, and rows of unequal length, all among q's symbols
     rows = [_pmf_on([10], rng), _pmf_on(q.symbols, rng), _pmf_on([58, 12], rng),
             _pmf_on(rng.choice(q.symbols, 9), rng), _pmf_on(q.symbols[::3], rng),
             ref.window(rng.choice(q.symbols, 40)), _pmf_on(q.symbols[-4:], rng)]
     for n in ROW_COUNTS:
         want = [ref.tv_union(p, q) for p in rows[:n]]
-        assert dist.block_tvs([_laid_back_to_back(rows[:n])], [q]).tolist() == want
+        assert dist.block_tvs([_block_of(rows[:n])], [q]).tolist() == want
     if chunk_rows:
-        assert _crosses_a_chunk_edge(asked)
-    # the union layout: disjoint, nested, interleaved and equal supports
+        assert _crosses_a_chunk_edge(calls)
+    # the union itself: disjoint, nested, interleaved and equal supports
     for p in rows + [_pmf_on([0, 1], rng), _pmf_on([99, 200], rng), _pmf_on([11, 13, 61], rng),
                      _pmf_on(np.arange(0, 100, 3), rng), q]:
         assert tv_distance(p, q) == ref.tv_union(p, q)
@@ -711,23 +709,23 @@ def test_the_union_and_subset_layouts_equal_the_union_reference(chunk_rows, monk
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 3])
-def test_the_run_layout_equals_the_union_reference(chunk_rows, monkeypatch):
+def test_rows_against_a_run_equal_the_union_reference(chunk_rows, monkeypatch):
     rng = np.random.default_rng(42)
     run = _pmf_on(np.arange(40, 52), rng)
     # rows below the run, above it, past either end, inside it and around it
     rows = [_pmf_on([3, 17, 39], rng), _pmf_on([52, 60, 90], rng), _pmf_on([38, 39, 40, 45], rng),
             _pmf_on([50, 51, 52, 53], rng), _pmf_on([44], rng), _pmf_on([0, 41, 70], rng),
             _pmf_on(np.arange(30, 65), rng)]
-    asked = _chunked(monkeypatch)
+    calls = _chunked(monkeypatch)
     if chunk_rows:
-        # each row lies on its own run layout, the first five 13-16 places wide
+        # a chunk holds each row's atoms and the run's, the first five 13-16
         monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * 15)
     for n in ROW_COUNTS:
         want = [ref.tv_union(run, p) for p in rows[:n]]
-        assert dist.block_run_tvs(run, _laid_back_to_back(rows[:n])).tolist() == want
-        assert [dist.run_tv(run, p) for p in rows[:n]] == want
+        assert dist.block_tvs([_block_of(rows[:n])], [run]).tolist() == want
+        assert [float(dist.block_tvs([_block_of([p])], [run])[0]) for p in rows[:n]] == want
     if chunk_rows:
-        assert _crosses_a_chunk_edge(asked)
+        assert _crosses_a_chunk_edge(calls)
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 3])
@@ -740,19 +738,53 @@ def test_rows_on_consecutive_symbols_equal_the_union_reference(chunk_rows, monke
              (400, 5)]
     starts, widths = (np.array(column) for column in zip(*spans))
     pmfs = [Pmf(s + np.arange(w), rng.dirichlet(np.ones(w))) for s, w in spans]
-    asked = _chunked(monkeypatch)
+    calls = _chunked(monkeypatch)
     if chunk_rows:
-        # the layout is 95 .. 114, 20 places: the far rows are moved next to q
+        # a chunk holds each row's atoms and q's, 12 to 30
         monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk_rows * 20)
     for order in (np.arange(len(spans)), rng.permutation(len(spans))):
         for n in ROW_COUNTS + (len(spans),):
             rows = order[:n]
-            got = dist.rows_tv(starts[rows], widths[rows],
-                               np.concatenate([pmfs[i].probs for i in rows]), q)
+            got = dist.block_tvs([_on_runs(starts[rows], widths[rows],
+                                           np.concatenate([pmfs[i].probs for i in rows]))], [q])
             assert got.tolist() == [ref.tv_union(q, pmfs[i]) for i in rows]
-    assert [20] * len(spans) in asked
+    # each row lies on its sorted union with q
+    unions = [sorted_union(p.symbols, q.symbols).size for p in pmfs]
+    assert [width for chunk in calls[len(ROW_COUNTS)] for width in chunk] == unions
     if chunk_rows:
-        assert _crosses_a_chunk_edge(asked)
+        assert _crosses_a_chunk_edge(calls)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 15])
+def test_block_tvs_equal_the_union_reference_on_every_case(chunk, monkeypatch):
+    # rows disjoint from q, nested in it, interleaved with it, past either
+    # end and equal to it; q on consecutive symbols and not; several qs a
+    # call, some of them equal, so that chunks hold rows of several blocks
+    monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(45)
+    cases = {
+        "disjoint": lambda q: _pmf_on(q.symbols[-1] + 1 + rng.choice(40, 3), rng),
+        "nested": lambda q: _pmf_on(rng.choice(q.symbols, max(1, q.symbols.size // 2)), rng),
+        "interleaved": lambda q: _pmf_on(np.concatenate([q.symbols[::2] + 1,
+                                                         q.symbols[1::3]]), rng),
+        "past the low end": lambda q: _pmf_on(q.symbols[:3] - 3, rng),
+        "past the high end": lambda q: _pmf_on(q.symbols[-3:] + 3, rng),
+        "equal": lambda q: Pmf(q.symbols.copy(), q.probs.copy()),
+        "window": lambda q: ref.window(rng.choice(np.arange(q.symbols[-1] + 5), 30)),
+    }
+    for _ in range(40):
+        qs = []
+        for _ in range(int(rng.integers(1, 5))):
+            if qs and rng.random() < 0.3:
+                qs.append(qs[-1])
+                continue
+            lo, m = int(rng.integers(3, 40)), int(rng.integers(1, 30))
+            run = rng.random() < 0.5
+            qs.append(_pmf_on(lo + (np.arange(m) if run else rng.choice(80, m)), rng))
+        rows = [[cases[name](q) for name in rng.choice(list(cases), int(rng.integers(1, 6)))]
+                for q in qs]
+        want = [ref.tv_union(p, q) for block, q in zip(rows, qs) for p in block]
+        assert dist.block_tvs([_block_of(block) for block in rows], qs).tolist() == want
 
 
 def test_scalar_lambda_equals_the_array_path_and_the_reference():

@@ -758,7 +758,6 @@ def _fresh_truth(scenario, monkeypatch):
 def test_generated_rows_equal_the_materialised_truth(scenario, chunk, wide, monkeypatch):
     monkeypatch.setattr(dist, "CHUNK_ELEMENTS", chunk)
     monkeypatch.setattr(driftgen, "WIDE_ROW", wide)
-    monkeypatch.setattr(dist, "WIDE_ROW", wide)
     want = ref.materialized_segments(scenario)
     truth = _fresh_truth(scenario, monkeypatch)
     assert np.concatenate([atoms for _, _, atoms in truth._chunks()][::-1]).tolist() == (

@@ -142,7 +142,7 @@ def test_one_ladder_per_trial(monkeypatch):
 def test_run_drift_is_measured_once_per_scenario(monkeypatch):
     # the rows' TVs to the current pmf, which the per-run drift is the running
     # max of: this truth's 26 rows are one chunk, so one call measures them all
-    calls = _count_calls(monkeypatch, driftgen, "rows_tv")
+    calls = _count_calls(monkeypatch, driftgen, "block_tvs")
     scenario = rotating_support(k=3, period=5, t=128, seed=424242)
     run_trials(scenario, 3, 0.05)
     run_trials(scenario, 2, 0.1)
@@ -571,9 +571,9 @@ def test_kernel_calls_per_block_do_not_grow_with_its_trials(family, monkeypatch)
     # none: a bound in the window sizes, however many trials
     scenario = harness.default_families(0)[family]
     calls = []
-    tvs = dist._tvs
-    monkeypatch.setattr(dist, "_tvs", lambda *args, **kwargs: (calls.append(1),
-                                                              tvs(*args, **kwargs))[1])
+    block_tvs = harness.block_tvs
+    monkeypatch.setattr(harness, "block_tvs", lambda *args: (calls.append(1),
+                                                             block_tvs(*args))[1])
     walks = []
     walk_block = harness.walk_block
     monkeypatch.setattr(harness, "walk_block", lambda *args: (
@@ -666,8 +666,8 @@ def test_bad_arguments_are_rejected_before_the_truth_side(suite, trials, delta, 
 
 
 def test_trial_suites_sort_no_union(monkeypatch):
-    # every TV of a trial pass is taken on a known layout, none through
-    # tv_distance's sorted union
+    # every TV of a trial pass lies on its union laid out without a sort
+    # (block_tvs), none on tv_distance's sorted union
     def refuse(p, q):
         raise AssertionError("a trial pass called tv_distance")
 
